@@ -25,8 +25,8 @@ and safe to read from any thread at any time.
 
 Lifecycle contract: construct → use → :meth:`close` (or use the instance
 as a context manager). ``close()`` closes attached services (joining
-their worker threads), shuts down shard scan executors and worker
-processes, and releases storage handles; after it, queries raise. A
+their worker threads), reaps executor worker processes, and releases
+storage handles; after it, queries raise. A
 durable database killed *without* ``close()`` loses nothing:
 :meth:`recover` (or constructing over the same ``storage_path``) rebuilds
 tables from the published catalogs and replays the WAL — every
@@ -42,11 +42,10 @@ implementation.
 from __future__ import annotations
 
 import contextlib
-
-import numpy as np
+import os
 
 from ..engine.relation import Relation
-from ..engine.scan import ScanTimer, scan_pdt
+from ..service.plan import iter_plan_blocks, plan_scan
 from ..storage.backend import MAIN_SCOPE, resolve_storage
 from ..storage.blocks import BlockStore, DEFAULT_BLOCK_ROWS
 from ..storage.buffer import BufferPool
@@ -108,9 +107,10 @@ class Database:
         ``overdue_pin_warnings``) whenever maintenance is deferred by a
         snapshot pin older than this — a stuck client made observable.
     ``executor``
-        How fanned-out shard scans execute: ``"thread"`` (default — the
-        in-process pools, one core under the GIL) or ``"process"`` —
-        per-shard jobs are dispatched to :mod:`repro.exec` worker
+        How per-shard scan jobs execute: ``"thread"`` (default — on the
+        calling or service thread, one core under the GIL) or
+        ``"process"`` — the jobs of a multi-shard plan (and every
+        service job) are dispatched to :mod:`repro.exec` worker
         processes that mmap the published segment files read-only and
         stream result blocks back through shared memory. Process mode
         needs ``storage="mmap"`` (it degrades to threads otherwise) and
@@ -164,8 +164,6 @@ class Database:
         trace=None,
         slow_query_ms: float | None = None,
     ):
-        import os
-
         from ..exec.router import ExecutorRouter
         from ..obs import Observability
 
@@ -314,13 +312,12 @@ class Database:
     def create_sharded_table(self, name: str, schema: Schema, rows=(),
                              shards: int = 4, boundaries=None,
                              split_rows: int | None = None,
-                             merge_rows: int | None = None,
-                             parallel: bool = True):
+                             merge_rows: int | None = None):
         """Create a range-sharded logical table (see :mod:`repro.shard`).
 
         Each shard is a full physical table (own stable image, PDT stack,
-        WAL stream, scheduler load, buffer pool); queries fan out one
-        MergeScan pipeline per shard and updates route by sort key.
+        WAL stream, scheduler load, buffer pool); a query plans one
+        MergeScan per surviving shard and updates route by sort key.
         ``split_rows``/``merge_rows`` arm the autonomous rebalancer; a
         shard whose stable+delta footprint crosses ``split_rows`` is split
         between queries, and adjacent shards whose combined footprint
@@ -333,7 +330,7 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         sharded = ShardedTable.create(
             self, name, schema, rows, shards=shards, boundaries=boundaries,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
         self._sharded[name] = sharded
         return sharded
@@ -341,8 +338,7 @@ class Database:
     def create_sharded_table_from_arrays(self, name: str, schema: Schema,
                                          arrays: dict, shards: int = 4,
                                          split_rows: int | None = None,
-                                         merge_rows: int | None = None,
-                                         parallel: bool = True):
+                                         merge_rows: int | None = None):
         """Sharded twin of :meth:`create_table_from_arrays`: pre-sorted
         columnar data is sliced per shard with no per-row coercion."""
         from ..shard.sharded import ShardedTable
@@ -351,7 +347,7 @@ class Database:
             raise ValueError(f"table {name!r} already exists")
         sharded = ShardedTable.create_from_arrays(
             self, name, schema, arrays, shards=shards,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
         self._sharded[name] = sharded
         return sharded
@@ -470,24 +466,19 @@ class Database:
 
     # -- queries ---------------------------------------------------------------------
 
-    def query(self, table: str, columns=None,
-              timer: ScanTimer | None = None,
-              batch_rows: int = 4096, sk=None, pin=None,
-              where=None, aggregate=None) -> Relation:
+    def query(self, table: str, columns=None, batch_rows: int = 4096,
+              sk=None, pin=None, where=None, aggregate=None) -> Relation:
         """Scan the latest committed state (positional merge, no locks).
 
-        Only the named ``columns`` are read from storage. Maintenance the
-        checkpoint scheduler had to defer (because transactions were
-        running when its policy fired) is drained here, *between* queries,
-        so PDT layers shrink back without a stop-the-world pause. Sharded
-        tables additionally run the shard rebalancer here, then fan the
-        scan out one MergeScan pipeline per shard.
+        Only the named ``columns`` are read from storage. Every read —
+        this one, :meth:`query_range` and :meth:`query_point` — runs the
+        one pipeline of :meth:`_read`: drain deferred maintenance, pin
+        the commit point, plan, stream, materialize.
 
         ``sk`` adds an equality predicate on the sort key (or an SK
-        prefix): the lookup routes through the shard router to the owning
-        shard and through its sparse index to the qualifying SID range,
-        instead of fanning out (see :meth:`query_point`). ``pin`` scans a
-        :meth:`pin_snapshot` version instead of the latest state.
+        prefix), i.e. the range ``[sk, sk]`` (see :meth:`query_point`).
+        ``pin`` scans a :meth:`pin_snapshot` version instead of the
+        latest state.
 
         ``where`` (a :class:`~repro.engine.expr.Expr`) and ``aggregate``
         (an :class:`~repro.engine.expr.AggSpec`) push filtering and
@@ -497,258 +488,77 @@ class Database:
         Results are identical to scanning everything and filtering /
         aggregating centrally.
         """
-        with self.obs.query_scope(table) as q:
-            rel = self._query_impl(table, columns, timer, batch_rows, sk,
-                                   pin, where, aggregate)
-            if q is not None:
-                q["rows"] = rel.num_rows
-            return rel
-
-    def _query_impl(self, table, columns, timer, batch_rows, sk, pin,
-                    where=None, aggregate=None) -> Relation:
-        if where is not None or aggregate is not None:
-            # Push-down rides the planned (pinned) scan path — plan_scan
-            # owns predicate pruning and partial-aggregate merging. An
-            # ephemeral pin of the current commit point keeps "latest
-            # state" semantics.
-            if pin is not None:
-                return self._query_pinned(table, pin, low=sk, high=sk,
-                                          columns=columns, timer=timer,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-            with self.pin_snapshot() as auto_pin:
-                return self._query_pinned(table, auto_pin, low=sk, high=sk,
-                                          columns=columns, timer=timer,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-        if pin is not None:
-            return self._query_pinned(table, pin, low=sk, high=sk,
-                                      columns=columns, timer=timer,
-                                      batch_rows=batch_rows)
-        if sk is not None:
-            return self.query_point(table, sk, columns=columns,
-                                    batch_rows=batch_rows, timer=timer)
-        if table in self._sharded:
-            return self._query_sharded(table, columns, timer, batch_rows)
-        self.scheduler.run_pending(table)
-        state = self.manager.state_of(table)
-        return scan_pdt(
-            state.stable,
-            self.manager.latest_layers(table),
-            columns=columns,
-            timer=timer,
-            batch_rows=batch_rows,
-        )
-
-    def query_point(self, table: str, sk, columns=None,
-                    batch_rows: int = 4096,
-                    timer: ScanTimer | None = None) -> Relation:
-        """Rows whose sort key equals ``sk`` (or extends it, for an SK
-        prefix).
-
-        The point twin of :meth:`query_range`: a sharded table routes
-        through the :class:`~repro.shard.ShardRouter` to the single
-        owning shard (full keys route in O(log shards); prefix keys fall
-        back to the prefix-aware range pruning), then the shard's sparse
-        index narrows the MergeScan to the qualifying SID range — no
-        fan-out, cold shards untouched.
-        """
-        with self.obs.query_scope(table) as q:
-            rel = self._query_point_impl(table, sk, columns, batch_rows,
-                                         timer)
-            if q is not None:
-                q["rows"] = rel.num_rows
-            return rel
-
-    def _query_point_impl(self, table, sk, columns, batch_rows, timer
-                          ) -> Relation:
-        import time
-
-        sk = tuple(sk)
-        start = time.perf_counter()
-        if table in self._sharded:
-            sharded = self._sharded[table]
-            if len(sk) < len(sharded.schema.sort_key):
-                # A prefix may straddle a boundary sharing it; the range
-                # path prunes prefix-aware.
-                rel = self.query_range(table, low=sk, high=sk,
-                                       columns=columns,
-                                       batch_rows=batch_rows)
-            else:
-                with sharded.merge_io_after():
-                    rel = self._range_scan_physical(
-                        sharded.physical_for(sk), sk, sk, columns,
-                        batch_rows)
-        else:
-            rel = self._range_scan_physical(table, sk, sk, columns,
-                                            batch_rows)
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
-
-    def _query_pinned(self, table: str, pin, low=None, high=None,
-                      columns=None, timer: ScanTimer | None = None,
-                      batch_rows: int = 4096, where=None,
-                      aggregate=None) -> Relation:
-        """Materialize a scan of a pinned version (shared by ``query`` and
-        ``query_range`` with ``pin=``): planned and pruned exactly like a
-        service read, executed inline. ``where``/``aggregate`` push the
-        predicate and partial aggregation into the shard scans."""
-        import time
-
-        from ..service.plan import iter_plan_blocks, plan_scan
-
-        plan = plan_scan(pin, table, low=low, high=high, columns=columns,
-                         where=where, agg=aggregate)
-        start = time.perf_counter()
-        io_scope = (
-            self._sharded[table].merge_io_after()
-            if table in self._sharded else contextlib.nullcontext()
-        )
-        with io_scope:
-            rel = Relation.from_batches(
-                plan.columns,
-                iter_plan_blocks(plan, block_rows=batch_rows,
-                                 router=self.exec_router),
-            )
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
-
-    def _query_sharded(self, table: str, columns, timer, batch_rows
-                       ) -> Relation:
-        import time
-
-        sharded = self._sharded[table]
-        for shard in sharded.shard_names:
-            self.scheduler.run_pending(shard)
-        sharded.maybe_rebalance()
-        if columns is None:
-            columns = list(sharded.schema.column_names)
-        else:
-            columns = list(columns)
-        start = time.perf_counter()
-        rel = Relation.from_batches(
-            columns,
-            sharded.scan_blocks(columns=columns, batch_rows=batch_rows),
-        )
-        if timer is not None:
-            timer.add(table, time.perf_counter() - start)
-        return rel
+        return self._read(table, sk, sk, columns, batch_rows, pin, where,
+                          aggregate)
 
     def query_range(self, table: str, low=None, high=None, columns=None,
                     batch_rows: int = 4096, pin=None, where=None,
                     aggregate=None) -> Relation:
         """Rows whose sort key (or SK prefix) lies in ``[low, high]``.
 
-        Uses the table's *stale* sparse index — built once on the stable
-        image and never maintained — to restrict the positional MergeScan
-        to the qualifying SID range; ghost-respecting SID assignment keeps
-        the pruning correct under any update load (paper section 2.1,
-        "Respecting Deletes"). ``pin`` evaluates the range against a
-        :meth:`pin_snapshot` version instead of the latest state.
-        ``where``/``aggregate`` push filtering and partial aggregation
-        into the shard scans (see :meth:`query`).
+        The router prunes a sharded table to the shards whose key ranges
+        intersect the bounds, then each table's *stale* sparse index —
+        built once on the stable image and never maintained — restricts
+        the positional MergeScan to the qualifying SID range;
+        ghost-respecting SID assignment keeps the pruning correct under
+        any update load (paper section 2.1, "Respecting Deletes").
+        ``pin``, ``where`` and ``aggregate`` as in :meth:`query`.
         """
+        return self._read(table, low, high, columns, batch_rows, pin, where,
+                          aggregate)
+
+    def query_point(self, table: str, sk, columns=None,
+                    batch_rows: int = 4096) -> Relation:
+        """Rows whose sort key equals ``sk`` (or extends it, for an SK
+        prefix): the range ``[sk, sk]``, so a full key reaches one shard
+        and one sparse-index granule — no fan-out, cold shards
+        untouched."""
+        return self._read(table, sk, sk, columns, batch_rows)
+
+    def _read(self, table: str, low, high, columns, batch_rows: int,
+              pin=None, where=None, aggregate=None) -> Relation:
+        """The one read path. A latest-state read first drains the
+        maintenance the checkpoint scheduler had to defer (and, on a
+        sharded table, runs the rebalancer) — *between* queries, so PDT
+        layers shrink back without a stop-the-world pause — then pins the
+        commit point for the duration of the scan. An explicit ``pin``
+        skips both: its version is already fixed."""
         with self.obs.query_scope(table) as q:
-            rel = self._query_range_impl(table, low, high, columns,
-                                         batch_rows, pin, where, aggregate)
+            if pin is not None:
+                version = contextlib.nullcontext(pin)
+            else:
+                sharded = self._sharded.get(table)
+                if sharded is None:
+                    self.scheduler.run_pending(table)
+                else:
+                    for shard in sharded.shard_names:
+                        self.scheduler.run_pending(shard)
+                    sharded.maybe_rebalance()
+                version = self.pin_snapshot()
+            with version as pinned:
+                rel = self._scan_pinned(pinned, table, low, high, columns,
+                                        batch_rows, where, aggregate)
             if q is not None:
                 q["rows"] = rel.num_rows
             return rel
 
-    def _query_range_impl(self, table, low, high, columns, batch_rows,
-                          pin, where=None, aggregate=None) -> Relation:
-        if where is not None or aggregate is not None:
-            if pin is not None:
-                return self._query_pinned(table, pin, low=low, high=high,
-                                          columns=columns,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-            with self.pin_snapshot() as auto_pin:
-                return self._query_pinned(table, auto_pin, low=low,
-                                          high=high, columns=columns,
-                                          batch_rows=batch_rows,
-                                          where=where, aggregate=aggregate)
-        if pin is not None:
-            return self._query_pinned(table, pin, low=low, high=high,
-                                      columns=columns,
-                                      batch_rows=batch_rows)
-        if table in self._sharded:
-            return self._query_range_sharded(table, low, high, columns,
-                                             batch_rows)
-        return self._range_scan_physical(table, low, high, columns,
-                                         batch_rows)
-
-    def _range_scan_physical(self, physical: str, low, high, columns,
-                             batch_rows: int) -> Relation:
-        """Sparse-index-pruned MergeScan of one physical table, filtered
-        to the inclusive ``[low, high]`` sort-key bounds — the shared body
-        of ``query_range`` (unsharded) and ``query_point``."""
-        from ..core.stack import merge_scan_layers
-
-        state = self.manager.state_of(physical)
-        schema = state.stable.schema
-        if columns is None:
-            columns = list(schema.column_names)
-        sid_range = state.sparse_index.sid_range_for_key_range(low, high)
-        scan_cols = list(dict.fromkeys(list(columns) + list(schema.sort_key)))
-        rel = Relation.from_batches(
-            scan_cols,
-            merge_scan_layers(
-                state.stable,
-                self.manager.latest_layers(physical),
-                columns=scan_cols,
-                start=sid_range.start,
-                stop=sid_range.stop,
-                batch_rows=batch_rows,
-            ),
-        )
-        return self._filter_key_range(rel, schema, low, high, columns)
-
-    def _query_range_sharded(self, table: str, low, high, columns,
-                             batch_rows: int) -> Relation:
-        """Range scan over a sharded table: the router prunes to the
-        shards whose key ranges intersect ``[low, high]``, and each
-        surviving shard's (stale) sparse index prunes its own SID range —
-        two levels of pruning before any block is read."""
-        import itertools
-
-        from ..core.stack import merge_scan_layers
-
-        sharded = self._sharded[table]
-        schema = sharded.schema
-        if columns is None:
-            columns = list(schema.column_names)
-        scan_cols = list(dict.fromkeys(list(columns) + list(schema.sort_key)))
-        streams = []
-        for i in sharded.router.shards_for_range(low, high):
-            shard = sharded.shard_names[i]
-            state = self.manager.state_of(shard)
-            sid_range = state.sparse_index.sid_range_for_key_range(low, high)
-            streams.append(merge_scan_layers(
-                state.stable, self.manager.latest_layers(shard),
-                columns=scan_cols, start=sid_range.start,
-                stop=sid_range.stop, batch_rows=batch_rows,
-            ))
-        with sharded.merge_io_after():
-            rel = Relation.from_batches(scan_cols, itertools.chain(*streams))
-        return self._filter_key_range(rel, schema, low, high, columns)
-
-    @staticmethod
-    def _filter_key_range(rel: Relation, schema, low, high,
-                          columns) -> Relation:
-        """Apply the inclusive (prefix-aware) ``[low, high]`` sort-key
-        predicate and project to the requested columns."""
-        from ..engine import functions as fn
-
-        key_arrays = [rel[c] for c in schema.sort_key]
-        mask = np.ones(rel.num_rows, dtype=bool)
-        if low is not None:
-            mask &= fn.lex_ge(key_arrays, low)
-        if high is not None:
-            mask &= fn.lex_le(key_arrays, high)
-        return rel.filter(mask).select(*columns)
+    def _scan_pinned(self, pin, table: str, low, high, columns,
+                     batch_rows: int, where, aggregate) -> Relation:
+        """Plan the pinned version (``plan_scan``: shard pruning,
+        sparse-index SID ranges, push-down — an unsharded table is a
+        one-part plan) and materialize the plan's block stream."""
+        plan = plan_scan(pin, table, low=low, high=high, columns=columns,
+                         where=where, agg=aggregate)
+        sharded = self._sharded.get(table)
+        try:
+            return Relation.from_batches(
+                plan.columns,
+                iter_plan_blocks(plan, block_rows=batch_rows,
+                                 router=self.exec_router),
+            )
+        finally:
+            if sharded is not None:
+                sharded.flush_io()
 
     def image_rows(self, table: str) -> list[tuple]:
         from ..core.stack import image_rows
@@ -806,9 +616,9 @@ class Database:
 
     def close(self) -> None:
         """Shut the database down cleanly: close attached query services
-        (joining their workers), join every sharded table's scan
-        executor, and drop retired-shard storage. Idempotent; after it,
-        the interpreter exits without lingering pool threads. Usable as a
+        (joining their workers), reap executor worker processes, and drop
+        retired-shard storage. Idempotent; after it, the interpreter
+        exits without lingering pool threads. Usable as a
         context manager::
 
             with Database() as db:

@@ -8,6 +8,7 @@ predicates implement the LIKE shapes TPC-H uses.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 
 import numpy as np
@@ -105,17 +106,24 @@ def substring(column: np.ndarray, start: int, length: int) -> np.ndarray:
     return out
 
 
+def _lex_bound(columns, bound, strict, inclusive) -> np.ndarray:
+    """``(columns...) <op> bound`` row-wise, folded from the bound's last
+    column backwards: ``c0 op' b0 | (c0 == b0 & <rest>)`` — one
+    comparison for a one-column bound, no scratch masks."""
+    pairs = list(zip(columns, tuple(bound)))
+    if not pairs:
+        return np.ones(len(columns[0]) if columns else 0, dtype=bool)
+    arr, value = pairs[-1]
+    result = inclusive(arr, value)
+    for arr, value in reversed(pairs[:-1]):
+        result = strict(arr, value) | ((arr == value) & result)
+    return result
+
+
 def lex_ge(columns, bound) -> np.ndarray:
     """Row-wise lexicographic ``(columns...) >= bound`` over aligned
     arrays; ``bound`` may be a prefix of the column list."""
-    bound = tuple(bound)
-    n = len(columns[0]) if columns else 0
-    result = np.zeros(n, dtype=bool)
-    equal_so_far = np.ones(n, dtype=bool)
-    for arr, value in zip(columns, bound):
-        result |= equal_so_far & (arr > value)
-        equal_so_far = equal_so_far & (arr == value)
-    return result | equal_so_far
+    return _lex_bound(columns, bound, operator.gt, operator.ge)
 
 
 def lex_le(columns, bound) -> np.ndarray:
@@ -124,11 +132,4 @@ def lex_le(columns, bound) -> np.ndarray:
     A prefix bound is inclusive of every extension (``("Paris",)`` admits
     all Paris rows), matching SQL prefix range predicates on compound sort
     keys."""
-    bound = tuple(bound)
-    n = len(columns[0]) if columns else 0
-    result = np.zeros(n, dtype=bool)
-    equal_so_far = np.ones(n, dtype=bool)
-    for arr, value in zip(columns, bound):
-        result |= equal_so_far & (arr < value)
-        equal_so_far = equal_so_far & (arr == value)
-    return result | equal_so_far
+    return _lex_bound(columns, bound, operator.lt, operator.le)

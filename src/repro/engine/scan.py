@@ -10,9 +10,8 @@ Three scan modes mirror the paper's three TPC-H configurations:
 All three are *block-pipelined*: stable storage yields decoded blocks,
 each PDT layer splices its updates in block-at-a-time (see
 :class:`repro.core.merge.BlockMerger`), and only the terminal
-``Relation.from_batches`` materializes. Streaming consumers that want the
-merged image without materialization use :func:`scan_pdt_blocks`, which
-additionally normalizes output to fixed-size blocks.
+``Relation.from_batches`` materializes. Consumers that need a fixed block
+size — service cursors, worker frames — use :func:`scan_pdt_blocks`.
 
 Each scan records the wall-clock *scan time* (data access + merging) in an
 optional :class:`ScanTimer`, which Figure 19's harness uses to split query
@@ -88,7 +87,7 @@ def scan_pdt_blocks(table, layers, columns=None, start: int = 0,
     The pipelined form of :func:`scan_pdt`: yields
     ``(first_rid, {column: ndarray})`` blocks of exactly ``block_rows``
     rows (the last may be shorter) without ever materializing the full
-    relation — the shape operator pipelines and shard fan-out consume.
+    relation — the shape service cursors and shard workers stream.
     Merged block sizes drift with the local insert/delete balance, so the
     layered stream is re-normalized with :func:`repro.core.merge.reblock`;
     untouched full blocks still pass through without copying.
@@ -109,7 +108,7 @@ def rebase_block_streams(parts):
     partition ``i``'s offset is the total row count the preceding
     partitions produced, measured from their actual output — so the
     offsets stay exact under any per-partition insert/delete balance.
-    Shard fan-out and the query service's streaming cursors share this as
+    Inline reads and the query service's streaming cursors share this as
     the single definition of cross-shard RID order.
     """
     offset = 0
@@ -123,32 +122,21 @@ def rebase_block_streams(parts):
 
 
 def fanout_scan_blocks(sources, executor=None):
-    """Fan a scan out over partitions and re-concatenate in key order.
+    """Scan partitions concurrently and re-concatenate in key order.
 
     ``sources`` is an ordered list of zero-argument callables, each
     returning a ``(first_rid, {column: ndarray})`` block stream over one
-    partition's *local* RID domain (starting at 0). Partitions are scanned
-    — in parallel when an ``executor`` (``concurrent.futures``-style) is
-    given, otherwise sequentially — and their blocks are re-concatenated
-    by :func:`rebase_block_streams`.
-
-    With an executor every partition's stream is materialized inside its
-    worker; block *contents* are untouched either way (pass-through arrays
-    stay pass-through).
-
-    An executor exposing ``submit_stream`` (the multiprocess
-    :class:`repro.exec.router.ExecutorRouter`) gets the source object
-    itself, so it can ship the partition to a worker process when the
-    source carries remote identity (see :class:`repro.exec.ScanSource`)
-    instead of running the thunk on a thread.
+    partition's *local* RID domain (starting at 0). With an ``executor``
+    (the multiprocess :class:`repro.exec.router.ExecutorRouter`) every
+    source is handed to ``executor.submit_stream`` up front, which ships
+    the partition to a worker process when the source carries remote
+    identity (see :class:`repro.exec.ScanSource`) and resolves to its
+    materialized block list; without one the sources run one after the
+    other on the calling thread. Either way the blocks are re-concatenated
+    by :func:`rebase_block_streams`, contents untouched.
     """
     if executor is not None:
-        submit_stream = getattr(executor, "submit_stream", None)
-        if submit_stream is not None:
-            futures = [submit_stream(s) for s in sources]
-        else:
-            futures = [executor.submit(lambda s=s: list(s()))
-                       for s in sources]
+        futures = [executor.submit_stream(s) for s in sources]
         parts = (future.result() for future in futures)
     else:
         parts = (source() for source in sources)

@@ -1,8 +1,9 @@
 """ExecutorRouter: per-job dispatch to shard workers, thread fallback.
 
-The router is the single decision point every parallel scan path goes
-through — ``ShardedTable.scan_blocks``, the pinned-plan fan-out, and the
-query service's per-shard jobs. For each job it asks: *is this shard's
+The router is the single decision point both parallel scan paths go
+through — the inline plan fan-out (``service.plan.iter_plan_blocks``,
+plans of more than one part) and the query service's per-shard jobs. For
+each job it asks: *is this shard's
 pinned version on disk where a worker process can mmap it?* If yes (mmap
 backend, stable image still storage-attached, published ``image_lsn``
 matching the pinned one, and enough rows to be worth a hop), the job is
@@ -167,10 +168,9 @@ class _WorkerHandle:
 class ScanSource:
     """One partition's scan: a local thunk plus optional remote identity.
 
-    Callable (runs the local block pipeline — any plain executor can
-    ``submit(lambda: list(source()))`` it), and carries the pinned-state
-    references the router needs to build a pin-vector payload at
-    dispatch time.
+    Callable (runs the local block pipeline), and carries the
+    pinned-state references the router needs to build a pin-vector
+    payload at dispatch time.
     """
 
     __slots__ = ("local", "stable", "layers", "columns", "sid_lo",
@@ -461,7 +461,7 @@ class ExecutorRouter:
             return self._driver_pool().submit(self.run_source, source)
         except RuntimeError:
             # Lost a race with close(): run inline on the caller's thread
-            # (every job is local once closed), like the pre-router path.
+            # (every job is local once closed).
             future: Future = Future()
             try:
                 future.set_result(self.run_source(source))
@@ -500,10 +500,9 @@ class ExecutorRouter:
         return run
 
     def fanout_executor(self):
-        """Executor for block fan-out: the router itself in process mode
-        (callers fall back to their own thread pools on None, including
-        after close — a closed database that still serves reads keeps
-        the pre-router thread behaviour)."""
+        """Executor for block fan-out: the router itself in process mode,
+        None otherwise — including after close — and the caller then
+        chains the shard scans on its own thread."""
         return self if self.mode == "process" and not self._closed else None
 
     def _driver_pool(self) -> ThreadPoolExecutor:

@@ -27,6 +27,7 @@ inline; everything else stays raw.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 import time
@@ -65,6 +66,31 @@ def encode_frame_plan(arrays: dict) -> tuple[list, dict, int]:
         cols.append([name, arr.dtype.str, len(arr), offset, arr.nbytes])
         offset += _align(arr.nbytes)
     return cols, inline, offset
+
+
+class _RingSegment(shared_memory.SharedMemory):
+    """The parent's handle on a ring segment whose mapping zero-copy
+    views may outlive.
+
+    ``SharedMemory.close`` unmaps, which CPython refuses with
+    ``BufferError`` while an ndarray still exports the buffer — and
+    ``SharedMemory.__del__`` calls it again, so a ring torn down under a
+    live result used to fail a second time, unraisably, at whatever
+    moment the collector ran. Ownership passes to the views instead: a
+    close under live exports drops this handle's references (and its
+    descriptor), and the mapping is unmapped by reference count when the
+    last view is collected.
+    """
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except BufferError:
+            self._buf = None
+            self._mmap = None
+            if self._fd >= 0:
+                os.close(self._fd)
+                self._fd = -1
 
 
 class ShmRingWriter:
@@ -123,7 +149,7 @@ class ShmRingReader:
     """Parent-side consumer: zero-copy views + FIFO reclamation."""
 
     def __init__(self, capacity: int):
-        self._shm = shared_memory.SharedMemory(
+        self._shm = _RingSegment(
             create=True, size=HEADER_BYTES + capacity)
         self.capacity = capacity
         self.name = self._shm.name
@@ -180,17 +206,15 @@ class ShmRingReader:
                 struct.pack_into("<Q", self._shm.buf, 0, advanced)
 
     def close(self) -> None:
-        """Unlink the segment; the mapping itself lives on while any
-        zero-copy view is still referenced (BufferError otherwise)."""
+        """Unlink the segment and release this reader's handle on it;
+        the mapping itself lives on exactly as long as any zero-copy
+        view is still referenced (see :class:`_RingSegment`)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             self._frames.clear()
-        try:
-            self._shm.close()
-        except BufferError:
-            pass  # live views keep the map; the OS reclaims at exit
+        self._shm.close()
         try:
             self._shm.unlink()
         except FileNotFoundError:

@@ -3,7 +3,7 @@
 A :class:`StreamingCursor` is what every service read returns. It drains
 its per-shard feeds in shard (key) order, rebasing local RIDs into the
 global domain with the same :func:`~repro.engine.scan.rebase_block_streams`
-the thread-pool fan-out uses, and applies the request's key filter and
+inline reads use, and applies the request's key filter and
 projection block by block — so the first result block is available as soon
 as the first shard's pipeline produces it, while later shards are still
 scanning. Nothing is materialized unless the caller asks

@@ -30,8 +30,8 @@ its catch-up sub-scans) stream from a shard worker process instead.
 
 Feeds are unbounded: a job never blocks on a slow consumer (so job workers
 cannot deadlock), and memory stays bounded because admission control
-bounds in-flight *requests* — the same envelope as the thread-pool fan-out
-path, which materializes whole per-shard scans per query.
+bounds in-flight *requests* — the same envelope as the process-mode
+fan-out of inline reads, which materializes whole per-shard scans per query.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """Planning pinned scans: from a snapshot pin to per-shard scan specs.
 
-Every read through the query service (and every ``Database`` query made
-against an explicit pin) is planned here: the pin's captured shard layout
-routes range predicates to the shards whose key ranges intersect, each
-surviving shard's captured (stale) sparse index narrows the scan to a SID
-range, and the result is an ordered list of :class:`ShardScanSpec` — one
-per shard, each naming exactly the pinned objects a
-:func:`~repro.engine.scan.scan_pdt_blocks` pipeline needs. The same
-two-level pruning ``Database.query_range`` performs on live state, against
-a frozen version.
+Every read — through the query service, or inline through
+``Database.query*`` (against an explicit pin, or the ephemeral one a
+latest-state read takes) — is planned here: the pin's captured shard
+layout routes range predicates to the shards whose key ranges intersect,
+each surviving shard's captured (stale) sparse index narrows the scan to
+a SID range, and the result is an ordered list of :class:`ShardScanSpec`
+— one per shard (an unsharded table is a one-part plan), each naming
+exactly the pinned objects a MergeScan pipeline needs.
 
 A spec's :attr:`~ShardScanSpec.share_key` identifies the pinned *version*
 it reads (object identities of the stable image and PDT layers, plus the
@@ -33,9 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.merge import MERGE_BLOCK_ROWS
+from ..core.stack import merge_scan_layers
 from ..engine import expr as ex
 from ..engine import functions as fn
-from ..engine.scan import rebase_block_streams, scan_pdt_blocks
+from ..engine.scan import (
+    fanout_scan_blocks,
+    rebase_block_streams,
+    scan_pdt_blocks,
+)
+from ..exec.router import ScanSource
 from ..shard.router import ShardRouter
 
 
@@ -87,28 +92,36 @@ class ShardScanSpec:
         return self.where is not None or self.agg is not None
 
     def stream(self, sid_lo: int | None = None, sid_hi: int | None = None,
-               block_rows: int = MERGE_BLOCK_ROWS):
+               block_rows: int = MERGE_BLOCK_ROWS, fixed: bool = True):
         """Raw block pipeline over ``[sid_lo, sid_hi)`` of the pinned
         version (defaults to the spec's own range; shared jobs pass the
-        union) — no pushed-down evaluation applied."""
-        return scan_pdt_blocks(
+        union) — no pushed-down evaluation applied.
+
+        ``fixed`` normalizes the merged stream to exactly ``block_rows``
+        rows per block. That is a contract of service cursors and worker
+        frames (a re-dispatched job resumes at ``skip=<blocks
+        delivered>``, so every run of a job must cut identical blocks);
+        a caller that only concatenates the blocks passes ``False`` and
+        saves the copies."""
+        scan = scan_pdt_blocks if fixed else merge_scan_layers
+        return scan(
             self.pinned.stable,
-            list(self.pinned.layers),
-            columns=list(self.scan_cols),
-            start=self.sid_lo if sid_lo is None else sid_lo,
-            stop=self.sid_hi if sid_hi is None else sid_hi,
-            block_rows=block_rows,
+            self.pinned.layers,
+            self.scan_cols,
+            self.sid_lo if sid_lo is None else sid_lo,
+            self.sid_hi if sid_hi is None else sid_hi,
+            block_rows,
         )
 
     def pushed_stream(self, sid_lo: int | None = None,
                       sid_hi: int | None = None,
                       block_rows: int = MERGE_BLOCK_ROWS,
-                      counter: dict | None = None):
+                      counter: dict | None = None, fixed: bool = True):
         """The job-facing stream: :meth:`stream` wrapped with the spec's
         pushed-down predicate/aggregate (a no-op passthrough without
         them). This is the single local definition process workers must
         match byte for byte."""
-        stream = self.stream(sid_lo, sid_hi, block_rows)
+        stream = self.stream(sid_lo, sid_hi, block_rows, fixed)
         if not self.pushdown:
             return stream
         return ex.pushdown_stream(
@@ -299,19 +312,20 @@ def filter_blocks(plan: ScanPlan, stream):
 def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
                      router=None):
     """Execute a plan synchronously, yielding ``(rid, arrays)`` result
-    blocks — the inline (service-less) form pinned ``Database`` queries
-    use.
+    blocks — the inline (service-less) form every ``Database.query*``
+    and ``ShardedTable.scan_blocks`` uses.
 
-    With a process-mode ``router``
-    (:class:`~repro.exec.router.ExecutorRouter`) the per-shard specs fan
-    out to shard worker processes concurrently instead of chaining
-    sequentially on the calling thread; the rebased/filtered stream is
-    byte-identical either way.
+    Shard specs run one after the other on the calling thread, unless
+    ``router`` (:class:`~repro.exec.router.ExecutorRouter`) is in process
+    mode *and* the plan has more than one part: then the parts fan out to
+    shard worker processes concurrently. A one-part plan has nothing to
+    overlap — the caller would only wait on a worker hop — so it never
+    leaves the calling thread. The rebased/filtered stream is
+    byte-identical either way; only the fanned form needs fixed-size
+    blocks (see :meth:`ShardScanSpec.stream`).
     """
-    if router is not None and router.fanout_executor() is not None:
-        from ..engine.scan import fanout_scan_blocks
-        from ..exec.router import ScanSource
-
+    if router is not None and len(plan.parts) > 1 \
+            and router.fanout_executor() is not None:
         # Capture the caller's span context here: the sources run on
         # driver-pool threads, where contextvars would read nothing.
         tracer = router.tracer
@@ -336,6 +350,7 @@ def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
             plan, fanout_scan_blocks(sources, executor=router))
     return filter_blocks(
         plan,
-        rebase_block_streams(spec.pushed_stream(block_rows=block_rows)
-                             for spec in plan.parts),
+        rebase_block_streams(
+            spec.pushed_stream(block_rows=block_rows, fixed=False)
+            for spec in plan.parts),
     )

@@ -10,14 +10,12 @@ keyed by the shard's physical name), and its own checkpoint-scheduler
 load, so hot shards fold independently while cold shards are never
 touched.
 
-Routing lives in :class:`~repro.shard.router.ShardRouter`; scans fan out
-one block-pipelined MergeScan per shard — optionally on a
-``concurrent.futures`` thread pool — and are re-concatenated in key order
-with per-shard local RIDs rebased to global RIDs by the cumulative image
-sizes of the preceding shards
-(:func:`~repro.engine.scan.fanout_scan_blocks`). Shard splitting and
-merging (the autonomous rebalancer) lives in
-:mod:`~repro.shard.rebalance`.
+Routing lives in :class:`~repro.shard.router.ShardRouter`; reads are
+planned like every other read (:func:`~repro.service.plan.plan_scan`: one
+block-pipelined MergeScan per surviving shard, re-concatenated in key
+order with per-shard local RIDs rebased to global RIDs by the cumulative
+image sizes of the preceding shards). Shard splitting and merging (the
+autonomous rebalancer) lives in :mod:`~repro.shard.rebalance`.
 
 Physical shard tables are named ``{logical}__s{gen}`` with a
 per-logical-table generation counter, so the shards a rebalance creates
@@ -29,16 +27,12 @@ from __future__ import annotations
 import bisect
 import contextlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
-from ..engine.scan import fanout_scan_blocks, scan_pdt_blocks
 from ..storage.column import Column
 from ..storage.io_stats import IOStats
 from ..storage.schema import Schema, SchemaError
 from ..storage.table import StableTable
 from .router import ShardRouter
-
-MAX_SCAN_WORKERS = 8
 
 
 class ShardedTable:
@@ -46,7 +40,7 @@ class ShardedTable:
 
     def __init__(self, db, name: str, schema: Schema, router: ShardRouter,
                  shard_names: list[str], split_rows: int | None = None,
-                 merge_rows: int | None = None, parallel: bool = True):
+                 merge_rows: int | None = None):
         if len(shard_names) != router.num_shards:
             raise ValueError("shard name count does not match boundaries")
         if split_rows is not None and merge_rows is not None \
@@ -62,11 +56,9 @@ class ShardedTable:
         self.shard_names = list(shard_names)
         self.split_rows = split_rows
         self.merge_rows = merge_rows
-        self.parallel = parallel
         self._gen = 1 + max(
             (int(n.rsplit("__s", 1)[1]) for n in shard_names), default=-1
         )
-        self._executor: ThreadPoolExecutor | None = None
         # I/O accounting marks: last pool snapshot already folded into the
         # database-level counters (see merge_io_after). One lock serializes
         # concurrent flushes so every byte is merged exactly once.
@@ -82,8 +74,7 @@ class ShardedTable:
     @classmethod
     def create(cls, db, name: str, schema: Schema, rows=(), shards: int = 4,
                boundaries=None, split_rows: int | None = None,
-               merge_rows: int | None = None,
-               parallel: bool = True) -> "ShardedTable":
+               merge_rows: int | None = None) -> "ShardedTable":
         """Bulk-load ``rows`` into ``shards`` key-range shards.
 
         ``boundaries`` fixes the split keys explicitly; by default they
@@ -105,15 +96,14 @@ class ShardedTable:
         }
         return cls.create_from_arrays(
             db, name, schema, arrays, shards=shards, boundaries=boundaries,
-            split_rows=split_rows, merge_rows=merge_rows, parallel=parallel,
+            split_rows=split_rows, merge_rows=merge_rows,
         )
 
     @classmethod
     def create_from_arrays(cls, db, name: str, schema: Schema, arrays: dict,
                            shards: int = 4, boundaries=None,
                            split_rows: int | None = None,
-                           merge_rows: int | None = None,
-                           parallel: bool = True) -> "ShardedTable":
+                           merge_rows: int | None = None) -> "ShardedTable":
         """Bulk path for pre-sorted columnar data: boundaries are read
         straight off the sorted key columns (equal-count quantiles unless
         given explicitly) and each shard's stable image is a zero-copy
@@ -139,8 +129,7 @@ class ShardedTable:
         edges = [0] + cuts + [n]
         shard_names = [f"{name}__s{i}" for i in range(len(edges) - 1)]
         sharded = cls(db, name, schema, router, shard_names,
-                      split_rows=split_rows, merge_rows=merge_rows,
-                      parallel=parallel)
+                      split_rows=split_rows, merge_rows=merge_rows)
         for shard_name, lo, hi in zip(shard_names, edges, edges[1:]):
             sharded.install_shard(StableTable.from_arrays(
                 shard_name, schema,
@@ -230,7 +219,6 @@ class ShardedTable:
             config={
                 "split_rows": self.split_rows,
                 "merge_rows": self.merge_rows,
-                "parallel": self.parallel,
             },
         )
 
@@ -241,8 +229,10 @@ class ShardedTable:
 
         Shards registered through the generic recovery path share the
         database-wide buffer pool; they are re-attached to private
-        per-shard pools here so fanned-out scans keep their race-free
-        per-shard I/O counters.
+        per-shard pools here so concurrent shard scans keep their
+        race-free per-shard I/O counters. Only the configuration keys
+        this class still has are read: layouts logged by older versions
+        carry more (``"parallel"``) and must keep reopening.
         """
         shard_names = list(layout["shards"])
         schema = db.manager.state_of(shard_names[0]).schema
@@ -252,7 +242,6 @@ class ShardedTable:
             db, name, schema, router, shard_names,
             split_rows=config.get("split_rows"),
             merge_rows=config.get("merge_rows"),
-            parallel=config.get("parallel", True),
         )
         for shard in shard_names:
             state = db.manager.state_of(shard)
@@ -378,67 +367,23 @@ class ShardedTable:
 
     # -- scanning ---------------------------------------------------------
 
-    def _pool_executor(self) -> ThreadPoolExecutor | None:
-        if not self.parallel or self.num_shards < 2:
-            return None
-        workers = min(self.num_shards, MAX_SCAN_WORKERS)
-        if self._executor is None or self._executor._max_workers < workers:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-            self._executor = ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix=f"shard-scan-{self.name}",
-            )
-        return self._executor
-
-    def scan_blocks(self, columns=None, batch_rows: int = 4096,
-                    parallel: bool | None = None):
+    def scan_blocks(self, columns=None, batch_rows: int = 4096):
         """Stream the merged logical image as ``(global_rid, arrays)``
-        blocks, one MergeScan pipeline per shard.
-
-        The per-shard pipelines read through their shard's private buffer
-        pool/IOStats (no cross-thread counter races); the per-scan I/O
-        deltas are merged into the database-level counters when the stream
-        completes. Shard sources are captured eagerly, so the stream is a
-        snapshot of the latest-committed state at call time.
+        blocks without materializing it — the streaming form of
+        ``Database.query``, and the same pipeline minus the maintenance
+        drain: a snapshot pin taken at the first pull and held until the
+        stream ends (or is closed), ``plan_scan``, then the plan's block
+        stream. The per-shard
+        pipelines read through their shard's private buffer pool/IOStats;
+        the I/O deltas are merged into the database-level counters when
+        the stream completes.
         """
-        from ..exec.router import ScanSource
+        from ..service.plan import iter_plan_blocks, plan_scan
 
-        if columns is None:
-            columns = list(self.schema.column_names)
-        use_parallel = self.parallel if parallel is None else parallel
-        router = getattr(self.db, "exec_router", None)
-        executor = None
-        if use_parallel:
-            executor = (router.fanout_executor()
-                        if router is not None else None) \
-                or self._pool_executor()
-        # Span context captured on the submitting thread: fanned sources
-        # run on pool threads where contextvars would read nothing, yet
-        # their worker-side spans should stitch under the query span.
-        tracer = getattr(router, "tracer", None)
-        trace_ctx = tracer.ctx() if tracer is not None and tracer.enabled \
-            else None
-        sources = []
-        for name in self.shard_names:
-            state = self.db.manager.state_of(name)
-            layers = self.db.manager.latest_layers(name)
-
-            def local(stable=state.stable, layers=layers):
-                return scan_pdt_blocks(
-                    stable, layers, columns=columns, block_rows=batch_rows
-                )
-
-            sources.append(ScanSource(
-                local, stable=state.stable, layers=layers, columns=columns,
-                block_rows=batch_rows, trace_ctx=trace_ctx,
-            ))
-
-        def stream():
-            with self.merge_io_after():
-                yield from fanout_scan_blocks(sources, executor=executor)
-
-        return stream()
+        with self.db.pin_snapshot() as pin, self.merge_io_after():
+            plan = plan_scan(pin, self.name, columns=columns)
+            yield from iter_plan_blocks(plan, block_rows=batch_rows,
+                                        router=self.db.exec_router)
 
     # -- maintenance ------------------------------------------------------
 
@@ -461,15 +406,10 @@ class ShardedTable:
         return maybe_rebalance(self)
 
     def close(self) -> None:
-        """Join the scan executor and drop retired shards' storage.
-
-        Called from :meth:`Database.close`; interpreters then exit without
-        lingering non-daemon pool threads. Retired shards still waiting on
-        pins are dropped unconditionally — shutdown outlives any reader.
+        """Drop retired shards' storage (called from
+        :meth:`Database.close`). Retired shards still waiting on pins are
+        dropped unconditionally — shutdown outlives any reader.
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         for shard_name, pool in self._retired_pending:
             self._drop_shard_storage(shard_name, pool)
         self._retired_pending = []

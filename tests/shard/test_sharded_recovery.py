@@ -118,16 +118,32 @@ class TestShardedRecovery:
     def test_rebalancer_config_survives_recovery(self):
         db = Database(compressed=False)
         db.create_sharded_table("t", int_schema(), seed_rows(), shards=2,
-                                split_rows=20, merge_rows=5,
-                                parallel=False)
+                                split_rows=20, merge_rows=5)
         db2 = crash_and_recover(db)
         st2 = db2.sharded("t")
-        assert (st2.split_rows, st2.merge_rows, st2.parallel) == (20, 5,
-                                                                  False)
+        assert (st2.split_rows, st2.merge_rows) == (20, 5)
         # still armed: the oversized shards split on the next query
         n = st2.num_shards
         db2.query("t")
         assert st2.num_shards > n
+
+    def test_layout_records_of_older_versions_still_reopen(self):
+        """Layouts logged before the ``parallel`` knob was removed carry
+        it in their config; restore ignores the key, and new records no
+        longer write it."""
+        db = Database(compressed=False)
+        st = db.create_sharded_table("t", int_schema(), seed_rows(),
+                                     shards=2, split_rows=500)
+        db.insert("t", (5, 1, "x"))
+        wal = db.manager.wal
+        assert "parallel" not in wal.shard_layouts()["t"]["config"]
+        wal.append_shard_layout(
+            "t", st.router.boundaries, st.shard_names, lsn=db.manager._lsn,
+            config={"split_rows": 500, "merge_rows": None,
+                    "parallel": False})
+        db2 = crash_and_recover(db)
+        assert db2.sharded("t").split_rows == 500
+        assert db2.query("t").rows() == db.query("t").rows()
 
     def test_unsharded_tables_unaffected(self):
         db = Database(compressed=False)

@@ -157,17 +157,6 @@ class TestQueriesMatchOracle:
             assert db.query_range("t", low, high).rows() \
                 == oracle.query_range("t", low, high).rows(), (low, high)
 
-    def test_parallel_and_sequential_scans_identical(self):
-        db, _ = make_pair()
-        db.apply_batch("t", SCATTER)
-        st = db.sharded("t")
-        seq = list(st.scan_blocks(parallel=False))
-        par = list(st.scan_blocks(parallel=True))
-        assert [rid for rid, _ in seq] == [rid for rid, _ in par]
-        for (_, a1), (_, a2) in zip(seq, par):
-            for c in a1:
-                assert np.array_equal(a1[c], a2[c])
-
     def test_global_rids_are_contiguous(self):
         db, _ = make_pair()
         db.apply_batch("t", SCATTER)
