@@ -471,13 +471,7 @@ class PDT:
         """Deep copy (snapshot of the Write-PDT at transaction start)."""
         clone = PDT(self.schema, self.fanout)
         for entry in self.iter_entries():
-            if entry.kind == KIND_INS:
-                payload = list(self.values.get_insert(entry.ref))
-            elif entry.kind == KIND_DEL:
-                payload = self.values.get_delete(entry.ref)
-            else:
-                payload = self.values.get_modify(entry.kind, entry.ref)
-            clone.append_entry(entry.sid, entry.kind, payload)
+            clone.append_entry(entry.sid, entry.kind, self.value_of(entry))
         return clone
 
     def clear(self) -> None:

@@ -83,14 +83,6 @@ def propagate_batch(read_pdt, write_pdt, force_merge: bool = False) -> None:
     read_pdt.bulk_append_entries(merged)
 
 
-def _read_payload(pdt, entry):
-    if entry.kind == KIND_INS:
-        return list(pdt.values.get_insert(entry.ref))
-    if entry.kind == KIND_DEL:
-        return pdt.values.get_delete(entry.ref)
-    return pdt.values.get_modify(entry.kind, entry.ref)
-
-
 def _merge_fold(read_pdt, write_pdt) -> list:
     """Merged ``(sid, kind, payload)`` run of read ∘ write in read's SID
     domain.
@@ -113,7 +105,7 @@ def _merge_fold(read_pdt, write_pdt) -> list:
 
     def emit_read(entry) -> None:
         nonlocal ri, delta_r
-        out.append((entry.sid, entry.kind, _read_payload(read_pdt, entry)))
+        out.append((entry.sid, entry.kind, read_pdt.value_of(entry)))
         delta_r += delta_of(entry.kind)
         ri += 1
 
@@ -196,8 +188,8 @@ def _merge_fold(read_pdt, write_pdt) -> list:
                     and r_entries[ri].rid == pos
                     and r_entries[ri].kind >= 0
                 ):
-                    chain[r_entries[ri].kind] = _read_payload(
-                        read_pdt, r_entries[ri]
+                    chain[r_entries[ri].kind] = read_pdt.value_of(
+                        r_entries[ri]
                     )
                     ri += 1
                 chain.update(pending_mods)

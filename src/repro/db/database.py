@@ -269,13 +269,15 @@ class Database:
     def open_shard_pool(self, shard_name: str) -> BufferPool:
         """A private buffer pool over ``shard_name``'s own storage scope
         (each shard gets its own backend, so shards can live on different
-        media and retiring one deletes real files)."""
+        media and retiring one deletes real files). Its misses count
+        straight into ``db.io`` (internally locked), keyed by the shard's
+        physical name."""
         store = BlockStore(
             compressed=self.store.compressed,
             block_rows=self.store.block_rows,
             backend=self.storage.open(shard_name),
         )
-        return BufferPool(store, IOStats(), capacity_bytes=self.buffer_capacity)
+        return BufferPool(store, self.io, capacity_bytes=self.buffer_capacity)
 
     # -- DDL ---------------------------------------------------------------
 
@@ -293,13 +295,9 @@ class Database:
         self._install_table(stable)
 
     def _install_table(self, stable: StableTable) -> None:
-        stable.attach_storage(self.pool)
-        # Publish the loaded image now: on a durable backend the table
-        # survives a kill from this point on (before any commit).
-        self.store.set_image_lsn(stable.name, self.manager._lsn)
-        stable.image_lsn = self.manager._lsn
-        stable.image_epoch = self.store.table_epoch(stable.name)
-        self.store.sync()
+        # Published before it is registered: on a durable backend the
+        # table survives a kill from this point on (before any commit).
+        stable.publish(self.pool, self.manager._lsn)
         self.manager.register_table(stable)
 
     def _check_free_name(self, name: str) -> None:
@@ -536,29 +534,19 @@ class Database:
                     sharded.maybe_rebalance()
                 version = self.pin_snapshot()
             with version as pinned:
-                rel = self._scan_pinned(pinned, table, low, high, columns,
-                                        batch_rows, where, aggregate)
-            if q is not None:
-                q["rows"] = rel.num_rows
+                # Plan the pinned version (shard pruning, sparse-index
+                # SID ranges, push-down — an unsharded table is a
+                # one-part plan) and materialize the plan's block stream.
+                plan = plan_scan(pinned, table, low=low, high=high,
+                                 columns=columns, where=where,
+                                 agg=aggregate)
+                rel = Relation.from_batches(
+                    plan.columns,
+                    iter_plan_blocks(plan, block_rows=batch_rows,
+                                     router=self.exec_router),
+                )
+            q["rows"] = rel.num_rows
             return rel
-
-    def _scan_pinned(self, pin, table: str, low, high, columns,
-                     batch_rows: int, where, aggregate) -> Relation:
-        """Plan the pinned version (``plan_scan``: shard pruning,
-        sparse-index SID ranges, push-down — an unsharded table is a
-        one-part plan) and materialize the plan's block stream."""
-        plan = plan_scan(pin, table, low=low, high=high, columns=columns,
-                         where=where, agg=aggregate)
-        sharded = self._sharded.get(table)
-        try:
-            return Relation.from_batches(
-                plan.columns,
-                iter_plan_blocks(plan, block_rows=batch_rows,
-                                 router=self.exec_router),
-            )
-        finally:
-            if sharded is not None:
-                sharded.flush_io()
 
     def image_rows(self, table: str) -> list[tuple]:
         from ..core.stack import image_rows

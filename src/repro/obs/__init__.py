@@ -24,7 +24,6 @@ are gated ≤5 % by ``benchmarks/bench_obs_overhead.py``.
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 
 from .profile import QueryProfile, ShardScanProfile, SlowQueryLog
@@ -120,21 +119,11 @@ class Observability:
                 profile.fill_from_spans(self.sink.spans(trace_id))
             self.slow_log.check(profile, sink=self.sink)
 
-    # Re-entrancy guard for the inline query entry points: Database.query
-    # delegates to query_point/query_range, and only the outermost call
-    # should open the root span and observe the latency histogram.
-    _tl = threading.local()
-
     @contextlib.contextmanager
     def query_scope(self, table: str):
-        """Instrument one top-level inline query: a root ``query`` span
-        (when tracing) plus the end-to-end latency observation. Yields a
-        mutable info dict (set ``info["rows"]``) — or ``None`` on
-        re-entrant (delegated) calls, which are left untouched."""
-        if getattr(self._tl, "active", False):
-            yield None
-            return
-        self._tl.active = True
+        """Instrument one inline query: a root ``query`` span (when
+        tracing) plus the end-to-end latency observation. Yields a
+        mutable info dict (set ``info["rows"]``)."""
         info = {"rows": 0}
         t0 = time.perf_counter()
         trace_id = None
@@ -147,7 +136,6 @@ class Observability:
             else:
                 yield info
         finally:
-            self._tl.active = False
             self.observe_simple_query(
                 table, time.perf_counter() - t0,
                 rows=info["rows"], trace_id=trace_id)

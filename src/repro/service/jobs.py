@@ -179,11 +179,8 @@ class ShardScanJob:
         push-down row accounting for the *primary* pass only — catch-up
         re-scans pass None so re-read rows are not double-counted."""
         if self._runner is not None:
-            if counter is not None:
-                return self._runner(self.spec, sid_lo, sid_hi,
-                                    self.block_rows, counter=counter)
-            # Plain calls keep the legacy 4-argument runner contract.
-            return self._runner(self.spec, sid_lo, sid_hi, self.block_rows)
+            return self._runner(self.spec, sid_lo, sid_hi, self.block_rows,
+                                counter=counter)
         return self.spec.pushed_stream(sid_lo, sid_hi, self.block_rows,
                                        counter=counter)
 

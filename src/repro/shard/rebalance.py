@@ -37,17 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pdt import PDT
-from ..core.types import KIND_DEL, KIND_INS
+from ..core.types import KIND_INS
 from ..storage.column import Column
 from ..storage.table import StableTable
-
-
-def _pdt_payload(pdt: PDT, kind: int, ref):
-    if kind == KIND_INS:
-        return list(pdt.values.get_insert(ref))
-    if kind == KIND_DEL:
-        return pdt.values.get_delete(ref)
-    return pdt.values.get_modify(kind, ref)
 
 
 def _slice_stable(name: str, stable: StableTable, lo: int,
@@ -96,7 +88,7 @@ def _split_read_pdt(read_pdt: PDT, mid: int, split_key: tuple,
     left_entries, right_entries = [], []
     sids, kinds, refs = read_pdt.entry_lists()
     for sid, kind, ref in zip(sids, kinds, refs):
-        payload = _pdt_payload(read_pdt, kind, ref)
+        payload = read_pdt.values.value_of(kind, ref)
         if kind == KIND_INS and sid == mid:
             goes_left = tuple(schema.sk_of(payload)) < tuple(split_key)
         else:
@@ -121,7 +113,8 @@ def _merged_read_pdt(left_state, right_state, schema) -> PDT:
         pdt = state.read_pdt
         sids, kinds, refs = pdt.entry_lists()
         for sid, kind, ref in zip(sids, kinds, refs):
-            entries.append((sid + delta, kind, _pdt_payload(pdt, kind, ref)))
+            entries.append((sid + delta, kind,
+                            pdt.values.value_of(kind, ref)))
     merged.bulk_append_entries(entries)
     return merged
 

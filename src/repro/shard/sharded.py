@@ -4,11 +4,11 @@ The paper's PDT design localizes update state per table so merge cost
 scales with delta size, not table size; sharding multiplies that property.
 A :class:`ShardedTable` splits a logical table into key-range shards, each
 a *full* physical table inside the owning database — its own stable image
-(block-store backed, with a private buffer pool and I/O counters), its own
-three-layer PDT stack, sparse index, WAL stream (per-commit entry lists
-keyed by the shard's physical name), and its own checkpoint-scheduler
-load, so hot shards fold independently while cold shards are never
-touched.
+(block-store backed, with a private buffer pool counting into ``db.io``
+under the shard's physical name), its own three-layer PDT stack, sparse
+index, WAL stream (per-commit entry lists keyed by the shard's physical
+name), and its own checkpoint-scheduler load, so hot shards fold
+independently while cold shards are never touched.
 
 Routing lives in :class:`~repro.shard.router.ShardRouter`; reads are
 planned like every other read (:func:`~repro.service.plan.plan_scan`: one
@@ -25,11 +25,8 @@ never collide with the ones it retires.
 from __future__ import annotations
 
 import bisect
-import contextlib
-import threading
 
 from ..storage.column import Column
-from ..storage.io_stats import IOStats
 from ..storage.schema import Schema, SchemaError
 from ..storage.table import StableTable
 from .router import ShardRouter
@@ -59,11 +56,6 @@ class ShardedTable:
         self._gen = 1 + max(
             (int(n.rsplit("__s", 1)[1]) for n in shard_names), default=-1
         )
-        # I/O accounting marks: last pool snapshot already folded into the
-        # database-level counters (see merge_io_after). One lock serializes
-        # concurrent flushes so every byte is merged exactly once.
-        self._io_lock = threading.Lock()
-        self._io_marks: dict = {}  # BufferPool -> IOSnapshot
         # Shards a rebalance replaced while snapshot pins still referenced
         # them, as (shard_name, private pool) pairs: their stable blocks
         # stay alive until the pins drain.
@@ -155,12 +147,7 @@ class ShardedTable:
         the next reopen.
         """
         db = self.db
-        pool = db.open_shard_pool(stable.name)
-        stable.attach_storage(pool)
-        pool.store.set_image_lsn(stable.name, db.manager._lsn)
-        stable.image_lsn = db.manager._lsn
-        stable.image_epoch = pool.store.table_epoch(stable.name)
-        pool.store.sync()
+        stable.publish(db.open_shard_pool(stable.name), db.manager._lsn)
         state = db.manager.register_table(stable)
         if read_pdt is not None and not read_pdt.is_empty():
             state.read_pdt = read_pdt
@@ -188,8 +175,6 @@ class ShardedTable:
         if pool is not None:
             pool.store.drop_table(shard_name)
             pool.clear()
-            with self._io_lock:
-                self._io_marks.pop(pool, None)
             pool.store.close()
         # Retire the shard's whole storage scope: on file-backed storage
         # this deletes the shard's real segment and catalog files.
@@ -229,10 +214,10 @@ class ShardedTable:
 
         Shards registered through the generic recovery path share the
         database-wide buffer pool; they are re-attached to private
-        per-shard pools here so concurrent shard scans keep their
-        race-free per-shard I/O counters. Only the configuration keys
-        this class still has are read: layouts logged by older versions
-        carry more (``"parallel"``) and must keep reopening.
+        per-shard pools here, so a shard's cache residency stays its
+        own. Only the configuration keys this class still has are read:
+        layouts logged by older versions carry more (``"parallel"``) and
+        must keep reopening.
         """
         shard_names = list(layout["shards"])
         schema = db.manager.state_of(shard_names[0]).schema
@@ -288,59 +273,6 @@ class ShardedTable:
             for state in self.shard_states()
         ]
 
-    def io_stats(self) -> IOStats:
-        """Aggregate of every shard's private I/O counters."""
-        total = IOStats()
-        for state in self.shard_states():
-            if state.stable.pool is not None:
-                total.merge(state.stable.pool.io)
-        return total
-
-    @contextlib.contextmanager
-    def merge_io_after(self):
-        """Fold whatever the enclosed shard reads charged to the private
-        per-shard I/O counters into the database-level counters on exit —
-        the single accounting hook every fanned-out read path (queries,
-        transactional scans, update-resolution sweeps) wraps itself in,
-        so ``db.io`` stays honest under sharding."""
-        try:
-            yield
-        finally:
-            self.flush_io()
-
-    def flush_io(self) -> None:
-        """Merge per-shard I/O counters into ``db.io`` exactly once.
-
-        Per-pool *high-water marks* (the last snapshot already merged)
-        replace the per-call before-snapshots the fanned read paths used
-        to take: concurrent service requests scanning the same shard would
-        otherwise each compute overlapping deltas and double-count every
-        byte the other read. The single mark per pool, advanced under one
-        lock, means each increment is attributed to whichever flush sees
-        it first and to nothing else. Retired-but-pinned shards' pools are
-        flushed too, so pinned readers' I/O stays visible.
-        """
-        pools = [
-            state.stable.pool for state in self.shard_states()
-            if state.stable.pool is not None
-        ]
-        pools.extend(p for _, p in self._retired_pending if p is not None)
-        with self._io_lock:
-            for pool in pools:
-                snap = pool.io.snapshot()
-                mark = self._io_marks.get(pool)
-                delta = snap if mark is None else snap.minus(mark)
-                self._io_marks[pool] = snap
-                if delta.bytes_read < 0 or delta.blocks_read < 0:
-                    # The pool's counters were rolled back under us
-                    # (warm_table's restore); the new mark is all that
-                    # matters — merging a negative delta would corrupt
-                    # the database-level totals.
-                    continue
-                if delta.bytes_read or delta.blocks_read \
-                        or delta.bytes_by_column:
-                    self.db.io.merge(delta)
-
     def image_rows(self) -> list[tuple]:
         from ..core.stack import image_rows
 
@@ -373,14 +305,12 @@ class ShardedTable:
         ``Database.query``, and the same pipeline minus the maintenance
         drain: a snapshot pin taken at the first pull and held until the
         stream ends (or is closed), ``plan_scan``, then the plan's block
-        stream. The per-shard
-        pipelines read through their shard's private buffer pool/IOStats;
-        the I/O deltas are merged into the database-level counters when
-        the stream completes.
+        stream. The per-shard pipelines read through their shard's
+        private buffer pool, which counts into ``db.io`` as it reads.
         """
         from ..service.plan import iter_plan_blocks, plan_scan
 
-        with self.db.pin_snapshot() as pin, self.merge_io_after():
+        with self.db.pin_snapshot() as pin:
             plan = plan_scan(pin, self.name, columns=columns)
             yield from iter_plan_blocks(plan, block_rows=batch_rows,
                                         router=self.db.exec_router)
@@ -388,7 +318,8 @@ class ShardedTable:
     # -- maintenance ------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Fold every shard's deltas into fresh shard stable images."""
+        """Fold every shard's deltas into fresh shard stable images
+        (shards without deltas are not touched)."""
         from ..txn.checkpoint import checkpoint_table
 
         for name in self.shard_names:

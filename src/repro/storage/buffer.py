@@ -109,16 +109,23 @@ class BufferPool:
     def warm_table(self, table: str, columns=None) -> None:
         """Pre-load a table's blocks without counting the reads as query I/O.
 
-        Used to set up 'hot' runs; the I/O counters are restored afterwards
-        so warming is invisible to per-query accounting.
+        Used to set up 'hot' runs: blocks are decoded straight into the
+        cache, bypassing ``get_block``'s accounting, so warming is
+        invisible to the (possibly shared) I/O counters and to the
+        hit/miss tallies.
         """
-        before = self.io.snapshot()
         for tbl, column in self.store.columns(table):
             if columns is not None and column not in columns:
                 continue
             for blk in range(self.store.column_blocks(tbl, column)):
-                self.get_block(tbl, column, blk)
-        self.io.restore(before)
+                key = BlockKey(tbl, column, blk)
+                with self._lock:
+                    if key in self._cache:
+                        self._cache.move_to_end(key)
+                        continue
+                data = self.store.read_block(key)
+                with self._lock:
+                    self._insert(key, data)
 
     # -- internals ---------------------------------------------------------
 

@@ -74,10 +74,9 @@ class IOStats:
         """Fold another counter set (``IOStats`` or ``IOSnapshot``) into
         this one; returns ``self``.
 
-        Shard fan-out records each shard's reads into a private, per-shard
-        counter set (so parallel scan workers never race on one set of
-        counters); the database-level stats stay meaningful by merging the
-        per-shard deltas back after every fanned-out query.
+        Executor worker processes count their reads into a private
+        counter set; the router merges each completed job's counters
+        into the database-level stats exactly once.
         """
         if isinstance(other, IOStats):
             other = other.snapshot()
@@ -95,15 +94,6 @@ class IOStats:
                 blocks_read=self.blocks_read,
                 bytes_by_column=dict(self.bytes_by_column),
             )
-
-    def restore(self, snap: IOSnapshot) -> None:
-        """Roll the counters back to ``snap`` (buffer-pool warming charges
-        its pre-loads and then undoes them through this, under the lock)."""
-        with self._lock:
-            self.bytes_read = snap.bytes_read
-            self.blocks_read = snap.blocks_read
-            self.bytes_by_column.clear()
-            self.bytes_by_column.update(snap.bytes_by_column)
 
     def since(self, snap: IOSnapshot) -> IOSnapshot:
         return self.snapshot().minus(snap)

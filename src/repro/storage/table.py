@@ -48,10 +48,10 @@ class StableTable:
         self._pool: BufferPool | None = None
         self._sk_cache: list[tuple] | None = None
         # LSN the persisted form of *this* image was published under, or
-        # None while memory-only. Stamped by whoever publishes the image
-        # (bulk attach, checkpoint, recovery); read together with the
-        # object it names, so remote dispatch never pairs one image's
-        # layers with another image's LSN.
+        # None while memory-only. Stamped by :meth:`publish` (bulk load,
+        # shard install, checkpoint) and :meth:`from_storage` (recovery);
+        # read together with the object it names, so remote dispatch
+        # never pairs one image's layers with another image's LSN.
         self.image_lsn: int | None = None
         # Backend segment epoch of the same publish. The LSN alone is
         # ambiguous — two publishes of one table name with no commit in
@@ -121,6 +121,24 @@ class StableTable:
             pool.store.store_column(self.name, col.name, col.dtype, col.values)
         pool.store.set_table_schema(self.name, self.schema)
         self._pool = pool
+
+    def publish(self, pool: BufferPool, lsn: int) -> None:
+        """Store this image in ``pool``'s block store and publish it as
+        the table's persisted image, consecutive to ``lsn`` — the one
+        durability-ordered sequence every image writer (bulk load, shard
+        install, checkpoint) goes through: blocks and schema first, then
+        the image LSN, then the store's atomic catalog commit. On a
+        durable backend the image survives a kill from the moment this
+        returns, and WAL replay skips the table's records at or below
+        ``lsn``; before it, the previously published image (if any) is
+        what recovers.
+        """
+        self.attach_storage(pool)
+        store = pool.store
+        store.set_image_lsn(self.name, lsn)
+        self.image_lsn = lsn
+        self.image_epoch = store.table_epoch(self.name)
+        store.sync()
 
     @classmethod
     def from_storage(cls, name: str, schema: Schema,

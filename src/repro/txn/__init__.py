@@ -2,7 +2,6 @@
 cost-based checkpoint scheduler that keeps the delta structures small."""
 
 from .checkpoint import (
-    checkpoint_all,
     checkpoint_table,
     checkpoint_table_range,
     delta_memory_usage,
@@ -63,7 +62,6 @@ __all__ = [
     "UpdateCountPolicy",
     "WalRecord",
     "WriteAheadLog",
-    "checkpoint_all",
     "checkpoint_table",
     "checkpoint_table_range",
     "delta_memory_usage",

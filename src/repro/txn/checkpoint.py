@@ -1,22 +1,28 @@
 """Checkpointing: folding accumulated deltas back into stable storage.
 
 When the RAM-resident differential structures grow too large (or on a
-schedule), a new stable table image is materialized with all updates
-applied, the Read-PDT is emptied, and query processing switches over
-(paper section 2, "Checkpointing"). SIDs are renumbered by this operation
-— the only event in a tuple's lifetime that changes its SID — so the
-sparse index is rebuilt and the WAL can be truncated.
+schedule), a new stable table image is materialized with the updates
+applied, the folded entries leave the Read-PDT, and query processing
+switches over (paper section 2, "Checkpointing"). SIDs are renumbered by
+this operation — the only event in a tuple's lifetime that changes its SID
+— so the sparse index is rebuilt and the table's WAL history is dropped.
 
-Two granularities are provided:
+There is one fold (:func:`_fold`) with two entry points:
 
-* :func:`checkpoint_table` — the paper's stop-the-world fold of *all*
-  deltas into a fresh stable image.
+* :func:`checkpoint_table` — the paper's fold of *all* deltas: the whole
+  SID range, no survivors.
 * :func:`checkpoint_table_range` — an incremental fold of one stable SID
-  range, SynchroStore-style: only the blocks covering the range are
-  rewritten, entries outside the range survive with rebased SIDs, and the
-  rest of the buffer pool stays hot. The cost-based policies in
+  range, SynchroStore-style: only entries inside the range are merged,
+  entries outside survive with rebased SIDs. The cost-based policies in
   :mod:`repro.txn.scheduler` use it to drain the hottest block ranges
-  between queries instead of stalling on a full rewrite.
+  between queries.
+
+Both are stop-the-world for the one table they fold (a quiescent point is
+required), run the range through the vectorized
+:class:`~repro.core.merge.BlockMerger`, and then drop and re-store *every*
+block of that table — a range fold saves merge work, not block writes.
+Only this table's buffer-pool blocks are evicted; every other table stays
+hot. A fold with nothing to fold touches neither storage nor the WAL.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ import numpy as np
 
 from ..core.merge import BlockMerger
 from ..core.pdt import PDT
-from ..core.stack import image_rows
-from ..core.types import KIND_DEL, KIND_INS
 from ..storage.column import Column
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
@@ -37,50 +41,15 @@ from .transaction import TransactionError
 def checkpoint_table(manager: TransactionManager, table: str) -> StableTable:
     """Materialize merge(stable, Read, Write) as the new stable image.
 
-    Requires a quiescent point (no running transactions). Returns the new
-    stable table; the manager's state is switched over in place and the
-    WAL truncated once every table's deltas are either checkpointed or
-    still empty.
+    Requires a quiescent point (no running transactions). Returns the
+    table's stable image afterwards — the current one, untouched, when
+    there were no deltas to fold; the manager's state is switched over in
+    place and the WAL truncated once every table's deltas are either
+    checkpointed or still empty.
     """
-    if manager.running_count():
-        raise TransactionError("checkpoint requires no running transactions")
     state = manager.state_of(table)
-    rows = image_rows(state.stable, [state.read_pdt, state.write_pdt])
-    pool = state.stable.pool
-    new_stable = StableTable.bulk_load(table, state.schema, rows)
-    if pool is not None:
-        if manager.is_pinned(table):
-            # The new image reuses this table's block namespace; keep
-            # pinned readers correct by switching the outgoing stable to
-            # its retained in-memory columns before the blocks go away.
-            state.stable.detach_storage()
-        pool.store.drop_table(table)
-        new_stable.attach_storage(pool)
-        # Publish the new image (fsync blocks, atomically swap the
-        # catalog) *before* the WAL rebase below drops the folded
-        # records. A kill before the publish recovers the old image plus
-        # the full log; after it, the persisted image_lsn makes replay
-        # skip the folded history even if the rebase never landed.
-        pool.store.set_image_lsn(table, manager._lsn)
-        new_stable.image_lsn = manager._lsn
-        new_stable.image_epoch = pool.store.table_epoch(table)
-        pool.store.sync()
-        pool.clear()
-    state.stable = new_stable
-    state.read_pdt = PDT(state.schema)
-    state.write_pdt = PDT(state.schema)
-    state.sparse_index = SparseIndex(new_stable, manager.sparse_granularity)
-    # This table's logged deltas are folded into the new image; drop them
-    # from the WAL so recovery cannot double-apply them (other tables'
-    # records stay).
-    manager.wal.rebase_table(table)
-    _truncate_wal_if_clean(manager)
-    return new_stable
-
-
-def checkpoint_all(manager: TransactionManager) -> None:
-    for name in manager.table_names():
-        checkpoint_table(manager, name)
+    _fold(manager, table, 0, state.stable.num_rows)
+    return state.stable
 
 
 def checkpoint_table_range(manager: TransactionManager, table: str,
@@ -88,12 +57,10 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
     """Incrementally fold deltas of one stable SID range ``[sid_lo, sid_hi)``
     into the stable image, leaving the rest of the table's deltas in place.
 
-    The committed Write-PDT is first propagated down so the Read-PDT holds
-    every committed delta, then the range is merged and spliced between the
-    untouched stable prefix and suffix. Entries outside the range survive:
-    prefix entries verbatim, suffix entries with SIDs rebased by the
-    range's net row-count change (the only SIDs the rebuild renumbers).
-    A range reaching the table end also folds trailing inserts.
+    Entries outside the range survive: prefix entries verbatim, suffix
+    entries with SIDs rebased by the range's net row-count change (the
+    only SIDs the rebuild renumbers). A range reaching the table end also
+    folds trailing inserts.
 
     Requires a quiescent point, like every stable-image rewrite. Returns
     the number of update entries folded (0 when the range was clean; the
@@ -101,76 +68,71 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
     """
     if sid_hi < sid_lo:
         raise ValueError(f"bad checkpoint range [{sid_lo}, {sid_hi})")
+    return _fold(manager, table, sid_lo, sid_hi)
+
+
+def _fold(manager: TransactionManager, table: str,
+          sid_lo: int, sid_hi: int) -> int:
+    """The one stable-image rewrite: merge ``[sid_lo, sid_hi)`` with the
+    deltas addressing it, splice the result between the untouched stable
+    prefix and suffix, publish, and rebase the WAL. Returns the number of
+    entries folded.
+
+    The committed Write-PDT is first propagated down so the Read-PDT
+    holds every committed delta (under a live pin that copies the
+    Read-PDT once; the pinned stack is left as it was).
+    """
     if manager.running_count():
         raise TransactionError("checkpoint requires no running transactions")
     state = manager.state_of(table)
     manager.propagate_write_to_read(table)
     read_pdt = state.read_pdt
-    if read_pdt.is_empty():
-        return 0
-    n_rows = state.stable.num_rows
+    old = state.stable
+    n_rows = old.num_rows
     sid_lo = max(0, min(sid_lo, n_rows))
     to_end = sid_hi >= n_rows
     sid_hi = min(sid_hi, n_rows)
 
     sids, kinds, refs = read_pdt.entry_lists()
-    in_range = [
-        i for i, sid in enumerate(sids)
-        if sid_lo <= sid < sid_hi or (to_end and sid >= sid_hi)
-    ]
-    if not in_range:
+    keep = [sid < sid_lo or (not to_end and sid >= sid_hi) for sid in sids]
+    folded = len(keep) - sum(keep)
+    if not folded:
         return 0
 
     # Merge just the range through a single-layer BlockMerger.
     schema = state.schema
     columns = list(schema.column_names)
-    merger = BlockMerger(read_pdt, columns)
     merged: dict[str, list[np.ndarray]] = {c: [] for c in columns}
-    batches = state.stable.scan(columns=columns, start=sid_lo, stop=sid_hi)
-    for _, arrays in merger.merge_batches(batches, drain_tail=to_end,
-                                          start_sid=sid_lo):
+    batches = old.scan(columns=columns, start=sid_lo, stop=sid_hi)
+    for _, arrays in BlockMerger(read_pdt, columns).merge_batches(
+            batches, drain_tail=to_end, start_sid=sid_lo):
         for c in columns:
             merged[c].append(arrays[c])
-
-    old_len = sid_hi - sid_lo
-    new_len = sum(len(a) for a in merged[columns[0]]) if columns else 0
-    shift = new_len - old_len
+    shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)
 
     new_columns = []
     for spec in schema.columns:
-        col = state.stable.column(spec.name)
-        pieces = [col.slice(0, sid_lo)] + merged[spec.name] \
-            + [col.slice(sid_hi, n_rows)]
-        new_columns.append(
-            Column(spec.name, spec.dtype,
-                   np.concatenate([p for p in pieces if len(p)])
-                   if any(len(p) for p in pieces)
-                   else np.empty(0, dtype=spec.dtype.numpy_dtype))
-        )
+        col = old.column(spec.name)
+        pieces = [col.slice(0, sid_lo), *merged[spec.name],
+                  col.slice(sid_hi, n_rows)]
+        new_columns.append(Column(spec.name, spec.dtype, np.concatenate(pieces)))
     new_stable = StableTable(table, schema, new_columns)
 
     # Rebase the surviving entries into a fresh Read-PDT.
     survivor = PDT(schema, fanout=read_pdt.fanout)
-    folded = 0
-    for sid, kind, ref in zip(sids, kinds, refs):
-        if sid_lo <= sid < sid_hi or (to_end and sid >= sid_hi):
-            folded += 1
-            continue
-        new_sid = sid if sid < sid_lo else sid + shift
-        if kind == KIND_INS:
-            payload = list(read_pdt.values.get_insert(ref))
-        elif kind == KIND_DEL:
-            payload = read_pdt.values.get_delete(ref)
-        else:
-            payload = read_pdt.values.get_modify(kind, ref)
-        survivor.append_entry(new_sid, kind, payload)
+    survivor.bulk_append_entries(
+        (sid if sid < sid_lo else sid + shift, kind,
+         read_pdt.values.value_of(kind, ref))
+        for sid, kind, ref, kept in zip(sids, kinds, refs, keep) if kept
+    )
 
-    pool = state.stable.pool
+    pool = old.pool
     if pool is not None:
         if manager.is_pinned(table):
-            state.stable.detach_storage()  # pinned readers keep the old image
-        pool.store.drop_table(table)
-        new_stable.attach_storage(pool)
+            # The new image reuses this table's block namespace; pinned
+            # readers switch to the outgoing image's retained in-memory
+            # columns before its blocks go away.
+            old.detach_storage()
         if not survivor.is_empty():
             # Surviving deltas must be durable before the publish makes
             # replay skip the commit history that carried them: the
@@ -180,17 +142,20 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
                 table, survivor, lsn=manager._lsn,
                 for_image_lsn=manager._lsn,
             )
-        pool.store.set_image_lsn(table, manager._lsn)
-        new_stable.image_lsn = manager._lsn
-        new_stable.image_epoch = pool.store.table_epoch(table)
-        pool.store.sync()
+        pool.store.drop_table(table)
+        # Publish the new image *before* the WAL rebase below drops the
+        # folded records. A kill before the publish recovers the old
+        # image plus the full log; after it, the persisted image LSN makes
+        # replay skip the folded history even if the rebase never landed.
+        new_stable.publish(pool, manager._lsn)
         pool.evict_table(table)
     state.stable = new_stable
     state.read_pdt = survivor
     state.sparse_index = SparseIndex(new_stable, manager.sparse_granularity)
     # Replace this table's WAL history with one snapshot of the surviving
-    # (rebased) deltas: recovery then replays exactly the still-live
-    # entries against the new stable image, never the folded ones.
+    # (rebased) deltas, if any: recovery then replays exactly the
+    # still-live entries against the new stable image, never the folded
+    # ones (other tables' records stay).
     manager.wal.rebase_table(table, survivor, lsn=manager._lsn)
     _truncate_wal_if_clean(manager)
     return folded

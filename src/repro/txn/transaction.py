@@ -123,9 +123,8 @@ class Transaction:
                     state.stable, self._read_layers(shard),
                     columns=columns, batch_rows=batch_rows,
                 ))
-            with sharded.merge_io_after():
-                return Relation.from_batches(columns,
-                                             itertools.chain(*streams))
+            return Relation.from_batches(columns,
+                                         itertools.chain(*streams))
         state = self._manager.state_of(table)
         return scan_pdt(state.stable, self._read_layers(table),
                         columns=columns, batch_rows=batch_rows)
@@ -150,27 +149,21 @@ class Transaction:
         sharded = self._sharded(table)
         if sharded is not None:
             row = sharded.schema.coerce_row(row)
-            physical = sharded.physical_for(sharded.schema.sk_of(row))
-            with sharded.merge_io_after():
-                return self._updater(physical).insert(row)
+            table = sharded.physical_for(sharded.schema.sk_of(row))
         return self._updater(table).insert(row)
 
     def delete(self, table: str, sk) -> int:
         self._require_active()
         sharded = self._sharded(table)
         if sharded is not None:
-            with sharded.merge_io_after():
-                return self._updater(sharded.physical_for(sk)) \
-                    .delete_by_key(sk)
+            table = sharded.physical_for(sk)
         return self._updater(table).delete_by_key(sk)
 
     def modify(self, table: str, sk, column: str, value) -> int:
         self._require_active()
         sharded = self._sharded(table)
         if sharded is not None:
-            with sharded.merge_io_after():
-                return self._updater(sharded.physical_for(sk)) \
-                    .modify_by_key(sk, column, value)
+            table = sharded.physical_for(sk)
         return self._updater(table).modify_by_key(sk, column, value)
 
     def delete_at(self, table: str, rid: int, sk) -> None:
@@ -192,16 +185,15 @@ class Transaction:
         self._require_active()
         sharded = self._sharded(table)
         if sharded is not None:
-            with sharded.merge_io_after():
-                staged = []
-                for physical, sub in sharded.split_ops(ops):
-                    state = self._manager.state_of(physical)
-                    updater = BatchUpdater(
-                        state.stable, self._update_layers(physical),
-                        state.sparse_index,
-                    )
-                    staged.append((updater, updater.prepare(sub)))
-                return sum(u.commit_staged(s) for u, s in staged)
+            staged = []
+            for physical, sub in sharded.split_ops(ops):
+                state = self._manager.state_of(physical)
+                updater = BatchUpdater(
+                    state.stable, self._update_layers(physical),
+                    state.sparse_index,
+                )
+                staged.append((updater, updater.prepare(sub)))
+            return sum(u.commit_staged(s) for u, s in staged)
         state = self._manager.state_of(table)
         return BatchUpdater(
             state.stable, self._update_layers(table), state.sparse_index

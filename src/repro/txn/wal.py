@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.types import KIND_DEL, KIND_INS
+from ..core.types import KIND_DEL
 from .group_commit import GroupCommitCoordinator, GroupCommitPolicy
 
 
@@ -416,16 +416,14 @@ class WriteAheadLog:
         """JSON-safe ``(sid, kind, payload)`` entry list of one PDT,
         exported with the bulk leaf-drain interface (no per-entry
         ``Entry`` construction on the commit path)."""
-        sids, kinds, refs = pdt.entry_lists()
-        values = pdt.values
+        value_of = pdt.values.value_of
         entries = []
-        for sid, kind, ref in zip(sids, kinds, refs):
-            if kind == KIND_INS:
-                payload = list(values.get_insert(ref))
-            elif kind == KIND_DEL:
-                payload = list(values.get_delete(ref))
-            else:
-                payload = values.get_modify(kind, ref)
+        for sid, kind, ref in zip(*pdt.entry_lists()):
+            payload = value_of(kind, ref)
+            if kind < 0:
+                # INS row / DEL key: the record must not alias a row the
+                # PDT may still rewrite in place.
+                payload = list(payload)
             entries.append((sid, kind, payload))
         return entries
 

@@ -64,7 +64,7 @@ class GatedRunner:
     def release(self, n=1):
         self._sem.release(n)
 
-    def __call__(self, spec, sid_lo, sid_hi, block_rows):
+    def __call__(self, spec, sid_lo, sid_hi, block_rows, counter=None):
         first = not self.calls
         self.calls.append((sid_lo, sid_hi))
 
@@ -178,7 +178,7 @@ class TestSchedulerAttach:
         wait_for(lambda: job._emitted == 2)
         feed2, _j, _s, catch_up = scheduler.schedule(spec, 10)
 
-        def boom(s, lo, hi, br):
+        def boom(s, lo, hi, br, counter=None):
             raise RuntimeError("catch-up storage gone")
 
         job._runner = boom  # sabotage only the re-scan

@@ -58,6 +58,25 @@ class TestCursorResults:
                                 columns=["k", "a"])
         assert rel_values(cur.to_relation()) == rel_values(oracle)
 
+    def test_service_reads_reach_db_io_as_the_cursor_drains(self):
+        """Shard pools count straight into ``db.io``: nothing waits for
+        the next inline query to fold per-shard counters in."""
+        with Database(compressed=False, executor="thread") as db:
+            db.create_sharded_table("t", make_schema(), seed_rows(),
+                                    shards=4)
+            db.make_cold()
+            db.io.reset()
+            with db.serve(workers=2) as svc:
+                svc.submit_query("t").to_relation()
+                served = db.io.bytes_read
+                assert served > 0
+                assert db.metrics()["sources"]["io"]["bytes_read"] == served
+            # the same cold scan, inline, reads exactly those bytes
+            db.make_cold()
+            db.io.reset()
+            db.query("t")
+            assert db.io.bytes_read == served
+
     def test_unsharded_table_single_job(self, db, svc):
         cur = svc.submit_query("flat", columns=["k"])
         assert cur.stats.shards == 1

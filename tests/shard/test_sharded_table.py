@@ -30,6 +30,17 @@ def make_pair(n=100, shards=4, **kwargs):
     return db, oracle
 
 
+def shard_bytes(db, table="t"):
+    """Bytes read per shard, derived from ``db.io``'s per-column keys
+    (shard pools count straight into ``db.io`` under the shard's
+    physical name)."""
+    by_column = db.io.snapshot().bytes_by_column
+    return [
+        sum(n for (tbl, _), n in by_column.items() if tbl == name)
+        for name in db.sharded(table).shard_names
+    ]
+
+
 SCATTER = [
     ("ins", (5, 1, "x")),
     ("del", (20,)),
@@ -133,8 +144,7 @@ class TestQueriesMatchOracle:
         db.make_cold()
         db.io.reset()
         db.query_range("t", (0,), (40,), columns=["a"])  # first shard only
-        st = db.sharded("t")
-        per_shard = [s.stable.pool.io.bytes_read for s in st.shard_states()]
+        per_shard = shard_bytes(db)
         assert per_shard[0] > 0
         assert per_shard[2] == per_shard[3] == 0
 
@@ -325,11 +335,11 @@ class TestIOStatsAggregation:
         db.make_cold()
         db.io.reset()
         db.query("t")
-        st = db.sharded("t")
         # every shard's cold read landed in the database-level counters
-        assert db.io.bytes_read == st.io_stats().bytes_read > 0
-        assert db.io.blocks_read \
-            == sum(s.stable.pool.io.blocks_read for s in st.shard_states())
+        per_shard = shard_bytes(db)
+        assert all(n > 0 for n in per_shard)
+        assert db.io.bytes_read == sum(per_shard)
+        assert db.io.blocks_read == 4 * 3  # one block per column per shard
         # cached: a second scan reads nothing
         db.io.reset()
         db.query("t")
@@ -362,10 +372,26 @@ class TestIOStatsAggregation:
         assert db.io.bytes_read > 0
         assert {c for _, c in db.io.bytes_by_column} == {"a"}
 
-    def test_sharded_io_stats_accessor(self):
+    def test_shard_pools_count_into_database_io(self):
+        """No private per-shard counters to fold back: every shard pool
+        (including the ones a split installs) records into ``db.io``."""
+        from repro.shard.rebalance import split_shard
+
+        db, _ = make_pair()
+        st = db.sharded("t")
+        assert split_shard(st, 0)
+        assert st.num_shards == 5
+        assert all(s.stable.pool.io is db.io for s in st.shard_states())
+
+    def test_warm_is_invisible_to_shared_counters(self):
+        """Warming loads blocks without charging them — and without
+        rolling back reads another table made meanwhile."""
         db, _ = make_pair()
         db.make_cold()
+        db.io.reset()
+        db.query_range("t", (0,), (40,), columns=["a"])
+        before = db.io.snapshot()
+        db.warm("t")
+        assert db.io.snapshot() == before
         db.query("t")
-        st = db.sharded("t")
-        assert st.io_stats().bytes_read \
-            == sum(s.stable.pool.io.bytes_read for s in st.shard_states())
+        assert db.io.snapshot() == before  # everything was warmed
