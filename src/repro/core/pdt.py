@@ -102,6 +102,7 @@ class PDT:
         self.values = ValueSpace(schema)
         self._root: _Leaf | _Inner = _Leaf()
         self._count = 0
+        self._inner_slots = 0  # child slots over all inner nodes
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -127,18 +128,9 @@ class PDT:
 
     def memory_usage(self) -> int:
         """Bytes under the paper's C model: 16 per leaf entry, plus inner
-        node (sid, delta, pointer) slots."""
-        inner_slots = 0
-
-        def visit(node):
-            nonlocal inner_slots
-            if not node.is_leaf:
-                inner_slots += len(node.children)
-                for child in node.children:
-                    visit(child)
-
-        visit(self._root)
-        return 16 * self._count + 24 * inner_slots
+        node (sid, delta, pointer) slots. O(1): both counts are kept
+        current where the tree changes shape."""
+        return 16 * self._count + 24 * self._inner_slots
 
     # ------------------------------------------------------------------
     # iteration
@@ -461,6 +453,7 @@ class PDT:
                 for child in chunk:
                     child.parent = inner
                 parents.append(inner)
+            self._inner_slots += len(level)
             level = parents
         self._root = level[0]
 
@@ -477,6 +470,7 @@ class PDT:
     def clear(self) -> None:
         self._root = _Leaf()
         self._count = 0
+        self._inner_slots = 0
         self.values.clear()
 
     def __repr__(self) -> str:
@@ -655,10 +649,12 @@ class PDT:
                 parent.deltas = [node.subtree_delta()]
                 node.parent = parent
                 self._root = parent
+                self._inner_slots += 1
             idx = parent.children.index(node)
             right = self._split_node(node)
             right.parent = parent
             parent.children.insert(idx + 1, right)
+            self._inner_slots += 1
             parent.seps.insert(idx + 1, right.min_sid())
             parent.deltas[idx] = node.subtree_delta()
             parent.deltas.insert(idx + 1, right.subtree_delta())
@@ -708,6 +704,7 @@ class PDT:
         del parent.children[idx]
         del parent.seps[idx]
         del parent.deltas[idx]
+        self._inner_slots -= 1
         node.parent = None
         if len(parent.children) == 0:
             self._remove_node(parent)
@@ -721,6 +718,7 @@ class PDT:
                 only = parent.children[0]
                 only.parent = None
                 self._root = only
+                self._inner_slots -= 1
 
     # ------------------------------------------------------------------
     # validation
@@ -729,8 +727,10 @@ class PDT:
         """Full structural validation: counted-tree bookkeeping, ordering,
         chain shapes, and leaf linkage (used heavily by tests)."""
         leaves_struct: list[_Leaf] = []
+        inner_slots = 0
 
         def visit(node, parent):
+            nonlocal inner_slots
             if node.parent is not parent:
                 raise PDTError("parent pointer mismatch")
             if node.is_leaf:
@@ -748,6 +748,7 @@ class PDT:
                 raise PDTError("empty inner node")
             if len(node.children) > self.fanout:
                 raise PDTError("inner overflow")
+            inner_slots += len(node.children)
             for i, child in enumerate(node.children):
                 if node.seps[i] != child.min_sid():
                     raise PDTError(
@@ -762,6 +763,10 @@ class PDT:
                 visit(child, node)
 
         visit(self._root, None)
+        if inner_slots != self._inner_slots:
+            raise PDTError(
+                f"inner slots {self._inner_slots} != walked {inner_slots}"
+            )
 
         linked = []
         leaf = self._leftmost_leaf()

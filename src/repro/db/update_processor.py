@@ -6,16 +6,22 @@ a query: a MergeScan restricted by the sparse index produces the RIDs, and
 Algorithm 6 (``sk_rid_to_sid``) then pins inserts relative to ghost tuples.
 This module implements that machinery over a stack of PDT layers.
 
-Two application paths share it:
+There is one resolver, :func:`resolve_batch_positions`: sorted keys in,
+``(found, position)`` out, from one sparse-index-bounded, early-stopping
+sweep of the merged key columns with ``np.searchsorted`` per block. Every
+write reaches it:
 
-* :class:`PositionalUpdater` — one MergeScan per update. Fine for trickle
-  traffic; the differential-testing oracle for everything else.
-* :class:`BatchUpdater` — the vectorized bulk path. A whole batch is
-  sorted by sort key, every target RID is resolved in *one* index-guided
-  sweep of the merged key columns (``np.searchsorted`` per block), and
-  the updates are ingested into the top PDT — in one
-  ``bulk_append_entries`` run when the top layer starts empty, through
-  the scalar primitives (with positions precomputed) otherwise.
+* :func:`find_rid_by_key` / :func:`find_insert_position` — the single-row
+  form (a batch of one key), called by :class:`PositionalUpdater`, which
+  is what ``Transaction.insert/delete/modify`` run.
+* :class:`BatchUpdater` — a whole batch is sorted by sort key, every
+  target RID comes out of one sweep, and the updates are ingested into
+  the top PDT — in one ``bulk_append_entries`` run when the top layer
+  starts empty, through the scalar primitives (with positions
+  precomputed) otherwise.
+
+The tuple-at-a-time resolver this replaced is the differential oracle in
+``tests/oracles/scalar_resolve.py``.
 """
 
 from __future__ import annotations
@@ -37,27 +43,6 @@ class DuplicateKey(ValueError):
     """An insert would duplicate the sort key of a live tuple."""
 
 
-def _scan_keys_from(stable, layers, sparse_index, sk):
-    """Yield ``(rid, key_tuple)`` of the merged image starting near ``sk``.
-
-    Uses the (possibly stale) sparse index to skip granules that cannot
-    contain ``sk``; thanks to ghost-respecting SIDs the index stays valid
-    under any update load.
-    """
-    sk = tuple(sk)
-    if sparse_index is not None:
-        start = sparse_index.sid_range_for_key_range(sk, None).start
-    else:
-        start = 0
-    key_cols = list(stable.schema.sort_key)
-    for first_rid, arrays in merge_scan_layers(
-        stable, layers, columns=key_cols, start=start, batch_rows=512
-    ):
-        columns = [arrays[c] for c in key_cols]
-        for i in range(len(columns[0])):
-            yield first_rid + i, tuple(col[i] for col in columns)
-
-
 def find_insert_position(stable, layers, sparse_index, sk) -> int:
     """RID of the first live tuple with sort key > ``sk`` (the insert-before
     position); equals the image row count when ``sk`` sorts last.
@@ -65,27 +50,21 @@ def find_insert_position(stable, layers, sparse_index, sk) -> int:
     Raises :class:`DuplicateKey` if a live tuple already carries ``sk``.
     """
     sk = tuple(sk)
-    rid = None
-    for rid, key in _scan_keys_from(stable, layers, sparse_index, sk):
-        if key == sk:
-            raise DuplicateKey(f"live tuple with key {sk!r} already exists")
-        if key > sk:
-            return rid
-    if rid is None:
-        # Started past every key (or empty table): position = image size.
-        return _image_size(stable, layers)
-    return rid + 1
+    (found, pos), = resolve_batch_positions(stable, layers, sparse_index,
+                                            [sk])
+    if found:
+        raise DuplicateKey(f"live tuple with key {sk!r} already exists")
+    return pos
 
 
 def find_rid_by_key(stable, layers, sparse_index, sk) -> int:
     """RID of the live tuple whose sort key equals ``sk``."""
     sk = tuple(sk)
-    for rid, key in _scan_keys_from(stable, layers, sparse_index, sk):
-        if key == sk:
-            return rid
-        if key > sk:
-            break
-    raise KeyNotFound(f"no live tuple with key {sk!r}")
+    (found, pos), = resolve_batch_positions(stable, layers, sparse_index,
+                                            [sk])
+    if not found:
+        raise KeyNotFound(f"no live tuple with key {sk!r}")
+    return pos
 
 
 def _image_size(stable, layers) -> int:
@@ -165,55 +144,67 @@ class PositionalUpdater:
 
 def resolve_batch_positions(stable, layers, sparse_index, keys):
     """Resolve ``keys`` (sorted, distinct SK tuples) against the merged
-    image in one forward sweep.
+    image in one forward sweep — the one key resolver every write uses.
 
     Returns a parallel list of ``(found, pos)``: ``pos`` is the RID of the
     live tuple carrying the key when ``found``, else the RID of the first
     live tuple with a greater key (the insert-before position; the image
-    size when the key sorts last). The sparse index prunes the sweep's
-    start for the smallest key; within each merged block keys are located
-    with ``searchsorted``/``bisect`` instead of a per-row walk.
+    size when the key sorts last). The sparse index bounds the sweep to
+    the granules between the smallest and the largest key, so every
+    layer exports only the entries of that SID range. A merged block
+    places all the keys it covers with one ``searchsorted`` pair on the
+    leading sort-key column, then narrows each key's run of equal
+    prefixes column by column; the sweep ends with the block that places
+    the last key.
     """
     if not keys:
         return []
     key_cols = list(stable.schema.sort_key)
     if sparse_index is not None:
-        start = sparse_index.sid_range_for_key_range(keys[0], None).start
+        window = sparse_index.sid_range_for_key_range(keys[0], keys[-1])
+        start, stop = window.start, window.stop
     else:
-        start = 0
-    single = len(key_cols) == 1
+        start, stop = 0, stable.num_rows
+    lead_dtype = stable.schema.dtype_of(key_cols[0]).numpy_dtype
+    lead = np.asarray([key[0] for key in keys],
+                      dtype=object if lead_dtype == object else None)
     resolved: list[tuple[bool, int]] = []
     ki = 0
-    for first_rid, arrays in merge_scan_layers(
-        stable, layers, columns=key_cols, start=start, batch_rows=4096
-    ):
-        if ki >= len(keys):
+    # The granule bound is positional. Where the stable tuple closing the
+    # window is a ghost of a lower layer, a higher layer's tuples around
+    # the last key sit *at* the bound and a bounded scan leaves them to
+    # the next range: a window that ends before showing a key >= the last
+    # one is continued behind its bound.
+    for lo, hi in ((start, stop), (stop, None)):
+        for first_rid, arrays in merge_scan_layers(
+            stable, layers, columns=key_cols, start=lo, stop=hi,
+            batch_rows=4096,
+        ):
+            columns = [arrays[c] for c in key_cols]
+            n = len(columns[0])
+            if n == 0:
+                continue
+            last_key = tuple(col[n - 1] for col in columns)
+            kj = bisect.bisect_right(keys, last_key, ki)
+            probe = lead[ki:kj]
+            run_lo = np.searchsorted(columns[0], probe, side="left")
+            run_hi = np.searchsorted(columns[0], probe, side="right")
+            for key, a, b in zip(keys[ki:kj], run_lo.tolist(),
+                                 run_hi.tolist()):
+                for col, value in zip(columns[1:], key[1:]):
+                    if a == b:
+                        break
+                    run = col[a:b]
+                    b = a + int(np.searchsorted(run, value, side="right"))
+                    a += int(np.searchsorted(run, value, side="left"))
+                resolved.append((a < b, first_rid + a))
+            ki = kj
+            if ki == len(keys):
+                return resolved
+        if hi is None or hi >= stable.num_rows:
             break
-        columns = [arrays[c] for c in key_cols]
-        n = len(columns[0])
-        if n == 0:
-            continue
-        if single:
-            col = columns[0]
-            last_key = (col[n - 1],)
-            block_keys = None
-        else:
-            block_keys = list(zip(*columns))
-            last_key = block_keys[-1]
-        while ki < len(keys) and keys[ki] <= last_key:
-            key = keys[ki]
-            if single:
-                idx = int(np.searchsorted(col, key[0], side="left"))
-                hit = idx < n and bool(col[idx] == key[0])
-            else:
-                idx = bisect.bisect_left(block_keys, key)
-                hit = idx < n and tuple(block_keys[idx]) == key
-            resolved.append((hit, first_rid + idx))
-            ki += 1
     size = _image_size(stable, layers)
-    while ki < len(keys):
-        resolved.append((False, size))
-        ki += 1
+    resolved.extend([(False, size)] * (len(keys) - ki))
     return resolved
 
 

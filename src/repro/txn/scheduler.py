@@ -352,9 +352,11 @@ class CheckpointScheduler:
     def load_of(self, table: str) -> TableLoad:
         """Snapshot a table's update load for the policy.
 
-        The per-block histogram is handed over as a lazy callable: counts
-        and byte sizes are cheap to read every commit, but bucketing every
-        entry is O(PDT size) and only heat-aware policies need it.
+        This runs after every commit, so everything read eagerly is O(1):
+        entry counts and byte sizes are counters the PDTs keep current
+        (``PDT.count`` / ``PDT.memory_usage``), not tree walks. Bucketing
+        every entry is O(PDT size) and only heat-aware policies need it,
+        so the per-block histogram is handed over as a lazy callable.
         """
         state = self.manager.state_of(table)
         block_rows = (

@@ -1,9 +1,10 @@
 """Differential properties of the vectorized bulk-update path.
 
-The scalar :class:`~repro.db.update_processor.PositionalUpdater` applies a
-batch one operation at a time, re-resolving positions per row — slow but
-close to the paper's pseudocode, which makes it the oracle. The
-vectorized :class:`~repro.db.update_processor.BatchUpdater` must produce
+The scalar :class:`~tests.oracles.scalar_resolve.ScalarUpdater` applies a
+batch one operation at a time, re-resolving positions per row with its
+own tuple-at-a-time key walk — slow but close to the paper's pseudocode,
+and sharing no resolver code with production, which makes it the oracle.
+The vectorized :class:`~repro.db.update_processor.BatchUpdater` must produce
 *identical* results from the same batch: the same merged table image, the
 same PDT entry sequence (SIDs, RIDs, kinds, payloads), and no effect on
 the stable table or its sparse index. Likewise ``propagate_batch`` (the
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 
 from repro import DataType, FlatPDT, PDT, Schema, propagate, propagate_batch
 from repro.core.stack import image_rows
-from repro.db import BatchUpdater, DuplicateKey, KeyNotFound, \
-    PositionalUpdater
+from repro.db import BatchUpdater, DuplicateKey, KeyNotFound
 from repro.storage.sparse_index import SparseIndex
 from repro.storage.table import StableTable
+
+from ..oracles.scalar_resolve import ScalarUpdater
 
 N_STABLE = 40  # keys 0, 2, ..., 78; several 8-row sparse granules
 
@@ -89,7 +91,7 @@ def gen_batch(rng, schema, live, n_ops, reuse_keys=False):
 
 
 def apply_scalar(stable, layers, index, ops):
-    updater = PositionalUpdater(stable, layers, index)
+    updater = ScalarUpdater(stable, layers, index)
     for op in ops:
         if op[0] == "ins":
             updater.insert(op[1])

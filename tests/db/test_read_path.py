@@ -227,3 +227,24 @@ def test_pinned_reads_do_not_drain(read, monkeypatch):
         LATEST_READS[read](db, pin=pin)
     assert drains == []
     assert db.scheduler.pending()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect, found while bounding the write path's key resolver: "
+    "a key-range read is pruned to the sparse-index SID window, and when "
+    "the stable tuple closing that window is a Read-PDT ghost, a "
+    "Write-PDT insert just below it sits exactly at the window's bound "
+    "in the Write-PDT's SID domain — where merge_scan_layers(stop=) "
+    "leaves it to the next range. resolve_batch_positions continues "
+    "behind the bound; the read path does not yet."))
+def test_range_read_sees_insert_at_a_ghosted_granule_bound():
+    schema = Schema.build(("k", DataType.INT64), ("a", DataType.INT64),
+                          sort_key=("k",))
+    db = Database(compressed=False, block_rows=4, sparse_granularity=4)
+    db.create_table("t", schema, [(i * 10, i) for i in range(16)])
+    db.delete("t", (30,))                    # closes granule 0
+    db.manager.propagate_write_to_read("t")  # ... now a Read-PDT ghost
+    db.insert("t", (25, 99))                 # Write-PDT, just below it
+    assert [r[0] for r in db.query("t").rows()][:5] == [0, 10, 20, 25, 40]
+    assert [r[0] for r in db.query_range("t", (0,), (25,)).rows()] == \
+        [0, 10, 20, 25]
