@@ -13,7 +13,7 @@ orders and lineitem, scattered) are applied before measuring.
   bytes read from the simulated disk (VDT must read sort-key columns).
 * Plot 4 analogue — **hot** execution times, uncompressed: pool pre-warmed,
   measuring the pure CPU cost of merging (scan vs processing split
-  recorded via ScanTimer).
+  recorded by each source's ``scan_seconds``).
 
 Queries 2, 11, 16 touch no updated tables and serve as built-in controls.
 
@@ -25,7 +25,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import Report, time_once, tpch_sf
-from repro.engine import ScanTimer
 from repro.tpch import (
     CleanSource,
     PdtSource,
@@ -53,13 +52,12 @@ def _build_env(compressed: bool):
     applier.apply_all_pdt(db)
     vdts = applier.make_vdts()
     applier.apply_all_vdt(vdts)
-    timer = ScanTimer()
     sources = {
-        "none": CleanSource(db, timer),
-        "vdt": VdtSource(db, vdts, timer),
-        "pdt": PdtSource(db, timer),
+        "none": CleanSource(db),
+        "vdt": VdtSource(db, vdts),
+        "pdt": PdtSource(db),
     }
-    return db, sources, timer
+    return db, sources
 
 
 @pytest.fixture(scope="module")
@@ -80,25 +78,25 @@ def compressed_env():
 @pytest.mark.parametrize("query", QUERIES)
 def test_fig19_plot4_hot_uncompressed(benchmark, uncompressed_env, query,
                                       mode):
-    db, sources, timer = uncompressed_env
+    db, sources = uncompressed_env
     src = sources[mode]
     run_query(query, src)  # warm the buffer pool and caches
 
     def run():
-        timer.reset()
+        src.scan_seconds = 0.0
         return run_query(query, src)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
     benchmark.extra_info["query"] = query
     benchmark.extra_info["mode"] = mode
-    benchmark.extra_info["scan_seconds"] = timer.seconds
+    benchmark.extra_info["scan_seconds"] = src.scan_seconds
 
 
 # ---------------------------------------------------------------------------
 # Report-style plots (one-shot measurements over all queries)
 
 
-def _collect(db, sources, timer, cold: bool):
+def _collect(db, sources, cold: bool):
     """Per (query, mode): seconds, scan seconds, and I/O bytes."""
     rows = []
     for query in QUERIES:
@@ -108,7 +106,7 @@ def _collect(db, sources, timer, cold: bool):
                 db.make_cold()
             else:
                 run_query(query, src)  # warm
-            timer.reset()
+            src.scan_seconds = 0.0
             before = db.io.snapshot()
             seconds = time_once(lambda: run_query(query, src))
             io = db.io.since(before)
@@ -118,7 +116,7 @@ def _collect(db, sources, timer, cold: bool):
                     "query": query,
                     "mode": mode,
                     "cpu_s": seconds,
-                    "scan_s": timer.seconds,
+                    "scan_s": src.scan_seconds,
                     "io_bytes": io.bytes_read,
                     "total_s": seconds + (io_seconds if cold else 0.0),
                 }
@@ -152,10 +150,10 @@ def test_fig19_cold_and_io_report(benchmark, request, storage):
     volumes for all 22 queries, normalized to the VDT run as in the paper.
     """
     env = request.getfixturevalue(f"{storage}_env")
-    db, sources, timer = env
+    db, sources = env
 
     rows = benchmark.pedantic(
-        lambda: _collect(db, sources, timer, cold=True),
+        lambda: _collect(db, sources, cold=True),
         rounds=1, iterations=1,
     )
     plot_time = "1" if storage == "compressed" else "3"
@@ -182,9 +180,9 @@ def test_fig19_cold_and_io_report(benchmark, request, storage):
 
 def test_fig19_plot4_report(benchmark, uncompressed_env):
     """Plot 4: hot uncompressed CPU times with the scan/processing split."""
-    db, sources, timer = uncompressed_env
+    db, sources = uncompressed_env
     rows = benchmark.pedantic(
-        lambda: _collect(db, sources, timer, cold=False),
+        lambda: _collect(db, sources, cold=False),
         rounds=1, iterations=1,
     )
     report = Report(

@@ -78,7 +78,8 @@ async def analyst(svc, i: int) -> tuple:
                                      columns=["order_id", "qty"], pin=pin)
         assert rows == oracle.num_rows, "torn cross-shard read!"
         assert qty_sum == int(oracle["qty"].sum())
-        return rows, cursor.stats.shared_jobs, cursor.stats.time_to_first_block
+        profile = cursor.profile
+        return rows, profile.shared_jobs, profile.time_to_first_block_s
     finally:
         pin.release()
 

@@ -34,8 +34,8 @@ def build_db() -> Database:
 
 def show(db: Database, label: str) -> None:
     print(f"{label}:")
-    for row in db.image_rows("accounts"):
-        print("   ", row)
+    for row in db.query("accounts").rows():
+        print("   ", *row)
 
 
 def main() -> None:
@@ -48,13 +48,13 @@ def main() -> None:
     writer = db.begin()
     writer.modify("accounts", ("alice",), "balance", 500)
     writer.commit()
-    balance_seen = [
-        r for r in reader.image_rows("accounts") if r[0] == "alice"
-    ][0][1]
+    balance_seen = dict(
+        reader.scan("accounts", columns=["account", "balance"]).rows()
+    )["alice"]
     print(f"  reader (older snapshot) still sees alice = {balance_seen}")
     reader.commit()
     print(f"  new queries see alice = "
-          f"{[r for r in db.image_rows('accounts') if r[0] == 'alice'][0][1]}")
+          f"{db.query_point('accounts', ('alice',))['balance'][0]}")
 
     # --- Figure 15 schedule ------------------------------------------------
     print("\n[2] Figure 15: overlapping commits re-based with Serialize")
@@ -93,8 +93,8 @@ def main() -> None:
     t2.modify("accounts", ("carol",), "branch", "west")
     t1.commit()
     t2.commit()
-    carol = [r for r in db.image_rows("accounts") if r[0] == "carol"][0]
-    print(f"  both committed: carol = {carol}")
+    carol = db.query_point("accounts", ("carol",)).rows()[0]
+    print("  both committed: carol =", *carol)
 
     # --- layer maintenance ----------------------------------------------------
     print("\n[5] write->read propagation (keeps the Write-PDT snapshot-copy "

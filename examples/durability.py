@@ -61,7 +61,7 @@ def workload(root: str) -> None:
 
     oracle = {
         "inventory": [[str(a), str(b), int(c)]
-                      for a, b, c in db.image_rows("inventory")],
+                      for a, b, c in db.query("inventory").rows()],
         "orders_rows": int(db.row_count("orders")),
         "hot_qty": int(db.query("orders",
                                 sk=("city05", "sku0105"))["qty"][0]),
@@ -92,7 +92,7 @@ def main() -> None:
         oracle = json.load(fh)
     db = Database.recover(root)
     inventory = [[str(a), str(b), int(c)]
-                 for a, b, c in db.image_rows("inventory")]
+                 for a, b, c in db.query("inventory").rows()]
     assert inventory == oracle["inventory"], "inventory diverged!"
     assert db.row_count("orders") == oracle["orders_rows"]
     assert int(db.query("orders",

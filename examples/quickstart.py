@@ -41,13 +41,11 @@ def main() -> None:
         txn.insert("cities", ("poland", "krakow", 804_000, 326.9))
         txn.insert("cities", ("germany", "hamburg", 1_906_000, 755.2))
         # The transaction reads its own writes:
-        assert any(
-            row[1] == "krakow" for row in txn.image_rows("cities")
-        )
+        assert "krakow" in txn.scan("cities", columns=["city"])["city"]
 
     print("current image (merged positionally, no sort-key reads needed):")
-    for row in db.image_rows("cities"):
-        print("   ", row)
+    for row in db.query("cities").rows():
+        print("   ", *row)
 
     # --- projection queries skip unused columns entirely ---------------------
     db.make_cold()

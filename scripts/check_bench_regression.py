@@ -67,14 +67,6 @@ def check(baseline_dir: Path, results_dir: Path,
                             f"(bench did not run?)")
             continue
         fresh_payload = json.loads(fresh_path.read_text())
-        if fresh_payload.get("skipped"):
-            # The bench ran but declared its series unmeasurable on this
-            # host (e.g. the parallel-scan speedup on < 4 cores). An
-            # explicit skip marker is not a regression — only a missing
-            # or degraded measurement is.
-            print(f"  skipped  {base_path.name}: "
-                  f"{fresh_payload['skipped']}")
-            continue
         fresh_speedups = _keyed_speedups(fresh_payload)
         for key, base_spd in sorted(base_speedups.items()):
             fresh_spd = fresh_speedups.get(key)

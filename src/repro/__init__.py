@@ -35,7 +35,7 @@ from .core import (
     serialize,
 )
 from .db import BatchUpdater, Database
-from .engine import Relation, ScanTimer, scan_clean, scan_pdt, scan_vdt
+from .engine import Relation, scan_clean, scan_pdt, scan_vdt
 from .service import QueryService, StreamingCursor
 from .shard import ShardedTable, ShardRouter
 from .storage import (
@@ -78,7 +78,6 @@ __all__ = [
     "PDT",
     "QueryService",
     "Relation",
-    "ScanTimer",
     "Schema",
     "ShadowTable",
     "ShardRouter",

@@ -482,21 +482,6 @@ class PDT:
     # ------------------------------------------------------------------
     # descents (Algorithm 1 family)
 
-    def _descend_rightmost_by_rid(self, rid: int):
-        """Rightmost leaf whose first entry's RID is <= ``rid`` and the
-        delta accumulated before it."""
-        node, delta = self._root, 0
-        while not node.is_leaf:
-            acc = delta
-            chosen, chosen_delta = 0, delta
-            for i in range(len(node.children)):
-                if i > 0 and node.seps[i] + acc > rid:
-                    break
-                chosen, chosen_delta = i, acc
-                acc += node.deltas[i]
-            node, delta = node.children[chosen], chosen_delta
-        return node, delta
-
     def _descend_leftmost_by_rid(self, rid: int):
         """Leftmost leaf that may contain the first entry with RID >=
         ``rid`` (the start of an equal-RID chain)."""

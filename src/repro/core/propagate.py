@@ -58,15 +58,14 @@ def propagate(read_pdt, write_pdt) -> None:
             )
 
 
-def propagate_batch(read_pdt, write_pdt, force_merge: bool = False) -> None:
+def propagate_batch(read_pdt, write_pdt) -> None:
     """Sorted-run Propagate: fold ``write_pdt`` into ``read_pdt`` in one
     ordered pass over both entry streams.
 
     Semantically identical to :func:`propagate` (the property suite
     asserts so); picks the merge fold when it pays — ``read`` empty or
     ``write`` within :data:`MERGE_FOLD_RATIO` of ``read``'s size — and
-    the scalar loop otherwise. ``force_merge`` pins the merge fold (used
-    by the differential tests to exercise it at every size ratio).
+    the scalar loop otherwise.
     """
     if read_pdt.schema is not write_pdt.schema and (
         read_pdt.schema != write_pdt.schema
@@ -74,8 +73,7 @@ def propagate_batch(read_pdt, write_pdt, force_merge: bool = False) -> None:
         raise ValueError("propagate requires identical schemas")
     if write_pdt.is_empty():
         return
-    if not force_merge and read_pdt.count() > \
-            MERGE_FOLD_RATIO * write_pdt.count():
+    if read_pdt.count() > MERGE_FOLD_RATIO * write_pdt.count():
         propagate(read_pdt, write_pdt)
         return
     merged = _merge_fold(read_pdt, write_pdt)

@@ -1,7 +1,6 @@
 """Database facade and value-to-positional update translation."""
 
 from .database import Database
-from .replicas import ReplicatedTable
 from .update_processor import (
     BatchUpdater,
     DuplicateKey,
@@ -18,7 +17,6 @@ __all__ = [
     "DuplicateKey",
     "KeyNotFound",
     "PositionalUpdater",
-    "ReplicatedTable",
     "find_insert_position",
     "find_rid_by_key",
     "resolve_batch_positions",

@@ -131,12 +131,10 @@ class Database:
         When set, queries slower than this threshold are recorded in
         ``db.obs.slow_log`` (profile plus — if tracing — the rendered
         span tree) and emitted on the ``repro.obs.slow`` logger.
-    ``write_pdt_limit_bytes``
-        Budget used by the manual :meth:`maintain` convenience.
     ``checkpoint_policy``
         Maintenance automation. ``None`` (default) keeps the seed's
-        manual behaviour; a spec string — ``"memory:<bytes>"``,
-        ``"updates:<entries>"``, ``"hot-ranges:<k>"`` — or any
+        manual behaviour; a spec string (``"updates:<entries>"`` or
+        ``"hot-ranges:<k>"``) or any
         :class:`~repro.txn.scheduler.CheckpointPolicy` instance enables
         the checkpoint scheduler: the policy is consulted after every
         committing transaction, and deferred work (blocked by concurrent
@@ -152,7 +150,6 @@ class Database:
         buffer_capacity: int | None = None,
         sparse_granularity: int = 4096,
         wal_path=None,
-        write_pdt_limit_bytes: int = 1 << 20,
         checkpoint_policy=None,
         storage=None,
         storage_path=None,
@@ -194,7 +191,6 @@ class Database:
         # Shared with the manager: transactions route logical sharded
         # names through the same registry.
         self._sharded: dict = self.manager.sharded_tables
-        self.write_pdt_limit_bytes = write_pdt_limit_bytes
         self.scheduler = CheckpointScheduler(
             self.manager, policy_from_spec(checkpoint_policy),
             max_pin_age_s=max_pin_age_s,
@@ -566,15 +562,6 @@ class Database:
         return total
 
     # -- maintenance --------------------------------------------------------------------
-
-    def maintain(self, table: str) -> None:
-        """Manually propagate the Write-PDT down when it outgrows its
-        budget. With a ``checkpoint_policy`` configured this happens
-        autonomously; the method remains for explicit control."""
-        if table in self._sharded:
-            self._sharded[table].maintain(self.write_pdt_limit_bytes)
-            return
-        self.manager.maybe_propagate(table, self.write_pdt_limit_bytes)
 
     def checkpoint(self, table: str) -> None:
         """Fold all deltas into a fresh stable image (quiescent only).

@@ -128,16 +128,6 @@ class PositionalUpdater:
         self.top.add_modify(rid, self.schema.column_index(column), value)
         return rid
 
-    def delete_at(self, rid: int, sk) -> None:
-        """Positional delete when the caller already knows (rid, sk) — the
-        path a query-produced RID list takes."""
-        self.top.add_delete(rid, tuple(sk))
-
-    def modify_at(self, rid: int, column: str, value) -> None:
-        if self.schema.is_sk_column(column):
-            raise ValueError(f"column {column!r} is part of the sort key")
-        self.top.add_modify(rid, self.schema.column_index(column), value)
-
     def image_size(self) -> int:
         return _image_size(self.stable, self.layers)
 

@@ -4,7 +4,6 @@ from . import expr, functions
 from .expr import AggSpec, Expr
 from .relation import EngineError, GroupBy, Relation
 from .scan import (
-    ScanTimer,
     fanout_scan_blocks,
     rebase_block_streams,
     scan_clean,
@@ -18,7 +17,6 @@ __all__ = [
     "Expr",
     "GroupBy",
     "Relation",
-    "ScanTimer",
     "expr",
     "fanout_scan_blocks",
     "functions",

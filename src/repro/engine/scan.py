@@ -12,16 +12,9 @@ each PDT layer splices its updates in block-at-a-time (see
 :class:`repro.core.merge.BlockMerger`), and only the terminal
 ``Relation.from_batches`` materializes. Consumers that need a fixed block
 size — service cursors, worker frames — use :func:`scan_pdt_blocks`.
-
-Each scan records the wall-clock *scan time* (data access + merging) in an
-optional :class:`ScanTimer`, which Figure 19's harness uses to split query
-time into scan vs processing components.
 """
 
 from __future__ import annotations
-
-import time
-from dataclasses import dataclass, field
 
 from ..core.merge import MERGE_BLOCK_ROWS, reblock
 from ..core.stack import merge_scan_layers
@@ -29,54 +22,25 @@ from ..vdt.merge import vdt_merge_scan
 from .relation import Relation
 
 
-@dataclass
-class ScanTimer:
-    """Accumulates time spent inside scan+merge per query."""
-
-    seconds: float = 0.0
-    scans: int = 0
-    by_table: dict = field(default_factory=dict)
-
-    def add(self, table_name: str, elapsed: float) -> None:
-        self.seconds += elapsed
-        self.scans += 1
-        self.by_table[table_name] = self.by_table.get(table_name, 0.0) \
-            + elapsed
-
-    def reset(self) -> None:
-        self.seconds = 0.0
-        self.scans = 0
-        self.by_table.clear()
-
-
-def scan_clean(table, columns=None, timer: ScanTimer | None = None,
-               batch_rows: int = 4096) -> Relation:
+def scan_clean(table, columns=None, batch_rows: int = 4096) -> Relation:
     """Materialize a stable table scan with no update merging."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
-    start = time.perf_counter()
-    rel = Relation.from_batches(
+    return Relation.from_batches(
         columns, table.scan(columns=columns, batch_rows=batch_rows)
     )
-    if timer is not None:
-        timer.add(table.name, time.perf_counter() - start)
-    return rel
 
 
-def scan_pdt(table, layers, columns=None, timer: ScanTimer | None = None,
+def scan_pdt(table, layers, columns=None,
              batch_rows: int = 4096) -> Relation:
     """Materialize a positional MergeScan through PDT ``layers``."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
-    start = time.perf_counter()
-    rel = Relation.from_batches(
+    return Relation.from_batches(
         columns,
         merge_scan_layers(table, layers, columns=columns,
                           batch_rows=batch_rows),
     )
-    if timer is not None:
-        timer.add(table.name, time.perf_counter() - start)
-    return rel
 
 
 def scan_pdt_blocks(table, layers, columns=None, start: int = 0,
@@ -143,16 +107,11 @@ def fanout_scan_blocks(sources, executor=None):
     yield from rebase_block_streams(parts)
 
 
-def scan_vdt(table, vdt, columns=None, timer: ScanTimer | None = None,
-             batch_rows: int = 4096) -> Relation:
+def scan_vdt(table, vdt, columns=None, batch_rows: int = 4096) -> Relation:
     """Materialize a value-based merge scan (reads SK columns always)."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
-    start = time.perf_counter()
-    rel = Relation.from_batches(
+    return Relation.from_batches(
         columns,
         vdt_merge_scan(table, vdt, columns=columns, batch_rows=batch_rows),
     )
-    if timer is not None:
-        timer.add(table.name, time.perf_counter() - start)
-    return rel

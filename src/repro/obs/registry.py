@@ -8,10 +8,10 @@ hot path), and a snapshot is a plain JSON-able dict that can be merged
 with another snapshot — the property that lets per-shard or per-process
 counters roll up into one database-wide view.
 
-The six pre-existing stats surfaces (``IOStats``, ``ServiceStats``,
-``SchedulerStats``, ``GroupCommitStats``, ``ManagerStats``,
-``RequestStats``) are not rebuilt; they register as *sources* — zero-
-argument callables returning their ``as_dict()`` — so a snapshot reads
+The five stats dataclasses (``IOStats``, ``ServiceStats``,
+``SchedulerStats``, ``GroupCommitStats``, ``ManagerStats``) and the
+executor router's counters are not rebuilt; they register as *sources* —
+zero-argument callables returning their ``as_dict()`` — so a snapshot reads
 them live without double-maintaining counters. Reading stats through
 ``Database.metrics()`` (registry + sources) is the supported surface;
 poking the dataclass fields directly is deprecated.

@@ -16,7 +16,6 @@ from .cursor import StreamingCursor
 from .jobs import (
     AdmissionController,
     JobScheduler,
-    RequestStats,
     ServiceClosed,
     ServiceError,
     ServiceSaturated,
@@ -36,7 +35,6 @@ __all__ = [
     "AdmissionController",
     "JobScheduler",
     "QueryService",
-    "RequestStats",
     "ScanPlan",
     "ServiceClosed",
     "ServiceError",

@@ -24,7 +24,6 @@ import time
 from ..engine.relation import Relation
 from ..engine.scan import rebase_block_streams
 from ..obs import QueryProfile, ShardScanProfile
-from .jobs import RequestStats
 
 
 class StreamingCursor:
@@ -34,8 +33,7 @@ class StreamingCursor:
                  root_span=None):
         self._plan = plan
         self._on_finish = on_finish
-        self.stats = RequestStats(submitted_at=time.perf_counter(),
-                                  shards=len(feeds))
+        self._submitted_at = time.perf_counter()
         self._tracer = tracer
         self._root_span = root_span
         self.profile = QueryProfile(
@@ -91,11 +89,13 @@ class StreamingCursor:
         except BaseException:
             self._finish()
             raise
-        if self.stats.first_block_at is None:
-            self.stats.first_block_at = time.perf_counter()
-        self.stats.blocks += 1
+        prof = self.profile
+        if prof.time_to_first_block_s is None:
+            prof.time_to_first_block_s = \
+                time.perf_counter() - self._submitted_at
+        prof.blocks += 1
         if arrays:
-            self.stats.rows += len(next(iter(arrays.values())))
+            prof.rows += len(next(iter(arrays.values())))
         return rid, arrays
 
     def __iter__(self):
@@ -138,18 +138,13 @@ class StreamingCursor:
         if self._finished:
             return
         self._finished = True
-        self.stats.finished_at = time.perf_counter()
         prof = self.profile
-        prof.rows = self.stats.rows
-        prof.blocks = self.stats.blocks
-        prof.shared_jobs = self.stats.shared_jobs
-        prof.total_s = self.stats.total_time
-        prof.time_to_first_block_s = self.stats.time_to_first_block
+        prof.total_s = time.perf_counter() - self._submitted_at
         if self._root_span is not None:
             # Finish the request root before on_finish runs the
             # slow-query check, so the rendered tree includes it.
-            self._root_span.attrs["rows"] = self.stats.rows
-            self._root_span.attrs["blocks"] = self.stats.blocks
+            self._root_span.attrs["rows"] = prof.rows
+            self._root_span.attrs["blocks"] = prof.blocks
             self._tracer.finish(self._root_span)
         if self._on_finish is not None:
             self._on_finish(self)
@@ -172,5 +167,5 @@ class StreamingCursor:
         state = "done" if self._finished else "open"
         return (
             f"StreamingCursor({self._plan.table!r}, "
-            f"shards={self.stats.shards}, {state})"
+            f"shards={self.profile.shards}, {state})"
         )

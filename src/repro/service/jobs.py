@@ -393,38 +393,6 @@ class AdmissionController:
 
 
 @dataclass
-class RequestStats:
-    """Per-request timing and volume, attached to every cursor."""
-
-    submitted_at: float = 0.0
-    first_block_at: float | None = None
-    finished_at: float | None = None
-    blocks: int = 0
-    rows: int = 0
-    shards: int = 0
-    shared_jobs: int = 0  # shard scans served by an already-open job
-
-    @property
-    def time_to_first_block(self) -> float | None:
-        if self.first_block_at is None:
-            return None
-        return self.first_block_at - self.submitted_at
-
-    @property
-    def total_time(self) -> float | None:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
-
-    def as_dict(self) -> dict:
-        """JSON-able view, including the derived timings."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["time_to_first_block"] = self.time_to_first_block
-        out["total_time"] = self.total_time
-        return out
-
-
-@dataclass
 class ServiceStats:
     """Service-wide counters (guarded by the service's stats lock)."""
 

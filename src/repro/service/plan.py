@@ -244,6 +244,10 @@ def plan_scan(pin, table: str, low=None, high=None,
             + (list(schema.sort_key)
                if low is not None or high is not None else [])
         ))
+        if not scan_cols:
+            # count(*) alone names no column, but a block's row count is
+            # read off its arrays: scan the leading sort-key column.
+            scan_cols = [schema.sort_key[0]]
     else:
         columns = (list(schema.column_names) if columns is None
                    else list(columns))

@@ -284,7 +284,7 @@ class QueryService:
                 cursor = StreamingCursor(
                     plan, feeds, on_finish=self._make_finisher(lease),
                     tracer=tracer, root_span=root)
-                cursor.stats.shared_jobs = shared
+                cursor.profile.shared_jobs = shared
                 cursor.profile.plan_s = plan_s  # batch planning time
                 cursors.append(cursor)
                 self.stats.bump(
@@ -481,8 +481,8 @@ class QueryService:
 
     def _make_finisher(self, lease: _PinLease):
         def on_finish(cursor: StreamingCursor) -> None:
-            self.stats.bump(blocks_streamed=cursor.stats.blocks,
-                            rows_streamed=cursor.stats.rows)
+            self.stats.bump(blocks_streamed=cursor.profile.blocks,
+                            rows_streamed=cursor.profile.rows)
             self._db.obs.observe_query(cursor.profile)
             self._lease_done(lease)
             if self._admission.release() == 0 and not self._closed:

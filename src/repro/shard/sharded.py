@@ -325,10 +325,6 @@ class ShardedTable:
         for name in self.shard_names:
             checkpoint_table(self.db.manager, name)
 
-    def maintain(self, write_limit_bytes: int) -> None:
-        for name in self.shard_names:
-            self.db.manager.maybe_propagate(name, write_limit_bytes)
-
     def maybe_rebalance(self) -> int:
         """Run the autonomous rebalancer (quiescent points only); returns
         the number of split/merge actions taken."""

@@ -15,7 +15,6 @@ import argparse
 import sys
 import time
 
-from ..engine.scan import ScanTimer
 from .loader import load_database
 from .dbgen import generate
 from .queries import ALL_QUERIES, run_query
@@ -69,11 +68,10 @@ def main(argv=None) -> int:
     applier.apply_all_pdt(db)
     vdts = applier.make_vdts()
     applier.apply_all_vdt(vdts)
-    timer = ScanTimer()
     sources = {
-        "none": CleanSource(db, timer),
-        "vdt": VdtSource(db, vdts, timer),
-        "pdt": PdtSource(db, timer),
+        "none": CleanSource(db),
+        "vdt": VdtSource(db, vdts),
+        "pdt": PdtSource(db),
     }
     print(f"  lineitem={data.row_count('lineitem'):,} rows, "
           f"orders={data.row_count('orders'):,} rows, "
@@ -92,7 +90,7 @@ def main(argv=None) -> int:
                 db.make_cold()
             else:
                 run_query(number, src)  # warm
-            timer.reset()
+            src.scan_seconds = 0.0
             before = db.io.snapshot()
             start = time.perf_counter()
             run_query(number, src)
@@ -100,7 +98,7 @@ def main(argv=None) -> int:
             io = db.io.since(before)
             if args.temperature == "cold":
                 elapsed += io.bytes_read / READ_BANDWIDTH
-            per_mode[mode] = (elapsed, timer.seconds, io.bytes_read)
+            per_mode[mode] = (elapsed, src.scan_seconds, io.bytes_read)
         base = per_mode["vdt"][0] or 1e-12
         for mode in ("none", "vdt", "pdt"):
             elapsed, scan_s, io_bytes = per_mode[mode]

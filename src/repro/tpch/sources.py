@@ -17,11 +17,27 @@ import time
 
 from ..db.database import Database
 from ..engine.relation import Relation
-from ..engine.scan import ScanTimer, scan_clean, scan_vdt
+from ..engine.scan import scan_clean, scan_vdt
 from ..vdt.vdt import VDT
 
 
-class CleanSource:
+class _Source:
+    """A scan source that adds up the wall-clock time of its scans (data
+    access + merging) in ``scan_seconds``, which Figure 19's harness uses
+    to split query time into scan vs processing components."""
+
+    def __init__(self, db: Database):
+        self.db = db
+        self.scan_seconds = 0.0
+
+    def scan(self, table: str, columns=None, where=None) -> Relation:
+        start = time.perf_counter()
+        rel = self._scan(table, columns, where)
+        self.scan_seconds += time.perf_counter() - start
+        return rel
+
+
+class CleanSource(_Source):
     """No-updates run: stable images only.
 
     ``where`` hints are ignored: the queries re-apply their full
@@ -29,16 +45,11 @@ class CleanSource:
     correctness.
     """
 
-    def __init__(self, db: Database, timer: ScanTimer | None = None):
-        self.db = db
-        self.timer = timer
-
-    def scan(self, table: str, columns=None, where=None) -> Relation:
-        return scan_clean(self.db.table(table), columns=columns,
-                          timer=self.timer)
+    def _scan(self, table, columns, where) -> Relation:
+        return scan_clean(self.db.table(table), columns=columns)
 
 
-class PdtSource:
+class PdtSource(_Source):
     """PDT run: positional MergeScan through Read/Write layers.
 
     ``where`` hints are pushed down by :meth:`Database.query`: the shard
@@ -48,35 +59,23 @@ class PdtSource:
     ``db.query`` call (plan + data access + merging).
     """
 
-    def __init__(self, db: Database, timer: ScanTimer | None = None):
-        self.db = db
-        self.timer = timer
-
-    def scan(self, table: str, columns=None, where=None) -> Relation:
-        start = time.perf_counter()
-        rel = self.db.query(table, columns=columns, where=where)
-        if self.timer is not None:
-            self.timer.add(table, time.perf_counter() - start)
-        return rel
+    def _scan(self, table, columns, where) -> Relation:
+        return self.db.query(table, columns=columns, where=where)
 
 
-class VdtSource:
+class VdtSource(_Source):
     """VDT run: value-based MergeScan for tables that have deltas.
 
     ``where`` hints are ignored (the VDT merge path has no push-down);
     queries re-filter centrally, so results stay identical across modes.
     """
 
-    def __init__(self, db: Database, vdts: dict[str, VDT],
-                 timer: ScanTimer | None = None):
-        self.db = db
+    def __init__(self, db: Database, vdts: dict[str, VDT]):
+        super().__init__(db)
         self.vdts = vdts
-        self.timer = timer
 
-    def scan(self, table: str, columns=None, where=None) -> Relation:
+    def _scan(self, table, columns, where) -> Relation:
         vdt = self.vdts.get(table)
         if vdt is None or vdt.is_empty():
-            return scan_clean(self.db.table(table), columns=columns,
-                              timer=self.timer)
-        return scan_vdt(self.db.table(table), vdt, columns=columns,
-                        timer=self.timer)
+            return scan_clean(self.db.table(table), columns=columns)
+        return scan_vdt(self.db.table(table), vdt, columns=columns)

@@ -60,42 +60,23 @@ class RefreshApplier:
                 rf2["lineitem"].append(("del", (orderkey, line)))
         return rf1, rf2
 
-    def apply_pdt(self, db: Database, pair: RefreshPair,
-                  bulk: bool = True) -> None:
+    def apply_pdt(self, db: Database, pair: RefreshPair) -> None:
         """RF1 then RF2 as two transactions against the PDT database.
 
-        The default routes each refresh through the vectorized bulk path
-        (one batch per table per transaction — one WAL record per
-        refresh half); ``bulk=False`` keeps the per-row scalar path as
-        the differential-testing oracle. Either way the transaction
-        routes logical names itself, so a range-sharded lineitem
-        (``load_database(..., lineitem_shards=N)``) absorbs the stream
-        shard by shard with no changes here.
+        Each refresh half goes through the vectorized batch path (one
+        batch per table per transaction — one WAL record per refresh
+        half). The transaction routes logical names itself, so a
+        range-sharded lineitem (``load_database(..., lineitem_shards=N)``)
+        absorbs the stream shard by shard with no changes here.
         """
-        if bulk:
-            rf1, rf2 = self.refresh_ops(pair)
+        for half in self.refresh_ops(pair):
             with db.transaction() as txn:
-                for table, ops in rf1.items():
+                for table, ops in half.items():
                     txn.apply_batch(table, ops)
-            with db.transaction() as txn:
-                for table, ops in rf2.items():
-                    txn.apply_batch(table, ops)
-            return
-        with db.transaction() as txn:
-            for row in pair.new_orders:
-                txn.insert("orders", row)
-            for row in pair.new_lineitems:
-                txn.insert("lineitem", row)
-        with db.transaction() as txn:
-            for orderkey in pair.delete_orderkeys:
-                orderdate = self._date_index[orderkey]
-                txn.delete("orders", (orderdate, orderkey))
-                for line in self._line_index.get(orderkey, ()):
-                    txn.delete("lineitem", (orderkey, line))
 
-    def apply_all_pdt(self, db: Database, bulk: bool = True) -> None:
+    def apply_all_pdt(self, db: Database) -> None:
         for pair in self.data.refreshes:
-            self.apply_pdt(db, pair, bulk=bulk)
+            self.apply_pdt(db, pair)
 
     # -- VDT mode -----------------------------------------------------------
 

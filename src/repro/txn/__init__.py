@@ -22,11 +22,9 @@ from .recovery import (
 from .scheduler import (
     CheckpointPolicy,
     CheckpointScheduler,
-    CompositePolicy,
     Decision,
     HotRangePolicy,
     MaintenanceAction,
-    MemoryThresholdPolicy,
     NeverPolicy,
     SchedulerStats,
     TableLoad,
@@ -39,7 +37,6 @@ from .wal import WalRecord, WriteAheadLog, replay_into
 __all__ = [
     "CheckpointPolicy",
     "CheckpointScheduler",
-    "CompositePolicy",
     "Decision",
     "GroupCommitCoordinator",
     "GroupCommitPolicy",
@@ -47,7 +44,6 @@ __all__ = [
     "HotRangePolicy",
     "MaintenanceAction",
     "ManagerStats",
-    "MemoryThresholdPolicy",
     "NeverPolicy",
     "PinnedLayout",
     "PinnedTable",

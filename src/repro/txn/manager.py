@@ -491,14 +491,3 @@ class TransactionManager:
         # Read-PDT of the *new* stack only.
         state.write_pdt = PDT(state.schema)
         self.stats.propagations += 1
-
-    def maybe_propagate(self, table: str, write_limit_bytes: int) -> bool:
-        """Propagate Write->Read when the Write-PDT outgrows its budget
-        (the paper keeps it smaller than the CPU cache)."""
-        state = self.state_of(table)
-        if state.write_pdt.memory_usage() <= write_limit_bytes:
-            return False
-        if self._running:
-            return False
-        self.propagate_write_to_read(table)
-        return True

@@ -21,14 +21,13 @@ Select a policy with ``Database(checkpoint_policy=...)``; specs:
 
 ===================  ====================================================
 ``None``             never maintain automatically (seed behaviour)
-``"memory:<N>"``     full checkpoint when delta RAM exceeds ``N`` bytes
-``"updates:<N>"``    full checkpoint when total PDT entries exceed ``N``
+``"updates:<N>"``    full checkpoint when total PDT entries exceed ``N``;
+                     Propagate when the Write-PDT exceeds ``N // 4``
 ``"hot-ranges:<K>"`` fold the K hottest block ranges once any block
                      accumulates ``HotRangePolicy.min_entries`` entries
 ===================  ====================================================
 
-or any :class:`CheckpointPolicy` instance (e.g. a :class:`CompositePolicy`
-combining several triggers).
+or any :class:`CheckpointPolicy` instance.
 """
 
 from __future__ import annotations
@@ -120,37 +119,6 @@ class NeverPolicy(CheckpointPolicy):
         return DO_NOTHING
 
 
-class MemoryThresholdPolicy(CheckpointPolicy):
-    """Full checkpoint when delta RAM exceeds ``limit_bytes``.
-
-    Below the checkpoint threshold, the Write-PDT is still propagated down
-    once it exceeds ``write_limit_bytes`` (the paper keeps it smaller than
-    the CPU cache), so commit-path structures stay small between
-    checkpoints.
-    """
-
-    name = "memory"
-
-    def __init__(self, limit_bytes: int, write_limit_bytes: int = 1 << 20):
-        if limit_bytes <= 0:
-            raise ValueError("limit_bytes must be positive")
-        self.limit_bytes = limit_bytes
-        self.write_limit_bytes = write_limit_bytes
-
-    def decide(self, load: TableLoad) -> Decision:
-        if load.delta_bytes > self.limit_bytes:
-            return Decision(
-                MaintenanceAction.CHECKPOINT,
-                reason=f"delta {load.delta_bytes}B > {self.limit_bytes}B",
-            )
-        if load.write_entries * 16 > self.write_limit_bytes:
-            return Decision(
-                MaintenanceAction.PROPAGATE,
-                reason=f"write-PDT > {self.write_limit_bytes}B",
-            )
-        return DO_NOTHING
-
-
 class UpdateCountPolicy(CheckpointPolicy):
     """Full checkpoint when total PDT entries exceed ``max_entries``;
     Propagate when the Write-PDT alone exceeds ``max_write_entries``."""
@@ -230,24 +198,6 @@ class HotRangePolicy(CheckpointPolicy):
         )
 
 
-class CompositePolicy(CheckpointPolicy):
-    """First non-NONE decision of an ordered list of policies wins."""
-
-    name = "composite"
-
-    def __init__(self, *policies: CheckpointPolicy):
-        if not policies:
-            raise ValueError("composite policy needs at least one member")
-        self.policies = policies
-
-    def decide(self, load: TableLoad) -> Decision:
-        for policy in self.policies:
-            decision = policy.decide(load)
-            if not decision.is_none:
-                return decision
-        return DO_NOTHING
-
-
 def policy_from_spec(spec) -> CheckpointPolicy:
     """Resolve ``Database(checkpoint_policy=...)`` values to a policy.
 
@@ -261,15 +211,14 @@ def policy_from_spec(spec) -> CheckpointPolicy:
     if not isinstance(spec, str):
         raise ValueError(f"bad checkpoint policy spec: {spec!r}")
     name, _, arg = spec.partition(":")
-    if name == "never":
-        return NeverPolicy()
-    if name == "memory":
-        return MemoryThresholdPolicy(int(arg))
     if name == "updates":
         return UpdateCountPolicy(int(arg))
     if name == "hot-ranges":
         return HotRangePolicy(k=int(arg) if arg else 4)
-    raise ValueError(f"unknown checkpoint policy {name!r}")
+    raise ValueError(
+        f"unknown checkpoint policy {spec!r}: expected None, "
+        f'"updates:<entries>" or "hot-ranges:<k>"'
+    )
 
 
 @dataclass

@@ -166,14 +166,6 @@ class Transaction:
             table = sharded.physical_for(sk)
         return self._updater(table).modify_by_key(sk, column, value)
 
-    def delete_at(self, table: str, rid: int, sk) -> None:
-        self._require_active()
-        self._updater(table).delete_at(rid, sk)
-
-    def modify_at(self, table: str, rid: int, column: str, value) -> None:
-        self._require_active()
-        self._updater(table).modify_at(rid, column, value)
-
     def apply_batch(self, table: str, ops) -> int:
         """Apply a whole ``("ins", row) | ("del", sk) | ("mod", sk, col,
         value)`` batch through the vectorized bulk path; returns the

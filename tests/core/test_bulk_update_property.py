@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import DataType, FlatPDT, PDT, Schema, propagate, propagate_batch
 from repro.core.stack import image_rows
+from repro.core.propagate import _merge_fold
 from repro.db import BatchUpdater, DuplicateKey, KeyNotFound
 from repro.storage.sparse_index import SparseIndex
 from repro.storage.table import StableTable
@@ -310,7 +311,11 @@ class TestPropagateBatch:
                      gen_batch(rng, schema, live, n_write, reuse_keys=True))
         scalar, batch = read.copy(), read.copy()
         propagate(scalar, write)
-        propagate_batch(batch, write, force_merge=True)
+        # The merge fold itself, at every size ratio (propagate_batch
+        # would pick the scalar loop for a large read).
+        merged = _merge_fold(batch, write)
+        batch.clear()
+        batch.bulk_append_entries(merged)
         assert materialized_entries(scalar) == materialized_entries(batch)
         scalar.check_invariants()
         batch.check_invariants()

@@ -107,6 +107,8 @@ PUSHES = {
     "where-selective": {"where": SELECTIVE},
     "aggregate": {"aggregate": ex.AggSpec(
         ("g",), {"sa": ("a", "sum"), "n": ("*", "count")})},
+    # No input column at all: the planner must still scan something.
+    "aggregate-count": {"aggregate": ex.AggSpec((), {"n": ("*", "count")})},
 }
 
 
@@ -123,10 +125,12 @@ def qualifying(image: dict, low, high, selective: bool) -> list:
     return out
 
 
-def expected_columns(rows: list, aggregate: bool) -> dict:
+def expected_columns(rows: list, push: str = "plain") -> dict:
     cols = {c: np.array([r[i] for r in rows], dtype=DTYPES[c])
             for i, c in enumerate(COLUMNS)}
-    if not aggregate:
+    if push == "aggregate-count":
+        return {"n": np.array([len(rows)], dtype=np.int64)}
+    if push != "aggregate":
         return cols
     groups, inverse = np.unique(cols["g"], return_inverse=True)
     sums = np.zeros(len(groups), dtype=np.int64)
@@ -157,7 +161,7 @@ def test_read_matrix(env, planned, read, push, version):
     assert planned == ["t"]
     rows = qualifying(IMAGES[version], low, high,
                       selective=push == "where-selective")
-    assert_same(rel, expected_columns(rows, aggregate=push == "aggregate"))
+    assert_same(rel, expected_columns(rows, push))
     if push == "where-true":
         del kwargs["where"]
         plain = getattr(db, method)("t", **kwargs)
@@ -172,7 +176,7 @@ def test_query_point(env, planned, sk):
     assert planned == ["t"]
     rows = qualifying(IMAGES["latest"], sk, sk, selective=False)
     assert len(rows) == (sk == (2, 10))
-    assert_same(rel, expected_columns(rows, aggregate=False))
+    assert_same(rel, expected_columns(rows))
 
 
 # -- deferred maintenance ------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Scan operators, ScanTimer, and the TPC-H scan sources."""
+"""Scan operators and the TPC-H scan sources."""
 
 import numpy as np
 import pytest
 
 from repro.core import PDT
-from repro.engine import ScanTimer, scan_clean, scan_pdt, scan_vdt
+from repro.engine import scan_clean, scan_pdt, scan_vdt
 from repro.storage import DataType, Schema, StableTable
 from repro.vdt import VDT
 
@@ -53,32 +53,51 @@ class TestScanOperators:
         assert rel.num_rows == 0
 
 
-class TestScanTimer:
-    def test_accumulates_per_table(self):
-        table, _ = make_table()
-        timer = ScanTimer()
-        scan_clean(table, columns=["v"], timer=timer)
-        scan_clean(table, columns=["v"], timer=timer)
-        assert timer.scans == 2
-        assert timer.seconds > 0
-        assert set(timer.by_table) == {"t"}
-        assert timer.by_table["t"] == pytest.approx(timer.seconds)
+class TestSourceScanSeconds:
+    """Each TPC-H source adds up the seconds of its own scans."""
 
-    def test_reset(self):
-        table, _ = make_table()
-        timer = ScanTimer()
-        scan_clean(table, timer=timer)
-        timer.reset()
-        assert timer.scans == 0
-        assert timer.seconds == 0.0
-        assert timer.by_table == {}
+    def make_db(self):
+        from repro import Database
+
+        schema = make_table()[1]
+        db = Database()
+        db.create_table("t", schema, [(i * 2, i) for i in range(50)])
+        return db, schema
+
+    def test_accumulates_per_source(self):
+        from repro.tpch import CleanSource, PdtSource
+
+        db, _ = self.make_db()
+        clean, pdt = CleanSource(db), PdtSource(db)
+        assert clean.scan_seconds == 0.0
+        clean.scan("t", columns=["v"])
+        once = clean.scan_seconds
+        assert once > 0
+        clean.scan("t", columns=["v"])
+        assert clean.scan_seconds > once
+        assert pdt.scan_seconds == 0.0  # not shared between sources
+
+    def test_reset_by_assignment(self):
+        from repro.tpch import CleanSource
+
+        db, _ = self.make_db()
+        src = CleanSource(db)
+        src.scan("t")
+        src.scan_seconds = 0.0
+        src.scan("t")
+        assert src.scan_seconds > 0
 
     def test_all_scan_modes_record(self):
-        table, schema = make_table()
-        timer = ScanTimer()
-        scan_pdt(table, [PDT(schema)], timer=timer)
-        scan_vdt(table, VDT(schema), timer=timer)
-        assert timer.scans == 2
+        from repro.tpch import PdtSource, VdtSource
+
+        db, schema = self.make_db()
+        db.delete("t", (0,))
+        vdt = VDT(schema)
+        vdt.add_insert((1, 99))
+        pdt_src, vdt_src = PdtSource(db), VdtSource(db, {"t": vdt})
+        assert pdt_src.scan("t").num_rows == 49
+        assert vdt_src.scan("t").num_rows == 51
+        assert pdt_src.scan_seconds > 0 and vdt_src.scan_seconds > 0
 
 
 class TestBenchHarness:

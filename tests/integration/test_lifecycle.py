@@ -73,13 +73,17 @@ class TestMaintenanceCycle:
         assert [r[0] for r in final] == sorted(r[0] for r in final)
 
     def test_threshold_driven_propagation(self):
-        db = fresh_db(write_pdt_limit_bytes=400)  # ~25 updates
+        # "updates:100" gives the Write-PDT a quarter of the budget: it is
+        # propagated down on the commit that takes it past 25 entries.
+        db = fresh_db(checkpoint_policy="updates:100")
+        state = db.manager.state_of("t")
         for i in range(60):
             db.insert("t", (100_000 + i, 0, "x"))
-            db.maintain("t")
-        state = db.manager.state_of("t")
-        assert state.write_pdt.memory_usage() <= 400 + 16
+            assert state.write_pdt.count() <= 25
         assert state.read_pdt.count() > 0
+        assert state.read_pdt.count() + state.write_pdt.count() == 60
+        assert db.scheduler.stats.propagations == 2
+        assert db.scheduler.stats.checkpoints == 0
         assert db.row_count("t") == 260
 
     def test_repeated_checkpoints(self):

@@ -103,10 +103,10 @@ class TestStatsDictConsistency:
         with make_db() as db, db.serve() as svc:
             cursor = svc.submit_query("t")
             cursor.to_relation()
-            d = cursor.stats.as_dict()
-            assert d["total_time"] is not None
-            assert d["time_to_first_block"] is not None
+            d = cursor.profile.as_dict()
+            assert 0 < d["time_to_first_block_s"] <= d["total_s"]
             assert d["rows"] == 8_000
+            assert d["blocks"] > 0
 
 
 class TestTracing:

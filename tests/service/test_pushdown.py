@@ -245,6 +245,21 @@ class TestServicePushdown:
         finally:
             db.close()
 
+    def test_pushed_aggregate_streams_5x_fewer_rows_than_it_scans(
+            self, tmp_path, executor):
+        """A filtered aggregate is evaluated where it is scanned: the
+        cursor receives the groups, not the rows (counters, no clocks)."""
+        db = make_db(tmp_path, executor)
+        try:
+            with db.serve(workers=3) as svc:
+                rel = svc.submit_query("t", where=WHERE,
+                                       agg=AGG).to_relation()
+                stats = svc.stats.as_dict()
+                assert stats["rows_streamed"] == rel.num_rows
+                assert stats["rows_scanned"] >= 5 * stats["rows_streamed"]
+        finally:
+            db.close()
+
     def test_sort_key_predicate_prunes_scanned_rows(self, tmp_path,
                                                     executor):
         db = make_db(tmp_path, executor)

@@ -49,8 +49,8 @@ class TestCursorResults:
     def test_full_scan_matches_sync_query(self, db, svc):
         cur = svc.submit_query("t")
         assert rel_values(cur.to_relation()) == rel_values(db.query("t"))
-        assert cur.stats.rows == 1000
-        assert cur.stats.shards == 4
+        assert cur.profile.rows == 1000
+        assert cur.profile.shards == 4
 
     def test_range_scan_matches_sync_query_range(self, db, svc):
         cur = svc.submit_range("t", low=(100,), high=(500,), columns=["k", "a"])
@@ -79,7 +79,7 @@ class TestCursorResults:
 
     def test_unsharded_table_single_job(self, db, svc):
         cur = svc.submit_query("flat", columns=["k"])
-        assert cur.stats.shards == 1
+        assert cur.profile.shards == 1
         assert rel_values(cur.to_relation()) \
             == rel_values(db.query("flat", columns=["k"]))
 
@@ -99,7 +99,7 @@ class TestCursorResults:
     def test_range_pruning_skips_cold_shards(self, db, svc):
         # keys 0..1998; shard 3 owns the top quarter
         cur = svc.submit_range("t", low=(0,), high=(100,))
-        assert cur.stats.shards == 1
+        assert cur.profile.shards == 1
         cur.to_relation()
 
     def test_streaming_before_later_shards_finish(self, db):
@@ -137,8 +137,8 @@ class TestSharedScans:
             pin=pin,
         )
         # first cursor scheduled real jobs; the rest attached to them
-        assert cursors[0].stats.shared_jobs == 0
-        assert all(c.stats.shared_jobs == c.stats.shards
+        assert cursors[0].profile.shared_jobs == 0
+        assert all(c.profile.shared_jobs == c.profile.shards
                    for c in cursors[1:])
         oracle = rel_values(db.query_range("t", low=(0,), high=(800,),
                                            columns=["k"]))

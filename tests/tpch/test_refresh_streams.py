@@ -12,6 +12,8 @@ import pytest
 
 from repro.tpch import RefreshApplier, generate, load_database
 
+from ..oracles.per_row_refresh import apply_refreshes_per_row
+
 SCALES = [0.001, 0.003]
 
 
@@ -27,7 +29,7 @@ class TestBulkRefreshStreams:
         the set-wise reference for every updated table."""
         data, applier = env
         db = load_database(data, compressed=False)
-        applier.apply_all_pdt(db, bulk=True)
+        applier.apply_all_pdt(db)
         for table in ("orders", "lineitem"):
             assert db.image_rows(table) == applier.post_update_rows(table)
 
@@ -37,8 +39,8 @@ class TestBulkRefreshStreams:
         data, applier = env
         bulk_db = load_database(data, compressed=False)
         scalar_db = load_database(data, compressed=False)
-        applier.apply_all_pdt(bulk_db, bulk=True)
-        applier.apply_all_pdt(scalar_db, bulk=False)
+        applier.apply_all_pdt(bulk_db)
+        apply_refreshes_per_row(applier, scalar_db)
         for table in ("orders", "lineitem"):
             assert bulk_db.image_rows(table) == scalar_db.image_rows(table)
             bulk_state = bulk_db.manager.state_of(table)
@@ -51,7 +53,7 @@ class TestBulkRefreshStreams:
         carrying both tables' entry lists."""
         data, applier = env
         db = load_database(data, compressed=False)
-        applier.apply_all_pdt(db, bulk=True)
+        applier.apply_all_pdt(db)
         assert len(db.manager.wal) == 2 * len(data.refreshes)
         rf1 = db.manager.wal.records[0]
         assert set(rf1.tables) == {"orders", "lineitem"}

@@ -10,6 +10,8 @@ import pytest
 
 from repro.tpch import RefreshApplier, generate, load_database
 
+from ..oracles.per_row_refresh import apply_refreshes_per_row
+
 SCALE = 0.002
 
 
@@ -40,7 +42,7 @@ class TestShardedLineitem:
     def test_refresh_streams_match_ground_truth(self, env):
         data, applier = env
         db = load_database(data, compressed=False, lineitem_shards=4)
-        applier.apply_all_pdt(db, bulk=True)
+        applier.apply_all_pdt(db)
         assert db.image_rows("lineitem") \
             == applier.post_update_rows("lineitem")
         assert db.image_rows("orders") == applier.post_update_rows("orders")
@@ -50,8 +52,8 @@ class TestShardedLineitem:
         sharded_db = load_database(data, compressed=False,
                                    lineitem_shards=3)
         plain_db = load_database(data, compressed=False)
-        applier.apply_all_pdt(sharded_db, bulk=True)
-        applier.apply_all_pdt(plain_db, bulk=True)
+        applier.apply_all_pdt(sharded_db)
+        applier.apply_all_pdt(plain_db)
         assert sharded_db.image_rows("lineitem") \
             == plain_db.image_rows("lineitem")
         assert sharded_db.query("lineitem").rows() \
@@ -60,7 +62,7 @@ class TestShardedLineitem:
     def test_scalar_refresh_path_routes(self, env):
         data, applier = env
         db = load_database(data, compressed=False, lineitem_shards=3)
-        applier.apply_all_pdt(db, bulk=False)
+        apply_refreshes_per_row(applier, db)
         assert db.image_rows("lineitem") \
             == applier.post_update_rows("lineitem")
 

@@ -6,11 +6,9 @@ import pytest
 
 from repro import Database, DataType, Schema
 from repro.txn import (
-    CompositePolicy,
     Decision,
     HotRangePolicy,
     MaintenanceAction,
-    MemoryThresholdPolicy,
     NeverPolicy,
     TableLoad,
     UpdateCountPolicy,
@@ -70,20 +68,6 @@ def test_never_policy_never_fires():
     assert NeverPolicy().decide(load(read=10**6, delta_bytes=10**9)).is_none
 
 
-def test_memory_threshold_triggers_checkpoint_above_limit():
-    policy = MemoryThresholdPolicy(limit_bytes=1000)
-    assert policy.decide(load(delta_bytes=1000)).is_none
-    decision = policy.decide(load(delta_bytes=1001))
-    assert decision.action is MaintenanceAction.CHECKPOINT
-
-
-def test_memory_threshold_propagates_when_write_pdt_outgrows_budget():
-    policy = MemoryThresholdPolicy(limit_bytes=10**9, write_limit_bytes=160)
-    assert policy.decide(load(write=10)).is_none  # 160 B exactly
-    decision = policy.decide(load(write=11))
-    assert decision.action is MaintenanceAction.PROPAGATE
-
-
 def test_update_count_triggers_on_total_entries():
     policy = UpdateCountPolicy(max_entries=100)
     assert policy.decide(load(read=80, write=20)).is_none  # exactly at cap
@@ -122,22 +106,8 @@ def test_hot_range_coalesces_adjacent_blocks():
     )
 
 
-def test_composite_policy_first_decision_wins():
-    policy = CompositePolicy(
-        UpdateCountPolicy(max_entries=10),
-        MemoryThresholdPolicy(limit_bytes=1),
-    )
-    decision = policy.decide(load(read=5, delta_bytes=100))
-    assert decision.action is MaintenanceAction.CHECKPOINT  # memory member
-    assert NeverPolicy().decide(load()).is_none
-    assert CompositePolicy(NeverPolicy()).decide(load(read=10**6)).is_none
-
-
 def test_policy_from_spec_parsing():
     assert isinstance(policy_from_spec(None), NeverPolicy)
-    assert isinstance(policy_from_spec("never"), NeverPolicy)
-    p = policy_from_spec("memory:4096")
-    assert isinstance(p, MemoryThresholdPolicy) and p.limit_bytes == 4096
     p = policy_from_spec("updates:500")
     assert isinstance(p, UpdateCountPolicy) and p.max_entries == 500
     p = policy_from_spec("hot-ranges:7")
@@ -145,8 +115,14 @@ def test_policy_from_spec_parsing():
     assert policy_from_spec("hot-ranges").k == 4
     existing = HotRangePolicy(k=2)
     assert policy_from_spec(existing) is existing
-    with pytest.raises(ValueError):
-        policy_from_spec("banana:3")
+    # Removed and unknown names are refused with the accepted specs.
+    for spec in ("memory:4096", "never", "composite", "banana:3"):
+        with pytest.raises(ValueError) as err:
+            policy_from_spec(spec)
+        message = str(err.value)
+        assert repr(spec) in message
+        for accepted in ("None", '"updates:<entries>"', '"hot-ranges:<k>"'):
+            assert accepted in message
     with pytest.raises(ValueError):
         policy_from_spec(42)
 

@@ -249,12 +249,6 @@ class TestWritePropagationAndCheckpoint:
             db.manager.propagate_write_to_read("t")
         txn.abort()
 
-    def test_maybe_propagate_threshold(self):
-        db = make_db()
-        db.insert("t", (5, 1, "x"))
-        assert not db.manager.maybe_propagate("t", write_limit_bytes=1 << 30)
-        assert db.manager.maybe_propagate("t", write_limit_bytes=1)
-
     def test_checkpoint_rebuilds_stable(self):
         db = make_db()
         db.insert("t", (5, 1, "x"))
