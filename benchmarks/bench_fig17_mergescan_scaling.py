@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import Report, consume, scaled
-from repro.core import merge_scan
+from repro.core import merge_scan_layers
 from repro.vdt import vdt_merge_scan
 from repro.workloads import apply_ops_pdt, apply_ops_vdt, build_workload
 
@@ -70,7 +70,8 @@ def test_fig17_pdt(benchmark, cases, n, key_type, rate):
 
     result = benchmark.pedantic(
         lambda: consume(
-            merge_scan(wl.table, pdt, columns=cols, batch_rows=BATCH_ROWS)
+            merge_scan_layers(wl.table, [pdt], columns=cols,
+                              batch_rows=BATCH_ROWS)
         ),
         rounds=3, iterations=1,
     )
@@ -88,7 +89,7 @@ def test_fig17_pdt_layer_stack(benchmark, cases, rate):
     transactional query takes. The pipeline never materializes between
     layers, so the cost should stay close to the single-layer row.
     """
-    from repro.core import PDT, merge_scan_layers
+    from repro.core import PDT
 
     n = SIZES[-1]
     wl, pdt, _ = cases[(n, "int", rate)]

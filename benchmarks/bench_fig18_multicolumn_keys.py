@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import Report, consume, scaled
-from repro.core import merge_scan
+from repro.core import merge_scan_layers
 from repro.vdt import vdt_merge_scan
 from repro.workloads import apply_ops_pdt, apply_ops_vdt, build_workload
 
@@ -73,7 +73,8 @@ def test_fig18_pdt(benchmark, cases, key_type, rate, n_keys):
 
     rows = benchmark.pedantic(
         lambda: consume(
-            merge_scan(wl.table, pdt, columns=cols, batch_rows=BATCH_ROWS)
+            merge_scan_layers(wl.table, [pdt], columns=cols,
+                              batch_rows=BATCH_ROWS)
         ),
         rounds=3, iterations=1,
     )

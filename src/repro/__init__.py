@@ -28,7 +28,6 @@ from .core import (
     ShadowTable,
     TransactionConflict,
     merge_rows,
-    merge_scan,
     merge_scan_layers,
     propagate,
     propagate_batch,
@@ -95,7 +94,6 @@ __all__ = [
     "WriteAheadLog",
     "__version__",
     "merge_rows",
-    "merge_scan",
     "merge_scan_layers",
     "propagate",
     "propagate_batch",

@@ -11,7 +11,6 @@ from .merge import (
     MERGE_BLOCK_ROWS,
     merge_row_stream,
     merge_rows,
-    merge_scan,
     reblock,
 )
 from .pdt import PDT
@@ -56,7 +55,6 @@ __all__ = [
     "merge_row_stream",
     "merge_rows",
     "merge_rows_layers",
-    "merge_scan",
     "merge_scan_layers",
     "MERGE_FOLD_RATIO",
     "propagate",

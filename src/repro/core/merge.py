@@ -19,6 +19,8 @@ Both work on any object implementing the PDT interface (FlatPDT or the
 tree PDT) and on any batch source, so stacked layers (Read/Write/Trans)
 compose by feeding one merger's output into the next — the whole stack
 pipelines blocks without ever materializing an intermediate row list.
+:func:`repro.core.stack.merge_scan_layers` is the one driver: it decides
+which entries of each layer a SID window holds and chains the mergers.
 """
 
 from __future__ import annotations
@@ -111,47 +113,26 @@ class BlockMerger:
         ]
         self._wanted = frozenset(self.columns)
 
-    def merge_batches(
-        self,
-        batches,
-        start_rid: int | None = None,
-        drain_tail: bool = True,
-        start_sid: int = 0,
-        stop_sid: int | None = None,
-    ):
+    def merge_batches(self, batches, entries, first_rid: int):
         """Yield ``(first_rid, {column: ndarray})`` with updates applied.
 
         ``batches`` yields ``(first_sid, {column: ndarray})`` in SID order;
         the SID domain of this merger's PDT must be the position domain of
-        the incoming stream. ``start_sid`` is where the scan begins in that
-        domain (entries before it are skipped with a logarithmic seek);
-        ``start_rid`` overrides the output position of the first produced
-        row (defaults to the RID corresponding to ``start_sid``).
-        ``drain_tail`` controls whether inserts positioned after the last
-        incoming tuple are emitted — True for scans reaching the end of the
-        underlying domain, False for range scans that stop mid-table.
-        ``stop_sid`` (range scans only; ignored when draining the tail)
-        bounds the PDT entry walk to the scanned range.
+        the incoming stream. ``entries`` is the ``(sids, kinds, refs)`` cut
+        of the PDT's entry list that belongs to the stream and
+        ``first_rid`` the output position of the first produced row. Every
+        entry handed in is emitted: the ones positioned after the last
+        incoming tuple must be inserts, and follow it.
         """
         if not self.columns:
             raise ValueError("merge requires at least one output column")
-        sids, kinds, refs = self._entries_from(
-            start_sid, stop_sid if not drain_tail else None
-        )
+        sids, kinds, refs = entries
         m = len(sids)
         i = 0
-        out_rid = None
-        stream_end = start_sid
+        out_rid = first_rid
         for first_sid, arrays in batches:
             n = len(arrays[self.columns[0]])
             stop_sid = first_sid + n
-            stream_end = stop_sid
-            if out_rid is None:
-                base = first_sid + self.pdt.delta_before_sid(first_sid)
-                out_rid = base if start_rid is None else start_rid
-                # Skip entries strictly before the scanned range.
-                while i < m and sids[i] < first_sid:
-                    i += 1
             if i >= m or sids[i] >= stop_sid:
                 # Fast path: no PDT entry lands in this block — the whole
                 # block passes through unmodified, straight from storage.
@@ -168,51 +149,15 @@ class BlockMerger:
             if plan.out_n:
                 yield out_rid, self._apply(plan, arrays)
                 out_rid += plan.out_n
-        if not drain_tail:
-            return
-        # Drain trailing inserts (sid == end of the underlying domain).
-        tail = []
-        while i < m:
-            if kinds[i] != KIND_INS or sids[i] < stream_end:
+        if i < m:
+            # Inserts positioned after the last incoming tuple.
+            if any(kind != KIND_INS for kind in kinds[i:]):
                 raise PDTError(
                     f"non-insert entry beyond scan end: sid={sids[i]}"
                 )
-            tail.append(refs[i])
-            i += 1
-        if tail:
-            if out_rid is None:
-                out_rid = (
-                    stream_end + self.pdt.delta_before_sid(stream_end)
-                    if start_rid is None
-                    else start_rid
-                )
-            yield out_rid, self._insert_rows_only(tail)
+            yield out_rid, self._insert_rows_only(refs[i:])
 
     # -- internals -----------------------------------------------------------
-
-    def _entries_from(self, start_sid: int, stop_sid: int | None = None):
-        """Bulk ``(sids, kinds, refs)`` of the PDT in ``[start_sid,
-        stop_sid)``.
-
-        Uses the PDT's :meth:`entry_lists` fast path when the structure
-        provides one, falling back to generic entry iteration for any
-        other object implementing the PDT interface.
-        """
-        bulk = getattr(self.pdt, "entry_lists", None)
-        if bulk is not None:
-            return bulk(start_sid, stop_sid)
-        sids: list[int] = []
-        kinds: list[int] = []
-        refs: list[int] = []
-        for entry in self.pdt.iter_entries():
-            if entry.sid < start_sid:
-                continue
-            if stop_sid is not None and entry.sid >= stop_sid:
-                break
-            sids.append(entry.sid)
-            kinds.append(entry.kind)
-            refs.append(entry.ref)
-        return sids, kinds, refs
 
     def _plan(self, sids, kinds, refs, i: int, first_sid: int, n: int):
         """Consume this block's entries into a :class:`_SplicePlan`.
@@ -375,30 +320,6 @@ def reblock(stream, block_rows: int = MERGE_BLOCK_ROWS):
             yield flush(block_rows)
     if pending_rows:
         yield flush(pending_rows)
-
-
-def merge_scan(stable, pdt, columns=None, start=0, stop=None,
-               batch_rows=MERGE_BLOCK_ROWS):
-    """Block-pipelined MergeScan over a stable table and one PDT layer.
-
-    Yields ``(first_rid, {column: ndarray})``. Only the requested columns
-    are read from stable storage — positional merging never needs the sort
-    key (the paper's core advantage) — and stable blocks untouched by the
-    PDT are passed through as direct references to the decoded storage
-    blocks.
-    """
-    if columns is None:
-        columns = stable.schema.column_names
-    merger = BlockMerger(pdt, columns)
-    batches = stable.scan(columns=columns, start=start, stop=stop,
-                          batch_rows=batch_rows)
-    full_to_end = stop is None or stop >= stable.num_rows
-    yield from merger.merge_batches(
-        batches,
-        drain_tail=full_to_end,
-        start_sid=min(start, stable.num_rows),
-        stop_sid=None if full_to_end else stop,
-    )
 
 
 def merge_rows(stable_rows, pdt) -> list[tuple]:

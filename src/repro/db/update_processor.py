@@ -140,61 +140,51 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
     live tuple carrying the key when ``found``, else the RID of the first
     live tuple with a greater key (the insert-before position; the image
     size when the key sorts last). The sparse index bounds the sweep to
-    the granules between the smallest and the largest key, so every
-    layer exports only the entries of that SID range. A merged block
+    the window of granules between the smallest and the largest key, so
+    every layer exports only the entries of that window. A merged block
     places all the keys it covers with one ``searchsorted`` pair on the
     leading sort-key column, then narrows each key's run of equal
     prefixes column by column; the sweep ends with the block that places
-    the last key.
+    the last key. Every key lies inside the window's key range, so a key
+    no block places sorts after all of the window: it resolves to the
+    window's end RID (the image size when the window reaches the end).
     """
     if not keys:
         return []
     key_cols = list(stable.schema.sort_key)
+    start, stop = 0, None
     if sparse_index is not None:
         window = sparse_index.sid_range_for_key_range(keys[0], keys[-1])
         start, stop = window.start, window.stop
-    else:
-        start, stop = 0, stable.num_rows
     lead_dtype = stable.schema.dtype_of(key_cols[0]).numpy_dtype
     lead = np.asarray([key[0] for key in keys],
                       dtype=object if lead_dtype == object else None)
     resolved: list[tuple[bool, int]] = []
     ki = 0
-    # The granule bound is positional. Where the stable tuple closing the
-    # window is a ghost of a lower layer, a higher layer's tuples around
-    # the last key sit *at* the bound and a bounded scan leaves them to
-    # the next range: a window that ends before showing a key >= the last
-    # one is continued behind its bound.
-    for lo, hi in ((start, stop), (stop, None)):
-        for first_rid, arrays in merge_scan_layers(
-            stable, layers, columns=key_cols, start=lo, stop=hi,
-            batch_rows=4096,
-        ):
-            columns = [arrays[c] for c in key_cols]
-            n = len(columns[0])
-            if n == 0:
-                continue
-            last_key = tuple(col[n - 1] for col in columns)
-            kj = bisect.bisect_right(keys, last_key, ki)
-            probe = lead[ki:kj]
-            run_lo = np.searchsorted(columns[0], probe, side="left")
-            run_hi = np.searchsorted(columns[0], probe, side="right")
-            for key, a, b in zip(keys[ki:kj], run_lo.tolist(),
-                                 run_hi.tolist()):
-                for col, value in zip(columns[1:], key[1:]):
-                    if a == b:
-                        break
-                    run = col[a:b]
-                    b = a + int(np.searchsorted(run, value, side="right"))
-                    a += int(np.searchsorted(run, value, side="left"))
-                resolved.append((a < b, first_rid + a))
-            ki = kj
-            if ki == len(keys):
-                return resolved
-        if hi is None or hi >= stable.num_rows:
+    sweep = merge_scan_layers(stable, layers, columns=key_cols, start=start,
+                              stop=stop, batch_rows=4096)
+    while ki < len(keys):
+        try:
+            first_rid, arrays = next(sweep)
+        except StopIteration as window_end:
+            resolved.extend([(False, window_end.value)] * (len(keys) - ki))
             break
-    size = _image_size(stable, layers)
-    resolved.extend([(False, size)] * (len(keys) - ki))
+        columns = [arrays[c] for c in key_cols]
+        n = len(columns[0])
+        last_key = tuple(col[n - 1] for col in columns)
+        kj = bisect.bisect_right(keys, last_key, ki)
+        probe = lead[ki:kj]
+        run_lo = np.searchsorted(columns[0], probe, side="left")
+        run_hi = np.searchsorted(columns[0], probe, side="right")
+        for key, a, b in zip(keys[ki:kj], run_lo.tolist(), run_hi.tolist()):
+            for col, value in zip(columns[1:], key[1:]):
+                if a == b:
+                    break
+                run = col[a:b]
+                b = a + int(np.searchsorted(run, value, side="right"))
+                a += int(np.searchsorted(run, value, side="left"))
+            resolved.append((a < b, first_rid + a))
+        ki = kj
     return resolved
 
 

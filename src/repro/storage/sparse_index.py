@@ -30,12 +30,6 @@ class SidRange:
     def count(self) -> int:
         return self.stop - self.start
 
-    def intersect(self, other: "SidRange") -> "SidRange":
-        return SidRange(
-            max(self.start, other.start), max(min(self.stop, other.stop),
-                                              max(self.start, other.start)),
-        )
-
 
 class SparseIndex:
     """Per-granule max-SK entries enabling SID-range pruning of scans."""
@@ -69,7 +63,11 @@ class SparseIndex:
 
         ``None`` bounds are unbounded. Bounds may be *prefixes* of the sort
         key (e.g. only the leading column), matching how range predicates on
-        SK prefixes restrict scans.
+        SK prefixes restrict scans. The stable key before the range sorts
+        below ``low`` and the one closing it above ``high`` (or the range
+        reaches the table end), so as a window of
+        :func:`~repro.core.stack.merge_scan_layers` it holds every image
+        tuple with a key in ``[low, high]``, however stale the index.
         """
         if self.num_rows == 0:
             return SidRange(0, 0)

@@ -18,9 +18,10 @@ There is one fold (:func:`_fold`) with two entry points:
   between queries.
 
 Both are stop-the-world for the one table they fold (a quiescent point is
-required), run the range through the vectorized
-:class:`~repro.core.merge.BlockMerger`, and then drop and re-store *every*
-block of that table — a range fold saves merge work, not block writes.
+required), merge the range as a one-layer SID window
+(:func:`~repro.core.stack.merge_scan_layers`), and then drop and re-store
+*every* block of that table — a range fold saves merge work, not block
+writes.
 Only this table's buffer-pool blocks are evicted; every other table stays
 hot. A fold with nothing to fold touches neither storage nor the WAL.
 """
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.merge import BlockMerger
 from ..core.pdt import PDT
+from ..core.stack import merge_scan_layers
 from ..storage.column import Column
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
@@ -99,13 +100,12 @@ def _fold(manager: TransactionManager, table: str,
     if not folded:
         return 0
 
-    # Merge just the range through a single-layer BlockMerger.
+    # Merge just the range: the stable window through the Read-PDT alone.
     schema = state.schema
     columns = list(schema.column_names)
     merged: dict[str, list[np.ndarray]] = {c: [] for c in columns}
-    batches = old.scan(columns=columns, start=sid_lo, stop=sid_hi)
-    for _, arrays in BlockMerger(read_pdt, columns).merge_batches(
-            batches, drain_tail=to_end, start_sid=sid_lo):
+    for _, arrays in merge_scan_layers(old, [read_pdt], columns=columns,
+                                       start=sid_lo, stop=sid_hi):
         for c in columns:
             merged[c].append(arrays[c])
     shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PDT, merge_rows, merge_scan, reblock
+from repro.core import PDT, merge_rows, merge_scan_layers, reblock
 from repro.core.merge import BlockMerger
 from repro.storage import StableTable
 
@@ -52,7 +52,9 @@ def test_block_merge_equals_tuple_oracle(seed, n_ops, batch_rows):
     assert merge_rows(rows, pdt) == expected  # oracle vs shadow table
     cols = list(stable.schema.column_names)
     got = _materialize(
-        merge_scan(stable, pdt, columns=cols, batch_rows=batch_rows), cols
+        merge_scan_layers(stable, [pdt], columns=cols,
+                          batch_rows=batch_rows),
+        cols,
     )
     assert got == expected
 
@@ -79,14 +81,17 @@ def test_block_merge_range_scan_equals_oracle_slice(
     stop = start + length
     cols = list(stable.schema.column_names)
     got = _materialize(
-        merge_scan(stable, pdt, columns=cols, start=start, stop=stop,
-                   batch_rows=batch_rows),
+        merge_scan_layers(stable, [pdt], columns=cols, start=start,
+                          stop=stop, batch_rows=batch_rows),
         cols,
     )
     # Range oracle: slice the full tuple-merged image at the RID images of
-    # the SID bounds (matching merge_scan's clamp of start to the stable
-    # domain end; inserts at exactly SID==stop belong to the next range,
-    # which delta_before_sid's strict bound already encodes).
+    # the SID bounds, start clamped to the stable domain end. With one
+    # layer the window (key[start-1], key[stop-1]] is exactly that slice:
+    # the layer's SID domain is the stable image, where Algorithm 6 puts an
+    # insert at SID == stop only when its key sorts above key[stop-1], and
+    # delta_before_sid's strict bound leaves it to the next range. The
+    # multi-layer form of the definition is tests/core/test_window.py.
     full = merge_rows(rows, pdt)
     to_end = stop >= stable.num_rows
     start_eff = min(start, stable.num_rows)
@@ -107,7 +112,7 @@ def test_block_merge_range_scan_equals_oracle_slice(
 def test_reblock_preserves_stream(seed, n_ops, block_rows):
     stable, pdt, rows, expected = _build(seed, n_ops)
     cols = list(stable.schema.column_names)
-    stream = merge_scan(stable, pdt, columns=cols, batch_rows=7)
+    stream = merge_scan_layers(stable, [pdt], columns=cols, batch_rows=7)
     blocks = list(reblock(stream, block_rows=block_rows))
     # All blocks are exactly block_rows long except possibly the last.
     sizes = [len(arrays[cols[0]]) for _, arrays in blocks]
@@ -131,7 +136,7 @@ def test_merger_rejects_stray_entry_beyond_end():
     stable = StableTable.bulk_load("t", schema, rows[:4])  # domain too short
     merger = BlockMerger(pdt, list(schema.column_names))
     with pytest.raises(Exception):
-        list(merger.merge_batches(stable.scan()))
+        list(merger.merge_batches(stable.scan(), pdt.entry_lists(), 0))
 
 
 def test_passthrough_blocks_are_not_copied():
@@ -142,7 +147,7 @@ def test_passthrough_blocks_are_not_copied():
     pdt = PDT(schema)
     pdt.add_modify(40, 1, 999)  # lands in the third 16-row block
     src = {c: stable.column(c).values for c in schema.column_names}
-    for first_rid, arrays in merge_scan(stable, pdt, batch_rows=16):
+    for first_rid, arrays in merge_scan_layers(stable, [pdt], batch_rows=16):
         block = first_rid // 16
         if block in (0, 1):
             assert arrays["a"].base is src["a"] or \

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    BlockMerger,
     FlatPDT,
     PDT,
     merge_rows,
-    merge_scan,
     merge_scan_layers,
 )
 from repro.storage import StableTable
@@ -52,7 +52,8 @@ def test_block_merge_equals_row_merge(seed, batch_rows):
     table, pdt, driver, rows = build_case(seed)
     cols = ["k", "a", "b"]
     got = collect(
-        merge_scan(table, pdt, columns=cols, batch_rows=batch_rows), cols
+        merge_scan_layers(table, [pdt], columns=cols, batch_rows=batch_rows),
+        cols,
     )
     assert got == driver.expected_rows()
 
@@ -63,7 +64,9 @@ def test_block_merge_projection_without_sort_key(seed):
     """The PDT merge must work reading only non-key columns."""
     table, pdt, driver, rows = build_case(seed)
     cols = ["a", "b"]
-    got = collect(merge_scan(table, pdt, columns=cols, batch_rows=8), cols)
+    got = collect(
+        merge_scan_layers(table, [pdt], columns=cols, batch_rows=8), cols
+    )
     assert got == [(r[1], r[2]) for r in driver.expected_rows()]
 
 
@@ -82,8 +85,8 @@ def test_range_scan_matches_full_scan_slice(seed, start, stop):
     start = min(start, stop)
     cols = ["k", "a"]
     got = collect(
-        merge_scan(table, pdt, columns=cols, start=start, stop=stop,
-                   batch_rows=5),
+        merge_scan_layers(table, [pdt], columns=cols, start=start,
+                          stop=stop, batch_rows=5),
         cols,
     )
     full = [(r[0], r[1]) for r in driver.expected_rows()]
@@ -100,7 +103,8 @@ def test_merge_empty_pdt_passes_through():
     rows = [(k, k, f"s{k}") for k in range(10)]
     table = StableTable.bulk_load("t", schema, rows)
     pdt = PDT(schema)
-    got = collect(merge_scan(table, pdt, batch_rows=4), list(schema.column_names))
+    got = collect(merge_scan_layers(table, [pdt], batch_rows=4),
+                  list(schema.column_names))
     assert got == rows
 
 
@@ -111,23 +115,26 @@ def test_merge_empty_table_only_inserts():
     driver = TableDriver(schema, [], [pdt])
     for k in (3, 1, 2):
         driver.insert((k, k, f"s{k}"))
-    got = collect(merge_scan(table, pdt), list(schema.column_names))
+    got = collect(merge_scan_layers(table, [pdt]), list(schema.column_names))
     assert got == driver.expected_rows()
 
 
 def test_merge_requires_columns():
     schema = int_schema()
     table = StableTable.bulk_load("t", schema, [])
+    pdt = PDT(schema)
+    merger = BlockMerger(pdt, [])
     with pytest.raises(ValueError):
-        list(merge_scan(table, PDT(schema), columns=[]))
+        list(merger.merge_batches(table.scan(columns=[]),
+                                  pdt.entry_lists(), 0))
 
 
 def test_rid_values_are_positions():
     table, pdt, driver, rows = build_case(seed=7)
     cols = ["k"]
     rid = 0
-    for first_rid, arrays in merge_scan(table, pdt, columns=cols,
-                                        batch_rows=6):
+    for first_rid, arrays in merge_scan_layers(table, [pdt], columns=cols,
+                                               batch_rows=6):
         assert first_rid == rid
         rid += len(arrays["k"])
     assert rid == len(driver.expected_rows())

@@ -109,21 +109,3 @@ class TestInsertInterleaving:
         x.insert((130, 1, "dup"))
         with pytest.raises(TransactionConflict, match="identical key"):
             serialize(tx, ty)
-
-
-class TestBlockMergerStartRid:
-    def test_explicit_start_rid_offsets_output(self):
-        import numpy as np
-
-        from repro.core.merge import BlockMerger
-        from repro.core.pdt import PDT
-
-        schema = int_schema()
-        pdt = PDT(schema)
-        pdt.add_delete(1, (10,))
-        batches = [(0, {"a": np.arange(4)})]
-        merger = BlockMerger(pdt, ["a"])
-        out = list(merger.merge_batches(iter(batches), start_rid=100,
-                                        drain_tail=False))
-        assert out[0][0] == 100
-        assert out[0][1]["a"].tolist() == [0, 2, 3]

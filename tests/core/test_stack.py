@@ -66,7 +66,7 @@ class TestStackHelpers:
         assert got == rows
 
     def test_range_scan_through_stack(self):
-        table, stack, image, _ = make_stack()
+        table, stack, image, rows = make_stack()
         start, stop = 5, 15
         got = []
         for _, arrays in merge_scan_layers(
@@ -76,9 +76,7 @@ class TestStackHelpers:
                 tuple(arrays[c][i] for c in table.schema.column_names)
                 for i in range(len(arrays["k"]))
             )
-        # Expected slice bounds: map each boundary up through the layers.
-        pos_lo, pos_hi = start, stop
-        for pdt in stack:
-            pos_lo = pos_lo + pdt.delta_before_sid(pos_lo)
-            pos_hi = pos_hi + pdt.delta_before_sid(pos_hi)
-        assert got == image[pos_lo:pos_hi]
+        # The window holds the image tuples keyed in
+        # (key[start-1], key[stop-1]] of the stable image.
+        low, high = rows[start - 1][0], rows[stop - 1][0]
+        assert got == [r for r in image if low < r[0] <= high]

@@ -33,68 +33,12 @@ from repro.db import (
 from repro.storage import SparseIndex, StableTable
 
 from ..oracles import scalar_resolve
+from ..oracles.histories import key_of, make_schema, make_stable, \
+    random_history
 from ..oracles.scalar_resolve import ScalarUpdater
 
 KEY_SPACE = 96  # key numbers 0..95; stable rows hold the even ones
 GRANULE = 8     # 48 stable rows -> 6 sparse granules
-
-
-def make_schema(n_key_cols):
-    cols = [(f"k{i}", DataType.INT64) for i in range(n_key_cols)]
-    cols.append(("a", DataType.INT64))
-    return Schema.build(*cols,
-                        sort_key=tuple(f"k{i}" for i in range(n_key_cols)))
-
-
-def key_of(number, n_key_cols):
-    """Order-preserving key for a key number. Two-column keys share their
-    leading value four at a time, so locating one needs both columns."""
-    if n_key_cols == 1:
-        return (number,)
-    return (number // 4, number % 4)
-
-
-def make_stable(schema, numbers):
-    n = len(schema.sort_key)
-    return StableTable.bulk_load(
-        "t", schema, [key_of(k, n) + (k,) for k in numbers])
-
-
-def random_history(rng, stable, index, n_layers, ops_per_layer):
-    """1-3 layers filled bottom-up with valid random ops by the oracle's
-    updater (so the production resolver has no hand in the fixture).
-    Deletes favour granule-closing rows and inserts the keys around them;
-    a deleted key is a candidate for re-insertion in the same or a higher
-    layer."""
-    n = len(stable.schema.sort_key)
-    live = {r[-1] for r in stable.rows()}
-    closers = [r[-1] for i, r in enumerate(stable.rows())
-               if i % GRANULE == GRANULE - 1]
-    layers = []
-    for _ in range(n_layers):
-        layers.append(PDT(stable.schema, fanout=4))
-        updater = ScalarUpdater(stable, layers, index)
-        for _ in range(ops_per_layer):
-            roll = rng.random()
-            if roll < 0.45:
-                around = rng.choice(closers) + rng.randrange(-3, 4) \
-                    if closers and rng.random() < 0.5 \
-                    else rng.randrange(-2, KEY_SPACE + 3)
-                if around in live:
-                    continue
-                updater.insert(key_of(around, n) + (rng.randrange(1000),))
-                live.add(around)
-            elif live and roll < 0.85:
-                boundary = [k for k in closers if k in live]
-                k = rng.choice(boundary) \
-                    if boundary and rng.random() < 0.5 \
-                    else rng.choice(sorted(live))
-                updater.delete_by_key(key_of(k, n))
-                live.discard(k)
-            elif live:
-                updater.modify_by_key(key_of(rng.choice(sorted(live)), n),
-                                      "a", rng.randrange(1000))
-    return layers, live
 
 
 def oracle_resolve(stable, layers, index, key):

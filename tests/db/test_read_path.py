@@ -233,15 +233,11 @@ def test_pinned_reads_do_not_drain(read, monkeypatch):
     assert db.scheduler.pending()
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect, found while bounding the write path's key resolver: "
-    "a key-range read is pruned to the sparse-index SID window, and when "
-    "the stable tuple closing that window is a Read-PDT ghost, a "
-    "Write-PDT insert just below it sits exactly at the window's bound "
-    "in the Write-PDT's SID domain — where merge_scan_layers(stop=) "
-    "leaves it to the next range. resolve_batch_positions continues "
-    "behind the bound; the read path does not yet."))
 def test_range_read_sees_insert_at_a_ghosted_granule_bound():
+    """The stable tuple closing granule 0 is a Read-PDT ghost and a
+    Write-PDT insert sits just below it — at the window's bound in the
+    Write-PDT's SID domain. The window is defined by key, so the pruned
+    read still holds it (tests/db/test_window_reads.py generalises)."""
     schema = Schema.build(("k", DataType.INT64), ("a", DataType.INT64),
                           sort_key=("k",))
     db = Database(compressed=False, block_rows=4, sparse_granularity=4)

@@ -145,6 +145,59 @@ class TestSweepStopsWithItsLastKey:
         db.close()
 
 
+def cold(db, read):
+    """``(pool gets, blocks read, bytes by column, result)`` of ``read``
+    on a cold pool."""
+    db.make_cold()
+    db.io.reset()
+    gets = pool_gets(db)
+    result = read()
+    return pool_gets(db) - gets, db.io.blocks_read, \
+        dict(db.io.bytes_by_column), result
+
+
+class TestWindowBoundCost:
+    """A read's window costs the granules the sparse index names; the
+    window rule reads a bound's key only when a layer above the first
+    holds an insert exactly at the bound."""
+
+    FIRST = 5 * GRANULE  # first row of granule 5
+
+    def test_cold_reads_without_a_bound_insert_read_what_they_scan(self):
+        db, _, live = dirty_db()  # the Write-PDT holds modifies only
+        # Granules 5 and 6 (a bound below a granule's last key is still
+        # inside it), three columns each.
+        assert cold(db, lambda: db.query_range(
+            "t", (self.FIRST * 4 + 2,), ((self.FIRST + 2 * GRANULE) * 4 - 6,)
+        ))[:2] == (6, 6)
+        assert cold(db, lambda: db.query_point(
+            "t", (live[30000] * 4,)))[:2] == (3, 3)
+        db.close()
+
+    def test_a_ghosted_bound_reads_at_most_one_key_block(self):
+        db, _, live = dirty_db()
+        closer = self.FIRST + GRANULE - 1  # closes granule 5
+        assert closer in set(live)
+        db.delete("t", (closer * 4,))
+        db.manager.propagate_write_to_read("t")  # a Read-PDT ghost ...
+        db.insert("t", (closer * 4 - 1, 5, 0.0))  # ... an insert at its bound
+        # A window ending at the bound: its key block is the scan's own.
+        gets, blocks, _, rel = cold(db, lambda: db.query_range(
+            "t", (self.FIRST * 4 + 2,), (closer * 4 - 1,)))
+        assert (gets, blocks) == (4, 3)
+        assert rel["k"][-1] == closer * 4 - 1
+        gets, blocks, _, rel = cold(db, lambda: db.query_point(
+            "t", (closer * 4 - 1,)))
+        assert (gets, blocks, rel.num_rows) == (4, 3, 1)
+        # A window starting behind it reads the key of the granule before.
+        gets, blocks, by_col, rel = cold(db, lambda: db.query_range(
+            "t", ((closer + 1) * 4,), ((closer + GRANULE) * 4 - 6,)))
+        assert (gets, blocks) == (4, 4)
+        assert by_col[("t", "k")] == 2 * by_col[("t", "a")]
+        assert rel["k"][0] == (closer + 1) * 4
+        db.close()
+
+
 def walked_memory_usage(pdt):
     """The paper's C model by a full tree walk — what ``memory_usage``
     computed per call before it kept a running slot count."""

@@ -225,7 +225,7 @@ def test_vdt_scan_reads_sort_keys_pdt_scan_does_not():
     """THE core claim of the paper, as an I/O assertion: a projection that
     does not touch the sort key still reads it under VDT merging, but not
     under PDT merging."""
-    from repro.core import PDT, merge_scan
+    from repro.core import PDT, merge_scan_layers
     from repro.storage import BlockStore, BufferPool, IOStats
 
     schema = int_schema()
@@ -248,7 +248,7 @@ def test_vdt_scan_reads_sort_keys_pdt_scan_does_not():
 
     pool.clear()
     io.reset()
-    for _ in merge_scan(table, pdt, columns=["a"]):
+    for _ in merge_scan_layers(table, [pdt], columns=["a"]):
         pass
     assert ("t", "k") not in io.bytes_by_column  # sort key NOT read
     assert io.bytes_read < vdt_bytes
