@@ -2,14 +2,15 @@
 
 Concurrent writers submit single-op batches through the query service
 and wait for each acknowledgement; throughput is acknowledged commits
-per second. Two configurations of the *same* workload are compared:
+per second. Every file-backed WAL commits through group commit: commits
+stage their records, one leader fsyncs the whole group, and
+acknowledgement waits happen outside the write lock so follower CPU
+overlaps the leader's fsync.
 
-* **baseline** — ``group_commit=False``: every commit fsyncs its own WAL
-  append before acknowledging (the per-commit-fsync discipline, with the
-  fsync inside the service's write lock).
-* **group** — ``group_commit=True``: commits stage their records, one
-  leader fsyncs the whole group, and acknowledgement waits happen
-  outside the write lock so follower CPU overlaps the leader's fsync.
+The 1-writer row *is* the per-commit-fsync discipline — a lone committer
+leads a group of one and pays one fsync per commit — so it is the
+reference each series is measured against: ``speedup_x`` is
+``group_cps(N) / group_cps(1)`` for the same backend and device floor.
 
 The table is deliberately tiny and the batches single-op: this bench
 isolates the *commit path* (txn machinery + WAL durability), not query
@@ -17,7 +18,7 @@ or merge work.
 
 Group commit amortizes fsync latency, so its win scales with the
 device's sync cost. The ``fsync_floor`` column reports the emulated
-device latency in milliseconds, applied identically to both modes by
+device latency in milliseconds, applied to every writer count alike by
 wrapping ``os.fsync`` with a post-sync sleep (the sleep releases the
 GIL, exactly like a real device wait):
 
@@ -30,7 +31,7 @@ GIL, exactly like a real device wait):
   the mmap backend targets). The ≥3x acceptance gate runs here.
 
 The memory backend has no WAL file at all; its rows pin the no-durable
-cost of the shared submission harness (speedup ~1.0 by construction).
+cost of the shared submission harness.
 
 Run: ``pytest benchmarks/bench_group_commit.py -q -s``
 """
@@ -57,10 +58,9 @@ SCHEMA = Schema.build(
 
 _report = Report(
     "Group commit: N concurrent writers, single-op acknowledged batches "
-    "via the query service — per-commit fsync vs coalesced, commits/s "
+    "via the query service — commits/s, speedup over 1 writer "
     "(fsync_floor = emulated device sync latency, ms)",
-    ["writers", "backend", "fsync_floor", "baseline_cps", "group_cps",
-     "speedup_x"],
+    ["writers", "backend", "fsync_floor", "group_cps", "speedup_x"],
 )
 
 
@@ -77,8 +77,7 @@ def fsync_floor(floor_ms: float):
     """Emulate a durable device: every fsync costs at least ``floor_ms``.
 
     The sleep happens *after* the real fsync and releases the GIL — the
-    same overlap opportunity a real device wait gives — and applies to
-    baseline and group modes alike.
+    same overlap opportunity a real device wait gives.
     """
     if floor_ms <= 0:
         yield
@@ -96,8 +95,8 @@ def fsync_floor(floor_ms: float):
         os.fsync = real_fsync
 
 
-def make_db(backend: str, root, group: bool, rows: int) -> Database:
-    kwargs = {"compressed": False, "group_commit": group}
+def make_db(backend: str, root, rows: int) -> Database:
+    kwargs = {"compressed": False}
     if backend == "mmap":
         kwargs.update(storage="mmap", storage_path=root)
     db = Database(**kwargs)
@@ -143,51 +142,48 @@ def check_image(db: Database, expected: dict) -> None:
     assert got == expected, "concurrent commits corrupted the image"
 
 
-def measure(backend, tmp_path, writers, floor_ms, n) -> tuple[float, float]:
-    rows = writers * n
+def measure(backend, root, writers, floor_ms, n) -> float:
     with fsync_floor(floor_ms):
-        base_db = make_db(backend, tmp_path / "base", group=False, rows=rows)
-        base_cps, expected = run_writers(base_db, writers, n)
-        check_image(base_db, expected)
-        base_db.close()
-        grp_db = make_db(backend, tmp_path / "group", group=True, rows=rows)
-        grp_cps, expected = run_writers(grp_db, writers, n)
-        check_image(grp_db, expected)
-        grp_db.close()
-    return base_cps, grp_cps
+        db = make_db(backend, root, rows=writers * n)
+        cps, expected = run_writers(db, writers, n)
+        check_image(db, expected)
+        db.close()
+    return cps
 
 
-@pytest.mark.parametrize("writers", WRITERS_SERIES)
+def series(tmp_path, backend, floor_ms, n) -> None:
+    """Reports commits/s per writer count, each with its speedup over the
+    1-writer (group of one) row of the same series."""
+    cps = {w: measure(backend, tmp_path / f"w{w}", w, floor_ms, n)
+           for w in WRITERS_SERIES}
+    for w, value in cps.items():
+        _report.add(w, backend, floor_ms, value, value / cps[1])
+
+
 @pytest.mark.parametrize("backend", ["memory", "mmap"])
-def test_throughput_series(tmp_path, backend, writers):
+def test_throughput_series(tmp_path, backend):
     """Raw-hardware series (fsync_floor = 0), memory vs mmap."""
-    base_cps, grp_cps = measure(backend, tmp_path, writers, 0.0, N_COMMITS)
-    _report.add(writers, backend, 0.0, base_cps, grp_cps,
-                grp_cps / base_cps)
+    series(tmp_path, backend, 0.0, N_COMMITS)
 
 
-@pytest.mark.parametrize("writers", WRITERS_SERIES)
-def test_durable_device_series(tmp_path, writers):
+def test_durable_device_series(tmp_path):
     """Emulated 1 ms durable device on the mmap backend."""
-    base_cps, grp_cps = measure("mmap", tmp_path, writers, 1.0,
-                                N_COMMITS_FLOORED)
-    _report.add(writers, "mmap", 1.0, base_cps, grp_cps,
-                grp_cps / base_cps)
+    series(tmp_path, "mmap", 1.0, N_COMMITS_FLOORED)
 
 
 def test_acceptance_group_speedup(tmp_path):
     """Gate: ≥3x acknowledged commits/s at 8 concurrent writers on the
-    mmap backend vs the per-commit-fsync baseline, at the 1 ms emulated
+    mmap backend vs 1 writer (one fsync per commit), at the 1 ms emulated
     device floor (the fsync-bound regime group commit exists for); the
-    raw-fsync run on the same hardware must also win whenever several
-    writers contend, with real coalescing observed."""
-    base_cps, grp_cps = measure("mmap", tmp_path, 8, 1.0, N_COMMITS_FLOORED)
-    ratio = grp_cps / base_cps
-    print(f"\nacceptance (1 ms device): baseline {base_cps:.0f} c/s, "
-          f"group {grp_cps:.0f} c/s, speedup {ratio:.2f}x")
+    raw-fsync run on the same hardware must show real coalescing."""
+    one = measure("mmap", tmp_path / "w1", 1, 1.0, N_COMMITS_FLOORED)
+    eight = measure("mmap", tmp_path / "w8", 8, 1.0, N_COMMITS_FLOORED)
+    ratio = eight / one
+    print(f"\nacceptance (1 ms device): 1 writer {one:.0f} c/s, "
+          f"8 writers {eight:.0f} c/s, speedup {ratio:.2f}x")
     assert ratio >= 3.0
 
-    raw_db = make_db("mmap", tmp_path / "raw", group=True, rows=8 * 40)
+    raw_db = make_db("mmap", tmp_path / "raw", rows=8 * 40)
     raw_cps, expected = run_writers(raw_db, 8, 40)
     stats = raw_db.manager.wal.group.stats
     check_image(raw_db, expected)

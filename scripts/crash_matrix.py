@@ -27,17 +27,19 @@ exactly at the chosen boundary:
 * ``abandon``           — after the whole workload, no clean close
 
 Group-commit boundaries run a *different* child: four concurrent writers
-submit batches through the query service (striped WAL, coalesced
+submit batches through the query service (one WAL file, coalesced
 fsyncs), and each writer appends the batch id to an fsynced ``acks``
 file only after its future resolved — so the acks file is exactly the
-set of acknowledged commits at the kill. The kill lands inside the
-leader's shared flush via the coordinator's crash hook:
+set of acknowledged commits at the kill. The child emulates a 1 ms
+durable device (every ``os.fsync`` sleeps after syncing, releasing the
+GIL) so writers pile up behind the leader, and the kill lands inside a
+leader's shared flush of at least two records via the coordinator's
+crash hook:
 
-* ``group-pre-fsync``   — batch lines written, no file fsynced yet
-* ``group-mid-fsync``   — some stream files fsynced, others not
-* ``group-post-fsync``  — everything fsynced, no ticket resolved (and so
+* ``group-pre-fsync``   — group lines written, the log not fsynced yet
+* ``group-post-fsync``  — the log fsynced, no ticket resolved (and so
                           nothing acknowledged)
-* ``group-torn-write``  — like pre-fsync, plus the last file's tail is
+* ``group-torn-write``  — like pre-fsync, plus the log's tail is
                           truncated mid-record (a torn append)
 
 Recovery must show every *acknowledged* batch fully applied and every
@@ -87,7 +89,6 @@ MAINTENANCE_POINTS = [
 
 GROUP_POINTS = [
     "group-pre-fsync",
-    "group-mid-fsync",
     "group-post-fsync",
     "group-torn-write",
 ]
@@ -293,10 +294,9 @@ GROUP_WITNESS_BASE = 10_000
 # Wait until this many flushes landed before killing, so recovery has
 # both durable history and an in-flight group to reason about.
 GROUP_MIN_FLUSHES = 4
-# orders__s0..3 hash onto two of four WAL streams (crc32 % 4), which is
-# what makes the mid-fsync boundary reachable: a coalesced flush spans
-# two files and the kill lands between their fsyncs.
-GROUP_WAL_STREAMS = 4
+# Emulated device sync latency: long enough that the other writers stage
+# while a leader waits in fsync, so groups of several records form.
+GROUP_FSYNC_FLOOR_S = 0.001
 
 
 def group_batch_ops(batch_id: int):
@@ -321,19 +321,23 @@ def group_batch_ops(batch_id: int):
 
 def run_group_child(root: str, point: str) -> None:
     import threading
+    import time
 
     from repro import Database, DataType, Schema
-    from repro.txn.group_commit import GroupCommitPolicy
+
+    real_fsync = os.fsync
+
+    def floored_fsync(fd):
+        real_fsync(fd)
+        time.sleep(GROUP_FSYNC_FLOOR_S)
+
+    os.fsync = floored_fsync  # this child process only
 
     schema = Schema.build(
         ("k", DataType.INT64), ("v", DataType.INT64),
         ("tag", DataType.STRING), sort_key=("k",),
     )
-    db = Database(
-        storage="mmap", storage_path=root, block_rows=64,
-        wal_streams=GROUP_WAL_STREAMS,
-        group_commit=GroupCommitPolicy(max_delay_s=0.002),
-    )
+    db = Database(storage="mmap", storage_path=root, block_rows=64)
     db.create_sharded_table(
         "orders", schema,
         [(i, i, f"o{i % 5}") for i in range(GROUP_SEED_ROWS)], shards=4,
@@ -344,28 +348,33 @@ def run_group_child(root: str, point: str) -> None:
 
     def ack(batch_id: int) -> None:
         # fsync before returning: a line in this file is a *promise* that
-        # the commit was acknowledged as durable before the kill.
+        # the commit was acknowledged as durable before the kill. The
+        # real fsync: the emulated device is the WAL's, and a floored ack
+        # under this lock would serialize the writers.
         with ack_lock:
             with open(acks_path, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(batch_id) + "\n")
                 fh.flush()
-                os.fsync(fh.fileno())
+                real_fsync(fh.fileno())
 
     target = "group-pre-fsync" if point == "group-torn-write" else point
     flushes = {"n": 0}
 
-    def crash_hook(name, paths):
+    def crash_hook(name, records):
         if name == "group-pre-fsync":
             flushes["n"] += 1
-        if name != target or flushes["n"] < GROUP_MIN_FLUSHES:
+        # Kill only inside a coalesced flush: every group point then
+        # tests a multi-record group, not a lone commit.
+        if name != target or flushes["n"] < GROUP_MIN_FLUSHES \
+                or records < 2:
             return
         if point == "group-torn-write":
-            # Tear the tail of the last file written in this flush: the
-            # final record line loses its closing bytes, exactly what a
-            # crash mid-append leaves behind.
-            tail = paths[-1]
-            size = os.path.getsize(tail)
-            with open(tail, "r+b") as fh:
+            # Tear the log's tail: the flush's final record line loses
+            # its closing bytes, exactly what a crash mid-append leaves
+            # behind.
+            wal_path = db.manager.wal.path
+            size = os.path.getsize(wal_path)
+            with open(wal_path, "r+b") as fh:
                 fh.truncate(max(0, size - 4))
         os._exit(CRASH_EXIT)
 
@@ -409,7 +418,7 @@ def verify_group_recovery(root: str, point: str) -> None:
         raise AssertionError(f"[{point}] no acknowledged batches before "
                              "the kill; workload misconfigured")
 
-    db = Database.recover(root, wal_streams=GROUP_WAL_STREAMS)
+    db = Database.recover(root)
     try:
         rows = {r[0]: (r[1], r[2]) for r in db.image_rows("orders")}
         total = GROUP_WRITERS * GROUP_BATCHES

@@ -56,7 +56,6 @@ from ..txn.checkpoint import checkpoint_table, delta_memory_usage
 from ..txn.manager import TransactionManager
 from ..txn.scheduler import CheckpointScheduler, policy_from_spec
 from ..txn.transaction import Transaction
-from ..txn.group_commit import GroupCommitPolicy
 from ..txn.wal import WriteAheadLog
 
 
@@ -89,19 +88,11 @@ class Database:
         Root directory for ``storage="mmap"``.
     ``wal_path``
         Optional path for a persistent write-ahead log (defaults to
-        ``<storage_path>/wal.jsonl`` on persistent storage).
-    ``group_commit``
-        Coalesced WAL fsyncs for concurrent writers (see
-        :mod:`repro.txn.group_commit`). ``True`` (default) uses the
-        default :class:`~repro.txn.group_commit.GroupCommitPolicy`; pass
-        a policy instance to tune ``max_group`` / ``max_delay_s``, or
-        ``False`` for one fsync per commit. Only meaningful on a
-        file-backed WAL; each commit is still force-written (its
-        acknowledgement waits for the shared fsync).
-    ``wal_streams``
-        Stripe commit records over this many per-shard WAL stream files
-        so a group flush fsyncs them in parallel (default 1 — a single
-        log file, the classic layout). Recovery merges the stripes.
+        ``<storage_path>/wal.jsonl`` on persistent storage). A file-backed
+        log is one file written through group commit (see
+        :mod:`repro.txn.group_commit`): concurrent writers share fsyncs,
+        and every commit is still force-written (its acknowledgement
+        waits for the shared fsync).
     ``max_pin_age_s``
         When set, the checkpoint scheduler logs a warning (and counts
         ``overdue_pin_warnings``) whenever maintenance is deferred by a
@@ -153,8 +144,6 @@ class Database:
         checkpoint_policy=None,
         storage=None,
         storage_path=None,
-        group_commit=True,
-        wal_streams: int = 1,
         max_pin_age_s: float | None = None,
         executor: str | None = None,
         workers: int | None = None,
@@ -177,15 +166,8 @@ class Database:
                                capacity_bytes=buffer_capacity)
         if wal_path is None:
             wal_path = self.storage.wal_path()
-        if group_commit is True:
-            group_policy = GroupCommitPolicy()
-        elif group_commit is False or group_commit is None:
-            group_policy = None
-        else:
-            group_policy = group_commit  # a GroupCommitPolicy instance
         self.manager = TransactionManager(
-            wal=WriteAheadLog(wal_path, fsync=self.storage.fsync,
-                              streams=wal_streams, group=group_policy),
+            wal=WriteAheadLog(wal_path, fsync=self.storage.fsync),
             sparse_granularity=sparse_granularity,
         )
         # Shared with the manager: transactions route logical sharded
@@ -203,9 +185,9 @@ class Database:
             from ..txn.recovery import recover_persistent
 
             self.recovered_lsn = recover_persistent(self)
-        # Attach observability last: recovery may swap the WAL's group
-        # coordinator, and replayed commits should not pollute latency
-        # histograms.
+        # Attach observability last: recovery may swap in the loaded WAL
+        # (and its group coordinator), and replayed commits should not
+        # pollute latency histograms.
         self.manager.obs = self.obs
         if self.manager.wal.group is not None:
             self.manager.wal.group.obs = self.obs
@@ -228,6 +210,7 @@ class Database:
         reg.register_source("service", self._service_source)
 
     def _group_commit_source(self) -> dict:
+        # Empty only when the WAL has no file (an in-memory log).
         group = self.manager.wal.group
         return group.stats.as_dict() if group is not None else {}
 
@@ -310,7 +293,7 @@ class Database:
         """Create a range-sharded logical table (see :mod:`repro.shard`).
 
         Each shard is a full physical table (own stable image, PDT stack,
-        WAL stream, scheduler load, buffer pool); a query plans one
+        scheduler load, buffer pool); a query plans one
         MergeScan per surviving shard and updates route by sort key.
         ``split_rows``/``merge_rows`` arm the autonomous rebalancer; a
         shard whose stable+delta footprint crosses ``split_rows`` is split

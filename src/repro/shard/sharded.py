@@ -6,9 +6,9 @@ A :class:`ShardedTable` splits a logical table into key-range shards, each
 a *full* physical table inside the owning database — its own stable image
 (block-store backed, with a private buffer pool counting into ``db.io``
 under the shard's physical name), its own three-layer PDT stack, sparse
-index, WAL stream (per-commit entry lists keyed by the shard's physical
-name), and its own checkpoint-scheduler load, so hot shards fold
-independently while cold shards are never touched.
+index, WAL share (per-commit entry lists keyed by the shard's physical
+name, inside the one log), and its own checkpoint-scheduler load, so
+hot shards fold independently while cold shards are never touched.
 
 Routing lives in :class:`~repro.shard.router.ShardRouter`; reads are
 planned like every other read (:func:`~repro.service.plan.plan_scan`: one

@@ -8,7 +8,6 @@ from .checkpoint import (
 )
 from .group_commit import (
     GroupCommitCoordinator,
-    GroupCommitPolicy,
     GroupCommitStats,
 )
 from .manager import ManagerStats, TableState, TransactionManager
@@ -39,7 +38,6 @@ __all__ = [
     "CheckpointScheduler",
     "Decision",
     "GroupCommitCoordinator",
-    "GroupCommitPolicy",
     "GroupCommitStats",
     "HotRangePolicy",
     "MaintenanceAction",

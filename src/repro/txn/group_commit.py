@@ -1,4 +1,4 @@
-"""Leader/follower group commit: coalescing WAL fsyncs across writers.
+"""Leader/follower group commit: the one path a WAL record takes to disk.
 
 On durable storage every commit is "force-written at commit": its WAL
 record must be on disk before the commit is acknowledged. Paying one
@@ -11,24 +11,27 @@ have the **followers** merely wait until the shared fsync lands.
 
 The protocol here:
 
-* :meth:`GroupCommitCoordinator.stage` appends the record's encoded lines
+* :meth:`GroupCommitCoordinator.stage` appends the record's encoded line
   to the staging queue (mutex-guarded, O(bytes) work only) and returns a
   :class:`GroupCommitTicket`.
 * A committer that needs durability calls :meth:`wait_durable`. It tries
   the **flush lock**: the winner becomes the leader, drains the staged
-  queue (bounded by :attr:`GroupCommitPolicy.max_group`), writes every
-  line, fsyncs each touched log file once, and resolves all tickets.
-  Losers wait on their ticket's event — by the time the leader releases
-  the flush lock their record is usually already durable, and whoever
-  still holds an unresolved ticket becomes the next leader.
+  queue (at most :data:`MAX_GROUP` records), appends every line to the
+  log file, fsyncs it once, and resolves all tickets. Losers wait on
+  their ticket's event — by the time the leader releases the flush lock
+  their record is usually already durable, and whoever still holds an
+  unresolved ticket becomes the next leader.
 * Acknowledgement order is staging order: the flush lock fully serializes
   groups, so on-disk state is always *a prefix of acknowledged commits*
   plus at most one partially-written (never acknowledged) group.
 
-With Python's GIL the win is exactly the textbook one: ``os.fsync``
-releases the GIL, so while the leader sleeps in the kernel every other
-writer runs its commit-path CPU work and stages; throughput moves from
-``1/(cpu + fsync)`` towards ``1/max(cpu, fsync/group)``.
+A lone committer is simply a group of one: it leads its own flush and
+pays exactly one fsync, the per-commit discipline. The leader never
+lingers; groups form from fsync overlap alone. With Python's GIL the win
+is exactly the textbook one: ``os.fsync`` releases the GIL, so while the
+leader sleeps in the kernel every other writer runs its commit-path CPU
+work and stages; throughput moves from ``1/(cpu + fsync)`` towards
+``1/max(cpu, fsync/group)``.
 
 Whole-file WAL rewrites (checkpoint rebase, truncation, shard layout
 updates) take the same flush lock and resolve any still-staged tickets
@@ -42,29 +45,11 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-
-@dataclass(frozen=True)
-class GroupCommitPolicy:
-    """Tunables for the coalescing window.
-
-    ``max_group`` bounds the records one leader flushes (a full queue
-    leaves the rest to the next leader, keeping worst-case latency
-    bounded). ``max_delay_s`` optionally makes the leader linger that
-    long — or until ``max_group`` records are staged — before flushing,
-    trading commit latency for larger groups; the default of 0 never
-    delays (groups form naturally from fsync overlap).
-    """
-
-    max_group: int = 128
-    max_delay_s: float = 0.0
-
-    def __post_init__(self):
-        if self.max_group < 1:
-            raise ValueError("max_group must be >= 1")
-        if self.max_delay_s < 0:
-            raise ValueError("max_delay_s must be >= 0")
+# Records one leader flushes at most: a full queue leaves the rest to the
+# next leader, keeping worst-case commit latency bounded.
+MAX_GROUP = 128
 
 
 class GroupCommitTicket:
@@ -93,7 +78,7 @@ class GroupCommitStats:
 
     staged: int = 0        # records ever staged
     flushes: int = 0       # leader flushes (each = one fsync round)
-    fsyncs: int = 0        # file fsyncs issued across all flushes
+    fsyncs: int = 0        # log fsyncs issued (= flushes when fsyncing)
     coalesced: int = 0     # records that shared a flush with another
     max_group: int = 0     # largest group flushed so far
     rewrite_drains: int = 0  # tickets resolved by a whole-file rewrite
@@ -105,22 +90,19 @@ class GroupCommitStats:
 
 
 class GroupCommitCoordinator:
-    """The staging queue + leader election for one :class:`WriteAheadLog`.
+    """The staging queue + leader election for one file-backed
+    :class:`~repro.txn.wal.WriteAheadLog` (which always owns one).
 
-    Thread-safe; created by the WAL when a :class:`GroupCommitPolicy` is
-    configured and the log is file-backed. ``crash_hook`` is a test seam:
-    when set, it is called with a boundary name (``"group-pre-fsync"``,
-    ``"group-mid-fsync"``, ``"group-post-fsync"``) and the list of file
-    paths in the flush — ``scripts/crash_matrix.py`` uses it to kill the
-    process at exact points inside the shared fsync. With the hook set,
-    multi-file fsyncs run sequentially so the mid-fsync boundary is
-    deterministic; without it they run in parallel threads (per-shard WAL
-    streams fsync concurrently).
+    Thread-safe. ``crash_hook`` is a test seam: when set, it is called
+    with a boundary name (``"group-pre-fsync"`` after the group's lines
+    were written, ``"group-post-fsync"`` after the fsync, before any
+    ticket resolves) and the number of records in the flush —
+    ``scripts/crash_matrix.py`` uses it to kill the process at exact
+    points inside the shared fsync.
     """
 
-    def __init__(self, wal, policy: GroupCommitPolicy | None = None):
+    def __init__(self, wal):
         self.wal = wal
-        self.policy = policy or GroupCommitPolicy()
         self.stats = GroupCommitStats()
         self.crash_hook = None
         # Observability bundle (set by the owning Database): flush
@@ -128,18 +110,16 @@ class GroupCommitCoordinator:
         self.obs = None
         self._mutex = threading.Lock()      # guards _staged + stats
         self.flush_lock = threading.Lock()  # one leader (or rewrite) at a time
-        self._staged: list[tuple[list, GroupCommitTicket]] = []
+        self._staged: list[tuple[str, GroupCommitTicket]] = []
 
     # -- staging -----------------------------------------------------------
 
-    def stage(self, parts: list) -> GroupCommitTicket:
-        """Queue one record's encoded lines. ``parts`` is a list of
-        ``(path, line)`` pairs — one per WAL stream the record spans (a
-        cross-shard commit splits into per-stream part lines sharing one
-        LSN). Returns the ticket a later flush resolves."""
+    def stage(self, line: str) -> GroupCommitTicket:
+        """Queue one record's encoded line; returns the ticket a later
+        flush resolves."""
         ticket = GroupCommitTicket()
         with self._mutex:
-            self._staged.append((list(parts), ticket))
+            self._staged.append((line, ticket))
             self.stats.staged += 1
         return ticket
 
@@ -164,46 +144,27 @@ class GroupCommitCoordinator:
         if ticket.error is not None:
             raise ticket.error
 
-    def flush(self) -> None:
-        """Flush everything staged right now (used by inline appends and
-        at close; no-op when the queue is empty)."""
-        while self.pending():
-            with self.flush_lock:
-                self._flush_locked(leader=None)
-
     # -- the leader's flush ------------------------------------------------
 
-    def _linger(self) -> None:
-        deadline = time.monotonic() + self.policy.max_delay_s
-        while (self.pending() < self.policy.max_group
-               and time.monotonic() < deadline):
-            time.sleep(min(0.0005, self.policy.max_delay_s))
-
-    def _flush_locked(self, leader: GroupCommitTicket | None) -> None:
-        if self.policy.max_delay_s > 0:
-            self._linger()
+    def _flush_locked(self, leader: GroupCommitTicket) -> None:
         with self._mutex:
-            batch = self._staged[: self.policy.max_group]
+            batch = self._staged[:MAX_GROUP]
             del self._staged[: len(batch)]
         if not batch:
             return
-        by_path: dict = {}
-        for parts, _ in batch:
-            for path, line in parts:
-                by_path.setdefault(path, []).append(line)
-        paths = list(by_path)
+        size = len(batch)
         obs = self.obs
         t_flush = time.perf_counter() if obs is not None else 0.0
         fsync_s = 0.0
         try:
-            created = self.wal._write_lines(by_path)
+            created = self.wal._write_lines([line for line, _ in batch])
             if self.crash_hook is not None:
-                self.crash_hook("group-pre-fsync", paths)
+                self.crash_hook("group-pre-fsync", size)
             if self.wal.fsync:
                 t_sync = time.perf_counter() if obs is not None else 0.0
-                self._fsync_paths(paths)
-                for path in created:
-                    self.wal._fsync_parent(path)
+                self._fsync_paths()
+                if created:
+                    self.wal._fsync_parent()
                 if obs is not None:
                     fsync_s = time.perf_counter() - t_sync
         except BaseException as exc:
@@ -211,7 +172,6 @@ class GroupCommitCoordinator:
                 ticket.error = exc
                 ticket._event.set()
             raise
-        size = len(batch)
         if obs is not None:
             flush_s = time.perf_counter() - t_flush
             obs.group_flush_seconds.observe(flush_s)
@@ -220,7 +180,6 @@ class GroupCommitCoordinator:
                 # The leader flushes on a committing thread, so the span
                 # nests under that thread's txn.commit / ack-wait span.
                 span = tracer.begin("wal.group_flush", records=size,
-                                    files=len(paths),
                                     fsync_ms=round(fsync_s * 1e3, 3))
                 span.start_s = time.time() - flush_s
                 span.duration_s = flush_s
@@ -228,41 +187,23 @@ class GroupCommitCoordinator:
         with self._mutex:
             self.stats.flushes += 1
             if self.wal.fsync:
-                self.stats.fsyncs += len(paths)
+                self.stats.fsyncs += 1
             if size > 1:
                 self.stats.coalesced += size
             self.stats.max_group = max(self.stats.max_group, size)
         if self.crash_hook is not None:
-            self.crash_hook("group-post-fsync", paths)
+            self.crash_hook("group-post-fsync", size)
         for _, ticket in batch:
             ticket.group_size = size
             ticket.led = ticket is leader
             ticket._event.set()
 
-    def _fsync_paths(self, paths: list) -> None:
-        """One fsync per touched file; parallel across per-shard streams
-        (each fsync releases the GIL) unless a crash hook needs the
-        sequential, deterministic order."""
-        if len(paths) == 1 or self.crash_hook is not None:
-            for i, path in enumerate(paths):
-                self._fsync_one(path)
-                if self.crash_hook is not None and i + 1 < len(paths):
-                    self.crash_hook("group-mid-fsync", paths[: i + 1])
-            return
-        threads = [
-            threading.Thread(target=self._fsync_one, args=(path,))
-            for path in paths[1:]
-        ]
-        for t in threads:
-            t.start()
-        self._fsync_one(paths[0])
-        for t in threads:
-            t.join()
-
-    def _fsync_one(self, path) -> None:
-        # The WAL's persistent append handle already points at the right
-        # inode (rewrites close it under the shared flush lock).
-        os.fsync(self.wal._handle(path).fileno())
+    def _fsync_paths(self) -> None:
+        """fsync the log file once for the whole group (``benchmarks/e2e``
+        probes this method by name as ``txn.fsync``). The WAL's append
+        handle already points at the right inode: rewrites close it under
+        the shared flush lock."""
+        os.fsync(self.wal._handle().fileno())
 
     # -- rewrite integration ----------------------------------------------
 

@@ -435,8 +435,8 @@ class TransactionManager:
         """Within the block, this thread's commits stage their WAL record
         but do not wait for the shared group fsync; the caller collects
         the ticket with :meth:`take_deferred_ticket` and waits outside
-        its critical section. Without group commit (or on non-durable
-        logs) commits behave exactly as before and the ticket is None."""
+        its critical section. On an in-memory log there is nothing to
+        wait for and the ticket is None."""
         self._deferred.active = True
         self._deferred.ticket = None
         try:

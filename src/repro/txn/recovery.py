@@ -133,11 +133,7 @@ def recover_persistent(db) -> int:
 
     wal_path = db.manager.wal.path
     if wal_path is not None and os.path.exists(wal_path):
-        wal = WriteAheadLog.load(wal_path)
-        # Carry the configured runtime (fsync, stripe count, group-commit
-        # policy) onto the loaded log; a stripe-layout change collapses
-        # the on-disk files to match.
-        wal.adopt_runtime(db.manager.wal)
+        wal = WriteAheadLog.load(wal_path, fsync=db.manager.wal.fsync)
     else:
         wal = db.manager.wal
 

@@ -16,41 +16,27 @@ replay applies whole records only, so a crash between records (exercised
 by ``replay_into(..., max_records=N)``) always recovers a transaction
 all-or-nothing.
 
-Durability has two optional layers on top of the per-record fsync:
-
-* **Group commit** (``group=GroupCommitPolicy(...)``): appends are staged
-  and one leader fsyncs a whole batch of records at once —
-  :mod:`repro.txn.group_commit`. ``append_commit`` then returns a ticket;
-  the committer calls :meth:`wait_durable` (the transaction manager does
-  this automatically) and is acknowledged only after the shared fsync
-  lands. A group is N whole records, so crash atomicity and
-  :func:`replay_into` are unchanged.
-* **Striped streams** (``streams=N``): commit records are routed to N
-  side files (``<path>.s<i>.e<epoch>``) by a stable hash of the table
-  name, so a cross-shard batch splits into per-stream part lines sharing
-  one LSN and the group leader fsyncs the touched streams in parallel.
-  The main file carries a ``wal-meta`` line naming the stream layout and
-  every whole-file rewrite collapses all records back into the main file
-  under a bumped epoch (the old stream files become garbage and are
-  swept). :meth:`load` merges the files, re-joins part lines by LSN, and
-  drops everything from the first LSN with missing parts onward — safe
-  because the flush lock totally orders groups: an incomplete LSN and
-  everything after it belong to the one flush that never acknowledged.
+A file-backed log is one JSON-lines file, and every record reaches it
+through group commit (:mod:`repro.txn.group_commit`): the record is
+encoded as one line and *staged*, ``append_commit`` returns a ticket, and
+the committer calls :meth:`WriteAheadLog.wait_durable` (the transaction
+manager does this automatically) to be acknowledged only after a leader's
+shared append + fsync lands. A lone committer leads a group of one. A
+group is N whole records, so crash atomicity and :func:`replay_into` are
+unchanged.
 """
 
 from __future__ import annotations
 
 import contextlib
-import glob as _glob
 import json
 import os
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.types import KIND_DEL
-from .group_commit import GroupCommitCoordinator, GroupCommitPolicy
+from .group_commit import GroupCommitCoordinator
 
 
 def _to_native(value):
@@ -91,30 +77,23 @@ class WalRecord:
 class WriteAheadLog:
     """Append-only commit log, in memory with optional file persistence.
 
-    File durability: appends are flushed and (by default) fsynced per
-    record — "force-written at commit" — and every whole-file rewrite
-    (truncate, rebase, layout update) goes through a temp file, an atomic
+    File durability: appends go through the group-commit coordinator and
+    are flushed and (by default) fsynced before their ticket resolves —
+    "force-written at commit" — and every whole-file rewrite (truncate,
+    rebase, layout update) goes through a temp file, an atomic
     ``os.replace``, and a directory fsync, so a kill mid-rewrite leaves
-    the previous complete log, never a torn one. ``group`` enables
-    coalesced fsyncs (see the module docstring); ``streams`` stripes
-    commit records over per-shard log files.
+    the previous complete log, never a torn one. Without a ``path`` the
+    log lives in memory only and appends return no ticket.
     """
 
-    def __init__(self, path=None, fsync: bool = True, streams: int = 1,
-                 group: GroupCommitPolicy | None = None):
+    def __init__(self, path=None, fsync: bool = True):
         self.path = path
         self.fsync = fsync
-        self.streams = max(1, int(streams))
         self.records: list[WalRecord] = []
         self._defer_rewrites = False
-        self._stream_epoch = 0
-        self._meta_logged = False
-        self._known_paths: set = set()
-        self._handles: dict = {}  # path -> persistent append handle
-        self.group = (
-            GroupCommitCoordinator(self, group)
-            if group is not None and path is not None else None
-        )
+        self._fh = None  # persistent append handle
+        self.group = GroupCommitCoordinator(self) if path is not None \
+            else None
 
     @contextlib.contextmanager
     def atomic(self):
@@ -137,10 +116,10 @@ class WriteAheadLog:
     def append_commit(self, lsn: int, table_pdts: dict):
         """Log a commit: ``table_pdts`` maps table name -> serialized PDT.
 
-        Without group commit the record is durable on return (None).
-        With group commit the record is *staged* and a
+        On a file-backed log the record is *staged* and a
         :class:`~repro.txn.group_commit.GroupCommitTicket` is returned;
         pass it to :meth:`wait_durable` before acknowledging the commit.
+        An in-memory log returns None.
         """
         tables = {
             name: self._serialize_pdt(pdt)
@@ -162,7 +141,7 @@ class WriteAheadLog:
         snapshot is ignored; after it, the history is skipped (folded
         into the image) and the snapshot provides the surviving deltas.
         Always durable on return (the subsequent catalog publish depends
-        on it), even under group commit.
+        on it).
         """
         self._append_record(WalRecord(
             lsn=lsn,
@@ -173,8 +152,8 @@ class WriteAheadLog:
 
     def wait_durable(self, ticket) -> None:
         """Block until a staged record's shared fsync lands (no-op for
-        ``None`` tickets and ungrouped logs)."""
-        if ticket is not None and self.group is not None:
+        ``None`` tickets)."""
+        if ticket is not None:
             self.group.wait_durable(ticket)
 
     # -- append plumbing ---------------------------------------------------
@@ -183,125 +162,40 @@ class WriteAheadLog:
         self.records.append(record)
         if self.path is None or self._defer_rewrites:
             return None
-        parts = self._record_parts(record)
-        if self.group is not None:
-            ticket = self.group.stage(parts)
-            if wait:
-                self.group.wait_durable(ticket)
-                return None
-            return ticket
-        self._log_direct(parts)
-        return None
+        ticket = self.group.stage(self._encode_json(self._to_json(record)))
+        if wait:
+            self.group.wait_durable(ticket)
+            return None
+        return ticket
 
-    def _handle(self, path):
+    def _handle(self):
         """Persistent append handle (per-commit ``open`` is measurable on
         the fsync-bound hot path). Invalidated whenever a rewrite swaps
         the file's inode under the name."""
-        fh = self._handles.get(path)
-        if fh is None or fh.closed:
-            fh = open(path, "a", encoding="utf-8")
-            self._handles[path] = fh
-        return fh
-
-    def _close_handles(self) -> None:
-        for fh in self._handles.values():
-            with contextlib.suppress(OSError):
-                fh.close()
-        self._handles.clear()
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        return self._fh
 
     def close(self) -> None:
-        """Release append handles (the log stays valid on disk)."""
-        self._close_handles()
+        """Release the append handle (the log stays valid on disk)."""
+        if self._fh is not None:
+            with contextlib.suppress(OSError):
+                self._fh.close()
+            self._fh = None
 
-    def _log_direct(self, parts) -> None:
-        for path, line in parts:
-            created = (path not in self._known_paths
-                       and not os.path.exists(path))
-            fh = self._handle(path)
-            fh.write(line)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-            if created and self.fsync:
-                self._fsync_parent(path)
-            self._known_paths.add(path)
-
-    def _write_lines(self, by_path: dict) -> list:
-        """Group-flush write leg: append each path's lines (in staging
-        order), no fsync — the coordinator fsyncs after its crash-hook
-        boundary. Returns the paths newly created (their directory entry
-        still needs an fsync)."""
-        created = []
-        for path, lines in by_path.items():
-            if path not in self._known_paths and not os.path.exists(path):
-                created.append(path)
-            fh = self._handle(path)
-            fh.writelines(lines)
-            fh.flush()
-            self._known_paths.add(path)
+    def _write_lines(self, lines: list) -> bool:
+        """Group-flush write leg: append the lines (in staging order), no
+        fsync — the coordinator fsyncs after its crash-hook boundary.
+        Returns True when the append created the file (its directory
+        entry still needs an fsync)."""
+        created = self._fh is None and not os.path.exists(self.path)
+        fh = self._handle()
+        fh.writelines(lines)
+        fh.flush()
         return created
 
-    def _fsync_parent(self, path) -> None:
-        _fsync_dir(os.path.dirname(os.path.abspath(path)) or ".")
-
-    # -- stream routing ----------------------------------------------------
-
-    def _stream_path(self, index: int, epoch: int | None = None) -> str:
-        epoch = self._stream_epoch if epoch is None else epoch
-        return f"{self.path}.s{index}.e{epoch}"
-
-    def _stream_index(self, table: str) -> int:
-        return zlib.crc32(table.encode("utf-8")) % self.streams
-
-    def _meta_json(self) -> dict:
-        return {
-            "lsn": 0, "tables": {}, "kind": "wal-meta",
-            "meta": {"streams": self.streams, "epoch": self._stream_epoch},
-        }
-
-    def _ensure_meta(self) -> None:
-        """Make the main file name the live stream layout before any
-        record lands in a stream file (durable first: recovery discovers
-        the stream files through this line)."""
-        if self._meta_logged:
-            return
-        lock = self.group.flush_lock if self.group is not None else \
-            contextlib.nullcontext()
-        with lock:
-            if self._meta_logged:
-                return
-            created = (self.path not in self._known_paths
-                       and not os.path.exists(self.path))
-            fh = self._handle(self.path)
-            fh.write(self._encode_json(self._meta_json()))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-            if created and self.fsync:
-                self._fsync_parent(self.path)
-            self._known_paths.add(self.path)
-            self._meta_logged = True
-
-    def _record_parts(self, record: WalRecord) -> list:
-        """``(path, encoded line)`` pairs for one record. Non-commit
-        records and unstriped logs write one whole line; a striped commit
-        splits per stream, each part tagged with the total part count."""
-        if self.streams <= 1:
-            return [(self.path, self._encode_json(self._to_json(record)))]
-        self._ensure_meta()
-        if record.kind != "commit" or not record.tables:
-            return [(self.path, self._encode_json(self._to_json(record)))]
-        groups: dict[int, dict] = {}
-        for name, entries in record.tables.items():
-            groups.setdefault(self._stream_index(name), {})[name] = entries
-        nparts = len(groups)
-        parts = []
-        for index in sorted(groups):
-            raw = {"lsn": record.lsn, "tables": groups[index]}
-            if nparts > 1:
-                raw["parts"] = nparts
-            parts.append((self._stream_path(index), self._encode_json(raw)))
-        return parts
+    def _fsync_parent(self) -> None:
+        _fsync_dir(os.path.dirname(os.path.abspath(self.path)) or ".")
 
     @staticmethod
     def _encode_json(raw: dict) -> str:
@@ -430,46 +324,26 @@ class WriteAheadLog:
     def _rewrite_file(self) -> None:
         if self.path is None or self._defer_rewrites:
             return
-        if self.group is not None:
-            # A rewrite persists (or supersedes — rebases only drop
-            # records whose effects the published images already cover)
-            # everything staged: resolve those tickets once it lands.
-            with self.group.flush_lock:
-                drained = self.group.drain_for_rewrite()
-                self._rewrite_locked()
-                self.group.resolve_drained(drained)
-        else:
-            self._rewrite_locked()
-
-    def _rewrite_locked(self) -> None:
-        # os.replace swaps the inode under the name: cached append
-        # handles would keep writing to the unlinked file.
-        self._close_handles()
-        old_epoch = self._stream_epoch
-        if self.streams > 1:
-            self._stream_epoch = old_epoch + 1
-        tmp = str(self.path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            if self.streams > 1:
-                fh.write(self._encode_json(self._meta_json()))
-            for record in self.records:
-                fh.write(self._encode_json(self._to_json(record)))
-            fh.flush()
+        # A rewrite persists (or supersedes — rebases only drop records
+        # whose effects the published images already cover) everything
+        # staged: resolve those tickets once it lands.
+        with self.group.flush_lock:
+            drained = self.group.drain_for_rewrite()
+            # os.replace swaps the inode under the name: a cached append
+            # handle would keep writing to the unlinked file.
+            self.close()
+            tmp = str(self.path) + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for record in self.records:
+                    fh.write(self._encode_json(self._to_json(record)))
+                fh.flush()
+                if self.fsync:
+                    os.fsync(fh.fileno())
+            os.replace(tmp, self.path)  # a kill leaves old or new, never torn
             if self.fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.path)  # a kill leaves old or new, never torn
-        if self.fsync:
-            # The rename itself is a directory mutation; make it durable.
-            self._fsync_parent(self.path)
-        self._known_paths.add(self.path)
-        self._meta_logged = self.streams > 1
-        if self.streams > 1:
-            # The collapse superseded the previous epoch's stream files.
-            for index in range(self.streams):
-                stale = self._stream_path(index, old_epoch)
-                self._known_paths.discard(stale)
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(stale)
+                # The rename itself is a directory mutation; make it durable.
+                self._fsync_parent()
+            self.group.resolve_drained(drained)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -496,45 +370,23 @@ class WriteAheadLog:
     # -- loading -----------------------------------------------------------
 
     @classmethod
-    def load(cls, path) -> "WriteAheadLog":
-        """Read a persisted log back from disk.
+    def load(cls, path, fsync: bool = True) -> "WriteAheadLog":
+        """Read a persisted log back from disk into a ready file-backed
+        log (appends continue the same file, fsynced per ``fsync``).
 
         A torn trailing line (the record a kill interrupted mid-append)
         is discarded *and truncated off the file*: appends are the unit
         of commit durability, so a partial record is a commit that never
         happened — and leaving its bytes in place would corrupt the next
         append (which would land on the same line, losing that commit at
-        the following recovery). Each stream file of a striped log gets
-        the same repair; part lines are then re-joined by LSN and
-        commits from the first incomplete LSN on are dropped (the one
-        flush a kill interrupted — never acknowledged).
-        """
-        wal = cls(path=None)
-        streams, epoch = 1, 0
-        raws: list = []
-        for raw in cls._read_file(path):
-            if raw.get("kind") == "wal-meta":
-                streams = int(raw["meta"]["streams"])
-                epoch = int(raw["meta"]["epoch"])
-                continue
-            raws.append(raw)
-        if streams > 1:
-            for index in range(streams):
-                spath = f"{path}.s{index}.e{epoch}"
-                if os.path.exists(spath):
-                    raws.extend(cls._read_file(spath))
-            cls._sweep_stale_streams(path, epoch)
-        wal.records = cls._assemble(raws, striped=streams > 1)
-        wal.path = path
-        wal.streams = streams
-        wal._stream_epoch = epoch
-        wal._meta_logged = streams > 1
-        return wal
+        the following recovery).
 
-    @classmethod
-    def _read_file(cls, path) -> list:
-        """One file's parsed record dicts, repairing a torn tail in
-        place (truncate + fsync file and directory)."""
+        A log whose main file carries a ``wal-meta`` line was striped
+        over ``<path>.s<i>.e<epoch>`` stream files, which hold its
+        commits; replaying the main file alone would silently lose them,
+        so it is refused with a ``ValueError`` before anything on disk
+        is touched.
+        """
         raws: list = []
         valid_bytes = 0
         torn = False
@@ -553,6 +405,16 @@ class WriteAheadLog:
                 # A complete record whose trailing newline the kill cut
                 # off parses fine but would merge with the next append.
                 missing_newline = not line.endswith(b"\n")
+        for raw in raws:
+            if raw.get("kind") == "wal-meta":
+                meta = raw.get("meta") or {}
+                raise ValueError(
+                    f"{path}: striped WAL layout ({meta.get('streams')} "
+                    f"streams, epoch {meta.get('epoch')}) keeps its commits "
+                    f"in {path}.s<i>.e{meta.get('epoch')} files, which are "
+                    f"no longer read; replaying the main file alone would "
+                    f"lose them"
+                )
         if torn:
             with open(path, "r+b") as fh:
                 fh.truncate(valid_bytes)
@@ -564,71 +426,9 @@ class WriteAheadLog:
                 fh.write(b"\n")
                 fh.flush()
                 os.fsync(fh.fileno())
-        return raws
-
-    @classmethod
-    def _assemble(cls, raws: list, striped: bool) -> list:
-        if not striped:
-            return [cls._record_from(raw) for raw in raws]
-        groups: dict[int, dict] = {}
-        others: list = []
-        for order, raw in enumerate(raws):
-            if raw.get("kind", "commit") != "commit":
-                others.append((raw["lsn"], 1, order, cls._record_from(raw)))
-                continue
-            lsn = raw["lsn"]
-            group = groups.setdefault(
-                lsn, {"tables": {}, "need": 1, "have": 0, "order": order})
-            group["need"] = max(group["need"], int(raw.get("parts", 1)))
-            group["have"] += 1
-            for name, entries in raw["tables"].items():
-                group["tables"][name] = [tuple(e) for e in entries]
-        incomplete = [lsn for lsn, g in groups.items()
-                      if g["have"] < g["need"]]
-        # Parts of one flush may land on disk out of LSN order across
-        # files, so a *complete* LSN above an incomplete one still belongs
-        # to the crashed, unacknowledged flush: drop the whole tail.
-        bad = min(incomplete) if incomplete else None
-        merged = list(others)
-        for lsn, group in groups.items():
-            if bad is not None and lsn >= bad:
-                continue
-            merged.append((lsn, 0, group["order"],
-                           WalRecord(lsn=lsn, tables=group["tables"])))
-        merged.sort(key=lambda item: item[:3])
-        return [record for *_, record in merged]
-
-    @staticmethod
-    def _sweep_stale_streams(path, keep_epoch: int | None) -> None:
-        """Unlink stream files of superseded epochs (collapse garbage a
-        kill may have left behind)."""
-        for stale in _glob.glob(_glob.escape(str(path)) + ".s*.e*"):
-            try:
-                epoch = int(str(stale).rsplit(".e", 1)[1])
-            except ValueError:
-                continue
-            if keep_epoch is None or epoch != keep_epoch:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(stale)
-
-    def adopt_runtime(self, configured: "WriteAheadLog") -> None:
-        """Carry runtime configuration (fsync, stripe count, group-commit
-        policy) from a freshly constructed WAL onto this loaded one — the
-        recovery handoff. A stripe-count change collapses the log into
-        the main file so the on-disk layout matches the configuration."""
-        self.fsync = configured.fsync
-        file_streams = self.streams
-        self.streams = configured.streams
-        if configured.group is not None and self.path is not None:
-            self.group = GroupCommitCoordinator(self,
-                                                configured.group.policy)
-        if self.path is not None and file_streams != self.streams:
-            self._meta_logged = False
-            self._rewrite_file()
-            self._sweep_stale_streams(
-                self.path,
-                self._stream_epoch if self.streams > 1 else None,
-            )
+        wal = cls(path, fsync=fsync)
+        wal.records = [cls._record_from(raw) for raw in raws]
+        return wal
 
 
 def replay_into(wal: WriteAheadLog, pdts: dict,
@@ -646,8 +446,8 @@ def replay_into(wal: WriteAheadLog, pdts: dict,
     crash at that record boundary would recover to. Records are the unit
     of atomicity: a prefix of whole records is always a transaction-
     consistent image. (Group commit does not change this: a group is N
-    whole records, and :meth:`WriteAheadLog.load` already dropped any
-    partially persisted, never-acknowledged flush tail.)
+    whole records, and :meth:`WriteAheadLog.load` already cut any torn
+    tail a never-acknowledged flush left.)
 
     ``image_lsns`` (table -> LSN of the *persisted* stable image, from a
     durable backend's catalog) makes replay image-aware: a table's commit

@@ -4,6 +4,7 @@ fixes (lease double release, closed-service stats)."""
 
 import threading
 from concurrent.futures import wait
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 from repro import Database, DataType, Schema
 from repro.service import ServiceClosed
-from repro.txn import WriteAheadLog
-from repro.txn.group_commit import GroupCommitPolicy
+from repro.txn import WriteAheadLog, group_commit
 
 SCHEMA = Schema.build(
     ("k", DataType.INT64), ("v", DataType.INT64), sort_key=("k",),
@@ -74,10 +74,26 @@ class TestConcurrentWritersMatchSerialOracle:
         db.close()
 
     def test_concurrent_batches_coalesce(self, tmp_path):
-        # A lingering policy makes coalescing deterministic: the first
-        # leader waits out the delay, the other writers' records join it.
-        db = make_db("mmap", tmp_path / "db",
-                     group_commit=GroupCommitPolicy(max_delay_s=0.05))
+        # Deterministic coalescing without a linger: the first flush holds
+        # the flush lock at its pre-fsync boundary until all four records
+        # are staged, so whatever it did not take flushes as one group.
+        db = make_db("mmap", tmp_path / "db")
+        group = db.manager.wal.group
+        all_staged = threading.Event()
+        stage = group.stage
+
+        def counting_stage(line):
+            ticket = stage(line)
+            if group.stats.staged >= 4:
+                all_staged.set()
+            return ticket
+
+        def hold_first_flush(name, size):
+            if name == "group-pre-fsync" and group.stats.flushes == 0:
+                assert all_staged.wait(timeout=60)
+
+        group.stage = counting_stage
+        group.crash_hook = hold_first_flush
         with db.serve(workers=4) as svc:
             futures = [
                 svc.submit_batch("t", writer_ops(w, 6)) for w in range(4)
@@ -87,7 +103,7 @@ class TestConcurrentWritersMatchSerialOracle:
             stats = svc.stats
             assert stats.group_commits == 4
             assert stats.group_commits_coalesced >= 2
-            assert db.manager.wal.group.stats.max_group >= 2
+            assert group.stats.max_group >= 2
         db.close()
 
 
@@ -223,13 +239,11 @@ def test_group_sizes_with_midstream_checkpoints(tmp_path, sizes,
     root = tmp_path / f"gdb-{abs(hash((tuple(sizes), checkpoint_after, max_group))) % (1 << 30)}"
     if root.exists():  # hypothesis reuses tmp_path across examples
         shutil.rmtree(root)
-    db = Database(
-        compressed=False, storage="mmap", storage_path=root,
-        group_commit=GroupCommitPolicy(max_group=max_group),
-    )
+    db = Database(compressed=False, storage="mmap", storage_path=root)
     db.create_table("t", SCHEMA, [(i, 0) for i in range(40)])
     expected = {i: 0 for i in range(40)}
-    with db.serve(workers=4) as svc:
+    with mock.patch.object(group_commit, "MAX_GROUP", max_group), \
+            db.serve(workers=4) as svc:
         for round_no, size in enumerate(sizes):
             futures = []
             for w in range(size):

@@ -1,14 +1,12 @@
-"""Group-commit coordinator and striped-WAL unit tests."""
+"""Group-commit coordinator and WAL file-format unit tests."""
 
-import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro import Database, DataType, PDT, Schema, merge_rows
 from repro.txn import WriteAheadLog, replay_into
-from repro.txn.group_commit import GroupCommitCoordinator, GroupCommitPolicy
-from repro.txn.wal import WalRecord
 
 
 def make_schema():
@@ -24,48 +22,67 @@ def commit_pdt(schema, key, tag):
     return pdt
 
 
-class TestPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GroupCommitPolicy(max_group=0)
-        with pytest.raises(ValueError):
-            GroupCommitPolicy(max_delay_s=-1)
-
-    def test_defaults(self):
-        policy = GroupCommitPolicy()
-        assert policy.max_group >= 1
-        assert policy.max_delay_s == 0.0
+# The exact bytes a fixed commit sequence must log: the format recovery
+# reads back and the WAL byte count that write amplification is
+# measured from. A change here is an on-disk format change.
+GOLDEN_LINES = [
+    '{"lsn": 1, "tables": {"t": [[0, -1, [5, 1.5, "f\\u00fcnf"]]]}}\n',
+    '{"lsn": 2, "tables": {"t": [[3, 1, 2.25], [3, 2, "x \\"y\\""]]}}\n',
+    '{"lsn": 3, "tables": {"t": [[7, -2, [70]]]}}\n',
+    '{"lsn": 4, "tables": {"t": [[2, -1, [12, -0.5, ""]]], '
+    '"u": [[0, 1, 3.0]]}}\n',
+    '{"lsn": 5, "tables": {"t": [[1, -1, [9, 0.125, "s"]]]}, '
+    '"kind": "snapshot", "meta": {"table": "t", "for_image_lsn": 4}}\n',
+]
 
 
 class TestGroupModeFileFormat:
-    def test_bytes_identical_to_direct_mode(self, tmp_path):
-        schema = make_schema()
-        direct = WriteAheadLog(tmp_path / "direct.jsonl", fsync=False)
-        grouped = WriteAheadLog(tmp_path / "grouped.jsonl", fsync=False,
-                                group=GroupCommitPolicy())
-        for wal in (direct, grouped):
-            for i in range(5):
-                ticket = wal.append_commit(
-                    i + 1, {"t": commit_pdt(schema, i, f"v{i}")})
-                wal.wait_durable(ticket)
-        assert (tmp_path / "direct.jsonl").read_bytes() \
-            == (tmp_path / "grouped.jsonl").read_bytes()
+    def test_bytes_match_golden_lines(self, tmp_path):
+        schema = Schema.build(
+            ("k", DataType.INT64), ("a", DataType.FLOAT64),
+            ("b", DataType.STRING), sort_key=("k",),
+        )
+
+        def pdt_with(*steps):
+            pdt = PDT(schema)
+            for step in steps:
+                step(pdt)
+            return pdt
+
+        commits = [
+            {"t": pdt_with(lambda p: p.add_insert(
+                0, 0, (np.int64(5), np.float64(1.5), "fünf")))},
+            {"t": pdt_with(lambda p: p.add_modify(3, 1, np.float64(2.25)),
+                           lambda p: p.add_modify(3, 2, 'x "y"'))},
+            {"t": pdt_with(lambda p: p.add_delete(7, (np.int64(70),)))},
+            {"t": pdt_with(lambda p: p.add_insert(2, 2, (12, -0.5, ""))),
+             "u": pdt_with(lambda p: p.add_modify(0, 1, np.float64(3.0)))},
+        ]
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+        for lsn, tables in enumerate(commits, start=1):
+            wal.wait_durable(wal.append_commit(lsn, tables))
+        wal.append_snapshot("t", pdt_with(lambda p: p.add_insert(
+            1, 1, (np.int64(9), np.float64(0.125), "s"))),
+            lsn=5, for_image_lsn=4)
+        assert (tmp_path / "wal.jsonl").read_bytes() \
+            == "".join(GOLDEN_LINES).encode("utf-8")
+        loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
+        assert [r.lsn for r in loaded.records] == [1, 2, 3, 4, 5]
+        assert loaded.records[-1].kind == "snapshot"
 
     def test_ticket_resolution_and_stats(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True,
-                            group=GroupCommitPolicy())
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
         schema = make_schema()
         ticket = wal.append_commit(1, {"t": commit_pdt(schema, 1, "x")})
         assert not ticket.resolved  # staged, not yet flushed
         wal.wait_durable(ticket)
         assert ticket.durable and ticket.led and ticket.group_size == 1
         assert wal.group.stats.flushes == 1
-        assert wal.group.stats.fsyncs >= 1
+        assert wal.group.stats.fsyncs == 1
         assert wal.group.pending() == 0
 
     def test_leader_flushes_whole_group(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True,
-                            group=GroupCommitPolicy())
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
         schema = make_schema()
         tickets = [
             wal.append_commit(i + 1, {"t": commit_pdt(schema, i, "x")})
@@ -80,8 +97,7 @@ class TestGroupModeFileFormat:
         assert [r.lsn for r in loaded.records] == [1, 2, 3, 4]
 
     def test_rewrite_resolves_staged_tickets(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False,
-                            group=GroupCommitPolicy())
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
         schema = make_schema()
         ticket = wal.append_commit(1, {"t": commit_pdt(schema, 1, "x")})
         assert not ticket.resolved
@@ -91,8 +107,7 @@ class TestGroupModeFileFormat:
         wal.wait_durable(ticket)  # returns immediately, no error
 
     def test_snapshot_record_is_durable_inline(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False,
-                            group=GroupCommitPolicy())
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
         schema = make_schema()
         wal.append_snapshot("t", commit_pdt(schema, 1, "x"), lsn=3,
                             for_image_lsn=3)
@@ -103,8 +118,7 @@ class TestGroupModeFileFormat:
         assert loaded.records[0].kind == "snapshot"
 
     def test_concurrent_stage_and_wait(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True,
-                            group=GroupCommitPolicy())
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
         schema = make_schema()
         errors = []
 
@@ -129,106 +143,54 @@ class TestGroupModeFileFormat:
         assert wal.group.stats.staged == 40
 
 
-class TestStripedWal:
-    def test_round_trip_multi_table(self, tmp_path):
-        schema = make_schema()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False, streams=3)
-        tables = [f"shard{i}" for i in range(5)]
-        for lsn in range(1, 4):
-            wal._append_record(WalRecord(
-                lsn=lsn,
-                tables={t: wal._serialize_pdt(commit_pdt(schema, lsn, t))
-                        for t in tables}))
-        loaded = WriteAheadLog.load(wal.path)
-        assert loaded.streams == 3
-        assert [r.lsn for r in loaded.records] == [1, 2, 3]
-        for record, original in zip(loaded.records, wal.records):
-            assert record.tables == original.tables
+# A log striped over two stream files by an older version: the main file
+# holds only the layout line, the commit lives in the stream files.
+STRIPED_MAIN = ('{"lsn": 0, "tables": {}, "kind": "wal-meta", '
+                '"meta": {"streams": 2, "epoch": 0}}\n')
+STRIPED_STREAM = '{"lsn": 1, "tables": {"t": [[0, -1, [999, 1]]]}}\n'
 
-    def test_stream_files_exist_and_main_has_meta(self, tmp_path):
-        schema = make_schema()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False, streams=2)
-        wal.append_commit(1, {"a": commit_pdt(schema, 1, "x"),
-                              "b": commit_pdt(schema, 1, "y"),
-                              "c": commit_pdt(schema, 1, "z")})
-        main_lines = (tmp_path / "wal.jsonl").read_text().splitlines()
-        assert json.loads(main_lines[0])["kind"] == "wal-meta"
-        stream_files = sorted(p.name for p in tmp_path.glob("wal.jsonl.s*"))
-        assert stream_files  # commits went to the stream files
 
-    def test_incomplete_part_drops_lsn_tail(self, tmp_path):
-        schema = make_schema()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False, streams=2)
-        # Three multi-part commits across both streams.
-        names = ["a", "b", "c", "d"]
-        for lsn in (1, 2, 3):
-            wal.append_commit(
-                lsn, {n: commit_pdt(schema, lsn, n) for n in names})
-        by_stream = {}
-        for n in names:
-            by_stream.setdefault(wal._stream_index(n), []).append(n)
-        assert len(by_stream) == 2, "need both streams populated"
-        # Simulate a crash mid-group-fsync: drop stream 0's line for
-        # lsn 2 (as if that file's fsync never landed).
-        spath = tmp_path / f"wal.jsonl.s0.e{wal._stream_epoch}"
-        lines = [l for l in spath.read_text().splitlines()
-                 if json.loads(l)["lsn"] != 2]
-        spath.write_text("".join(line + "\n" for line in lines))
-        loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        # lsn 2 is incomplete; lsn 3 (complete on disk) belongs to the
-        # same never-acknowledged flush tail and must go too.
-        assert [r.lsn for r in loaded.records] == [1]
+class TestStripedLogRefused:
+    def _striped_files(self, wal_path):
+        files = {
+            wal_path: STRIPED_MAIN.encode() + b'{"lsn": 2, "tab',  # torn
+            wal_path.parent / f"{wal_path.name}.s0.e0":
+                STRIPED_STREAM.encode(),
+        }
+        for path, data in files.items():
+            path.write_bytes(data)
+        return files
 
-    def test_rewrite_collapses_and_bumps_epoch(self, tmp_path):
-        schema = make_schema()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False, streams=2)
-        wal.append_commit(1, {"a": commit_pdt(schema, 1, "x"),
-                              "d": commit_pdt(schema, 1, "y")})
-        old_streams = set(tmp_path.glob("wal.jsonl.s*"))
-        assert old_streams
-        wal.rebase_table("nonexistent")  # forces a rewrite
-        assert wal._stream_epoch == 1
-        for stale in old_streams:
-            assert not stale.exists()
-        loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        assert loaded._stream_epoch == 1
-        assert [r.lsn for r in loaded.records] == [1]
+    def test_load_raises_and_touches_nothing(self, tmp_path):
+        files = self._striped_files(tmp_path / "wal.jsonl")
+        with pytest.raises(ValueError, match="striped WAL layout"):
+            WriteAheadLog.load(tmp_path / "wal.jsonl")
+        for path, data in files.items():
+            assert path.read_bytes() == data
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == sorted(p.name for p in files)
 
-    def test_adopt_runtime_collapses_layout_change(self, tmp_path):
-        schema = make_schema()
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False, streams=2)
-        wal.append_commit(1, {"a": commit_pdt(schema, 1, "x"),
-                              "d": commit_pdt(schema, 1, "y")})
-        loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        configured = WriteAheadLog(tmp_path / "other.jsonl", fsync=False,
-                                   group=GroupCommitPolicy())
-        loaded.adopt_runtime(configured)
-        assert loaded.streams == 1
-        assert isinstance(loaded.group, GroupCommitCoordinator)
-        assert not list(tmp_path.glob("wal.jsonl.s*"))
-        again = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        assert again.streams == 1
-        assert [r.lsn for r in again.records] == [1]
-        assert again.records[0].tables == loaded.records[0].tables
+    def test_database_recover_raises_and_touches_nothing(self, tmp_path):
+        root = tmp_path / "db"
+        schema = Schema.build(("k", DataType.INT64), ("v", DataType.INT64),
+                              sort_key=("k",))
+        db = Database(storage="mmap", storage_path=root)
+        db.create_table("t", schema, [(i, i) for i in range(20)])
+        db.close()
+        files = self._striped_files(root / "wal.jsonl")
+        with pytest.raises(ValueError, match="striped WAL layout"):
+            Database.recover(root)
+        for path, data in files.items():
+            assert path.read_bytes() == data
+
+    @pytest.mark.parametrize("option", [{"group_commit": False},
+                                        {"wal_streams": 2}])
+    def test_removed_options_raise_type_error(self, option):
+        with pytest.raises(TypeError):
+            Database(**option)
 
 
 class TestStripedDatabase:
-    def test_sharded_updates_recover_across_streams(self, tmp_path):
-        root = tmp_path / "db"
-        schema = make_schema()
-        db = Database(storage="mmap", storage_path=root, wal_streams=4)
-        db.create_sharded_table(
-            "t", schema, [(i, i, f"s{i}") for i in range(400)], shards=4)
-        db.apply_batch("t", [("mod", (k,), "a", k + 1000)
-                             for k in range(0, 400, 7)])
-        db.apply_batch("t", [("ins", (k, k, "new"))
-                             for k in range(1000, 1040)])
-        oracle = db.image_rows("t")
-        db.close()
-        again = Database.recover(root, wal_streams=4)
-        assert again.image_rows("t") == oracle
-        again.close()
-
     def test_replay_unchanged_under_grouping(self, tmp_path):
         schema = make_schema()
         db = Database(compressed=False, wal_path=tmp_path / "wal.jsonl")
