@@ -13,6 +13,7 @@ Run: ``pytest benchmarks/bench_fig17_mergescan_scaling.py --benchmark-only``
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import Report, consume, scaled
@@ -56,6 +57,23 @@ def cases():
     return cache
 
 
+def _columns(stream, cols):
+    """Concatenate a merged block stream into one array per column."""
+    blocks = [arrays for _, arrays in stream]
+    return {c: np.concatenate([b[c] for b in blocks]) for c in cols}
+
+
+def _assert_matches_vdt(wl, layers, vdt, cols):
+    """Content check outside the timed call: the positional merge must
+    produce exactly the columns of the independent value-based one."""
+    got = _columns(merge_scan_layers(wl.table, layers, columns=cols,
+                                     batch_rows=BATCH_ROWS), cols)
+    want = _columns(vdt_merge_scan(wl.table, vdt, columns=cols,
+                                   batch_rows=BATCH_ROWS), cols)
+    for c in cols:
+        assert np.array_equal(got[c], want[c]), c
+
+
 def _params():
     for n in SIZES:
         for key_type in ("int", "str"):
@@ -65,7 +83,7 @@ def _params():
 
 @pytest.mark.parametrize("n,key_type,rate", list(_params()))
 def test_fig17_pdt(benchmark, cases, n, key_type, rate):
-    wl, pdt, _ = cases[(n, key_type, rate)]
+    wl, pdt, vdt = cases[(n, key_type, rate)]
     cols = list(wl.data_columns)  # projection of the 4 data columns
 
     result = benchmark.pedantic(
@@ -76,6 +94,7 @@ def test_fig17_pdt(benchmark, cases, n, key_type, rate):
         rounds=3, iterations=1,
     )
     assert result == wl.table.num_rows + pdt.total_delta()
+    _assert_matches_vdt(wl, [pdt], vdt, cols)
     _report.add(n, key_type, rate, "PDT",
                 benchmark.stats["mean"] * 1000)
 
@@ -92,7 +111,7 @@ def test_fig17_pdt_layer_stack(benchmark, cases, rate):
     from repro.core import PDT
 
     n = SIZES[-1]
-    wl, pdt, _ = cases[(n, "int", rate)]
+    wl, pdt, vdt = cases[(n, "int", rate)]
     cols = list(wl.data_columns)
     # Lower layer: the existing PDT. Upper layer: empty (the common case
     # of a read-only transaction), exercising the skip-fast-path.
@@ -105,6 +124,7 @@ def test_fig17_pdt_layer_stack(benchmark, cases, rate):
         rounds=3, iterations=1,
     )
     assert result == wl.table.num_rows + pdt.total_delta()
+    _assert_matches_vdt(wl, [pdt, upper], vdt, cols)
     _report.add(n, "int", rate, "PDT-stack",
                 benchmark.stats["mean"] * 1000)
 

@@ -8,12 +8,14 @@ Two variants are provided:
 * :class:`BlockMerger` — the block-pipelined vectorized variant the paper's
   evaluation uses ("as the skip value is typically large, in many cases
   this allows to pass through entire blocks of tuples unmodified"). For
-  every incoming block it first builds one *splice plan* — the runs of
-  unmodified stable rows between consecutive PDT entries, plus the output
-  offsets where inserts land and modifies scatter — and then replays that
-  plan once per projected column with whole ``np.ndarray`` slice copies.
-  No per-row Python loop runs on the data path, blocks with no PDT entries
-  pass through untouched (zero copy), and sort-key columns are never read.
+  every incoming block it makes one Python pass over the PDT entries that
+  land in it — the rows deletes drop, the output offsets of inserts and of
+  the projected columns' modifies — and then builds each projected column
+  with a fixed handful of array operations: a keep mask, an insert-slot
+  mask and two fancy assignments, whatever the entry count. No per-row or
+  per-entry Python loop runs on the column data, blocks with no PDT entry
+  on a projected column pass through untouched (zero copy), and sort-key
+  columns are never read unless projected.
 
 Both work on any object implementing the PDT interface (FlatPDT or the
 tree PDT) and on any batch source, so stacked layers (Read/Write/Trans)
@@ -76,33 +78,22 @@ def merge_row_stream(rows, pdt):
         entry = next(entries, None)
 
 
-class _SplicePlan:
-    """One block's merge, described once and replayed per column.
-
-    ``segments`` lists ``(out_start, src_start, src_stop)`` copy runs of
-    stable rows (block-relative); ``ins_positions`` / ``ins_rows`` are the
-    output offsets and full tuples of spliced inserts; ``mods`` maps a
-    column name to parallel ``(out_offsets, values)`` lists. ``out_n`` is
-    the merged block length. A plan that turns out to be the identity is
-    marked ``passthrough`` so callers can skip all copying.
-    """
-
-    __slots__ = (
-        "out_n", "segments", "ins_positions", "ins_rows", "mods",
-        "passthrough",
-    )
-
-    def __init__(self):
-        self.out_n = 0
-        self.segments: list[tuple[int, int, int]] = []
-        self.ins_positions: list[int] = []
-        self.ins_rows: list = []
-        self.mods: dict[str, tuple[list[int], list]] = {}
-        self.passthrough = False
-
-
 class BlockMerger:
-    """Vectorized positional merge of one PDT layer over a batch stream."""
+    """Vectorized positional merge of one PDT layer over a batch stream.
+
+    A block costs one Python pass over the entries that land in it plus a
+    fixed handful of array operations per projected column, whatever the
+    entry count. The pass marks the rows deletes drop in a keep mask and
+    collects the output offsets and refs of the inserts and, per projected
+    column, the output offsets and values of its modifies (modifies of
+    unprojected columns are skipped). A column is then ``src[keep]`` when
+    the block has deletes, scattered through an insert-slot mask into one
+    ``np.empty`` when it has inserts, and finished with one fancy
+    assignment of the insert values and one of its modify values — object
+    (string) columns included. A column no entry changes, in a block
+    without deletes or inserts, goes out by reference, and so does the
+    whole block when no entry touches a projected column.
+    """
 
     def __init__(self, pdt, columns):
         self.pdt = pdt
@@ -111,7 +102,7 @@ class BlockMerger:
         self._col_indexes = [
             self.schema.column_index(c) for c in self.columns
         ]
-        self._wanted = frozenset(self.columns)
+        self._wanted = frozenset(self._col_indexes)
 
     def merge_batches(self, batches, entries, first_rid: int):
         """Yield ``(first_rid, {column: ndarray})`` with updates applied.
@@ -132,133 +123,98 @@ class BlockMerger:
         out_rid = first_rid
         for first_sid, arrays in batches:
             n = len(arrays[self.columns[0]])
-            stop_sid = first_sid + n
-            if i >= m or sids[i] >= stop_sid:
-                # Fast path: no PDT entry lands in this block — the whole
-                # block passes through unmodified, straight from storage.
-                if n:
-                    yield out_rid, arrays
-                    out_rid += n
-                continue
-            plan, i = self._plan(sids, kinds, refs, i, first_sid, n)
-            if plan.passthrough:
-                if n:
-                    yield out_rid, arrays
-                    out_rid += n
-                continue
-            if plan.out_n:
-                yield out_rid, self._apply(plan, arrays)
-                out_rid += plan.out_n
+            if i < m and sids[i] < first_sid + n:
+                arrays, n, i = self._splice(arrays, n, first_sid, entries, i)
+            if n:
+                yield out_rid, arrays
+                out_rid += n
         if i < m:
             # Inserts positioned after the last incoming tuple.
             if any(kind != KIND_INS for kind in kinds[i:]):
                 raise PDTError(
                     f"non-insert entry beyond scan end: sid={sids[i]}"
                 )
-            yield out_rid, self._insert_rows_only(refs[i:])
+            values = self._insert_values(refs[i:])
+            yield out_rid, {
+                col: np.asarray(values[idx],
+                                dtype=self.schema.dtype_of(col).numpy_dtype)
+                for col, idx in zip(self.columns, self._col_indexes)
+            }
 
     # -- internals -----------------------------------------------------------
 
-    def _plan(self, sids, kinds, refs, i: int, first_sid: int, n: int):
-        """Consume this block's entries into a :class:`_SplicePlan`.
+    def _splice(self, arrays, n: int, first_sid: int, entries, i: int):
+        """Merge the entries from ``i`` that land in this block into it.
 
-        Walks the entry arrays exactly once; entries are in (SID, RID)
-        order, so inserts at a SID precede that tuple's DEL or MOD chain
-        and a delete's ghost can never be modified afterwards — which is
-        what lets ``src`` advance monotonically.
+        Returns the merged arrays, their length and the index of the first
+        entry past the block. Entries are in (SID, RID) order, so the
+        inserts at a SID precede that tuple's DEL or MOD chain: an entry's
+        output offset is its block-relative SID plus the inserts minus the
+        deletes seen before it.
         """
-        plan = _SplicePlan()
-        segments = plan.segments
+        sids, kinds, refs = entries
         stop_sid = first_sid + n
-        out_pos = 0
-        src = 0
-        values = self.pdt.values
-        schema_cols = self.schema.columns
-        wanted = self._wanted
         m = len(sids)
+        wanted = self._wanted
+        get_modify = self.pdt.values.get_modify
+        keep = None  # one byte per block row, zeroed where a delete drops it
+        ins_at: list[int] = []
+        ins_refs: list[int] = []
+        mods: dict[int, tuple[list[int], list]] = {}
+        shift = -first_sid  # output offset of SID s is s + shift
         while i < m:
             sid = sids[i]
             if sid >= stop_sid:
                 break
-            rel = sid - first_sid
             kind = kinds[i]
             if kind == KIND_INS:
-                if rel > src:
-                    segments.append((out_pos, src, rel))
-                    out_pos += rel - src
-                    src = rel
-                plan.ins_positions.append(out_pos)
-                plan.ins_rows.append(values.get_insert(refs[i]))
-                out_pos += 1
+                ins_at.append(sid + shift)
+                ins_refs.append(refs[i])
+                shift += 1
             elif kind == KIND_DEL:
-                if rel > src:
-                    segments.append((out_pos, src, rel))
-                    out_pos += rel - src
-                src = rel + 1
-            else:
-                name = schema_cols[kind].name
-                if name in wanted:
-                    slot = plan.mods.get(name)
-                    if slot is None:
-                        slot = plan.mods[name] = ([], [])
-                    slot[0].append(out_pos + (rel - src))
-                    slot[1].append(values.get_modify(kind, refs[i]))
+                if keep is None:
+                    keep = bytearray(b"\x01") * n
+                keep[sid - first_sid] = 0
+                shift -= 1
+            elif kind in wanted:
+                slot = mods.get(kind)
+                if slot is None:
+                    slot = mods[kind] = ([], [])
+                slot[0].append(sid + shift)
+                slot[1].append(get_modify(kind, refs[i]))
             i += 1
-        if src < n:
-            segments.append((out_pos, src, n))
-            out_pos += n - src
-        plan.out_n = out_pos
-        plan.passthrough = (
-            not plan.ins_rows
-            and not plan.mods
-            and len(segments) == 1
-            and segments[0] == (0, 0, n)
-        )
-        return plan, i
-
-    def _apply(self, plan: _SplicePlan, arrays):
-        """Replay one splice plan against every projected column."""
+        out_n = n + first_sid + shift  # plus inserts, minus deletes
+        if not out_n or (keep is None and not ins_at and not mods):
+            return arrays, out_n, i
+        if keep is not None:
+            keep = np.frombuffer(keep, dtype=bool)
+        if ins_at:
+            ins_idx = np.array(ins_at, dtype=np.intp)
+            stable_slots = np.ones(out_n, dtype=bool)
+            stable_slots[ins_idx] = False
+            ins_values = self._insert_values(ins_refs)
         out = {}
-        ins_idx = None
         for col, col_idx in zip(self.columns, self._col_indexes):
-            src_arr = arrays[col]
-            dst = np.empty(plan.out_n, dtype=src_arr.dtype)
-            for out_start, src_start, src_stop in plan.segments:
-                dst[out_start:out_start + (src_stop - src_start)] = \
-                    src_arr[src_start:src_stop]
-            col_mods = plan.mods.get(col)
+            src = arrays[col]
+            dst = src if keep is None else src[keep]
+            if ins_at:
+                merged = np.empty(out_n, dtype=src.dtype)
+                merged[stable_slots] = dst
+                merged[ins_idx] = ins_values[col_idx]
+                dst = merged
+            col_mods = mods.get(col_idx)
             if col_mods is not None:
-                idx, vals = col_mods
-                if dst.dtype == object:
-                    for i, v in zip(idx, vals):
-                        dst[i] = v
-                else:
-                    dst[np.asarray(idx, dtype=np.intp)] = \
-                        np.asarray(vals, dtype=dst.dtype)
-            if plan.ins_rows:
-                if ins_idx is None:
-                    ins_idx = np.asarray(plan.ins_positions, dtype=np.intp)
-                vals = [row[col_idx] for row in plan.ins_rows]
-                if dst.dtype == object:
-                    for i, v in zip(plan.ins_positions, vals):
-                        dst[i] = v
-                else:
-                    dst[ins_idx] = np.asarray(vals, dtype=dst.dtype)
+                if dst is src:
+                    dst = src.copy()
+                dst[col_mods[0]] = col_mods[1]
             out[col] = dst
-        return out
+        return out, out_n, i
 
-    def _insert_rows_only(self, refs):
-        out = {}
-        rows = [self.pdt.values.get_insert(r) for r in refs]
-        for col, col_idx in zip(self.columns, self._col_indexes):
-            dtype = self.schema.dtype_of(col).numpy_dtype
-            if dtype == object:
-                arr = np.empty(len(rows), dtype=object)
-                arr[:] = [row[col_idx] for row in rows]
-            else:
-                arr = np.asarray([row[col_idx] for row in rows], dtype=dtype)
-            out[col] = arr
-        return out
+    def _insert_values(self, refs):
+        """Column-major values of the insert rows ``refs``: one tuple per
+        schema column, in ``refs`` order."""
+        get_insert = self.pdt.values.get_insert
+        return list(zip(*[get_insert(r) for r in refs]))
 
 
 def reblock(stream, block_rows: int = MERGE_BLOCK_ROWS):

@@ -1,11 +1,13 @@
 """Property tests: block-pipelined vectorized MergeScan vs the tuple oracle.
 
-The vectorized :class:`~repro.core.merge.BlockMerger` builds one splice
-plan per block and replays it with ndarray slice copies; the oracle is the
-faithful Algorithm-2 next() loop (:func:`merge_row_stream`). Under any
-valid random op sequence, over any block size and scan range, both must
-produce identical output — including the zero-copy pass-through, plan
-splicing, range-scan, and fixed-size :func:`reblock` paths.
+The vectorized :class:`~repro.core.merge.BlockMerger` makes one Python
+pass over a block's entries and then builds every projected column with a
+keep mask, an insert-slot mask and two fancy assignments; the oracle is
+the faithful Algorithm-2 next() loop (:func:`merge_row_stream`). Under any
+valid random op sequence, over any block size, projection and scan range,
+both must produce identical output — including the zero-copy pass-through,
+the skipped modifies of unprojected columns, object-column splicing,
+range-scan, and fixed-size :func:`reblock` paths.
 """
 
 import random
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import PDT, merge_rows, merge_scan_layers, reblock
 from repro.core.merge import BlockMerger
+from repro.core.types import PDTError
 from repro.storage import StableTable
 
 from .helpers import TableDriver, apply_random_ops, int_schema
@@ -46,17 +49,22 @@ def _materialize(stream, columns):
     seed=st.integers(0, 10**9),
     n_ops=st.integers(0, 150),
     batch_rows=st.sampled_from([1, 3, 7, 16, 64]),
+    cols=st.lists(st.sampled_from(["k", "a", "b"]), min_size=1, max_size=3,
+                  unique=True),
 )
-def test_block_merge_equals_tuple_oracle(seed, n_ops, batch_rows):
+def test_block_merge_equals_tuple_oracle(seed, n_ops, batch_rows, cols):
+    """Any non-empty projection, in any order: the string column ``b``
+    alone, sets without the sort key. The oracle is the full tuple merge
+    projected onto the same columns."""
     stable, pdt, rows, expected = _build(seed, n_ops)
     assert merge_rows(rows, pdt) == expected  # oracle vs shadow table
-    cols = list(stable.schema.column_names)
+    idx = [stable.schema.column_index(c) for c in cols]
     got = _materialize(
         merge_scan_layers(stable, [pdt], columns=cols,
                           batch_rows=batch_rows),
         cols,
     )
-    assert got == expected
+    assert got == [tuple(row[i] for i in idx) for row in expected]
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,18 +143,21 @@ def test_merger_rejects_stray_entry_beyond_end():
     pdt.add_delete(4, (40,))
     stable = StableTable.bulk_load("t", schema, rows[:4])  # domain too short
     merger = BlockMerger(pdt, list(schema.column_names))
-    with pytest.raises(Exception):
+    with pytest.raises(PDTError, match="sid=4"):
         list(merger.merge_batches(stable.scan(), pdt.entry_lists(), 0))
 
 
 def test_passthrough_blocks_are_not_copied():
-    """Blocks without PDT entries must flow through by reference."""
+    """Blocks without PDT entries must flow through by reference, and so
+    must a block whose only entries modify unprojected columns."""
     schema = int_schema()
     rows = [(k * 10, k, f"s{k}") for k in range(64)]
     stable = StableTable.bulk_load("t", schema, rows)
     pdt = PDT(schema)
     pdt.add_modify(40, 1, 999)  # lands in the third 16-row block
+    pdt.add_delete(56, (560,))  # ... and this one in the fourth
     src = {c: stable.column(c).values for c in schema.column_names}
+    blocks = 0
     for first_rid, arrays in merge_scan_layers(stable, [pdt], batch_rows=16):
         block = first_rid // 16
         if block in (0, 1):
@@ -154,3 +165,13 @@ def test_passthrough_blocks_are_not_copied():
                 np.shares_memory(arrays["a"], src["a"])
         if block == 2:
             assert not np.shares_memory(arrays["a"], src["a"])
+        blocks += 1
+    assert blocks == 4
+    blocks = 0
+    for first_rid, arrays in merge_scan_layers(
+            stable, [pdt], columns=["k", "b"], batch_rows=16):
+        block = first_rid // 16
+        for c in ("k", "b"):
+            assert np.shares_memory(arrays[c], src[c]) == (block != 3)
+        blocks += 1
+    assert blocks == 4

@@ -14,6 +14,7 @@ import numpy as np
 
 import repro.db.update_processor as update_processor
 from repro import Database, DataType, PDT, Schema, propagate_batch
+from repro.core.merge import BlockMerger
 from repro.core.types import KIND_DEL, KIND_INS
 from repro.db import find_insert_position, find_rid_by_key, \
     resolve_batch_positions
@@ -142,6 +143,57 @@ class TestSweepStopsWithItsLastKey:
         resolve_batch_positions(state.stable, layers, None,
                                 [(live[5000] * 4,)])
         assert len(yielded) == live[5000] // GRANULE + 1
+        db.close()
+
+
+class TestMergeWorkFollowsTheWindow:
+    """A write's merge work grows with its granule window, not with the
+    layer: each merger is handed only the entries inside the window."""
+
+    WINDOW_ENTRIES = 200  # ~82 per 4096-row granule at 2k per 100k rows
+
+    def dirty_db_2k_writes(self):
+        """``dirty_db`` with 1,900 more scattered ops in the Write-PDT:
+        2k entries per layer."""
+        db, state, live = dirty_db()
+        picks = random.Random(5).sample(live, 1900)
+        ops = [("ins", (i * 4 + 2, 0, 0.0)) for i in picks[:700]]
+        ops += [("del", (i * 4,)) for i in picks[700:1100]]
+        ops += [("mod", (i * 4,), "a", 5) for i in picks[1100:]]
+        db.apply_batch("t", ops)
+        assert state.read_pdt.count() == state.write_pdt.count() == 2000
+        return db, state, sorted(set(live) - set(picks[700:1100]))
+
+    def _handed(self, monkeypatch):
+        handed = []
+        real = BlockMerger.merge_batches
+
+        def recording(self, batches, entries, first_rid):
+            handed.append(len(entries[0]))
+            return real(self, batches, entries, first_rid)
+
+        monkeypatch.setattr(BlockMerger, "merge_batches", recording)
+        return handed
+
+    def test_cold_point_resolve(self, monkeypatch):
+        db, state, live = self.dirty_db_2k_writes()
+        layers = [state.read_pdt, state.write_pdt]
+        handed = self._handed(monkeypatch)
+        for row in (live[0], live[len(live) // 2], live[-1]):
+            db.make_cold()
+            handed.clear()
+            find_rid_by_key(state.stable, layers, state.sparse_index,
+                            (row * 4,))
+            assert len(handed) == 2  # one merger per layer
+            assert max(handed) < self.WINDOW_ENTRIES
+        db.close()
+
+    def test_facade_modify(self, monkeypatch):
+        db, state, live = self.dirty_db_2k_writes()
+        handed = self._handed(monkeypatch)
+        db.make_cold()
+        db.modify("t", (live[1234] * 4,), "a", 1)
+        assert handed and max(handed) < self.WINDOW_ENTRIES
         db.close()
 
 
