@@ -26,6 +26,20 @@ exactly at the chosen boundary:
                           never dropped
 * ``abandon``           — after the whole workload, no clean close
 
+Scheduler boundaries run a third child: one table on a database with
+``checkpoint_policy="updates:40"``, fed batches until a commit's listener
+fires a full checkpoint. The publish hooks are armed only for the
+duration of each commit, so the kill lands inside that scheduler-fired
+fold:
+
+* ``sched-fold-pre-publish``  — the fold's blocks appended, the catalog
+                                not published
+* ``sched-fold-post-publish`` — the catalog published, the WAL not rebased
+
+The firing commit was never acknowledged (its ``apply_batch`` never
+returned), so recovery must equal the oracle either before or after it —
+never a mix.
+
 Group-commit boundaries run a *different* child: four concurrent writers
 submit batches through the query service (one WAL file, coalesced
 fsyncs), and each writer appends the batch id to an fsynced ``acks``
@@ -93,10 +107,15 @@ GROUP_POINTS = [
     "group-torn-write",
 ]
 
+SCHED_POINTS = [
+    "sched-fold-pre-publish",
+    "sched-fold-post-publish",
+]
+
 
 def default_points(n_commits: int) -> list[str]:
     return [f"commit:{k}" for k in range(1, n_commits + 1)] \
-        + MAINTENANCE_POINTS + ["abandon"] + GROUP_POINTS
+        + MAINTENANCE_POINTS + ["abandon"] + GROUP_POINTS + SCHED_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +152,7 @@ def _install_hooks(crasher: _Crasher) -> None:
         # pre-publish points die *instead of* publishing the catalog.
         crasher.maybe_die("ckpt-pre-publish")
         crasher.maybe_die("range-pre-publish")
+        crasher.maybe_die("sched-fold-pre-publish")
         orig_sync(self)
 
     BlockStore.sync = sync
@@ -145,6 +165,7 @@ def _install_hooks(crasher: _Crasher) -> None:
         # WAL drops the folded history.
         crasher.maybe_die("ckpt-post-publish")
         crasher.maybe_die("range-post-publish")
+        crasher.maybe_die("sched-fold-post-publish")
         orig_rebase(self, table, snapshot_pdt=snapshot_pdt, lsn=lsn,
                     for_image_lsn=for_image_lsn)
 
@@ -282,6 +303,95 @@ def run_child(root: str, point: str, rows: int) -> None:
         os._exit(CRASH_EXIT)
     db.close()
     os._exit(0)
+
+
+# ---------------------------------------------------------------------------
+# scheduler child: kill inside a fold that a commit listener fired
+
+SCHED_POLICY = "updates:40"
+SCHED_BATCHES = 12
+
+
+def sched_batch_ops(batch_no: int, rows: int):
+    """Six ops on six distinct keys, so every batch adds six PDT entries:
+    under ``updates:40`` the scheduler Propagates every other commit and
+    fires a full checkpoint at the seventh."""
+    key = 5 * batch_no
+    return [
+        ("ins", (rows * 10 + batch_no, batch_no, f"s{batch_no}")),
+        ("mod", (key,), "v", -batch_no),
+        ("mod", (key + 1,), "tag", "hot"),
+        ("mod", (key + 2,), "v", 10 ** 6 + batch_no),
+        ("mod", (key + 3,), "tag", "warm"),
+        ("del", (key + 4,)),
+    ]
+
+
+def _apply_to_model(model: dict, ops) -> None:
+    for op in ops:
+        if op[0] == "ins":
+            model[op[1][0]] = list(op[1])
+        elif op[0] == "del":
+            del model[op[1][0]]
+        else:
+            _kind, (k,), column, value = op
+            model[k][{"v": 1, "tag": 2}[column]] = value
+
+
+def run_sched_child(root: str, point: str, rows: int) -> None:
+    from repro import Database, DataType, Schema
+
+    crasher = _Crasher(point)
+    _install_hooks(crasher)
+
+    schema = Schema.build(
+        ("k", DataType.INT64), ("v", DataType.INT64),
+        ("tag", DataType.STRING), sort_key=("k",),
+    )
+    db = Database(storage="mmap", storage_path=root, block_rows=64,
+                  checkpoint_policy=SCHED_POLICY)
+    seed = [[i, i * 10, f"r{i % 7}"] for i in range(rows)]
+    db.create_table("inv", schema, [tuple(r) for r in seed])
+    model = {r[0]: r for r in seed}
+    for batch_no in range(SCHED_BATCHES):
+        ops = sched_batch_ops(batch_no, rows)
+        before = [list(model[k]) for k in sorted(model)]
+        _apply_to_model(model, ops)
+        after = [list(model[k]) for k in sorted(model)]
+        path = os.path.join(root, "oracle.json")
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            json.dump({"before": before, "after": after}, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(path + ".tmp", path)
+        crasher.arm(point)  # only while this commit (and its listener) runs
+        db.apply_batch("inv", ops)
+        crasher.disarm()
+    # No commit fired a fold: a configuration failure, not a recovery one.
+    os._exit(3)
+
+
+def verify_sched_recovery(root: str, point: str) -> None:
+    from repro import Database
+
+    with open(os.path.join(root, "oracle.json"), encoding="utf-8") as fh:
+        oracle = json.load(fh)
+    db = Database.recover(root)
+    try:
+        got = _rows(db, "inv")
+        if got not in (oracle["before"], oracle["after"]):
+            raise AssertionError(
+                f"[{point}] inv matches neither side of the firing commit: "
+                f"{len(got)} rows recovered vs {len(oracle['before'])} "
+                f"before / {len(oracle['after'])} after")
+        q = [list(r) for r in db.query("inv", columns=["k", "v", "tag"])
+             .rows()]
+        if q != got:
+            raise AssertionError(f"[{point}] inv query mismatch")
+        db.apply_batch("inv", [("ins", (10 ** 7, 1, "post-recovery"))])
+        assert db.query("inv", sk=(10 ** 7,)).num_rows == 1
+    finally:
+        db.close()
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +613,8 @@ def run_matrix(points: list[str], rows: int, keep: bool = False) -> int:
         try:
             if point in GROUP_POINTS:
                 verify_group_recovery(root, point)
+            elif point in SCHED_POINTS:
+                verify_sched_recovery(root, point)
             else:
                 verify_recovery(root, point)
             print(f"ok   [{point}]")
@@ -531,6 +643,8 @@ def main(argv=None) -> int:
         root, point = args.child
         if point in GROUP_POINTS:
             run_group_child(root, point)
+        elif point in SCHED_POINTS:
+            run_sched_child(root, point, args.rows)
         else:
             run_child(root, point, args.rows)
         return 0  # unreachable: the child always _exits

@@ -23,7 +23,7 @@ Differences from the paper's C implementation, documented per DESIGN.md:
   rebalancing buys nothing (same choice as the VDT's B-tree).
 
 ``memory_usage()`` reports the paper's cost model (16 bytes per update
-entry) so that checkpoint-threshold policies and the Figure 16 series are
+entry) so that ``Database.delta_bytes`` and the Figure 16 series are
 comparable with the paper's.
 """
 

@@ -52,9 +52,9 @@ from ..storage.buffer import BufferPool
 from ..storage.io_stats import IOStats
 from ..storage.schema import Schema
 from ..storage.table import StableTable
-from ..txn.checkpoint import checkpoint_table, delta_memory_usage
+from ..txn.checkpoint import checkpoint_table
 from ..txn.manager import TransactionManager
-from ..txn.scheduler import CheckpointScheduler, policy_from_spec
+from ..txn.scheduler import CheckpointScheduler
 from ..txn.transaction import Transaction
 from ..txn.wal import WriteAheadLog
 
@@ -93,10 +93,6 @@ class Database:
         :mod:`repro.txn.group_commit`): concurrent writers share fsyncs,
         and every commit is still force-written (its acknowledgement
         waits for the shared fsync).
-    ``max_pin_age_s``
-        When set, the checkpoint scheduler logs a warning (and counts
-        ``overdue_pin_warnings``) whenever maintenance is deferred by a
-        snapshot pin older than this — a stuck client made observable.
     ``executor``
         How per-shard scan jobs execute: ``"thread"`` (default — on the
         calling or service thread, one core under the GIL) or
@@ -123,15 +119,15 @@ class Database:
         ``db.obs.slow_log`` (profile plus — if tracing — the rendered
         span tree) and emitted on the ``repro.obs.slow`` logger.
     ``checkpoint_policy``
-        Maintenance automation. ``None`` (default) keeps the seed's
-        manual behaviour; a spec string (``"updates:<entries>"`` or
-        ``"hot-ranges:<k>"``) or any
-        :class:`~repro.txn.scheduler.CheckpointPolicy` instance enables
-        the checkpoint scheduler: the policy is consulted after every
-        committing transaction, and deferred work (blocked by concurrent
-        transactions) is drained between queries. See
-        :mod:`repro.txn.scheduler` for the policy catalogue and
-        ``DESIGN.md`` for the cost model.
+        Maintenance automation. ``None`` (default) means manual
+        ``checkpoint()`` calls only; ``"updates:<entries>"`` or
+        ``"hot-ranges:<k>"`` enables the checkpoint scheduler: it decides
+        after every committing transaction, and work deferred by
+        concurrent transactions or snapshot pins is drained between
+        queries. Anything else raises ``ValueError``. See
+        :mod:`repro.txn.scheduler` for the rules and ``DESIGN.md`` for
+        the reasoning; a stuck client holding a pin shows as a growing
+        ``scheduler.oldest_pin_age_s``.
     """
 
     def __init__(
@@ -144,7 +140,6 @@ class Database:
         checkpoint_policy=None,
         storage=None,
         storage_path=None,
-        max_pin_age_s: float | None = None,
         executor: str | None = None,
         workers: int | None = None,
         trace=None,
@@ -173,11 +168,9 @@ class Database:
         # Shared with the manager: transactions route logical sharded
         # names through the same registry.
         self._sharded: dict = self.manager.sharded_tables
-        self.scheduler = CheckpointScheduler(
-            self.manager, policy_from_spec(checkpoint_policy),
-            max_pin_age_s=max_pin_age_s,
-        )
-        self.manager.add_commit_listener(self.scheduler.on_commit)
+        self.scheduler = CheckpointScheduler(self.manager, checkpoint_policy)
+        if checkpoint_policy is not None:
+            self.manager.add_commit_listener(self.scheduler.on_commit)
         self._services: list = []  # attached QueryService front-ends
         self._closed = False
         self.recovered_lsn = 0
@@ -353,9 +346,6 @@ class Database:
     def table_names(self) -> list[str]:
         return self.manager.table_names()
 
-    def sharded_names(self) -> list[str]:
-        return list(self._sharded)
-
     # -- snapshot pins and the query service ------------------------------------
 
     def pin_snapshot(self):
@@ -504,13 +494,7 @@ class Database:
             if pin is not None:
                 version = contextlib.nullcontext(pin)
             else:
-                sharded = self._sharded.get(table)
-                if sharded is None:
-                    self.scheduler.run_pending(table)
-                else:
-                    for shard in sharded.shard_names:
-                        self.scheduler.run_pending(shard)
-                    sharded.maybe_rebalance()
+                self.drain_maintenance(table)
                 version = self.pin_snapshot()
             with version as pinned:
                 # Plan the pinned version (shard pruning, sparse-index
@@ -564,11 +548,32 @@ class Database:
         runs autonomously between queries on sharded tables.)"""
         return self.sharded(table).maybe_rebalance()
 
+    def drain_maintenance(self, table: str | None = None) -> None:
+        """Run the maintenance the checkpoint scheduler deferred, then the
+        shard rebalancer: for ``table`` (every shard of a sharded one),
+        or for every table when ``None``. Latest-state reads call it
+        before they pin; :class:`~repro.service.QueryService` calls it
+        between requests."""
+        if table is None:
+            self.scheduler.run_pending()
+            targets = list(self._sharded.values())
+        elif table in self._sharded:
+            targets = [self._sharded[table]]
+            for shard in targets[0].shard_names:
+                self.scheduler.run_pending(shard)
+        else:
+            self.scheduler.run_pending(table)
+            targets = []
+        for sharded in targets:
+            # Also drops retired-shard storage whose pins have gone.
+            sharded.maybe_rebalance()
+
     def delta_bytes(self, table: str) -> int:
         """Bytes of RAM-resident delta state (PDT entries, paper model)."""
         if table in self._sharded:
             return self._sharded[table].delta_bytes()
-        return delta_memory_usage(self.manager, table)
+        state = self.manager.state_of(table)
+        return state.read_pdt.memory_usage() + state.write_pdt.memory_usage()
 
     # -- lifecycle ----------------------------------------------------------------------
 

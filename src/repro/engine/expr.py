@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functions as fn
-from .relation import EngineError, _combined_codes
+from .relation import EngineError, _combined_codes, group_partials
 
 #: Leaf predicate ops a worker may be asked to evaluate. A payload
 #: naming anything else is rejected with :class:`PushdownUnsupported`
@@ -453,52 +453,12 @@ class PartialAggregator:
             n_groups = 1
         keys = [_py_key(group_cols, r) for r in rep]
         for index, (_pname, kind, src) in enumerate(self._parts):
-            per_group = self._block_partials(arrays, inv, n_groups,
-                                             kind, src)
+            per_group = group_partials(arrays, inv, n_groups, kind, src)
             for g, key in enumerate(keys):
                 state = self._groups.get(key)
                 if state is None:
                     state = self._groups[key] = self._fresh()
                 self._combine(state, index, kind, _pyval(per_group[g]))
-
-    @staticmethod
-    def _block_partials(arrays, inv, n_groups, kind, src):
-        """Vectorized per-block, per-group accumulation of one partial."""
-        if kind == "count":
-            return np.bincount(inv, minlength=n_groups)
-        values = np.asarray(arrays[src])
-        if kind == "sum":
-            if values.dtype == object:
-                raise EngineError("sum over non-numeric column")
-            if np.issubdtype(values.dtype, np.integer) \
-                    or values.dtype == bool:
-                acc = np.zeros(n_groups, dtype=np.int64)
-                np.add.at(acc, inv, values.astype(np.int64))
-                return acc
-            return np.bincount(inv, weights=values.astype(np.float64),
-                               minlength=n_groups)
-        # min / max
-        if values.dtype == object:
-            out = [None] * n_groups
-            better = (lambda a, b: a < b) if kind == "min" \
-                else (lambda a, b: a > b)
-            for gid, val in zip(inv, values):
-                if out[gid] is None or better(val, out[gid]):
-                    out[gid] = val
-            return out
-        if np.issubdtype(values.dtype, np.integer):
-            info = np.iinfo(values.dtype)
-            fill = info.max if kind == "min" else info.min
-            acc = np.full(n_groups, fill, dtype=values.dtype)
-        else:
-            fill = np.inf if kind == "min" else -np.inf
-            acc = np.full(n_groups, fill, dtype=np.float64)
-            values = values.astype(np.float64)
-        if kind == "min":
-            np.minimum.at(acc, inv, values)
-        else:
-            np.maximum.at(acc, inv, values)
-        return acc
 
     def merge(self, arrays: dict) -> None:
         """Fold one *partial* block (another aggregator's

@@ -44,6 +44,53 @@ def _combined_codes(columns) -> np.ndarray:
     return codes
 
 
+def group_partials(arrays, inv, n_groups, kind, src):
+    """Per-group ``count``/``sum``/``min``/``max`` of column ``src`` of
+    ``arrays`` (any name -> array mapping), rows assigned to groups by
+    ``inv``. The one aggregation kernel: :class:`GroupBy` and the pushed
+    :class:`~repro.engine.expr.PartialAggregator` both call it, so both
+    are exact on integers (int64 sums of integers and bools, min/max in
+    the source dtype — never through float64). Object-column min/max
+    returns a list."""
+    if kind == "count":
+        return np.bincount(inv, minlength=n_groups)
+    values = np.asarray(arrays[src])
+    if kind == "sum":
+        if values.dtype == object:
+            raise EngineError("sum over non-numeric column")
+        if np.issubdtype(values.dtype, np.integer) \
+                or values.dtype == bool:
+            acc = np.zeros(n_groups, dtype=np.int64)
+            np.add.at(acc, inv, values.astype(np.int64))
+            return acc
+        return np.bincount(inv, weights=values.astype(np.float64),
+                           minlength=n_groups)
+    # min / max
+    if values.dtype == object:
+        out = [None] * n_groups
+        better = (lambda a, b: a < b) if kind == "min" \
+            else (lambda a, b: a > b)
+        for gid, val in zip(inv, values):
+            if out[gid] is None or better(val, out[gid]):
+                out[gid] = val
+        return out
+    if values.dtype == bool:
+        acc = np.full(n_groups, kind == "min")
+    elif np.issubdtype(values.dtype, np.integer):
+        info = np.iinfo(values.dtype)
+        fill = info.max if kind == "min" else info.min
+        acc = np.full(n_groups, fill, dtype=values.dtype)
+    else:
+        fill = np.inf if kind == "min" else -np.inf
+        acc = np.full(n_groups, fill, dtype=np.float64)
+        values = values.astype(np.float64)
+    if kind == "min":
+        np.minimum.at(acc, inv, values)
+    else:
+        np.maximum.at(acc, inv, values)
+    return acc
+
+
 class Relation:
     """An immutable bag of equal-length named numpy columns."""
 
@@ -349,8 +396,6 @@ class GroupBy:
             if not self.keys:
                 return np.zeros(1, dtype=np.float64)
             return np.empty(0, dtype=np.float64)
-        if func == "count":
-            return np.bincount(group_ids, minlength=n_groups)
         if func == "count_distinct":
             value_codes = _codes_of(rel[col])
             k = int(value_codes.max()) + 1
@@ -358,48 +403,9 @@ class GroupBy:
             return np.bincount(
                 (uniq_pairs // k).astype(np.int64), minlength=n_groups
             )
-        values = rel[col]
-        if func == "sum":
-            return self._sum(values, group_ids, n_groups)
         if func == "avg":
-            sums = self._sum(values, group_ids, n_groups)
+            sums = group_partials(rel, group_ids, n_groups, "sum", col)
             counts = np.bincount(group_ids, minlength=n_groups)
             return sums / np.maximum(counts, 1)
-        if func in ("min", "max"):
-            return self._minmax(values, group_ids, n_groups, func)
-        raise EngineError(f"unknown aggregate {func!r}")
-
-    @staticmethod
-    def _sum(values, group_ids, n_groups):
-        if values.dtype == object:
-            raise EngineError("sum over non-numeric column")
-        sums = np.bincount(
-            group_ids, weights=values.astype(np.float64), minlength=n_groups
-        )
-        if np.issubdtype(values.dtype, np.integer) or values.dtype == bool:
-            return np.rint(sums).astype(np.int64)
-        return sums
-
-    @staticmethod
-    def _minmax(values, group_ids, n_groups, func):
-        if values.dtype == object:
-            out = [None] * n_groups
-            better = (lambda a, b: a < b) if func == "min" else (
-                lambda a, b: a > b
-            )
-            for gid, val in zip(group_ids, values):
-                if out[gid] is None or better(val, out[gid]):
-                    out[gid] = val
-            return _as_object_array(out)
-        if func == "min":
-            out = np.full(n_groups, np.inf)
-            np.minimum.at(out, group_ids, values.astype(np.float64))
-        else:
-            out = np.full(n_groups, -np.inf)
-            np.maximum.at(out, group_ids, values.astype(np.float64))
-        if np.issubdtype(values.dtype, np.integer):
-            finite = np.isfinite(out)
-            result = np.zeros(n_groups, dtype=values.dtype)
-            result[finite] = out[finite].astype(values.dtype)
-            return result
-        return out
+        out = group_partials(rel, group_ids, n_groups, func, col)
+        return _as_object_array(out) if isinstance(out, list) else out

@@ -502,11 +502,7 @@ class QueryService:
         with self._write_lock:
             if self._admission.inflight:
                 return  # a new request was admitted; it will drain later
-            self._db.scheduler.run_pending()
-            for name in self._db.sharded_names():
-                # maybe_rebalance also drains retired-shard storage whose
-                # pins have gone, at its quiescent entry point.
-                self._db.sharded(name).maybe_rebalance()
+            self._db.drain_maintenance()
         self.stats.bump(maintenance_runs=1)
 
     # -- lifecycle ---------------------------------------------------------

@@ -1,11 +1,7 @@
 """PDT-based ACID transaction management (paper section 3.3) plus the
-cost-based checkpoint scheduler that keeps the delta structures small."""
+checkpoint scheduler that keeps the delta structures small."""
 
-from .checkpoint import (
-    checkpoint_table,
-    checkpoint_table_range,
-    delta_memory_usage,
-)
+from .checkpoint import checkpoint_table, checkpoint_table_range
 from .group_commit import (
     GroupCommitCoordinator,
     GroupCommitStats,
@@ -18,48 +14,28 @@ from .recovery import (
     recover_persistent,
     restore_sharded_tables,
 )
-from .scheduler import (
-    CheckpointPolicy,
-    CheckpointScheduler,
-    Decision,
-    HotRangePolicy,
-    MaintenanceAction,
-    NeverPolicy,
-    SchedulerStats,
-    TableLoad,
-    UpdateCountPolicy,
-    policy_from_spec,
-)
+from .scheduler import CheckpointScheduler, SchedulerStats
 from .transaction import Transaction, TransactionError, TxnStatus
 from .wal import WalRecord, WriteAheadLog, replay_into
 
 __all__ = [
-    "CheckpointPolicy",
     "CheckpointScheduler",
-    "Decision",
     "GroupCommitCoordinator",
     "GroupCommitStats",
-    "HotRangePolicy",
-    "MaintenanceAction",
     "ManagerStats",
-    "NeverPolicy",
     "PinnedLayout",
     "PinnedTable",
     "SchedulerStats",
     "SnapshotPin",
-    "TableLoad",
     "TableState",
     "Transaction",
     "TransactionError",
     "TransactionManager",
     "TxnStatus",
-    "UpdateCountPolicy",
     "WalRecord",
     "WriteAheadLog",
     "checkpoint_table",
     "checkpoint_table_range",
-    "delta_memory_usage",
-    "policy_from_spec",
     "recover_database",
     "recover_manager",
     "recover_persistent",

@@ -13,9 +13,9 @@ There is one fold (:func:`_fold`) with two entry points:
   SID range, no survivors.
 * :func:`checkpoint_table_range` — an incremental fold of one stable SID
   range, SynchroStore-style: only entries inside the range are merged,
-  entries outside survive with rebased SIDs. The cost-based policies in
-  :mod:`repro.txn.scheduler` use it to drain the hottest block ranges
-  between queries.
+  entries outside survive with rebased SIDs. The ``"hot-ranges"`` rule
+  of :mod:`repro.txn.scheduler` uses it to fold the hottest block ranges
+  after commits and between queries.
 
 Both are stop-the-world for the one table they fold (a quiescent point is
 required), merge the range as a one-layer SID window
@@ -168,9 +168,3 @@ def _truncate_wal_if_clean(manager: TransactionManager) -> None:
         if not (state.read_pdt.is_empty() and state.write_pdt.is_empty()):
             return
     manager.wal.truncate()
-
-
-def delta_memory_usage(manager: TransactionManager, table: str) -> int:
-    """Bytes of RAM-resident delta state for checkpoint-threshold policies."""
-    state = manager.state_of(table)
-    return state.read_pdt.memory_usage() + state.write_pdt.memory_usage()

@@ -191,8 +191,8 @@ class TransactionManager:
         object and pinning copies nothing. While the pin is live,
         maintenance on its tables is deferred or runs copy-on-write and
         commits touching them propagate copy-on-commit; release pins
-        promptly (the scheduler can flag overdue ones, see
-        ``max_pin_age_s``).
+        promptly (the scheduler reports the oldest one that blocked it
+        as ``oldest_pin_age_s``).
         """
         tables = {
             name: PinnedTable(

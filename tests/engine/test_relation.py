@@ -242,3 +242,55 @@ def test_inner_join_matches_nested_loops(left, right):
         (lv, rv) for lk, lv in left for rk, rv in right if lk == rk
     )
     assert got == expected
+
+
+# -- exact aggregates on large integers --------------------------------------
+
+BIG = 2**53  # the first integer float64 cannot tell from its successor
+
+
+def test_sum_and_max_are_exact_past_two_to_the_53():
+    rel = Relation({"v": np.array([BIG, 1], dtype=np.int64)})
+    assert int(rel.group_by().agg(s=("v", "sum"))["s"][0]) == BIG + 1
+    rel = Relation({"v": np.array([BIG + 1], dtype=np.int64)})
+    assert int(rel.group_by().agg(m=("v", "max"))["m"][0]) == BIG + 1
+
+
+@pytest.mark.parametrize("keys", [(), ("g",)], ids=["global", "grouped"])
+def test_large_integer_aggregates_agree_central_and_pushed(keys):
+    from repro.engine import expr as ex
+
+    arrays = {
+        "g": np.array([0, 0, 1, 1, 2, 2], dtype=np.int64),
+        "v": np.array([BIG, 1, BIG + 1, -BIG - 3, 7, BIG + 5],
+                      dtype=np.int64),
+        "b": np.array([True, False, True, True, False, True]),
+    }
+    specs = {"s": ("v", "sum"), "lo": ("v", "min"), "hi": ("v", "max"),
+             "a": ("v", "avg"), "bs": ("b", "sum"), "blo": ("b", "min"),
+             "bhi": ("b", "max")}
+    central = Relation(arrays).group_by(*keys).agg(**specs)
+
+    groups = [[0, 1], [2, 3], [4, 5]] if keys else [list(range(6))]
+    for i, rows in enumerate(groups):
+        vs = [int(arrays["v"][j]) for j in rows]
+        assert int(central["s"][i]) == sum(vs)
+        assert int(central["lo"][i]) == min(vs)
+        assert int(central["hi"][i]) == max(vs)
+        assert int(central["bs"][i]) == sum(bool(arrays["b"][j])
+                                            for j in rows)
+    for name in ("s", "lo", "hi", "bs"):
+        assert central[name].dtype == np.int64
+    assert central["blo"].dtype == central["bhi"].dtype == bool
+
+    spec = ex.AggSpec(keys, specs,
+                      dtypes={"g": "int64", "v": "int64", "b": "bool"})
+    merger = spec.aggregator()
+    for lo, hi in ((0, 2), (2, 3), (3, 6)):
+        part = spec.aggregator()
+        part.add_block({c: a[lo:hi] for c, a in arrays.items()})
+        merger.merge(part.partial_arrays())
+    pushed = merger.finalize()
+    for name in central.column_names:
+        assert pushed[name].dtype == central[name].dtype, name
+        assert pushed[name].tolist() == central[name].tolist(), name

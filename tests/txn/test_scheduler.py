@@ -1,52 +1,12 @@
-"""Checkpoint scheduler: policy triggers, execution, incremental folds."""
+"""Checkpoint scheduler: the decision rules, execution, incremental folds."""
 
 import random
 
 import pytest
 
 from repro import Database, DataType, Schema
-from repro.txn import (
-    Decision,
-    HotRangePolicy,
-    MaintenanceAction,
-    NeverPolicy,
-    TableLoad,
-    UpdateCountPolicy,
-    checkpoint_table_range,
-    policy_from_spec,
-)
+from repro.txn import CheckpointScheduler, checkpoint_table_range
 from repro.txn.transaction import TransactionError
-
-
-def load(read=0, write=0, delta_bytes=0, hist=None, stable_rows=100_000,
-         block_rows=4096):
-    if hist and not (read or write):
-        read = sum(hist.values())  # keep counts consistent with the hist
-    return TableLoad(
-        table="t",
-        stable_rows=stable_rows,
-        block_rows=block_rows,
-        read_entries=read,
-        write_entries=write,
-        delta_bytes=delta_bytes,
-        commits_since_maintenance=1,
-        block_histogram=hist or {},
-    )
-
-
-def test_table_load_lazy_histogram_resolved_once():
-    calls = []
-
-    def hist():
-        calls.append(1)
-        return {0: 5}
-
-    tl = TableLoad(table="t", stable_rows=10, block_rows=4, read_entries=5,
-                   write_entries=0, delta_bytes=80,
-                   commits_since_maintenance=1, block_histogram=hist)
-    assert tl.histogram() == {0: 5}
-    assert tl.histogram() == {0: 5}
-    assert len(calls) == 1  # cached after first resolution
 
 
 def schema():
@@ -61,70 +21,120 @@ def fresh_db(policy=None, n_rows=10_000, block_rows=1024):
     return db
 
 
-# -- policy trigger conditions ------------------------------------------------
+def modify_sids(db, sids, value=1):
+    """One commit modifying the stable tuples at ``sids`` (one PDT entry
+    each, at that SID)."""
+    db.apply_batch("t", [("mod", (sid * 2,), "v", value) for sid in sids])
+
+
+def block_sids(block, count, block_rows):
+    return range(block * block_rows, block * block_rows + count)
+
+
+def decision_for(db, spec):
+    """What a scheduler under ``spec`` decides for table ``t`` now.
+
+    A live pin defers the decision, and ``pending()`` shows it exactly as
+    decided (``None`` when nothing fired)."""
+    scheduler = CheckpointScheduler(db.manager, spec)
+    pin = db.pin_snapshot()
+    scheduler.on_commit(["t"])
+    pin.release()
+    return scheduler.pending().get("t")
+
+
+# -- the decision rules -------------------------------------------------------
 
 
 def test_never_policy_never_fires():
-    assert NeverPolicy().decide(load(read=10**6, delta_bytes=10**9)).is_none
+    db = fresh_db(policy=None)
+    assert db.scheduler.on_commit not in db.manager._commit_listeners
+    for i in range(50):
+        db.modify("t", (i * 2,), "v", 1)
+    assert db.scheduler.stats.consults == 0
+    assert db.scheduler.run_pending() is False
+    assert not db.scheduler.pending()
 
 
 def test_update_count_triggers_on_total_entries():
-    policy = UpdateCountPolicy(max_entries=100)
-    assert policy.decide(load(read=80, write=20)).is_none  # exactly at cap
-    decision = policy.decide(load(read=81, write=20))
-    assert decision.action is MaintenanceAction.CHECKPOINT
+    db = fresh_db()
+    modify_sids(db, range(80))
+    db.manager.propagate_write_to_read("t")  # 80 Read-PDT entries
+    modify_sids(db, range(100, 120))  # 20 Write-PDT entries
+    assert decision_for(db, "updates:100") is None  # exactly at the cap
+    modify_sids(db, [200])
+    assert decision_for(db, "updates:100") == ("checkpoint", ())
 
 
 def test_update_count_propagates_on_write_share():
-    policy = UpdateCountPolicy(max_entries=100, max_write_entries=10)
-    decision = policy.decide(load(read=0, write=11))
-    assert decision.action is MaintenanceAction.PROPAGATE
+    db = fresh_db()
+    modify_sids(db, range(25))
+    assert decision_for(db, "updates:100") is None  # 25 == 100 // 4
+    modify_sids(db, [30])
+    assert decision_for(db, "updates:100") == ("propagate", ())
+    # The Propagate threshold never drops below one entry.
+    db = fresh_db()
+    modify_sids(db, range(2))
+    assert decision_for(db, "updates:2") == ("propagate", ())
 
 
 def test_hot_range_quiet_below_min_entries():
-    policy = HotRangePolicy(k=2, min_entries=50)
-    assert policy.decide(load(hist={0: 49, 3: 12})).is_none
-    assert policy.decide(load(hist={})).is_none
+    db = fresh_db()
+    assert decision_for(db, "hot-ranges:2") is None  # no entries at all
+    modify_sids(db, [*block_sids(0, 127, 1024), *block_sids(3, 12, 1024)])
+    assert decision_for(db, "hot-ranges:2") is None  # 127 < 128
+    modify_sids(db, [127])
+    assert decision_for(db, "hot-ranges:2") == ("ranges", ((0, 1024),))
 
 
 def test_hot_range_picks_k_hottest_blocks():
-    policy = HotRangePolicy(k=2, min_entries=10)
-    decision = policy.decide(load(hist={0: 30, 2: 90, 7: 60, 9: 5}))
-    assert decision.action is MaintenanceAction.CHECKPOINT_RANGES
-    assert decision.ranges == (
-        (2 * 4096, 3 * 4096),
-        (7 * 4096, 8 * 4096),
-    )
+    db = fresh_db(block_rows=256)
+    modify_sids(db, [*block_sids(0, 130, 256), *block_sids(2, 200, 256),
+                     *block_sids(7, 160, 256), *block_sids(9, 5, 256)])
+    assert decision_for(db, "hot-ranges:2") == (
+        "ranges", ((2 * 256, 3 * 256), (7 * 256, 8 * 256)))
+    # Equal heat: the lower block index wins.
+    db = fresh_db(block_rows=256)
+    modify_sids(db, [*block_sids(1, 130, 256), *block_sids(3, 130, 256),
+                     *block_sids(5, 130, 256)])
+    assert decision_for(db, "hot-ranges:2") == (
+        "ranges", ((1 * 256, 2 * 256), (3 * 256, 4 * 256)))
 
 
 def test_hot_range_coalesces_adjacent_blocks():
-    policy = HotRangePolicy(k=3, min_entries=10)
-    decision = policy.decide(load(hist={4: 20, 5: 30, 9: 15}))
-    assert decision.ranges == (
-        (4 * 4096, 6 * 4096),
-        (9 * 4096, 10 * 4096),
-    )
+    db = fresh_db(block_rows=256)
+    modify_sids(db, [*block_sids(4, 130, 256), *block_sids(5, 140, 256),
+                     *block_sids(9, 135, 256)])
+    assert decision_for(db, "hot-ranges:3") == (
+        "ranges", ((4 * 256, 6 * 256), (9 * 256, 10 * 256)))
 
 
 def test_policy_from_spec_parsing():
-    assert isinstance(policy_from_spec(None), NeverPolicy)
-    p = policy_from_spec("updates:500")
-    assert isinstance(p, UpdateCountPolicy) and p.max_entries == 500
-    p = policy_from_spec("hot-ranges:7")
-    assert isinstance(p, HotRangePolicy) and p.k == 7
-    assert policy_from_spec("hot-ranges").k == 4
-    existing = HotRangePolicy(k=2)
-    assert policy_from_spec(existing) is existing
-    # Removed and unknown names are refused with the accepted specs.
-    for spec in ("memory:4096", "never", "composite", "banana:3"):
+    for spec in (None, "updates:500", "hot-ranges:7", "hot-ranges"):
+        Database(checkpoint_policy=spec)
+    # A bare "hot-ranges" folds the four hottest blocks.
+    db = fresh_db(block_rows=256)
+    modify_sids(db, [sid for block in (0, 2, 4, 6, 8)
+                     for sid in block_sids(block, 128 + block, 256)])
+    decision = decision_for(db, "hot-ranges")
+    assert decision == ("ranges", tuple(
+        (block * 256, (block + 1) * 256) for block in (2, 4, 6, 8)))
+    # Removed, unknown and malformed specs are refused with the accepted
+    # specs named.
+    for spec in ("memory:4096", "never", "composite", "banana:3",
+                 "updates:0", "updates:x", "updates", "hot-ranges:0",
+                 42, object()):
         with pytest.raises(ValueError) as err:
-            policy_from_spec(spec)
+            Database(checkpoint_policy=spec)
         message = str(err.value)
         assert repr(spec) in message
         for accepted in ("None", '"updates:<entries>"', '"hot-ranges:<k>"'):
             assert accepted in message
-    with pytest.raises(ValueError):
-        policy_from_spec(42)
+
+
+def test_removed_max_pin_age_option_raises_type_error():
+    with pytest.raises(TypeError):
+        Database(max_pin_age_s=1)
 
 
 # -- scheduler execution ------------------------------------------------------
@@ -162,16 +172,17 @@ def test_scheduler_never_policy_leaves_deltas_alone():
 
 
 def test_scheduler_hot_ranges_folds_only_the_hot_blocks():
-    db = fresh_db(policy=HotRangePolicy(k=1, min_entries=16), block_rows=1024)
+    db = fresh_db(policy="hot-ranges:1", block_rows=1024)
     with db.transaction() as txn:
-        for i in range(20):  # all mods land in stable block 0
+        for i in range(130):  # all mods land in stable block 0
             txn.modify("t", (i * 2,), "v", 99)
     stats = db.scheduler.stats
     assert stats.range_checkpoints == 1
-    assert stats.entries_folded == 20
+    assert stats.entries_folded == 130
     assert stats.checkpoints == 0
+    assert db.delta_bytes("t") == 0
     rel = db.query("t", columns=["v"])
-    assert int(rel["v"][:20].sum()) == 99 * 20
+    assert int(rel["v"][:130].sum()) == 99 * 130
     assert db.table("t").num_rows == 10_000
 
 
