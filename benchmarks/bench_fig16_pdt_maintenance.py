@@ -186,7 +186,7 @@ def test_fig16_scheduler_amortization(benchmark, label, spec):
         db = Database(block_rows=4096, checkpoint_policy=spec)
         db.create_table_from_arrays(
             "micro", table.schema,
-            {c: table.column(c).values for c in table.schema.column_names},
+            {c: table.column(c) for c in table.schema.column_names},
         )
         return (db,), {}
 

@@ -47,7 +47,6 @@ READ_BANDWIDTH = 150e6
 def _build_env(compressed: bool):
     data = generate(scale=SF, seed=20100608)
     db = load_database(data, compressed=compressed)
-    db.io.read_bandwidth = READ_BANDWIDTH
     applier = RefreshApplier(data)
     applier.apply_all_pdt(db)
     vdts = applier.make_vdts()

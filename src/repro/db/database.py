@@ -256,20 +256,20 @@ class Database:
     def create_table(self, name: str, schema: Schema, rows=()) -> None:
         """Create and bulk-load an ordered table (sorted by its SK)."""
         self._check_free_name(name)
-        stable = StableTable.bulk_load(name, schema, rows)
-        self._install_table(stable)
+        self._install_table(
+            StableTable.bulk_load(name, schema, rows, self.pool))
 
     def create_table_from_arrays(self, name: str, schema: Schema,
                                  arrays: dict) -> None:
         """Bulk path for pre-sorted columnar data (dbgen output)."""
         self._check_free_name(name)
-        stable = StableTable.from_arrays(name, schema, arrays)
-        self._install_table(stable)
+        self._install_table(
+            StableTable.from_arrays(name, schema, arrays, self.pool))
 
     def _install_table(self, stable: StableTable) -> None:
         # Published before it is registered: on a durable backend the
         # table survives a kill from this point on (before any commit).
-        stable.publish(self.pool, self.manager._lsn)
+        stable.publish(self.manager._lsn)
         self.manager.register_table(stable)
 
     def _check_free_name(self, name: str) -> None:
@@ -615,13 +615,11 @@ class Database:
         self.pool.clear()
         for sharded in self._sharded.values():
             for state in sharded.shard_states():
-                if state.stable.pool is not None:
-                    state.stable.pool.clear()
+                state.stable.pool.clear()
 
     def warm(self, table: str, columns=None) -> None:
         if table in self._sharded:
             for state in self._sharded[table].shard_states():
-                if state.stable.pool is not None:
-                    state.stable.pool.warm_table(state.stable.name, columns)
+                state.stable.pool.warm_table(state.stable.name, columns)
             return
         self.pool.warm_table(table, columns)

@@ -231,7 +231,7 @@ class ExecutorRouter:
         self._free: queue.Queue = queue.Queue()
         self._spawned = 0
         self._lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
+        self._threads: ThreadPoolExecutor | None = None
         self._closed = False
         # observability ----------------------------------------------------
         self.remote_jobs = 0
@@ -313,25 +313,23 @@ class ExecutorRouter:
     def payload_for(self, stable, layers, columns, sid_lo, sid_hi,
                     block_rows, image_lsn=None, push=None) -> dict | None:
         """A pin-vector job payload, or None when the job must stay
-        local: thread mode, detached stable (a checkpoint retired the
-        on-disk image), non-mmap scope, unpublished/mismatched image
-        LSN, or a table too small to be worth the hop."""
-        if self.mode != "process" or self._closed:
-            return None
-        pool = getattr(stable, "pool", None)
-        if pool is None or stable.num_rows < self.min_remote_rows:
+        local: thread mode, a table too small to be worth the hop, a
+        non-mmap scope (including an outgoing image a fold under a pin
+        re-homed into memory), or an unpublished/mismatched image LSN."""
+        if self.mode != "process" or self._closed \
+                or stable.num_rows < self.min_remote_rows:
             return None
         from ..storage.mmap_backend import MmapFileBackend
 
-        backend = pool.store.backend
+        backend = stable.pool.store.backend
         if not isinstance(backend, MmapFileBackend):
             return None
         if image_lsn is None:
             # The LSN stamped on the object when *this* image was
             # published — never the store's current value, which a
             # concurrent checkpoint may already have moved past.
-            image_lsn = getattr(stable, "image_lsn", None)
-        epoch = getattr(stable, "image_epoch", None)
+            image_lsn = stable.image_lsn
+        epoch = stable.image_epoch
         if image_lsn is None or epoch is None:
             return None
         payload = scan_payload(
@@ -507,16 +505,16 @@ class ExecutorRouter:
 
     def _driver_pool(self) -> ThreadPoolExecutor:
         with self._lock:
-            if self._pool is None:
+            if self._threads is None:
                 if self._closed:
                     raise RuntimeError("executor router is closed")
                 # One driver thread per worker plus slack for local
                 # fallbacks; drivers mostly block on worker pipes.
-                self._pool = ThreadPoolExecutor(
+                self._threads = ThreadPoolExecutor(
                     max_workers=self.workers + 2,
                     thread_name_prefix="exec-router",
                 )
-            return self._pool
+            return self._threads
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -529,10 +527,10 @@ class ExecutorRouter:
             if self._closed:
                 return
             self._closed = True
-            pool, self._pool = self._pool, None
+            threads, self._threads = self._threads, None
             handles, self._handles = self._handles, []
-        if pool is not None:
-            pool.shutdown(wait=True)
+        if threads is not None:
+            threads.shutdown(wait=True)
         while True:  # unblock any checkout still waiting on the queue
             try:
                 self._free.get_nowait()

@@ -38,34 +38,19 @@ import numpy as np
 
 from ..core.pdt import PDT
 from ..core.types import KIND_INS
-from ..storage.column import Column
 from ..storage.table import StableTable
 
 
-def _slice_stable(name: str, stable: StableTable, lo: int,
-                  hi: int) -> StableTable:
-    columns = [
-        Column(spec.name, spec.dtype,
-               np.array(stable.column(spec.name).values[lo:hi]))
-        for spec in stable.schema.columns
-    ]
-    return StableTable(name, stable.schema, columns)
-
-
-def _concat_stable(name: str, left: StableTable,
-                   right: StableTable) -> StableTable:
-    columns = [
-        Column(
-            spec.name, spec.dtype,
-            np.concatenate([
-                left.column(spec.name).values, right.column(spec.name).values
-            ]) if left.num_rows and right.num_rows
-            else np.array((left if left.num_rows else right)
-                          .column(spec.name).values),
-        )
-        for spec in left.schema.columns
-    ]
-    return StableTable(name, left.schema, columns)
+def _build_shard(db, name: str, parts) -> StableTable:
+    """A new shard image ``name`` in its own scope: each column is the
+    concatenation of the ``(stable, lo, hi)`` row ranges in ``parts``,
+    read through the source shards' pools."""
+    schema = parts[0][0].schema
+    return StableTable.from_arrays(name, schema, {
+        c: np.concatenate([stable.read_rows(c, lo, hi)
+                           for stable, lo, hi in parts])
+        for c in schema.column_names
+    }, db.open_shard_pool(name))
 
 
 def _split_read_pdt(read_pdt: PDT, mid: int, split_key: tuple,
@@ -171,8 +156,9 @@ def split_shard(sharded, index: int) -> bool:
         return False  # degenerate shard: all rows share the boundary side
     left_name = sharded.next_shard_name()
     right_name = sharded.next_shard_name()
-    left_stable = _slice_stable(left_name, stable, 0, mid)
-    right_stable = _slice_stable(right_name, stable, mid, stable.num_rows)
+    left_stable = _build_shard(db, left_name, [(stable, 0, mid)])
+    right_stable = _build_shard(db, right_name,
+                                [(stable, mid, stable.num_rows)])
     left_pdt, right_pdt = _split_read_pdt(state.read_pdt, mid, split_key,
                                           sharded.schema)
     sharded.router.insert_boundary(index, split_key)
@@ -199,8 +185,9 @@ def merge_adjacent(sharded, index: int) -> bool:
     left_state = manager.state_of(left_name)
     right_state = manager.state_of(right_name)
     new_name = sharded.next_shard_name()
-    new_stable = _concat_stable(new_name, left_state.stable,
-                                right_state.stable)
+    left, right = left_state.stable, right_state.stable
+    new_stable = _build_shard(db, new_name, [(left, 0, left.num_rows),
+                                             (right, 0, right.num_rows)])
     new_pdt = _merged_read_pdt(left_state, right_state, sharded.schema)
     sharded.router.remove_boundary(index)
     _swap_in(

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import bisect
 
-from ..storage.column import Column
-from ..storage.schema import Schema, SchemaError
-from ..storage.table import StableTable
+from ..storage.schema import Schema
+from ..storage.table import StableTable, sorted_arrays
 from .router import ShardRouter
 
 
@@ -75,19 +74,9 @@ class ShardedTable:
         shards). Rows are coerced and sorted exactly once, then handed
         to the columnar path, which cuts shard slices by position.
         """
-        coerced = sorted((schema.coerce_row(r) for r in rows),
-                         key=schema.sk_of)
-        for a, b in zip(coerced, coerced[1:]):
-            if schema.sk_of(a) == schema.sk_of(b):
-                raise SchemaError(f"duplicate sort key {schema.sk_of(a)!r}")
-        arrays = {
-            spec.name: Column.from_python(
-                spec.name, spec.dtype, [row[i] for row in coerced]
-            ).values
-            for i, spec in enumerate(schema.columns)
-        }
         return cls.create_from_arrays(
-            db, name, schema, arrays, shards=shards, boundaries=boundaries,
+            db, name, schema, sorted_arrays(schema, rows), shards=shards,
+            boundaries=boundaries,
             split_rows=split_rows, merge_rows=merge_rows,
         )
 
@@ -126,6 +115,7 @@ class ShardedTable:
             sharded.install_shard(StableTable.from_arrays(
                 shard_name, schema,
                 {c: arrays[c][lo:hi] for c in schema.column_names},
+                db.open_shard_pool(shard_name),
             ))
         sharded.log_layout()
         return sharded
@@ -136,9 +126,10 @@ class ShardedTable:
         return name
 
     def install_shard(self, stable: StableTable, read_pdt=None):
-        """Register a shard's stable image on its *own* storage backend
-        (scope = the shard's physical name) with a private buffer pool
-        and (optionally) a pre-built Read-PDT (rebalance survivors).
+        """Publish and register a shard's stable image — built in its
+        *own* storage backend (scope = the shard's physical name,
+        :meth:`Database.open_shard_pool`) — with (optionally) a pre-built
+        Read-PDT (rebalance survivors).
 
         The shard's blocks are published (synced) before this returns:
         on durable storage a freshly installed shard survives a kill —
@@ -147,7 +138,7 @@ class ShardedTable:
         the next reopen.
         """
         db = self.db
-        stable.publish(db.open_shard_pool(stable.name), db.manager._lsn)
+        stable.publish(db.manager._lsn)
         state = db.manager.register_table(stable)
         if read_pdt is not None and not read_pdt.is_empty():
             state.read_pdt = read_pdt
@@ -172,10 +163,9 @@ class ShardedTable:
         self._retired_pending.append((shard_name, state.stable.pool))
 
     def _drop_shard_storage(self, shard_name: str, pool) -> None:
-        if pool is not None:
-            pool.store.drop_table(shard_name)
-            pool.clear()
-            pool.store.close()
+        pool.store.drop_table(shard_name)
+        pool.clear()
+        pool.store.close()
         # Retire the shard's whole storage scope: on file-backed storage
         # this deletes the shard's real segment and catalog files.
         self.db.storage.discard(shard_name)
@@ -212,12 +202,12 @@ class ShardedTable:
         """Rebuild the wrapper from a WAL shard-layout record; the shard
         stable tables must already be registered with ``db``.
 
-        Shards registered through the generic recovery path share the
-        database-wide buffer pool; they are re-attached to private
-        per-shard pools here, so a shard's cache residency stays its
-        own. Only the configuration keys this class still has are read:
-        layouts logged by older versions carry more (``"parallel"``) and
-        must keep reopening.
+        Shard images registered by hand in the database-wide pool (the
+        in-memory recovery path) are re-homed onto their own per-shard
+        scopes here, so a shard's cache residency stays its own. Only
+        the configuration keys this class still has are read: layouts
+        logged by older versions carry more (``"parallel"``) and must
+        keep reopening.
         """
         shard_names = list(layout["shards"])
         schema = db.manager.state_of(shard_names[0]).schema
@@ -230,7 +220,7 @@ class ShardedTable:
         )
         for shard in shard_names:
             state = db.manager.state_of(shard)
-            if state.stable.pool is None or state.stable.pool is db.pool:
+            if state.stable.pool is db.pool:
                 state.stable.attach_storage(db.open_shard_pool(shard))
         return sharded
 

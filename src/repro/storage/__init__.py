@@ -1,4 +1,4 @@
-"""Columnar storage substrate: schemas, columns, blocks, buffering, indexes.
+"""Columnar storage substrate: schemas, blocks, buffering, tables, indexes.
 
 This package is the paper's "read-store": ordered, block-wise, optionally
 compressed columnar tables with buffer-pool-mediated access and sparse
@@ -16,7 +16,6 @@ from .backend import (
 from .blocks import BlockKey, BlockStore, DEFAULT_BLOCK_ROWS
 from .btree import BPlusTree
 from .buffer import BufferPool
-from .column import Column
 from .io_stats import IOSnapshot, IOStats
 from .mmap_backend import MmapFileBackend, MmapStorage
 from .schema import ColumnSpec, DataType, Schema, SchemaError
@@ -36,7 +35,6 @@ __all__ = [
     "resolve_storage",
     "BPlusTree",
     "BufferPool",
-    "Column",
     "ColumnSpec",
     "DataType",
     "DEFAULT_BLOCK_ROWS",

@@ -3,9 +3,7 @@
 The paper's Figure 19 (plots 2 and 5) reports per-query I/O *volume* for
 no-updates, VDT, and PDT runs. Our disk is simulated, so instead of timing
 physical reads we count the bytes each scan pulls from "disk" (i.e. buffer
-pool misses, at the stored — possibly compressed — block size). An optional
-bandwidth cost model converts volume into simulated seconds so that "cold"
-runs can report an I/O-inclusive time.
+pool misses, at the stored — possibly compressed — block size).
 """
 
 from __future__ import annotations
@@ -55,11 +53,10 @@ class IOStats:
     sort-key columns specifically (the PDT-vs-VDT difference).
     """
 
-    def __init__(self, read_bandwidth_bytes_per_sec: float | None = None):
+    def __init__(self):
         self.bytes_read = 0
         self.blocks_read = 0
         self.bytes_by_column: dict = defaultdict(int)
-        self.read_bandwidth = read_bandwidth_bytes_per_sec
         # The query service scans one shard from several concurrent
         # requests; counter updates (and db-level merges) must not race.
         self._lock = threading.Lock()
@@ -97,18 +94,6 @@ class IOStats:
 
     def since(self, snap: IOSnapshot) -> IOSnapshot:
         return self.snapshot().minus(snap)
-
-    def simulated_seconds(self, nbytes: int | None = None) -> float:
-        """Convert a byte count into simulated I/O seconds.
-
-        Returns 0.0 when no bandwidth model is configured (pure counting
-        mode, used by the I/O-volume benchmarks).
-        """
-        if not self.read_bandwidth:
-            return 0.0
-        if nbytes is None:
-            nbytes = self.bytes_read
-        return nbytes / self.read_bandwidth
 
     def reset(self) -> None:
         with self._lock:

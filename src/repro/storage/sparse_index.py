@@ -40,15 +40,25 @@ class SparseIndex:
         self.table_name = table.name
         self.granularity = granularity
         self.num_rows = table.num_rows
-        self._max_keys: list[tuple] = []
-        key_cols = [table.column(c).values for c in table.schema.sort_key]
-        for start in range(0, table.num_rows, granularity):
-            last = min(start + granularity, table.num_rows) - 1
-            self._max_keys.append(tuple(col[last] for col in key_cols))
+        self._table = table
+        self._keys: list[tuple] | None = None
+
+    @property
+    def _max_keys(self) -> list[tuple]:
+        """Largest sort key of each granule, read through the table's
+        pool on first use — opening an image decodes nothing until a
+        lookup needs the index."""
+        if self._keys is None:
+            self._keys = [
+                self._table.sk_at(min(start + self.granularity,
+                                      self.num_rows) - 1)
+                for start in range(0, self.num_rows, self.granularity)
+            ]
+        return self._keys
 
     @property
     def num_granules(self) -> int:
-        return len(self._max_keys)
+        return -(-self.num_rows // self.granularity)
 
     # -- lookups -----------------------------------------------------------
 

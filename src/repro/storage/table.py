@@ -6,12 +6,16 @@ schema's sort key (SK). Tuple positions within it are the *stable IDs*
 (SIDs) of the paper; they never change until a checkpoint rebuilds the
 image.
 
-Tables may live purely in memory (convenient for unit tests) or be attached
-to a :class:`~repro.storage.blocks.BlockStore` +
-:class:`~repro.storage.buffer.BufferPool`, in which case every column read
-is routed through the pool and counted by the I/O accounting — including
-sort-key reads, so that the positional-vs-value-based merging comparison is
-honest.
+A stable table *is* its stored blocks: it names one table in a
+:class:`~repro.storage.buffer.BufferPool`'s
+:class:`~repro.storage.blocks.BlockStore`, and every read — scans, point
+reads, sort-key reads, whole-column reads — goes through that pool and is
+counted by its I/O accounting, so the positional-vs-value-based merging
+comparison is honest. No decoded copy of a column lives outside the pool.
+The constructors encode the image straight into the pool that will serve
+it: the database's, a shard's, or — for code without a database — a
+private uncompressed in-memory pool. Reopening an image
+(:meth:`StableTable.from_storage`) reads only the catalog.
 """
 
 from __future__ import annotations
@@ -20,35 +24,45 @@ import bisect
 
 import numpy as np
 
+from .blocks import BlockStore
 from .buffer import BufferPool
-from .column import Column
 from .schema import DataType, Schema, SchemaError
 
 DEFAULT_BATCH_ROWS = 1024
 
 
-class StableTable:
-    """Immutable, SK-ordered columnar table image."""
+def sorted_arrays(schema: Schema, rows) -> dict[str, np.ndarray]:
+    """Coerce Python tuples, sort them by the SK and return one typed
+    array per column. Duplicate sort keys are rejected: the paper
+    requires the SK to be a key of the table."""
+    coerced = sorted((schema.coerce_row(r) for r in rows), key=schema.sk_of)
+    for a, b in zip(coerced, coerced[1:]):
+        if schema.sk_of(a) == schema.sk_of(b):
+            raise SchemaError(f"duplicate sort key {schema.sk_of(a)!r}")
+    arrays = {}
+    for i, spec in enumerate(schema.columns):
+        values = [row[i] for row in coerced]
+        if spec.dtype is DataType.STRING:
+            arr = np.empty(len(values), dtype=object)
+            arr[:] = values
+        else:
+            arr = np.asarray(values, dtype=spec.dtype.numpy_dtype)
+        arrays[spec.name] = arr
+    return arrays
 
-    def __init__(self, name: str, schema: Schema, columns: list[Column]):
-        if len(columns) != len(schema):
-            raise SchemaError("column count does not match schema")
-        lengths = {len(c) for c in columns}
-        if len(lengths) > 1:
-            raise SchemaError("columns have differing lengths")
-        for spec, col in zip(schema.columns, columns):
-            if spec.name != col.name or spec.dtype != col.dtype:
-                raise SchemaError(
-                    f"column {col.name!r} does not match spec {spec.name!r}"
-                )
+
+class StableTable:
+    """Immutable, SK-ordered columnar table image: a view over the
+    blocks ``pool`` stores under ``name``."""
+
+    def __init__(self, name: str, schema: Schema, pool: BufferPool):
         self.name = name
         self.schema = schema
-        self._columns = {c.name: c for c in columns}
-        self.num_rows = lengths.pop() if lengths else 0
-        self._pool: BufferPool | None = None
+        self._pool = pool
+        self.num_rows = pool.store.column_rows(name, schema.column_names[0])
         self._sk_cache: list[tuple] | None = None
         # LSN the persisted form of *this* image was published under, or
-        # None while memory-only. Stamped by :meth:`publish` (bulk load,
+        # None while unpublished. Stamped by :meth:`publish` (bulk load,
         # shard install, checkpoint) and :meth:`from_storage` (recovery);
         # read together with the object it names, so remote dispatch
         # never pairs one image's layers with another image's LSN.
@@ -61,80 +75,93 @@ class StableTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def bulk_load(cls, name: str, schema: Schema, rows) -> "StableTable":
-        """Build a stable image from Python tuples, sorting by the SK.
-
-        Duplicate sort keys are rejected: the paper requires the SK to be a
-        key of the table.
-        """
-        coerced = [schema.coerce_row(r) for r in rows]
-        coerced.sort(key=schema.sk_of)
-        for a, b in zip(coerced, coerced[1:]):
-            if schema.sk_of(a) == schema.sk_of(b):
-                raise SchemaError(f"duplicate sort key {schema.sk_of(a)!r}")
-        columns = [
-            Column.from_python(
-                spec.name, spec.dtype, [row[i] for row in coerced]
-            )
-            for i, spec in enumerate(schema.columns)
-        ]
-        return cls(name, schema, columns)
+    def bulk_load(cls, name: str, schema: Schema, rows,
+                  pool: BufferPool | None = None) -> "StableTable":
+        """Build a stable image from Python tuples, sorting by the SK
+        (see :func:`sorted_arrays`), and store it in ``pool``."""
+        return cls.from_arrays(name, schema, sorted_arrays(schema, rows),
+                               pool)
 
     @classmethod
-    def from_arrays(cls, name: str, schema: Schema, arrays: dict) -> "StableTable":
-        """Build from pre-sorted numpy arrays (bulk path used by dbgen).
+    def from_arrays(cls, name: str, schema: Schema, arrays: dict,
+                    pool: BufferPool | None = None) -> "StableTable":
+        """Build from pre-sorted numpy arrays (bulk path used by dbgen)
+        and store it in ``pool`` (a private uncompressed in-memory pool
+        when None).
 
-        The caller asserts SK order; it is validated cheaply for numeric
-        leading key columns.
+        Each array is converted to its column's dtype and must be
+        one-dimensional, all of one length. The caller asserts SK order;
+        it is validated cheaply for numeric leading key columns.
         """
-        columns = [
-            Column(spec.name, spec.dtype, arrays[spec.name])
-            for spec in schema.columns
-        ]
-        table = cls(name, schema, columns)
+        typed = {}
+        for spec in schema.columns:
+            arr = np.asarray(arrays[spec.name], dtype=spec.dtype.numpy_dtype)
+            if arr.ndim != 1:
+                raise ValueError(
+                    f"column {spec.name!r} must be one-dimensional")
+            typed[spec.name] = arr
+        if len({len(a) for a in typed.values()}) > 1:
+            raise SchemaError("columns have differing lengths")
         lead = schema.sort_key[0]
-        lead_col = table.column(lead)
-        if lead_col.dtype is not DataType.STRING and len(lead_col) > 1:
-            diffs = np.diff(lead_col.values)
-            if (diffs < 0).any():
-                raise SchemaError("arrays not sorted on leading sort key")
-        return table
+        if schema.dtype_of(lead) is not DataType.STRING \
+                and (np.diff(typed[lead]) < 0).any():
+            raise SchemaError("arrays not sorted on leading sort key")
+        pool = pool or BufferPool(BlockStore(compressed=False))
+        for spec in schema.columns:
+            pool.store.store_column(name, spec.name, spec.dtype,
+                                    typed[spec.name])
+        pool.store.set_table_schema(name, schema)
+        return cls(name, schema, pool)
 
     @classmethod
-    def empty(cls, name: str, schema: Schema) -> "StableTable":
-        return cls(
-            name,
-            schema,
-            [Column.empty(spec.name, spec.dtype) for spec in schema.columns],
-        )
+    def empty(cls, name: str, schema: Schema,
+              pool: BufferPool | None = None) -> "StableTable":
+        return cls.from_arrays(name, schema, {
+            spec.name: np.empty(0, dtype=spec.dtype.numpy_dtype)
+            for spec in schema.columns
+        }, pool)
 
     # -- storage binding ---------------------------------------------------
 
     def attach_storage(self, pool: BufferPool) -> None:
-        """Write all columns to the pool's block store; reads now do 'I/O'.
+        """Re-home this image: copy its encoded blocks (and schema) into
+        ``pool``'s block store, which must share the current store's
+        block layout, and read through ``pool`` from now on.
 
-        The schema rides along into the store's catalog so a durable
-        backend can rebuild this table after a crash
-        (:meth:`from_storage`).
+        A fold under a live pin re-homes the outgoing image into a
+        private in-memory pool before the shared store drops its blocks;
+        recovery re-homes shard images onto their own scopes.
         """
-        for col in self._columns.values():
-            pool.store.store_column(self.name, col.name, col.dtype, col.values)
-        pool.store.set_table_schema(self.name, self.schema)
+        src, dst = self._pool.store, pool.store
+        if src.block_rows != dst.block_rows:
+            raise ValueError(
+                f"cannot copy {src.block_rows}-row blocks into a store of "
+                f"{dst.block_rows}-row blocks"
+            )
+        for spec in self.schema.columns:
+            meta = src.backend.column_meta(self.name, spec.name)
+            dst.backend.begin_column(self.name, spec.name, spec.dtype)
+            for block, (_, rows) in enumerate(meta.blocks):
+                dst.backend.put_block(
+                    self.name, spec.name, block,
+                    src.backend.get_block(self.name, spec.name, block),
+                    rows=rows,
+                )
+        dst.set_table_schema(self.name, self.schema)
         self._pool = pool
 
-    def publish(self, pool: BufferPool, lsn: int) -> None:
-        """Store this image in ``pool``'s block store and publish it as
-        the table's persisted image, consecutive to ``lsn`` — the one
-        durability-ordered sequence every image writer (bulk load, shard
-        install, checkpoint) goes through: blocks and schema first, then
-        the image LSN, then the store's atomic catalog commit. On a
-        durable backend the image survives a kill from the moment this
-        returns, and WAL replay skips the table's records at or below
-        ``lsn``; before it, the previously published image (if any) is
-        what recovers.
+    def publish(self, lsn: int) -> None:
+        """Publish this image as the table's persisted image, consecutive
+        to ``lsn`` — the one durability-ordered sequence every image
+        writer (bulk load, shard install, checkpoint) goes through: the
+        constructor stored blocks and schema, this records the image LSN
+        and then runs the store's atomic catalog commit. On a durable
+        backend the image survives a kill from the moment this returns,
+        and WAL replay skips the table's records at or below ``lsn``;
+        before it, the previously published image (if any) is what
+        recovers.
         """
-        self.attach_storage(pool)
-        store = pool.store
+        store = self._pool.store
         store.set_image_lsn(self.name, lsn)
         self.image_lsn = lsn
         self.image_epoch = store.table_epoch(self.name)
@@ -143,52 +170,35 @@ class StableTable:
     @classmethod
     def from_storage(cls, name: str, schema: Schema,
                      pool: BufferPool) -> "StableTable":
-        """Rebuild a stable image from the *persisted* blocks of the
-        pool's store — the kill-and-reopen recovery path. No blocks are
-        re-written; reads decode exactly the bytes a checkpoint (or bulk
-        load) published before the crash.
+        """Reopen the *persisted* image of ``name`` in the pool's store —
+        the kill-and-reopen recovery path. Only the catalog is read: no
+        block is decoded until a query reads it through the pool, and
+        none is re-written.
         """
-        from .blocks import BlockKey
-
-        store = pool.store
-        columns = []
-        for spec in schema.columns:
-            parts = [
-                store.read_block(BlockKey(name, spec.name, b))
-                for b in range(store.column_blocks(name, spec.name))
-            ]
-            values = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            columns.append(Column(spec.name, spec.dtype, values))
-        table = cls(name, schema, columns)
-        table._pool = pool
+        table = cls(name, schema, pool)
         table.image_lsn = pool.store.image_lsn(name)
         table.image_epoch = pool.store.table_epoch(name)
         return table
 
-    def detach_storage(self) -> None:
-        self._pool = None
-
     @property
-    def pool(self) -> BufferPool | None:
+    def pool(self) -> BufferPool:
         return self._pool
 
     # -- reading -----------------------------------------------------------
 
-    def column(self, name: str) -> Column:
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise SchemaError(f"unknown column {name!r}") from None
+    def column(self, name: str) -> np.ndarray:
+        """The whole column ``name``, read through the pool."""
+        if name not in self.schema.column_names:
+            raise SchemaError(f"unknown column {name!r}")
+        return self.read_rows(name, 0, self.num_rows)
 
     def read_rows(self, column: str, start: int, stop: int) -> np.ndarray:
-        """Read a value range of a column, through the pool when attached."""
+        """Read a value range of a column through the pool."""
         stop = min(stop, self.num_rows)
         if stop <= start:
             dtype = self.schema.dtype_of(column)
             return np.empty(0, dtype=dtype.numpy_dtype)
-        if self._pool is not None:
-            return self._pool.read_rows(self.name, column, start, stop)
-        return self.column(column).slice(start, stop)
+        return self._pool.read_rows(self.name, column, start, stop)
 
     def scan(
         self,
@@ -199,27 +209,24 @@ class StableTable:
     ):
         """Yield ``(first_sid, {column: ndarray})`` batches over ``[start, stop)``.
 
-        When the table is attached to storage, batch boundaries are snapped
-        to stored-block boundaries so every batch is a zero-copy view of a
-        single decoded block (batches are then at most ``batch_rows`` long,
-        never longer).
+        Batch boundaries are snapped to stored-block boundaries so every
+        batch is a zero-copy view of a single decoded block (batches are
+        then at most ``batch_rows`` long, never longer).
         """
         if columns is None:
             columns = self.schema.column_names
         if stop is None:
             stop = self.num_rows
         stop = min(stop, self.num_rows)
-        store = self._pool.store if self._pool is not None else None
+        store = self._pool.store
         pos = start
         while pos < stop:
-            hi = min(pos + batch_rows, stop)
-            if store is not None:
-                hi = store.aligned_stop(pos, hi)
+            hi = store.aligned_stop(pos, min(pos + batch_rows, stop))
             yield pos, {c: self.read_rows(c, pos, hi) for c in columns}
             pos = hi
 
     def row(self, sid: int) -> tuple:
-        """Full tuple at stable position ``sid`` (through the pool if attached)."""
+        """Full tuple at stable position ``sid``."""
         if not 0 <= sid < self.num_rows:
             raise IndexError(f"sid {sid} out of range [0, {self.num_rows})")
         return tuple(
@@ -236,24 +243,24 @@ class StableTable:
 
     def rows(self) -> list[tuple]:
         """All rows as Python tuples (testing / small-table convenience)."""
-        cols = [self.column(c).values for c in self.schema.column_names]
-        return [tuple(col[i] for col in cols) for i in range(self.num_rows)]
+        return list(zip(*(self.column(c) for c in self.schema.column_names)))
 
     # -- sort-key search ---------------------------------------------------
 
     def _sk_list(self) -> list[tuple]:
         if self._sk_cache is None:
-            keys = [self.column(c).values for c in self.schema.sort_key]
-            self._sk_cache = list(zip(*keys)) if keys else []
+            self._sk_cache = list(
+                zip(*(self.column(c) for c in self.schema.sort_key)))
         return self._sk_cache
 
     def sk_lower_bound(self, sk: tuple) -> int:
         """First SID whose sort key is >= ``sk`` (== num_rows if none).
 
-        This is an in-memory binary search on the SK; it models the
-        "SELECT rid ... WHERE SK > sk LIMIT 1" positioning query of the
-        paper without charging scan I/O (a sparse-index-backed variant that
-        does charge I/O lives in :mod:`repro.storage.sparse_index`).
+        A binary search over the SK columns, read through the pool once
+        and then cached as tuples; it models the "SELECT rid ... WHERE
+        SK > sk LIMIT 1" positioning query of the paper (the
+        sparse-index-backed variant lives in
+        :mod:`repro.storage.sparse_index`).
         """
         return bisect.bisect_left(self._sk_list(), tuple(sk))
 
@@ -262,15 +269,14 @@ class StableTable:
         return bisect.bisect_right(self._sk_list(), tuple(sk))
 
     def stored_bytes(self, columns=None) -> int:
-        """Stored size (compressed if attached to a compressed store)."""
+        """Stored size of the image's blocks (compressed when its store
+        compresses)."""
         if columns is None:
             columns = self.schema.column_names
-        if self._pool is not None:
-            return sum(
-                self._pool.store.column_stored_bytes(self.name, c)
-                for c in columns
-            )
-        return sum(self.column(c).nbytes() for c in columns)
+        return sum(
+            self._pool.store.column_stored_bytes(self.name, c)
+            for c in columns
+        )
 
     def __len__(self) -> int:
         return self.num_rows

@@ -19,9 +19,11 @@ There is one fold (:func:`_fold`) with two entry points:
 
 Both are stop-the-world for the one table they fold (a quiescent point is
 required), merge the range as a one-layer SID window
-(:func:`~repro.core.stack.merge_scan_layers`), and then drop and re-store
-*every* block of that table — a range fold saves merge work, not block
-writes.
+(:func:`~repro.core.stack.merge_scan_layers`), splice it with the stable
+prefix and suffix read through the buffer pool, and then drop and
+re-store *every* block of that table — a range fold saves merge work, not
+block writes. The stable image is its blocks, so a pinned reader's
+outgoing image is first re-homed onto a private in-memory copy of them.
 Only this table's buffer-pool blocks are evicted; every other table stays
 hot. A fold with nothing to fold touches neither storage nor the WAL.
 """
@@ -32,7 +34,8 @@ import numpy as np
 
 from ..core.pdt import PDT
 from ..core.stack import merge_scan_layers
-from ..storage.column import Column
+from ..storage.blocks import BlockStore
+from ..storage.buffer import BufferPool
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
 from .manager import TransactionManager
@@ -110,13 +113,12 @@ def _fold(manager: TransactionManager, table: str,
             merged[c].append(arrays[c])
     shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)
 
-    new_columns = []
-    for spec in schema.columns:
-        col = old.column(spec.name)
-        pieces = [col.slice(0, sid_lo), *merged[spec.name],
-                  col.slice(sid_hi, n_rows)]
-        new_columns.append(Column(spec.name, spec.dtype, np.concatenate(pieces)))
-    new_stable = StableTable(table, schema, new_columns)
+    # The whole new image, spliced before the old one's blocks go away.
+    arrays = {
+        c: np.concatenate([old.read_rows(c, 0, sid_lo), *merged[c],
+                           old.read_rows(c, sid_hi, n_rows)])
+        for c in columns
+    }
 
     # Rebase the surviving entries into a fresh Read-PDT.
     survivor = PDT(schema, fanout=read_pdt.fanout)
@@ -127,28 +129,30 @@ def _fold(manager: TransactionManager, table: str,
     )
 
     pool = old.pool
-    if pool is not None:
-        if manager.is_pinned(table):
-            # The new image reuses this table's block namespace; pinned
-            # readers switch to the outgoing image's retained in-memory
-            # columns before its blocks go away.
-            old.detach_storage()
-        if not survivor.is_empty():
-            # Surviving deltas must be durable before the publish makes
-            # replay skip the commit history that carried them: the
-            # snapshot is tagged with the image it is consecutive to and
-            # only applies once that image's catalog is the published one.
-            manager.wal.append_snapshot(
-                table, survivor, lsn=manager._lsn,
-                for_image_lsn=manager._lsn,
-            )
-        pool.store.drop_table(table)
-        # Publish the new image *before* the WAL rebase below drops the
-        # folded records. A kill before the publish recovers the old
-        # image plus the full log; after it, the persisted image LSN makes
-        # replay skip the folded history even if the rebase never landed.
-        new_stable.publish(pool, manager._lsn)
-        pool.evict_table(table)
+    if manager.is_pinned(table):
+        # The new image reuses this table's block keys; pinned readers
+        # keep the outgoing image, re-homed onto a private in-memory
+        # copy of its encoded blocks before the shared store drops them.
+        old.attach_storage(BufferPool(BlockStore(
+            compressed=pool.store.compressed,
+            block_rows=pool.store.block_rows)))
+    if not survivor.is_empty():
+        # Surviving deltas must be durable before the publish makes
+        # replay skip the commit history that carried them: the
+        # snapshot is tagged with the image it is consecutive to and
+        # only applies once that image's catalog is the published one.
+        manager.wal.append_snapshot(
+            table, survivor, lsn=manager._lsn,
+            for_image_lsn=manager._lsn,
+        )
+    pool.store.drop_table(table)
+    new_stable = StableTable.from_arrays(table, schema, arrays, pool)
+    # Publish the new image *before* the WAL rebase below drops the
+    # folded records. A kill before the publish recovers the old image
+    # plus the full log; after it, the persisted image LSN makes replay
+    # skip the folded history even if the rebase never landed.
+    new_stable.publish(manager._lsn)
+    pool.evict_table(table)
     state.stable = new_stable
     state.read_pdt = survivor
     state.sparse_index = SparseIndex(new_stable, manager.sparse_granularity)

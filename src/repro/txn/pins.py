@@ -24,9 +24,9 @@ objects) or made pin-aware:
   table is pinned, so the pinned reference never absorbs the Write-PDT a
   pin loans (the checkpoint scheduler additionally *defers* folds on
   pinned tables until pins drain);
-* checkpoints detach the outgoing stable image from block storage before
-  dropping its blocks, so pinned readers fall back to the retained
-  in-memory image;
+* checkpoints re-home the outgoing stable image onto a private
+  in-memory copy of its encoded blocks before dropping them from the
+  shared store, so pinned readers keep reading the image they captured;
 * the shard rebalancer defers retired shards' block drops until the pins
   that captured them drain (shard names are never reused, so old and new
   images coexist in the block store).
@@ -51,7 +51,7 @@ class PinnedTable:
 
     ``image_lsn`` names the *persisted* stable image the pinned layers
     are relative to (the value block storage published for this table),
-    or ``None`` when the stable image is memory-only — it is what lets a
+    or ``None`` when the image was never published — it is what lets a
     shard worker process re-open the same version from disk and trust the
     shipped pin vector.
     """

@@ -146,8 +146,7 @@ class CheckpointScheduler:
             return None
         if not total:
             return None
-        pool = state.stable.pool
-        block_rows = pool.store.block_rows if pool is not None else 4096
+        block_rows = state.stable.pool.store.block_rows
         hist: dict[int, int] = {}
         for pdt in (state.read_pdt, state.write_pdt):
             for sid in pdt.entry_lists()[0]:

@@ -125,7 +125,7 @@ def generate_ops(
     ops: list[tuple] = []
     used_stable: set[int] = set()
     used_odd: set[int] = set()
-    data_arrays = {c: table.column(c).values for c in data_cols}
+    cols = {c: table.column(c) for c in schema.column_names}
 
     def fresh_stable_row() -> int | None:
         for _ in range(64):
@@ -152,16 +152,16 @@ def generate_ops(
             if i is None:
                 continue
             ops.append(("del", tuple(
-                table.column(c).values[i] for c in schema.sort_key
+                cols[c][i] for c in schema.sort_key
             )))
         else:
             i = fresh_stable_row()
             if i is None:
                 continue
-            sk = tuple(table.column(c).values[i] for c in schema.sort_key)
+            sk = tuple(cols[c][i] for c in schema.sort_key)
             col = data_cols[rng.randrange(len(data_cols))]
             current = tuple(
-                table.column(c).values[i] for c in schema.column_names
+                cols[c][i] for c in schema.column_names
             )
             ops.append(
                 ("mod", sk, col, rng.randrange(1_000_000), current)

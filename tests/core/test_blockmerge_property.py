@@ -156,7 +156,7 @@ def test_passthrough_blocks_are_not_copied():
     pdt = PDT(schema)
     pdt.add_modify(40, 1, 999)  # lands in the third 16-row block
     pdt.add_delete(56, (560,))  # ... and this one in the fourth
-    src = {c: stable.column(c).values for c in schema.column_names}
+    src = {c: stable.column(c) for c in schema.column_names}
     blocks = 0
     for first_rid, arrays in merge_scan_layers(stable, [pdt], batch_rows=16):
         block = first_rid // 16

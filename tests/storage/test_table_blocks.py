@@ -1,4 +1,4 @@
-"""Tests for columns, block store, buffer pool, and stable tables."""
+"""Tests for the block store, buffer pool, and stable tables."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.storage import (
     BlockKey,
     BlockStore,
     BufferPool,
-    Column,
     DataType,
     IOStats,
     Schema,
@@ -30,27 +29,49 @@ def make_table(n=100, name="t"):
     return StableTable.bulk_load(name, small_schema(), rows)
 
 
-class TestColumn:
-    def test_from_python_strings(self):
-        col = Column.from_python("s", DataType.STRING, ["a", 5, "c"])
-        assert col.values.dtype == object
+class TestStableTable:
+    def test_bulk_load_coerces_strings(self):
+        rows = [(1, 1, "a"), (2, 2, 5), (3, 3, "c")]
+        col = StableTable.bulk_load("t", small_schema(), rows).column("s")
+        assert col.dtype == object
         assert col.tolist() == ["a", "5", "c"]
 
-    def test_slice_and_take(self):
-        col = Column("v", DataType.INT64, np.arange(10))
-        assert col.slice(2, 5).tolist() == [2, 3, 4]
-        assert col.take([0, 9]).tolist() == [0, 9]
+    def test_column_reads_through_pool(self):
+        table = make_table(10)
+        before = table.pool.misses
+        assert table.column("v").tolist() == [i * 10 for i in range(10)]
+        assert table.read_rows("v", 2, 5).tolist() == [20, 30, 40]
+        assert table.pool.misses > before
+        with pytest.raises(SchemaError):
+            table.column("nope")
 
-    def test_rejects_2d(self):
+    def test_from_arrays_rejects_2d(self):
+        arrays = {
+            "k": np.zeros((2, 2), dtype=np.int64),
+            "v": np.zeros(4, dtype=np.int64),
+            "s": np.array(["a", "b", "c", "d"], dtype=object),
+        }
         with pytest.raises(ValueError):
-            Column("v", DataType.INT64, np.zeros((2, 2)))
+            StableTable.from_arrays("t", small_schema(), arrays)
 
-    def test_nbytes_string_counts_utf8(self):
-        col = Column.from_python("s", DataType.STRING, ["ab", "c"])
-        assert col.nbytes() == (2 + 4) + (1 + 4)
+    def test_from_arrays_rejects_ragged_columns(self):
+        arrays = {
+            "k": np.arange(3, dtype=np.int64),
+            "v": np.zeros(2, dtype=np.int64),
+            "s": np.array(["a", "b", "c"], dtype=object),
+        }
+        with pytest.raises(SchemaError):
+            StableTable.from_arrays("t", small_schema(), arrays)
 
+    def test_stored_bytes_string_counts_utf8(self):
+        schema = Schema.build(("s", DataType.STRING), sort_key=("s",))
+        table = StableTable.bulk_load("t", schema, [("ab",), ("c",)])
+        empty = StableTable.empty("e", schema)
+        # The private pool stores plain UTF-8 plus a 4-byte length per
+        # value (both images carry one block header).
+        assert table.stored_bytes() - empty.stored_bytes() \
+            == (2 + 4) + (1 + 4)
 
-class TestStableTable:
     def test_bulk_load_sorts_by_sk(self):
         rows = [(5, 1, "a"), (1, 2, "b"), (3, 3, "c")]
         table = StableTable.bulk_load("t", small_schema(), rows)
@@ -171,11 +192,12 @@ class TestBlockStoreAndBufferPool:
         assert io_comp.bytes_read < io_raw.bytes_read / 4
 
     def test_attached_table_charges_io(self):
-        table = make_table(100)
         store = BlockStore(compressed=False, block_rows=32)
         io = IOStats()
         pool = BufferPool(store, io)
-        table.attach_storage(pool)
+        rows = [(i * 2, i * 10, f"row-{i}") for i in range(100)]
+        table = StableTable.bulk_load("t", small_schema(), rows, pool)
+        assert io.bytes_read == 0  # building reads nothing back
         out = table.read_rows("v", 0, 100)
         assert out.tolist() == [i * 10 for i in range(100)]
         assert io.bytes_read > 0
@@ -191,9 +213,3 @@ class TestBlockStoreAndBufferPool:
         delta = io.since(snap)
         assert delta.bytes_read == 50
         assert delta.bytes_by_column == {("t", "b"): 50}
-
-    def test_simulated_seconds(self):
-        io = IOStats(read_bandwidth_bytes_per_sec=100.0)
-        io.record_read("t", "a", 250)
-        assert io.simulated_seconds() == pytest.approx(2.5)
-        assert IOStats().simulated_seconds() == 0.0

@@ -32,7 +32,7 @@ class TestShardedLineitem:
         # shards are contiguous orderkey ranges
         prev_hi = None
         for state in st.shard_states():
-            keys = state.stable.column("l_orderkey").values
+            keys = state.stable.column("l_orderkey")
             if len(keys) == 0:
                 continue
             if prev_hi is not None:

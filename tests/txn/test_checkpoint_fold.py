@@ -107,7 +107,7 @@ def test_fold_matches_tuple_oracle(keying, backend, fold, seed, n_read,
             state.read_pdt.check_invariants()
         assert plain(db.image_rows("t")) == expected
         for spec in schema.columns:
-            assert state.stable.column(spec.name).values.dtype \
+            assert state.stable.column(spec.name).dtype \
                 == spec.dtype.numpy_dtype
 
         # The rebuilt sparse index answers key ranges like a filter of
@@ -212,7 +212,7 @@ def test_checkpoint_of_an_empty_table_with_inserts():
     db.delete("t", (3,))
     db.checkpoint("t")
     assert db.table("t").num_rows == 0
-    assert [db.table("t").column(c).values.dtype for c in schema.column_names] \
+    assert [db.table("t").column(c).dtype for c in schema.column_names] \
         == [spec.dtype.numpy_dtype for spec in schema.columns]
 
 

@@ -230,11 +230,10 @@ def test_vdt_scan_reads_sort_keys_pdt_scan_does_not():
 
     schema = int_schema()
     rows = [(k, k, f"s{k}") for k in range(2000)]
-    table = StableTable.bulk_load("t", schema, rows)
     store = BlockStore(compressed=False, block_rows=256)
     io = IOStats()
     pool = BufferPool(store, io)
-    table.attach_storage(pool)
+    table = StableTable.bulk_load("t", schema, rows, pool)
 
     vdt = VDT(schema)
     vdt.add_delete((100,))

@@ -17,13 +17,13 @@ from repro.workloads import (
 class TestTableBuilder:
     def test_int_keys_sorted_with_gaps(self):
         table = build_table(100, key_type="int")
-        keys = table.column("k0").values
+        keys = table.column("k0")
         assert (keys % 2 == 0).all()
         assert list(keys) == sorted(keys)
 
     def test_str_keys_sorted(self):
         table = build_table(50, key_type="str")
-        keys = list(table.column("k0").values)
+        keys = list(table.column("k0"))
         assert keys == sorted(keys)
         assert keys[0].startswith("key-")
 
