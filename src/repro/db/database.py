@@ -69,11 +69,10 @@ class Database:
         configuration) or plain. Affects simulated I/O volume only.
     ``block_rows``
         Rows per stored column block; scan batches align to this so
-        untouched blocks flow through MergeScan by reference.
+        untouched blocks flow through MergeScan by reference. It is also
+        the sparse index's granule: one entry per stored block.
     ``buffer_capacity``
         Buffer-pool budget in bytes (``None`` = unbounded).
-    ``sparse_granularity``
-        Rows per sparse-index entry on each stable image.
     ``storage``
         Where column blocks physically live: a
         :class:`~repro.storage.backend.StorageFactory`, ``"memory"``
@@ -135,7 +134,6 @@ class Database:
         compressed: bool = True,
         block_rows: int = DEFAULT_BLOCK_ROWS,
         buffer_capacity: int | None = None,
-        sparse_granularity: int = 4096,
         wal_path=None,
         checkpoint_policy=None,
         storage=None,
@@ -162,9 +160,7 @@ class Database:
         if wal_path is None:
             wal_path = self.storage.wal_path()
         self.manager = TransactionManager(
-            wal=WriteAheadLog(wal_path, fsync=self.storage.fsync),
-            sparse_granularity=sparse_granularity,
-        )
+            wal=WriteAheadLog(wal_path, fsync=self.storage.fsync))
         # Shared with the manager: transactions route logical sharded
         # names through the same registry.
         self._sharded: dict = self.manager.sharded_tables

@@ -51,6 +51,10 @@ from .transport import DEFAULT_RING_BYTES, ShmRingReader
 DEFAULT_WORKERS = 4
 #: Below this many stable rows a process hop costs more than it saves.
 MIN_REMOTE_ROWS = 2048
+#: Seconds a dispatch waits for a free worker before running locally.
+DISPATCH_TIMEOUT_S = 30.0
+#: Worker deaths one job survives before it falls back to a thread.
+MAX_REDISPATCH = 2
 
 
 class WorkerCrashed(RuntimeError):
@@ -208,10 +212,7 @@ class ExecutorRouter:
     """
 
     def __init__(self, mode: str = "thread", workers: int | None = None,
-                 storage=None, ring_bytes: int = DEFAULT_RING_BYTES,
-                 min_remote_rows: int = MIN_REMOTE_ROWS,
-                 dispatch_timeout: float = 30.0,
-                 max_redispatch: int = 2):
+                 storage=None):
         if mode not in ("thread", "process"):
             raise ValueError(f"unknown executor mode {mode!r}")
         if mode == "process" and not self._storage_supported(storage):
@@ -222,10 +223,10 @@ class ExecutorRouter:
         self.mode = mode
         self.workers = max(1, workers if workers is not None
                            else min(DEFAULT_WORKERS, os.cpu_count() or 1))
-        self.ring_bytes = ring_bytes
-        self.min_remote_rows = min_remote_rows
-        self.dispatch_timeout = dispatch_timeout
-        self.max_redispatch = max_redispatch
+        self.ring_bytes = DEFAULT_RING_BYTES
+        self.min_remote_rows = MIN_REMOTE_ROWS
+        self.dispatch_timeout = DISPATCH_TIMEOUT_S
+        self.max_redispatch = MAX_REDISPATCH
         self.block_delay_s = 0.0  # test hook: per-block worker-side sleep
         self._handles: list[_WorkerHandle] = []
         self._free: queue.Queue = queue.Queue()

@@ -54,6 +54,9 @@ __all__ = [
     "Observability",
 ]
 
+#: Spans ``trace=True`` keeps in its ring buffer.
+TRACE_CAPACITY = 4096
+
 #: Commit-stage histogram names, in pipeline order.
 COMMIT_STAGES = ("serialize", "propagate", "wal_append", "durability_wait")
 
@@ -61,15 +64,14 @@ COMMIT_STAGES = ("serialize", "propagate", "wal_append", "durability_wait")
 class Observability:
     """One database's metrics registry, tracer, and profiling hooks."""
 
-    def __init__(self, trace=None, slow_query_ms: float | None = None,
-                 trace_capacity: int = 4096):
+    def __init__(self, trace=None, slow_query_ms: float | None = None):
         self.registry = MetricsRegistry()
         if trace is None or trace is False:
             self.sink = None
         elif isinstance(trace, TraceSink):
             self.sink = trace
         elif trace is True:
-            self.sink = TraceSink(trace_capacity)
+            self.sink = TraceSink(TRACE_CAPACITY)
         elif isinstance(trace, int):
             self.sink = TraceSink(trace)
         else:

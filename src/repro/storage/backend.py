@@ -2,20 +2,26 @@
 
 :class:`~repro.storage.blocks.BlockStore` owns the block *layout* (row
 ranges, codecs, addressing arithmetic); a :class:`StorageBackend` owns the
-block *bytes* and the small catalog describing them — per-column dtype and
-per-block ``(size, rows)`` metadata, per-table schema/`image_lsn` metadata
-used by durable recovery, and a store-level config record
-(``block_rows``/``compressed``) so a persisted store can be reopened with
-the layout it was written with.
+block *bytes* and the one catalog describing them — per-column dtype and
+one ``(stored_size, rows, where)`` record per block, per-table
+schema/`image_lsn` metadata used by durable recovery, and a store-level
+config record (``block_rows``/``compressed``) so a persisted store can be
+reopened with the layout it was written with.
 
-Two implementations ship:
+The catalog lives once, on :class:`StorageBackend`; the two shipped
+backends add only where the bytes go:
 
-* :class:`MemoryBackend` — a dict of blobs, byte-compatible with the
-  pre-backend ``BlockStore`` (the simulated disk of the paper benchmarks).
+* :class:`MemoryBackend` — a dict of blobs (the simulated disk of the
+  paper benchmarks).
 * :class:`~repro.storage.mmap_backend.MmapFileBackend` — per-table
   segment files read through ``mmap`` with an atomically-published JSON
   catalog; ``sync()`` is a real durability point (fsync segments, then
   rename the catalog). See that module for the crash protocol.
+
+Blocks are written once: ``put_block`` only appends a column's next
+block, and a column changes only by being stored again from
+``begin_column`` (what a checkpoint does, into a new image). A column's
+row count is the running total of its block records.
 
 Backends are handed out by a :class:`StorageFactory`, keyed by *scope*:
 the database's main tables share scope ``""`` while every shard of a
@@ -23,12 +29,6 @@ range-sharded table gets its own scope (and therefore its own backend),
 so shards can live on different media and retiring a shard deletes real
 files. A custom factory may route different scopes to different backend
 kinds (e.g. hot shards on memory, cold shards on mmap files).
-
-Row-count tracking is part of the backend contract: ``column_rows`` is
-derived from the per-block ``rows`` metadata recorded by every
-``put_block``, never pinned at ``store_column`` time — a per-block
-overwrite that changes the tail block's length changes the column's row
-count with it (see ``tests/storage/test_backend_contract.py``).
 """
 
 from __future__ import annotations
@@ -36,196 +36,111 @@ from __future__ import annotations
 import abc
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 
 from .schema import DataType
 
 
-@dataclass
+@dataclass(slots=True)
 class ColumnMeta:
-    """Catalog record of one stored column: dtype + per-block metadata."""
+    """Catalog record of one stored column."""
 
     dtype: DataType
-    # One (stored_size, rows) pair per block, in block order.
-    blocks: list[tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def row_count(self) -> int:
-        return sum(rows for _, rows in self.blocks)
+    # One (stored_size, rows, where) entry per block, in block order;
+    # ``where`` addresses the bytes (the segment offset on mmap, None in
+    # memory).
+    blocks: list[tuple[int, int, int | None]] = field(default_factory=list)
+    row_count: int = 0  # running total of the blocks' rows
 
     @property
     def stored_bytes(self) -> int:
-        return sum(size for size, _ in self.blocks)
+        return sum(size for size, _, _ in self.blocks)
 
-    def to_json(self) -> dict:
-        return {
-            "dtype": self.dtype.value,
-            "blocks": [[size, rows] for size, rows in self.blocks],
-        }
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "ColumnMeta":
-        return cls(
-            dtype=DataType(raw["dtype"]),
-            blocks=[(int(s), int(r)) for s, r in raw["blocks"]],
-        )
+    def append(self, size: int, rows: int, where: int | None = None) -> None:
+        self.blocks.append((size, rows, where))
+        self.row_count += rows
 
 
 class StorageBackend(abc.ABC):
-    """Contract between the block layout layer and physical storage.
+    """The block catalog, over bytes a subclass stores.
 
-    Implementations must keep the catalog (column metadata, table
-    metadata, store config) and the block bytes consistent with each
-    other *as seen through this interface*; durable backends may defer
-    publishing both to ``sync()``, which is their atomic commit point.
+    Owns the per-column records, the table and store metadata and the
+    read-only rule; subclasses define where a block's bytes go
+    (``put_block``, ``get_block``) and, if durable, ``sync()`` — their
+    atomic commit point, which publishes catalog and bytes together.
+    Catalog mutations take ``_lock``; the per-block lookups on the read
+    path (``column_dtype``, ``column_rows``, ``block_size``) are single
+    dict reads and take none.
     """
+
+    def __init__(self, readonly: bool = False):
+        # A read-only backend (a worker process's view of a published
+        # root) rejects block writes and ignores metadata writes.
+        self.readonly = readonly
+        self._columns: dict[tuple[str, str], ColumnMeta] = {}
+        self._table_meta: dict[str, dict] = {}
+        self._store_meta: dict = {}
+        self._dirty = False  # catalog changed since the last publish
+        self._lock = threading.RLock()
+
+    def _require_writable(self, op: str) -> None:
+        if self.readonly:
+            raise PermissionError(f"read-only backend: {op} rejected")
 
     # -- blocks -----------------------------------------------------------
 
-    @abc.abstractmethod
     def begin_column(self, table: str, column: str, dtype: DataType) -> None:
-        """(Re)create a column: register its dtype and drop any existing
-        blocks. A full-column store always starts here; per-block
-        overwrites (``put_block`` on an existing index) do not."""
+        """(Re)create a column: register its dtype with no blocks. A
+        column is only ever written from here, block 0 onwards."""
+        self._require_writable("begin_column")
+        with self._lock:
+            self._columns[(table, column)] = ColumnMeta(dtype)
+            self._dirty = True
+
+    def _next_record(self, table: str, column: str,
+                     block: int) -> ColumnMeta:
+        """The column's record, once ``block`` is checked to be its next
+        index — blocks are append-only, so nothing is ever overwritten."""
+        self._require_writable("put_block")
+        meta = self._columns.get((table, column))
+        if meta is None:
+            raise KeyError(f"column {table}.{column} not registered")
+        if block != len(meta.blocks):
+            raise IndexError(
+                f"blocks are append-only: {table}.{column} takes block "
+                f"{len(meta.blocks)} next, not {block}"
+            )
+        self._dirty = True
+        return meta
 
     @abc.abstractmethod
     def put_block(self, table: str, column: str, block: int, blob: bytes,
                   rows: int) -> None:
-        """Store one encoded block and record its ``(size, rows)`` in the
-        column's catalog entry. ``block`` may overwrite an existing index
-        or append at ``n_blocks``."""
+        """Append one encoded block at the column's next index and record
+        its ``(size, rows, where)``; any other index raises
+        ``IndexError``."""
 
     @abc.abstractmethod
     def get_block(self, table: str, column: str, block: int) -> bytes:
         """Return one encoded block's bytes (the physical read path)."""
 
-    @abc.abstractmethod
-    def block_size(self, table: str, column: str, block: int) -> int:
-        """Stored size of one block, as recorded by ``put_block``."""
-
-    @abc.abstractmethod
     def delete_table(self, table: str) -> None:
         """Drop every column, block, and metadata record of ``table``.
         Durable backends reclaim the table's files (deferred until the
         next ``sync`` publishes a catalog that no longer references
         them)."""
+        self._require_writable("delete_table")
+        with self._lock:
+            for key in [k for k in self._columns if k[0] == table]:
+                del self._columns[key]
+            self._table_meta.pop(table, None)
+            self._dirty = True
 
     # -- catalog ----------------------------------------------------------
 
-    @abc.abstractmethod
     def column_meta(self, table: str, column: str) -> ColumnMeta | None:
         """The column's catalog record, or None when it does not exist."""
-
-    def column_dtype(self, table: str, column: str) -> DataType:
-        """O(1) dtype lookup — on the physical-read path (every buffer
-        miss), so implementations should override the generic
-        ``column_meta``-based fallback with a direct accessor."""
-        meta = self.column_meta(table, column)
-        if meta is None:
-            raise KeyError(f"unknown column {table}.{column}")
-        return meta.dtype
-
-    def column_rows(self, table: str, column: str) -> int:
-        """Total rows, derived from per-block records; implementations
-        keep it incrementally (O(1)) rather than re-summing."""
-        meta = self.column_meta(table, column)
-        if meta is None:
-            raise KeyError(f"unknown column {table}.{column}")
-        return meta.row_count
-
-    @abc.abstractmethod
-    def columns(self) -> list[tuple[str, str]]:
-        """Every stored ``(table, column)`` pair."""
-
-    @abc.abstractmethod
-    def tables(self) -> list[str]:
-        """Every table with stored columns or table metadata."""
-
-    @abc.abstractmethod
-    def set_table_meta(self, table: str, **meta) -> None:
-        """Merge keys into the table's metadata record (``schema`` dict,
-        ``image_lsn``); recovery reads these back after a reopen."""
-
-    @abc.abstractmethod
-    def get_table_meta(self, table: str) -> dict:
-        """The table's metadata record (empty dict when absent)."""
-
-    @abc.abstractmethod
-    def set_store_meta(self, meta: dict) -> None:
-        """Persist store-level configuration (``block_rows``,
-        ``compressed``) so a reopened store adopts the written layout."""
-
-    @abc.abstractmethod
-    def get_store_meta(self) -> dict:
-        """Store-level configuration (empty dict on a fresh backend)."""
-
-    # -- durability -------------------------------------------------------
-
-    @abc.abstractmethod
-    def sync(self) -> None:
-        """Durability point: after it returns, everything stored so far
-        survives a process kill (no-op for volatile backends)."""
-
-    def close(self) -> None:
-        """Release file handles / maps. Does *not* sync."""
-
-
-class MemoryBackend(StorageBackend):
-    """Volatile dict-of-blobs backend — the paper's simulated disk.
-
-    Byte-compatible with the pre-backend ``BlockStore``: blobs are stored
-    exactly as encoded and ``sync`` is a no-op.
-    """
-
-    def __init__(self):
-        self._blobs: dict[tuple[str, str, int], bytes] = {}
-        self._columns: dict[tuple[str, str], ColumnMeta] = {}
-        self._rows: dict[tuple[str, str], int] = {}  # incremental totals
-        self._table_meta: dict[str, dict] = {}
-        self._store_meta: dict = {}
-
-    def begin_column(self, table: str, column: str, dtype: DataType) -> None:
-        old = self._columns.get((table, column))
-        if old is not None:
-            for b in range(len(old.blocks)):
-                self._blobs.pop((table, column, b), None)
-        self._columns[(table, column)] = ColumnMeta(dtype=dtype)
-        self._rows[(table, column)] = 0
-
-    def put_block(self, table: str, column: str, block: int, blob: bytes,
-                  rows: int) -> None:
-        meta = self._columns.get((table, column))
-        if meta is None:
-            raise KeyError(f"column {table}.{column} not registered")
-        if block > len(meta.blocks):
-            raise IndexError(
-                f"block {block} leaves a gap (column has "
-                f"{len(meta.blocks)} blocks)"
-            )
-        entry = (len(blob), rows)
-        if block == len(meta.blocks):
-            meta.blocks.append(entry)
-            self._rows[(table, column)] += rows
-        else:
-            self._rows[(table, column)] += rows - meta.blocks[block][1]
-            meta.blocks[block] = entry
-        self._blobs[(table, column, block)] = blob
-
-    def get_block(self, table: str, column: str, block: int) -> bytes:
-        return self._blobs[(table, column, block)]
-
-    def block_size(self, table: str, column: str, block: int) -> int:
-        return self._columns[(table, column)].blocks[block][0]
-
-    def delete_table(self, table: str) -> None:
-        for key in [k for k in self._blobs if k[0] == table]:
-            del self._blobs[key]
-        for key in [k for k in self._columns if k[0] == table]:
-            del self._columns[key]
-            self._rows.pop(key, None)
-        self._table_meta.pop(table, None)
-
-    def column_meta(self, table: str, column: str) -> ColumnMeta | None:
         return self._columns.get((table, column))
 
     def column_dtype(self, table: str, column: str) -> DataType:
@@ -236,32 +151,94 @@ class MemoryBackend(StorageBackend):
 
     def column_rows(self, table: str, column: str) -> int:
         try:
-            return self._rows[(table, column)]
+            return self._columns[(table, column)].row_count
         except KeyError:
             raise KeyError(f"unknown column {table}.{column}") from None
 
+    def block_size(self, table: str, column: str, block: int) -> int:
+        """Stored size of one block, as recorded by ``put_block``."""
+        return self._columns[(table, column)].blocks[block][0]
+
     def columns(self) -> list[tuple[str, str]]:
-        return list(self._columns)
+        """Every stored ``(table, column)`` pair."""
+        with self._lock:
+            return list(self._columns)
 
     def tables(self) -> list[str]:
-        names = {t for t, _ in self._columns}
-        names.update(self._table_meta)
-        return sorted(names)
+        """Every table with stored columns or table metadata."""
+        with self._lock:
+            names = {t for t, _ in self._columns}
+            names.update(self._table_meta)
+            return sorted(names)
+
+    def table_epoch(self, table: str) -> int | None:
+        """Per-publish image identity, or None on backends without one."""
+        return None
 
     def set_table_meta(self, table: str, **meta) -> None:
-        self._table_meta.setdefault(table, {}).update(meta)
+        """Merge keys into the table's metadata record (``schema`` dict,
+        ``image_lsn``); recovery reads these back after a reopen."""
+        if self.readonly:
+            return  # the catalog is a published snapshot
+        with self._lock:
+            self._table_meta.setdefault(table, {}).update(meta)
+            self._dirty = True
 
     def get_table_meta(self, table: str) -> dict:
-        return dict(self._table_meta.get(table, {}))
+        """The table's metadata record (empty dict when absent)."""
+        with self._lock:
+            return dict(self._table_meta.get(table, {}))
 
     def set_store_meta(self, meta: dict) -> None:
-        self._store_meta.update(meta)
+        """Persist store-level configuration (``block_rows``,
+        ``compressed``) so a reopened store adopts the written layout."""
+        if self.readonly:
+            return  # BlockStore adopts persisted meta; never re-publishes
+        with self._lock:
+            self._store_meta.update(meta)
+            self._dirty = True
 
     def get_store_meta(self) -> dict:
-        return dict(self._store_meta)
+        """Store-level configuration (empty dict on a fresh backend)."""
+        with self._lock:
+            return dict(self._store_meta)
+
+    # -- durability -------------------------------------------------------
 
     def sync(self) -> None:
-        pass
+        """Durability point: after it returns, everything stored so far
+        survives a process kill (no-op for volatile backends)."""
+
+    def close(self) -> None:
+        """Release file handles / maps. Does *not* sync."""
+
+
+class MemoryBackend(StorageBackend):
+    """Volatile dict-of-blobs backend — the paper's simulated disk.
+    Blobs are kept exactly as encoded and ``sync`` is a no-op."""
+
+    def __init__(self):
+        super().__init__()
+        self._blobs: dict[tuple[str, str], list[bytes]] = {}
+
+    def begin_column(self, table: str, column: str, dtype: DataType) -> None:
+        super().begin_column(table, column, dtype)
+        self._blobs[(table, column)] = []
+
+    def put_block(self, table: str, column: str, block: int, blob: bytes,
+                  rows: int) -> None:
+        with self._lock:
+            self._next_record(table, column, block).append(len(blob), rows)
+            self._blobs[(table, column)].append(blob)
+
+    def get_block(self, table: str, column: str, block: int) -> bytes:
+        return self._blobs[(table, column)][block]
+
+    def delete_table(self, table: str) -> None:
+        with self._lock:
+            super().delete_table(table)
+            for key in [k for k in self._blobs if k[0] == table]:
+                del self._blobs[key]
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,11 @@ storage with a sparse index with the start RID of each block"
 organization the paper describes.
 
 :class:`BlockStore` owns the layout and codec choices; the backend owns
-the bytes and the catalog (per-block ``(size, rows)`` records, table
-schemas, image LSNs). Row counts are *derived* from the per-block
-records, so a per-block overwrite that changes the tail block's length
-changes ``column_rows`` with it — the backend contract every
-implementation is tested against.
+the bytes and the catalog (per-block ``(size, rows, where)`` records,
+table schemas, image LSNs). Blocks are written once: ``store_column``
+registers a column and appends its blocks in order, and a column only
+changes by being stored again — a checkpoint's new image — never by
+rewriting a block in place.
 """
 
 from __future__ import annotations
@@ -92,46 +92,6 @@ class BlockStore:
             )
             n_blocks += 1
         return n_blocks
-
-    def store_block(self, table: str, column: str, block: int,
-                    values) -> None:
-        """Overwrite (or append) a single block of an existing column.
-
-        Only the tail block may hold fewer than ``block_rows`` rows —
-        interior blocks must stay full so positional addressing
-        (``block_range`` arithmetic) remains valid — and appending a new
-        block requires the current tail to be full. The backend's
-        per-block row records keep ``column_rows`` correct through any
-        such overwrite; callers that cached decoded blocks (buffer pools)
-        must evict the overwritten block themselves.
-        """
-        meta = self.backend.column_meta(table, column)
-        if meta is None:
-            raise KeyError(f"unknown column {table}.{column}")
-        n_blocks = len(meta.blocks)
-        arr = np.asarray(values, dtype=meta.dtype.numpy_dtype)
-        if len(arr) > self.block_rows:
-            raise ValueError(
-                f"block holds at most {self.block_rows} rows, got {len(arr)}"
-            )
-        if block < 0 or block > n_blocks:
-            raise IndexError(
-                f"block {block} out of range for {n_blocks}-block column"
-            )
-        if block < n_blocks - 1 and len(arr) != self.block_rows:
-            raise ValueError(
-                f"interior block {block} must hold exactly "
-                f"{self.block_rows} rows, got {len(arr)}"
-            )
-        if block == n_blocks and n_blocks and \
-                meta.blocks[-1][1] != self.block_rows:
-            raise ValueError(
-                "cannot append: current tail block is not full"
-            )
-        self.backend.put_block(
-            table, column, block, self._encode(arr, meta.dtype),
-            rows=len(arr),
-        )
 
     def drop_table(self, table: str) -> None:
         self.backend.delete_table(table)
@@ -225,8 +185,7 @@ class BlockStore:
     def table_epoch(self, table: str) -> int | None:
         """Backend per-publish image identity (mmap segment epoch), or
         None on backends without one (memory)."""
-        epoch_of = getattr(self.backend, "table_epoch", None)
-        return None if epoch_of is None else epoch_of(table)
+        return self.backend.table_epoch(table)
 
     # -- durability ------------------------------------------------------
 

@@ -148,9 +148,5 @@ class BufferPool:
             return int(sum(len(str(v)) + 50 for v in data))
         return int(data.nbytes)
 
-    @property
-    def cached_bytes(self) -> int:
-        return self._cached_bytes
-
     def contains(self, table: str, column: str, block: int) -> bool:
         return BlockKey(table, column, block) in self._cache

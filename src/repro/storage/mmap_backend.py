@@ -6,14 +6,20 @@ File layout under the backend root::
       catalog.json              # published catalog (atomic rename target)
       segments/<table>.<epoch>.seg   # encoded blocks, append-only per epoch
 
-Every table's blocks live in one *segment file per epoch*. Writes append
-to the table's current epoch; reads slice an ``mmap`` of the segment (so
-repeated block reads after a buffer-pool miss are served from the page
-cache, and stored sizes — compressed or plain — are exactly the bytes
-read, keeping the I/O accounting honest). Rewriting a table
-(``delete_table`` followed by new ``put_block`` calls — what a checkpoint
-does) bumps the epoch: the new image is appended to a fresh segment file
-while the old file stays on disk.
+The catalog itself — column records, table and store metadata, the
+read-only rule — is :class:`~repro.storage.backend.StorageBackend`'s; this
+backend adds where the bytes go (segments and epochs), the publish
+protocol and the orphan sweep. A block record's ``where`` is its segment
+offset; ``catalog.json`` stores each block as ``[offset, length, rows]``.
+
+Every table's blocks live in one *segment file per epoch*. Blocks are
+written once, appended to the table's current epoch; reads slice an
+``mmap`` of the segment (so repeated block reads after a buffer-pool miss
+are served from the page cache, and stored sizes — compressed or plain —
+are exactly the bytes read, keeping the I/O accounting honest). Rewriting
+a table (``delete_table`` followed by new ``put_block`` calls — what a
+checkpoint does) bumps the epoch: the new image is appended to a fresh
+segment file while the old file stays on disk.
 
 Durability protocol
 -------------------
@@ -42,7 +48,6 @@ import json
 import mmap
 import os
 import shutil
-import threading
 import urllib.parse
 from pathlib import Path
 
@@ -137,29 +142,19 @@ class MmapFileBackend(StorageBackend):
     """Per-table segment files + a small atomically-published catalog."""
 
     def __init__(self, root, do_fsync: bool = True, readonly: bool = False):
-        self.root = Path(root)
-        self.do_fsync = do_fsync
         # Read-only opens (shard worker processes) never take the writer
         # lock, never sweep, and reject every mutation: many workers can
         # mmap a live writer's root concurrently and only ever observe
         # atomically-published catalogs.
-        self.readonly = readonly
+        super().__init__(readonly)
+        self.root = Path(root)
+        self.do_fsync = do_fsync
         self.seg_dir = self.root / SEGMENT_DIR
         if not readonly:
             self.seg_dir.mkdir(parents=True, exist_ok=True)
-        # catalog state ----------------------------------------------------
-        self._columns: dict[tuple[str, str], "_MmapColumn"] = {}
-        self._rows: dict[tuple[str, str], int] = {}  # incremental totals
-        self._table_meta: dict[str, dict] = {}
         self._epochs: dict[str, int] = {}  # table -> current epoch
-        self._store_meta: dict = {}
-        # runtime state ----------------------------------------------------
         self._segments: dict[Path, _Segment] = {}
         self._pending_unlink: set[Path] = set()
-        self._dirty = False
-        # Concurrent scans through different buffer pools may miss on this
-        # backend at once; segment remaps and appends must not race.
-        self._lock = threading.RLock()
         # Advisory single-writer lock on the root. Held for this
         # backend's lifetime; auto-released by the OS when the process
         # dies, so a crashed writer never wedges recovery. A second open
@@ -207,59 +202,28 @@ class MmapFileBackend(StorageBackend):
                 existing.append(int(stem))
         return max(existing) + 1
 
-    def _ensure_table(self, table: str) -> None:
-        if table not in self._epochs:
-            self._epochs[table] = self._next_epoch(table)
-
-    def _require_writable(self, op: str) -> None:
-        if self.readonly:
-            raise PermissionError(f"read-only backend: {op} rejected")
-
-    # -- StorageBackend: blocks ------------------------------------------
+    # -- blocks -----------------------------------------------------------
 
     def begin_column(self, table: str, column: str, dtype: DataType) -> None:
-        self._require_writable("begin_column")
         with self._lock:
-            self._ensure_table(table)
-            self._columns[(table, column)] = _MmapColumn(dtype=dtype)
-            self._rows[(table, column)] = 0
-            self._dirty = True
+            super().begin_column(table, column, dtype)
+            if table not in self._epochs:
+                self._epochs[table] = self._next_epoch(table)
 
     def put_block(self, table: str, column: str, block: int, blob: bytes,
                   rows: int) -> None:
-        self._require_writable("put_block")
         with self._lock:
-            col = self._columns.get((table, column))
-            if col is None:
-                raise KeyError(f"column {table}.{column} not registered")
-            if block > len(col.blocks):
-                raise IndexError(
-                    f"block {block} leaves a gap (column has "
-                    f"{len(col.blocks)} blocks)"
-                )
-            offset = self._segment(table).append(blob)
-            entry = (offset, len(blob), rows)
-            if block == len(col.blocks):
-                col.blocks.append(entry)
-                self._rows[(table, column)] += rows
-            else:
-                self._rows[(table, column)] += rows - col.blocks[block][2]
-                col.blocks[block] = entry  # old bytes become dead space
-            self._dirty = True
+            meta = self._next_record(table, column, block)
+            meta.append(len(blob), rows, self._segment(table).append(blob))
 
     def get_block(self, table: str, column: str, block: int) -> bytes:
         with self._lock:
-            col = self._columns[(table, column)]
-            offset, length, _rows = col.blocks[block]
+            length, _, offset = self._columns[(table, column)].blocks[block]
             return self._segment(table).read(offset, length)
 
-    def block_size(self, table: str, column: str, block: int) -> int:
-        with self._lock:
-            return self._columns[(table, column)].blocks[block][1]
-
     def delete_table(self, table: str) -> None:
-        self._require_writable("delete_table")
         with self._lock:
+            super().delete_table(table)
             epoch = self._epochs.pop(table, None)
             if epoch is not None:
                 path = self._segment_path(table, epoch)
@@ -271,47 +235,6 @@ class MmapFileBackend(StorageBackend):
                 # does not.
                 if path.exists():
                     self._pending_unlink.add(path)
-            for key in [k for k in self._columns if k[0] == table]:
-                del self._columns[key]
-                self._rows.pop(key, None)
-            self._table_meta.pop(table, None)
-            self._dirty = True
-
-    # -- StorageBackend: catalog -----------------------------------------
-
-    def column_meta(self, table: str, column: str) -> ColumnMeta | None:
-        with self._lock:
-            col = self._columns.get((table, column))
-            if col is None:
-                return None
-            return ColumnMeta(
-                dtype=col.dtype,
-                blocks=[(length, rows) for _, length, rows in col.blocks],
-            )
-
-    def column_dtype(self, table: str, column: str) -> DataType:
-        with self._lock:
-            try:
-                return self._columns[(table, column)].dtype
-            except KeyError:
-                raise KeyError(f"unknown column {table}.{column}") from None
-
-    def column_rows(self, table: str, column: str) -> int:
-        with self._lock:
-            try:
-                return self._rows[(table, column)]
-            except KeyError:
-                raise KeyError(f"unknown column {table}.{column}") from None
-
-    def columns(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return list(self._columns)
-
-    def tables(self) -> list[str]:
-        with self._lock:
-            names = {t for t, _ in self._columns}
-            names.update(self._table_meta)
-            return sorted(names)
 
     def table_epoch(self, table: str) -> int | None:
         """The table's current segment epoch — a per-publish identity.
@@ -320,28 +243,6 @@ class MmapFileBackend(StorageBackend):
         reused, so (name, epoch) names exactly one on-disk image."""
         with self._lock:
             return self._epochs.get(table)
-
-    def set_table_meta(self, table: str, **meta) -> None:
-        if self.readonly:
-            return  # catalog is a published snapshot; nothing to record
-        with self._lock:
-            self._table_meta.setdefault(table, {}).update(meta)
-            self._dirty = True
-
-    def get_table_meta(self, table: str) -> dict:
-        with self._lock:
-            return dict(self._table_meta.get(table, {}))
-
-    def set_store_meta(self, meta: dict) -> None:
-        if self.readonly:
-            return  # BlockStore adopts persisted meta; never re-publishes
-        with self._lock:
-            self._store_meta.update(meta)
-            self._dirty = True
-
-    def get_store_meta(self) -> dict:
-        with self._lock:
-            return dict(self._store_meta)
 
     # -- durability -------------------------------------------------------
 
@@ -394,18 +295,20 @@ class MmapFileBackend(StorageBackend):
                 self._lock_fd = None
 
     # -- catalog (de)serialization ---------------------------------------
+    # On disk a block is [offset, length, rows]; in the catalog record it
+    # is (length, rows, offset).
 
     def _catalog_json(self) -> dict:
         tables: dict[str, dict] = {}
-        for (table, column), col in self._columns.items():
+        for (table, column), meta in self._columns.items():
             entry = tables.setdefault(table, {
                 "epoch": self._epochs[table],
                 "meta": self._table_meta.get(table, {}),
                 "columns": {},
             })
             entry["columns"][column] = {
-                "dtype": col.dtype.value,
-                "blocks": [[o, l, r] for o, l, r in col.blocks],
+                "dtype": meta.dtype.value,
+                "blocks": [[o, l, r] for l, r, o in meta.blocks],
             }
         for table, meta in self._table_meta.items():
             tables.setdefault(table, {
@@ -426,15 +329,10 @@ class MmapFileBackend(StorageBackend):
             self._epochs[table] = int(entry["epoch"])
             self._table_meta[table] = dict(entry.get("meta", {}))
             for column, col in entry.get("columns", {}).items():
-                loaded = _MmapColumn(
-                    dtype=DataType(col["dtype"]),
-                    blocks=[(int(o), int(l), int(r))
-                            for o, l, r in col["blocks"]],
-                )
-                self._columns[(table, column)] = loaded
-                self._rows[(table, column)] = sum(
-                    r for _, _, r in loaded.blocks
-                )
+                meta = ColumnMeta(DataType(col["dtype"]))
+                for o, l, r in col["blocks"]:
+                    meta.append(int(l), int(r), int(o))
+                self._columns[(table, column)] = meta
         self._sweep_orphan_segments()
 
     def _sweep_orphan_segments(self) -> None:
@@ -451,16 +349,6 @@ class MmapFileBackend(StorageBackend):
         for path in self.seg_dir.glob("*.seg"):
             if path not in referenced:
                 path.unlink(missing_ok=True)
-
-
-class _MmapColumn:
-    """In-memory catalog entry: dtype + per-block (offset, length, rows)."""
-
-    __slots__ = ("dtype", "blocks")
-
-    def __init__(self, dtype: DataType, blocks=None):
-        self.dtype = dtype
-        self.blocks: list[tuple[int, int, int]] = list(blocks or [])
 
 
 class MmapStorage(StorageFactory):

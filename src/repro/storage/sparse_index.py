@@ -1,10 +1,11 @@
 """Sparse index (zone map) over a stable table's sort key.
 
-A classical sparse index: one entry per block recording the largest sort key
-in that block, mapping SK range predicates to SID ranges that a scan must
-visit (paper section 2.1, "Respecting Deletes"). Because PDT inserts respect
-the order of ghost tuples, an index built on TABLE0 remains *valid* — merely
-stale — for every later table version; the tests assert exactly this.
+A classical sparse index: one entry per stored block (by default) recording
+the largest sort key in that block, mapping SK range predicates to SID
+ranges that a scan must visit (paper section 2.1, "Respecting Deletes").
+Because PDT inserts respect the order of ghost tuples, an index built on
+TABLE0 remains *valid* — merely stale — for every later table version; the
+tests assert exactly this.
 """
 
 from __future__ import annotations
@@ -34,7 +35,11 @@ class SidRange:
 class SparseIndex:
     """Per-granule max-SK entries enabling SID-range pruning of scans."""
 
-    def __init__(self, table: StableTable, granularity: int = 4096):
+    def __init__(self, table: StableTable, granularity: int | None = None):
+        """``granularity`` rows per entry; default one entry per block
+        of the table's store."""
+        if granularity is None:
+            granularity = table.pool.store.block_rows
         if granularity <= 0:
             raise ValueError("granularity must be positive")
         self.table_name = table.name

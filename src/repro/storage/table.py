@@ -20,8 +20,6 @@ private uncompressed in-memory pool. Reopening an image
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .blocks import BlockStore
@@ -60,7 +58,6 @@ class StableTable:
         self.schema = schema
         self._pool = pool
         self.num_rows = pool.store.column_rows(name, schema.column_names[0])
-        self._sk_cache: list[tuple] | None = None
         # LSN the persisted form of *this* image was published under, or
         # None while unpublished. Stamped by :meth:`publish` (bulk load,
         # shard install, checkpoint) and :meth:`from_storage` (recovery);
@@ -141,7 +138,7 @@ class StableTable:
         for spec in self.schema.columns:
             meta = src.backend.column_meta(self.name, spec.name)
             dst.backend.begin_column(self.name, spec.name, spec.dtype)
-            for block, (_, rows) in enumerate(meta.blocks):
+            for block, (_, rows, _) in enumerate(meta.blocks):
                 dst.backend.put_block(
                     self.name, spec.name, block,
                     src.backend.get_block(self.name, spec.name, block),
@@ -244,29 +241,6 @@ class StableTable:
     def rows(self) -> list[tuple]:
         """All rows as Python tuples (testing / small-table convenience)."""
         return list(zip(*(self.column(c) for c in self.schema.column_names)))
-
-    # -- sort-key search ---------------------------------------------------
-
-    def _sk_list(self) -> list[tuple]:
-        if self._sk_cache is None:
-            self._sk_cache = list(
-                zip(*(self.column(c) for c in self.schema.sort_key)))
-        return self._sk_cache
-
-    def sk_lower_bound(self, sk: tuple) -> int:
-        """First SID whose sort key is >= ``sk`` (== num_rows if none).
-
-        A binary search over the SK columns, read through the pool once
-        and then cached as tuples; it models the "SELECT rid ... WHERE
-        SK > sk LIMIT 1" positioning query of the paper (the
-        sparse-index-backed variant lives in
-        :mod:`repro.storage.sparse_index`).
-        """
-        return bisect.bisect_left(self._sk_list(), tuple(sk))
-
-    def sk_upper_bound(self, sk: tuple) -> int:
-        """First SID whose sort key is > ``sk``."""
-        return bisect.bisect_right(self._sk_list(), tuple(sk))
 
     def stored_bytes(self, columns=None) -> int:
         """Stored size of the image's blocks (compressed when its store

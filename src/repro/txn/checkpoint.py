@@ -155,7 +155,7 @@ def _fold(manager: TransactionManager, table: str,
     pool.evict_table(table)
     state.stable = new_stable
     state.read_pdt = survivor
-    state.sparse_index = SparseIndex(new_stable, manager.sparse_granularity)
+    state.sparse_index = SparseIndex(new_stable)
     # Replace this table's WAL history with one snapshot of the surviving
     # (rebased) deltas, if any: recovery then replays exactly the
     # still-live entries against the new stable image, never the folded

@@ -76,8 +76,7 @@ class ManagerStats:
 class TransactionManager:
     """Lock-free transaction management over PDT-layered tables."""
 
-    def __init__(self, wal: WriteAheadLog | None = None,
-                 sparse_granularity: int = 4096):
+    def __init__(self, wal: WriteAheadLog | None = None):
         self._tables: dict[str, TableState] = {}
         # logical name -> ShardedTable; shared with the owning Database so
         # transactions can route logical sharded names to physical shards.
@@ -91,7 +90,6 @@ class TransactionManager:
         # service stages the WAL record under its write lock but waits for
         # the shared group fsync outside it, so waits overlap.
         self._deferred = threading.local()
-        self.sparse_granularity = sparse_granularity
         self.stats = ManagerStats()
         # Observability bundle (set by the owning Database): when present,
         # _finish times its stages into the commit histograms and emits a
@@ -123,7 +121,7 @@ class TransactionManager:
             stable=stable,
             read_pdt=PDT(stable.schema),
             write_pdt=PDT(stable.schema),
-            sparse_index=SparseIndex(stable, self.sparse_granularity),
+            sparse_index=SparseIndex(stable),
         )
         self._tables[stable.name] = state
         return state

@@ -240,7 +240,7 @@ def test_range_read_sees_insert_at_a_ghosted_granule_bound():
     read still holds it (tests/db/test_window_reads.py generalises)."""
     schema = Schema.build(("k", DataType.INT64), ("a", DataType.INT64),
                           sort_key=("k",))
-    db = Database(compressed=False, block_rows=4, sparse_granularity=4)
+    db = Database(compressed=False, block_rows=4)
     db.create_table("t", schema, [(i * 10, i) for i in range(16)])
     db.delete("t", (30,))                    # closes granule 0
     db.manager.propagate_write_to_read("t")  # ... now a Read-PDT ghost

@@ -82,8 +82,7 @@ def replay(model: dict, ops) -> dict:
 def env(request):
     """``(db, svc, model)`` after one history."""
     layout, seed = request.param
-    db = Database(compressed=False, block_rows=GRANULE,
-                  sparse_granularity=GRANULE)
+    db = Database(compressed=False, block_rows=GRANULE)
     rows = [(k, k) for k in range(0, 2 * N_ROWS, 2)]
     if layout == "sharded":
         db.create_sharded_table("t", SCHEMA, rows, boundaries=BOUNDARIES)

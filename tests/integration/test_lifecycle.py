@@ -26,7 +26,7 @@ def schema3():
 def fresh_db(n=200, tmp_path=None, **kwargs):
     wal_path = None if tmp_path is None else tmp_path / "wal.jsonl"
     db = Database(compressed=True, block_rows=64, wal_path=wal_path,
-                  sparse_granularity=32, **kwargs)
+                  **kwargs)
     db.create_table("t", schema3(),
                     [(i * 10, i, f"s{i}") for i in range(n)])
     return db
@@ -103,8 +103,7 @@ class TestCrashRecovery:
 
         # "Crash": rebuild from the stable image + the persisted WAL.
         wal = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        revived = Database(compressed=True, block_rows=64,
-                           sparse_granularity=32)
+        revived = Database(compressed=True, block_rows=64)
         revived.create_table("t", schema3(),
                              [(i * 10, i, f"s{i}") for i in range(200)])
         last_lsn = recover_database(revived, wal)
@@ -171,7 +170,7 @@ class TestRangeQueries:
             ("v", DataType.INT64),
             sort_key=("s", "n"),
         )
-        db = Database(compressed=False, sparse_granularity=4)
+        db = Database(compressed=False, block_rows=4)
         rows = [(chr(97 + i // 5), i % 5, i) for i in range(25)]
         db.create_table("m", schema, rows)
         db.delete("m", ("b", 2))

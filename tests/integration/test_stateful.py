@@ -35,8 +35,7 @@ def schema3():
 class DatabaseMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.db = Database(compressed=False, block_rows=16,
-                           sparse_granularity=8)
+        self.db = Database(compressed=False, block_rows=16)
         rows = [(k, 0, f"s{k}") for k in range(0, 60, 3)]
         self.db.create_table("t", schema3(), rows)
         self.model = {k: (k, 0, f"s{k}") for k in range(0, 60, 3)}

@@ -109,67 +109,133 @@ class TestBlockRoundTrip:
 
 
 class TestRowCountContract:
-    """Row counts derive from per-block records — overwrites stay honest
-    (the fix for the store-time-pinned ``_row_counts`` desync)."""
-
-    def test_tail_overwrite_changes_row_count(self, backend_env):
-        make, _ = backend_env
-        store = make_store(make())
-        store.store_column("t", "v", DataType.INT64, np.arange(11))
-        assert store.column_rows("t", "v") == 11
-        store.store_block("t", "v", 1, np.arange(7))
-        assert store.column_rows("t", "v") == 15
-        store.store_block("t", "v", 1, np.arange(1))
-        assert store.column_rows("t", "v") == 9
-        assert list(store.read_block(BlockKey("t", "v", 1))) == [0]
-
-    def test_interior_overwrite_must_stay_full(self, backend_env):
-        make, _ = backend_env
-        store = make_store(make())
-        store.store_column("t", "v", DataType.INT64, np.arange(20))
-        with pytest.raises(ValueError):
-            store.store_block("t", "v", 0, np.arange(3))
-        store.store_block("t", "v", 0, np.arange(100, 108))
-        assert store.column_rows("t", "v") == 20
-        assert list(store.read_block(BlockKey("t", "v", 0))) == \
-            list(range(100, 108))
-
-    def test_append_block_requires_full_tail(self, backend_env):
-        make, _ = backend_env
-        store = make_store(make())
-        store.store_column("t", "v", DataType.INT64, np.arange(11))
-        with pytest.raises(ValueError):
-            store.store_block("t", "v", 2, np.arange(4))  # tail has 3 rows
-        store.store_block("t", "v", 1, np.arange(8))  # fill the tail
-        store.store_block("t", "v", 2, np.arange(4))
-        assert store.column_rows("t", "v") == 20
-        assert store.column_blocks("t", "v") == 3
-
     def test_fast_accessors_track_per_block_records(self, backend_env):
         """column_dtype/column_rows are O(1) accessors but must stay
-        consistent with the per-block catalog through overwrites."""
+        consistent with the per-block catalog as blocks are appended."""
+        make, _ = backend_env
+        backend = make()
+        backend.begin_column("t", "v", DataType.INT64)
+        assert backend.column_rows("t", "v") == 0
+        for block, rows in enumerate((8, 8, 3)):
+            backend.put_block("t", "v", block, b"x" * (block + 1), rows)
+        assert backend.column_dtype("t", "v") is DataType.INT64
+        assert backend.column_rows("t", "v") == \
+            backend.column_meta("t", "v").row_count == 19
+        assert [backend.block_size("t", "v", b) for b in range(3)] == \
+            [1, 2, 3]
+        assert backend.column_meta("t", "v").stored_bytes == 6
+        with pytest.raises(KeyError):
+            backend.column_dtype("t", "missing")
+        with pytest.raises(KeyError):
+            backend.column_rows("t", "missing")
+
+
+class TestAppendOnlyBlocks:
+    """Blocks are written once: put_block only takes a column's next
+    index, and a refused write changes neither catalog nor bytes."""
+
+    @pytest.mark.parametrize("block", [0, 1, 3, -1])
+    def test_put_block_off_the_tail_raises(self, backend_env, block):
         make, _ = backend_env
         store = make_store(make())
         store.store_column("t", "v", DataType.INT64, np.arange(11))
         backend = store.backend
-        assert backend.column_dtype("t", "v") is DataType.INT64
-        assert backend.column_rows("t", "v") == \
-            backend.column_meta("t", "v").row_count == 11
-        store.store_block("t", "v", 1, np.arange(5))
-        assert backend.column_rows("t", "v") == \
-            backend.column_meta("t", "v").row_count == 13
-        with pytest.raises(KeyError):
-            backend.column_dtype("t", "missing")
+        sizes = [backend.block_size("t", "v", b) for b in range(2)]
+        blobs = [bytes(backend.get_block("t", "v", b)) for b in range(2)]
+        with pytest.raises(IndexError):
+            backend.put_block("t", "v", block, b"overwrite", rows=8)
+        assert backend.column_rows("t", "v") == 11
+        assert len(backend.column_meta("t", "v").blocks) == 2
+        assert [backend.block_size("t", "v", b) for b in range(2)] == sizes
+        assert [bytes(backend.get_block("t", "v", b))
+                for b in range(2)] == blobs
+        assert list(store.read_block(BlockKey("t", "v", 1))) == [8, 9, 10]
 
-    def test_oversized_block_rejected(self, backend_env):
+    def test_put_block_on_unregistered_column_raises(self, backend_env):
         make, _ = backend_env
-        store = make_store(make())
-        store.store_column("t", "v", DataType.INT64, np.arange(8))
-        with pytest.raises(ValueError):
-            store.store_block("t", "v", 0, np.arange(9))
+        backend = make()
+        with pytest.raises(KeyError):
+            backend.put_block("t", "v", 0, b"x", rows=1)
+        assert backend.columns() == []
+
+    def test_refused_write_appends_no_segment_bytes(self, tmp_path):
+        store = make_store(MmapFileBackend(tmp_path / "store"))
+        store.store_column("t", "v", DataType.INT64, np.arange(11))
+        seg = next((tmp_path / "store" / "segments").glob("*.seg"))
+        size = seg.stat().st_size
+        with pytest.raises(IndexError):
+            store.backend.put_block("t", "v", 0, b"overwrite", rows=8)
+        assert seg.stat().st_size == size
+
+
+class TestReadOnlyOpen:
+    """The worker path: a read-only open of a live root sees only the
+    published catalog and never mutates it."""
+
+    def test_readonly_sees_published_catalog_only(self, tmp_path):
+        writer = make_store(MmapFileBackend(tmp_path / "store"))
+        writer.store_column("t", "v", DataType.INT64, np.arange(10))
+        writer.set_image_lsn("t", 3)
+        writer.sync()
+        writer.store_column("u", "v", DataType.INT64, np.arange(5))
+        writer.set_image_lsn("t", 9)  # unpublished
+        reader = MmapFileBackend(tmp_path / "store", readonly=True)
+        store = BlockStore(backend=reader)
+        assert store.block_rows == 8
+        assert store.tables() == ["t"]
+        assert store.column_rows("t", "v") == 10
+        assert store.image_lsn("t") == 3
+        assert list(store.read_block(BlockKey("t", "v", 1))) == [8, 9]
+        reader.close()
+        writer.close()
+
+    def test_readonly_rejects_writes(self, tmp_path):
+        writer = make_store(MmapFileBackend(tmp_path / "store"))
+        writer.store_column("t", "v", DataType.INT64, np.arange(10))
+        writer.sync()
+        catalog = (tmp_path / "store" / "catalog.json").read_bytes()
+        reader = MmapFileBackend(tmp_path / "store", readonly=True)
+        with pytest.raises(PermissionError):
+            reader.begin_column("t", "w", DataType.INT64)
+        with pytest.raises(PermissionError):
+            reader.put_block("t", "v", 2, b"x", rows=1)
+        with pytest.raises(PermissionError):
+            reader.delete_table("t")
+        reader.set_table_meta("t", image_lsn=99)
+        reader.set_store_meta({"block_rows": 1})
+        reader.sync()
+        assert reader.get_table_meta("t").get("image_lsn") is None
+        assert reader.get_store_meta()["block_rows"] == 8
+        assert reader.columns() == [("t", "v")]
+        assert reader.column_rows("t", "v") == 10
+        assert (tmp_path / "store" / "catalog.json").read_bytes() == catalog
+        reader.close()
+        writer.close()
 
 
 class TestSyncAndCatalogReopen:
+    def test_catalog_round_trip_is_byte_identical(self, tmp_path):
+        """sync -> close -> reopen -> sync rewrites the same catalog.json:
+        the in-memory (size, rows, offset) records map back to the
+        on-disk [offset, length, rows] exactly."""
+        backend = MmapFileBackend(tmp_path / "store")
+        store = make_store(backend)
+        store.store_column("t", "v", DataType.INT64, np.arange(30))
+        store.store_column("t", "s", DataType.STRING,
+                           np.array(["a", "bb", "ccc"] * 10, dtype=object))
+        store.store_column("u", "v", DataType.INT64, np.arange(3))
+        store.set_table_schema("u", Schema.build(("v", DataType.INT64),
+                                                 sort_key=("v",)))
+        store.set_image_lsn("t", 5)
+        store.sync()
+        backend.close()
+        path = tmp_path / "store" / "catalog.json"
+        before = path.read_bytes()
+        again = MmapFileBackend(tmp_path / "store")
+        again.set_store_meta(again.get_store_meta())  # dirty, unchanged
+        again.sync()
+        again.close()
+        assert path.read_bytes() == before
     def test_reopen_sees_published_state(self, backend_env):
         make, reopen = backend_env
         store = make_store(make(), block_rows=4, compressed=False)

@@ -102,13 +102,6 @@ class TestStableTable:
         assert len(batches) == 1
         assert batches[0][1]["k"].tolist() == [4, 6, 8]
 
-    def test_sk_bounds(self):
-        table = make_table(10)  # keys 0,2,...,18
-        assert table.sk_lower_bound((6,)) == 3
-        assert table.sk_lower_bound((7,)) == 4
-        assert table.sk_upper_bound((6,)) == 4
-        assert table.sk_lower_bound((100,)) == 10
-
     def test_from_arrays_validates_order(self):
         arrays = {
             "k": np.array([3, 1, 2]),

@@ -79,7 +79,7 @@ def test_fold_matches_tuple_oracle(keying, backend, fold, seed, n_read,
     with tempfile.TemporaryDirectory() as root:
         db = Database(
             storage="memory" if backend == "memory" else f"mmap:{root}",
-            block_rows=16, sparse_granularity=8,
+            block_rows=16,
         )
         db.create_table("t", schema, seed_rows(schema, rekey))
         db.apply_batch("t", batch(n_read))
