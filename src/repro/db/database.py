@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 
 from ..engine.relation import Relation
 from ..service.plan import iter_plan_blocks, plan_scan
@@ -52,11 +53,13 @@ from ..storage.buffer import BufferPool
 from ..storage.io_stats import IOStats
 from ..storage.schema import Schema
 from ..storage.table import StableTable
-from ..txn.checkpoint import checkpoint_table
 from ..txn.manager import TransactionManager
 from ..txn.scheduler import CheckpointScheduler
 from ..txn.transaction import Transaction
 from ..txn.wal import WriteAheadLog
+
+# A shard's physical name: ``{logical}__s{generation}``.
+_SHARD_NAME = re.compile(r"(.+)__s\d+")
 
 
 class Database:
@@ -161,8 +164,8 @@ class Database:
             wal_path = self.storage.wal_path()
         self.manager = TransactionManager(
             wal=WriteAheadLog(wal_path, fsync=self.storage.fsync))
-        # Shared with the manager: transactions route logical sharded
-        # names through the same registry.
+        # The manager's logical-table registry: names resolve to physical
+        # tables through manager.physical_names / route / split_ops.
         self._sharded: dict = self.manager.sharded_tables
         self.scheduler = CheckpointScheduler(self.manager, checkpoint_policy)
         if checkpoint_policy is not None:
@@ -268,12 +271,22 @@ class Database:
         stable.publish(self.manager._lsn)
         self.manager.register_table(stable)
 
-    def _check_free_name(self, name: str) -> None:
-        # The manager rejects physical duplicates itself; a sharded
-        # *logical* name is not in its registry but would shadow the new
-        # table on every Database entry point.
-        if name in self._sharded:
-            raise ValueError(f"table {name!r} already exists (sharded)")
+    def _check_free_name(self, name: str, sharded: bool = False) -> None:
+        """Reject a create before it writes a block. ``name`` must be
+        free, and so must every physical name the create registers: a
+        sharded table ``v`` owns the namespace ``v__s<n>`` (its
+        rebalancer keeps adding shards there), so no plain table may
+        take a name in it and ``v`` may not be created over one."""
+        def owner(physical):
+            match = _SHARD_NAME.fullmatch(physical)
+            return match and match[1]
+
+        taken = [n for n in [*self.manager.table_names(), *self._sharded]
+                 if n == name or (sharded and owner(n) == name)]
+        if owner(name) in self._sharded:
+            taken.append(name)
+        if taken:
+            raise ValueError(f"table {taken[0]!r} already exists")
 
     def create_sharded_table(self, name: str, schema: Schema, rows=(),
                              shards: int = 4, boundaries=None,
@@ -292,8 +305,7 @@ class Database:
         """
         from ..shard.sharded import ShardedTable
 
-        if name in self._sharded or name in self.manager.table_names():
-            raise ValueError(f"table {name!r} already exists")
+        self._check_free_name(name, sharded=True)
         sharded = ShardedTable.create(
             self, name, schema, rows, shards=shards, boundaries=boundaries,
             split_rows=split_rows, merge_rows=merge_rows,
@@ -309,8 +321,7 @@ class Database:
         columnar data is sliced per shard with no per-row coercion."""
         from ..shard.sharded import ShardedTable
 
-        if name in self._sharded or name in self.manager.table_names():
-            raise ValueError(f"table {name!r} already exists")
+        self._check_free_name(name, sharded=True)
         sharded = ShardedTable.create_from_arrays(
             self, name, schema, arrays, shards=shards,
             split_rows=split_rows, merge_rows=merge_rows,
@@ -330,11 +341,8 @@ class Database:
 
     def physical_for(self, table: str, sk) -> str:
         """Physical table addressed by ``sk``: the owning shard for a
-        sharded table, the table itself otherwise. (Transactions route
-        logical names themselves; this is for introspection.)"""
-        if table in self._sharded:
-            return self._sharded[table].physical_for(sk)
-        return table
+        sharded table, the table itself otherwise (introspection)."""
+        return self.manager.route(table, sk)
 
     def table(self, name: str) -> StableTable:
         return self.manager.state_of(name).stable
@@ -510,18 +518,19 @@ class Database:
     def image_rows(self, table: str) -> list[tuple]:
         from ..core.stack import image_rows
 
-        if table in self._sharded:
-            return self._sharded[table].image_rows()
-        state = self.manager.state_of(table)
-        return image_rows(state.stable, self.manager.latest_layers(table))
+        rows: list[tuple] = []
+        for name in self.manager.physical_names(table):
+            state = self.manager.state_of(name)
+            rows.extend(
+                image_rows(state.stable, self.manager.latest_layers(name)))
+        return rows
 
     def row_count(self, table: str) -> int:
-        if table in self._sharded:
-            return self._sharded[table].row_count()
-        state = self.manager.state_of(table)
-        total = state.stable.num_rows
-        for layer in self.manager.latest_layers(table):
-            total += layer.total_delta()
+        total = 0
+        for name in self.manager.physical_names(table):
+            total += self.manager.state_of(name).stable.num_rows
+            for layer in self.manager.latest_layers(name):
+                total += layer.total_delta()
         return total
 
     # -- maintenance --------------------------------------------------------------------
@@ -532,12 +541,14 @@ class Database:
         The manual, stop-the-world form; ``checkpoint_policy=`` runs full
         or incremental checkpoints automatically instead. Sharded tables
         checkpoint shard by shard (each fold rewrites only that shard's
-        stable image).
+        stable image; shards without deltas are not touched).
         """
-        if table in self._sharded:
-            self._sharded[table].checkpoint()
-            return
-        checkpoint_table(self.manager, table)
+        # Resolved at call time, so a hook installed on the module (the
+        # crash matrix kills between two shards' folds) sees every fold.
+        from ..txn.checkpoint import checkpoint_table
+
+        for name in self.manager.physical_names(table):
+            checkpoint_table(self.manager, name)
 
     def rebalance(self, table: str) -> int:
         """Run the shard rebalancer now; returns actions taken. (It also
@@ -552,24 +563,21 @@ class Database:
         between requests."""
         if table is None:
             self.scheduler.run_pending()
-            targets = list(self._sharded.values())
-        elif table in self._sharded:
-            targets = [self._sharded[table]]
-            for shard in targets[0].shard_names:
-                self.scheduler.run_pending(shard)
         else:
-            self.scheduler.run_pending(table)
-            targets = []
-        for sharded in targets:
-            # Also drops retired-shard storage whose pins have gone.
-            sharded.maybe_rebalance()
+            for name in self.manager.physical_names(table):
+                self.scheduler.run_pending(name)
+        for logical, sharded in list(self._sharded.items()):
+            if table is None or table == logical:
+                # Also drops retired-shard storage whose pins have gone.
+                sharded.maybe_rebalance()
 
     def delta_bytes(self, table: str) -> int:
         """Bytes of RAM-resident delta state (PDT entries, paper model)."""
-        if table in self._sharded:
-            return self._sharded[table].delta_bytes()
-        state = self.manager.state_of(table)
-        return state.read_pdt.memory_usage() + state.write_pdt.memory_usage()
+        return sum(
+            layer.memory_usage()
+            for name in self.manager.physical_names(table)
+            for layer in self.manager.latest_layers(name)
+        )
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -609,13 +617,9 @@ class Database:
 
     def make_cold(self) -> None:
         self.pool.clear()
-        for sharded in self._sharded.values():
-            for state in sharded.shard_states():
-                state.stable.pool.clear()
+        for name in self.manager.table_names():
+            self.manager.state_of(name).stable.pool.clear()
 
     def warm(self, table: str, columns=None) -> None:
-        if table in self._sharded:
-            for state in self._sharded[table].shard_states():
-                state.stable.pool.warm_table(state.stable.name, columns)
-            return
-        self.pool.warm_table(table, columns)
+        for name in self.manager.physical_names(table):
+            self.manager.state_of(name).stable.pool.warm_table(name, columns)

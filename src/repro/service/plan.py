@@ -14,7 +14,7 @@ it reads (object identities of the stable image and PDT layers, plus the
 projected columns): two concurrent requests whose specs share a key can be
 served by one physical scan — the cooperative-scan sharing the service's
 job scheduler exploits. Pins taken under the same commit LSN share their
-Write-PDT copies through the manager's snapshot cache, so even separately
+Write-PDT by reference (each loans the same master), so even separately
 pinned requests coalesce while no commit intervenes.
 
 Push-down: a plan may carry a predicate (:class:`~repro.engine.expr.Expr`)
@@ -207,14 +207,8 @@ def plan_scan(pin, table: str, low=None, high=None,
     """
     low = tuple(low) if low is not None else None
     high = tuple(high) if high is not None else None
-    sharded = pin.is_sharded(table)
-    if sharded:
-        layout = pin.layout(table)
-        names = list(layout.shard_names)
-        schema = pin.table(names[0]).stable.schema
-    else:
-        names = [pin.table(table).name]
-        schema = pin.table(names[0]).stable.schema
+    names = pin.physical_names(table)
+    schema = pin.table(names[0]).stable.schema
     # Pruning bounds: the explicit range, tightened by whatever the
     # pushed predicate implies for the leading sort-key column. These
     # are *pruning-only* — the cursor's trim still uses the explicit
@@ -229,7 +223,8 @@ def plan_scan(pin, table: str, low=None, high=None,
         if whigh is not None:
             prune_hi = whigh if prune_hi is None else min(prune_hi, whigh)
     pruned = prune_lo is not None or prune_hi is not None
-    if sharded and pruned:
+    layout = pin.layouts.get(table)
+    if pruned and layout is not None:
         router = ShardRouter(layout.boundaries)
         # Inverted bounds prune every shard: an empty plan, matching
         # the empty relation the live range path returns.

@@ -1,25 +1,31 @@
 """Range-sharded tables: one logical table, N key-range shards.
 
-The paper's PDT design localizes update state per table so merge cost
-scales with delta size, not table size; sharding multiplies that property.
-A :class:`ShardedTable` splits a logical table into key-range shards, each
-a *full* physical table inside the owning database — its own stable image
-(block-store backed, with a private buffer pool counting into ``db.io``
-under the shard's physical name), its own three-layer PDT stack, sparse
-index, WAL share (per-commit entry lists keyed by the shard's physical
-name, inside the one log), and its own checkpoint-scheduler load, so
-hot shards fold independently while cold shards are never touched.
+PDTs, SIDs and RIDs belong to one physical table, so a range-sharded
+logical table is an ordered list of physical tables (and an unsharded
+table is a list of one). Each shard is a *full* physical table inside the
+owning database: its own stable image (block-store backed, with a private
+buffer pool counting into ``db.io`` under the shard's physical name), its
+own three-layer PDT stack, sparse index and WAL share (per-commit entry
+lists keyed by the shard's physical name, inside the one log). The
+checkpoint scheduler decides per physical table, so hot shards fold
+independently while cold shards are never touched.
 
-Routing lives in :class:`~repro.shard.router.ShardRouter`; reads are
-planned like every other read (:func:`~repro.service.plan.plan_scan`: one
-block-pipelined MergeScan per surviving shard, re-concatenated in key
-order with per-shard local RIDs rebased to global RIDs by the cumulative
-image sizes of the preceding shards). Shard splitting and merging (the
-autonomous rebalancer) lives in :mod:`~repro.shard.rebalance`.
+A :class:`ShardedTable` holds the layout (boundaries in a
+:class:`~repro.shard.router.ShardRouter`, shard names) and the
+rebalancer's state; it resolves no names for the rest of the system.
+:class:`~repro.txn.manager.TransactionManager` does, through
+``physical_names`` / ``route`` / ``split_ops`` (the last two delegate to
+:meth:`ShardedTable.physical_for` and :meth:`ShardedTable.split_ops`),
+and every ``Database`` and ``Transaction`` entry point is one loop over
+the names it returns. Reads are planned like every other read
+(:func:`~repro.service.plan.plan_scan`: one MergeScan per surviving
+shard, concatenated in key order with local RIDs rebased to global
+ones). Splitting and merging shards lives in :mod:`~repro.shard.rebalance`.
 
 Physical shard tables are named ``{logical}__s{gen}`` with a
 per-logical-table generation counter, so the shards a rebalance creates
-never collide with the ones it retires.
+never collide with the ones it retires; the database keeps other tables
+out of that namespace.
 """
 
 from __future__ import annotations
@@ -237,23 +243,6 @@ class ShardedTable:
     def shard_states(self):
         return [self.db.manager.state_of(n) for n in self.shard_names]
 
-    def shard_layers(self, shard_name: str):
-        return self.db.manager.latest_layers(shard_name)
-
-    def row_count(self) -> int:
-        total = 0
-        for state in self.shard_states():
-            total += state.stable.num_rows
-            for layer in (state.read_pdt, state.write_pdt):
-                total += layer.total_delta()
-        return total
-
-    def delta_bytes(self) -> int:
-        return sum(
-            state.read_pdt.memory_usage() + state.write_pdt.memory_usage()
-            for state in self.shard_states()
-        )
-
     def footprints(self) -> list[int]:
         """Per-shard stable+delta footprint (rows + PDT entries), the
         rebalancer's load measure."""
@@ -262,15 +251,6 @@ class ShardedTable:
             + state.write_pdt.count()
             for state in self.shard_states()
         ]
-
-    def image_rows(self) -> list[tuple]:
-        from ..core.stack import image_rows
-
-        out: list[tuple] = []
-        for name in self.shard_names:
-            state = self.db.manager.state_of(name)
-            out.extend(image_rows(state.stable, self.shard_layers(name)))
-        return out
 
     # -- routing ----------------------------------------------------------
 
@@ -307,14 +287,6 @@ class ShardedTable:
 
     # -- maintenance ------------------------------------------------------
 
-    def checkpoint(self) -> None:
-        """Fold every shard's deltas into fresh shard stable images
-        (shards without deltas are not touched)."""
-        from ..txn.checkpoint import checkpoint_table
-
-        for name in self.shard_names:
-            checkpoint_table(self.db.manager, name)
-
     def maybe_rebalance(self) -> int:
         """Run the autonomous rebalancer (quiescent points only); returns
         the number of split/merge actions taken."""
@@ -334,5 +306,5 @@ class ShardedTable:
     def __repr__(self) -> str:
         return (
             f"ShardedTable({self.name!r}, shards={self.num_shards}, "
-            f"rows={self.row_count()})"
+            f"rows={self.db.row_count(self.name)})"
         )

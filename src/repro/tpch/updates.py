@@ -65,8 +65,8 @@ class RefreshApplier:
 
         Each refresh half goes through the vectorized batch path (one
         batch per table per transaction — one WAL record per refresh
-        half). The transaction routes logical names itself, so a
-        range-sharded lineitem (``load_database(..., lineitem_shards=N)``)
+        half). Every table name resolves to the physical tables behind
+        it, so a range-sharded lineitem (``load_database(..., lineitem_shards=N)``)
         absorbs the stream shard by shard with no changes here.
         """
         for half in self.refresh_ops(pair):

@@ -78,8 +78,9 @@ class TransactionManager:
 
     def __init__(self, wal: WriteAheadLog | None = None):
         self._tables: dict[str, TableState] = {}
-        # logical name -> ShardedTable; shared with the owning Database so
-        # transactions can route logical sharded names to physical shards.
+        # logical name -> ShardedTable; shared with the owning Database.
+        # Only physical_names / route / split_ops read it: they are the
+        # one place a name resolves to the physical tables behind it.
         self.sharded_tables: dict = {}
         self._running: dict[int, Transaction] = {}
         self._tz: list[_CommitRecord] = []
@@ -149,6 +150,39 @@ class TransactionManager:
 
     def table_names(self) -> list[str]:
         return list(self._tables)
+
+    # -- name resolution ---------------------------------------------------------
+    #
+    # A table is the ordered list of physical tables behind it: a
+    # range-sharded logical table's shards in key order, or the one
+    # physical table an unsharded name is. Every entry point that takes a
+    # table name resolves it here; unknown names raise KeyError.
+
+    def physical_names(self, table: str) -> list[str]:
+        """The physical tables behind ``table``, in key order."""
+        sharded = self.sharded_tables.get(table)
+        if sharded is not None:
+            return list(sharded.shard_names)
+        self.state_of(table)
+        return [table]
+
+    def route(self, table: str, sk) -> str:
+        """The physical table owning sort key ``sk`` in ``table``."""
+        sharded = self.sharded_tables.get(table)
+        if sharded is not None:
+            return sharded.physical_for(sk)
+        self.state_of(table)
+        return table
+
+    def split_ops(self, table: str, ops) -> list[tuple[str, list]]:
+        """Split an update batch into ``(physical_name, sub_batch)``
+        parts, op order kept within each part; an unsharded table is one
+        part."""
+        sharded = self.sharded_tables.get(table)
+        if sharded is not None:
+            return sharded.split_ops(ops)
+        self.state_of(table)
+        return [(table, ops)]
 
     # -- snapshots ---------------------------------------------------------------
 

@@ -108,17 +108,6 @@ class SnapshotPin:
                 f"(created after the pin was taken?)"
             ) from None
 
-    def layout(self, logical: str) -> PinnedLayout:
-        try:
-            return self.layouts[logical]
-        except KeyError:
-            raise KeyError(
-                f"no sharded table {logical!r} in this pin"
-            ) from None
-
-    def is_sharded(self, name: str) -> bool:
-        return name in self.layouts
-
     def physical_names(self, table: str) -> list[str]:
         """Physical tables backing ``table`` at pin time, in key order."""
         if table in self.layouts:

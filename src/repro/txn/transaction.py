@@ -24,9 +24,9 @@ import enum
 
 from ..core.pdt import PDT
 from ..core.propagate import propagate_batch
+from ..core.stack import image_rows, merge_scan_layers
 from ..db.update_processor import BatchUpdater, PositionalUpdater
 from ..engine.relation import Relation
-from ..engine.scan import scan_pdt
 
 
 class TxnStatus(enum.Enum):
@@ -82,10 +82,6 @@ class Transaction:
             )
         return self._snapshots[table]
 
-    def _sharded(self, table: str):
-        """The ShardedTable behind ``table``, or None for physical names."""
-        return self._manager.sharded_tables.get(table)
-
     def _updater(self, table: str) -> PositionalUpdater:
         state = self._manager.state_of(table)
         return PositionalUpdater(
@@ -102,42 +98,29 @@ class Transaction:
 
     def scan(self, table: str, columns=None, batch_rows: int = 4096
              ) -> Relation:
-        """Snapshot-consistent scan (sees this transaction's own updates).
-
-        Sharded logical names scan shard by shard in key order, each shard
-        through this transaction's own layer stack.
-        """
+        """Snapshot-consistent scan (sees this transaction's own updates):
+        the physical tables behind ``table`` in key order, each through
+        this transaction's own layer stack."""
         self._require_active()
-        sharded = self._sharded(table)
-        if sharded is not None:
-            import itertools
+        names = self._manager.physical_names(table)
+        if columns is None:
+            columns = self._manager.state_of(names[0]).schema.column_names
+        columns = list(columns)
 
-            from ..core.stack import merge_scan_layers
-
-            columns = list(columns) if columns is not None \
-                else list(sharded.schema.column_names)
-            streams = []
-            for shard in sharded.shard_names:
-                state = self._manager.state_of(shard)
-                streams.append(merge_scan_layers(
-                    state.stable, self._read_layers(shard),
+        def batches():
+            for name in names:
+                yield from merge_scan_layers(
+                    self._manager.state_of(name).stable,
+                    self._read_layers(name),
                     columns=columns, batch_rows=batch_rows,
-                ))
-            return Relation.from_batches(columns,
-                                         itertools.chain(*streams))
-        state = self._manager.state_of(table)
-        return scan_pdt(state.stable, self._read_layers(table),
-                        columns=columns, batch_rows=batch_rows)
+                )
+        return Relation.from_batches(columns, batches())
 
     def image_rows(self, table: str) -> list[tuple]:
         """Full current image as tuples (testing convenience)."""
-        from ..core.stack import image_rows
-
         self._require_active()
-        sharded = self._sharded(table)
-        names = sharded.shard_names if sharded is not None else [table]
         rows: list[tuple] = []
-        for name in names:
+        for name in self._manager.physical_names(table):
             state = self._manager.state_of(name)
             rows.extend(image_rows(state.stable, self._read_layers(name)))
         return rows
@@ -146,50 +129,37 @@ class Transaction:
 
     def insert(self, table: str, row) -> int:
         self._require_active()
-        sharded = self._sharded(table)
-        if sharded is not None:
-            row = sharded.schema.coerce_row(row)
-            table = sharded.physical_for(sharded.schema.sk_of(row))
-        return self._updater(table).insert(row)
+        first = self._manager.physical_names(table)[0]
+        schema = self._manager.state_of(first).schema
+        row = schema.coerce_row(row)
+        physical = self._manager.route(table, schema.sk_of(row))
+        return self._updater(physical).insert(row)
 
     def delete(self, table: str, sk) -> int:
         self._require_active()
-        sharded = self._sharded(table)
-        if sharded is not None:
-            table = sharded.physical_for(sk)
-        return self._updater(table).delete_by_key(sk)
+        return self._updater(self._manager.route(table, sk)).delete_by_key(sk)
 
     def modify(self, table: str, sk, column: str, value) -> int:
         self._require_active()
-        sharded = self._sharded(table)
-        if sharded is not None:
-            table = sharded.physical_for(sk)
-        return self._updater(table).modify_by_key(sk, column, value)
+        physical = self._manager.route(table, sk)
+        return self._updater(physical).modify_by_key(sk, column, value)
 
     def apply_batch(self, table: str, ops) -> int:
         """Apply a whole ``("ins", row) | ("del", sk) | ("mod", sk, col,
         value)`` batch through the vectorized bulk path; returns the
-        number of operations applied. All-or-nothing: key errors are
-        raised before anything lands in the Trans-PDT. A sharded logical
-        name splits the batch into per-shard sub-batches, still
-        all-or-nothing: *every* sub-batch is validated before any shard's
-        Trans-PDT is touched."""
+        number of operations applied. All-or-nothing: the batch is split
+        by physical table and *every* part is resolved and validated
+        before any part lands in its Trans-PDT."""
         self._require_active()
-        sharded = self._sharded(table)
-        if sharded is not None:
-            staged = []
-            for physical, sub in sharded.split_ops(ops):
-                state = self._manager.state_of(physical)
-                updater = BatchUpdater(
-                    state.stable, self._update_layers(physical),
-                    state.sparse_index,
-                )
-                staged.append((updater, updater.prepare(sub)))
-            return sum(u.commit_staged(s) for u, s in staged)
-        state = self._manager.state_of(table)
-        return BatchUpdater(
-            state.stable, self._update_layers(table), state.sparse_index
-        ).apply(ops)
+        staged = []
+        for physical, part in self._manager.split_ops(table, ops):
+            state = self._manager.state_of(physical)
+            updater = BatchUpdater(
+                state.stable, self._update_layers(physical),
+                state.sparse_index,
+            )
+            staged.append((updater, updater.prepare(part)))
+        return sum(u.commit_staged(s) for u, s in staged)
 
     # -- query-level isolation (footnote 5) -------------------------------------
 
