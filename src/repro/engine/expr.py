@@ -26,9 +26,12 @@ scan boundary must travel over a pipe to a spawned worker and produce the
 Correctness of the partial merge: every supported aggregate is a
 commutative monoid over per-group accumulators (sum/count add, min/max
 compare, avg carries its sum and count separately), group keys partition
-rows disjointly across shard jobs under one pin, and the final merge
-sorts groups by key exactly like ``np.unique`` orders composite codes —
-so merge(partials(blocks)) == agg(concat(blocks)) row for row.
+rows disjointly across shard jobs under one pin, and partials are keyed
+by the same order-preserving factorized codes
+(:func:`~repro.engine.relation.factorize`) ``GroupBy.agg`` groups by —
+so merge(partials(blocks)) == agg(concat(blocks)) row for row. Partials
+are arrays combined by the one aggregation kernel; a float sum adds each
+group's block partials in arrival order, starting from 0.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import functions as fn
-from .relation import EngineError, _combined_codes, group_partials
+from .relation import EngineError, factorize, group_partials
 
 #: Leaf predicate ops a worker may be asked to evaluate. A payload
 #: naming anything else is rejected with :class:`PushdownUnsupported`
@@ -397,100 +400,87 @@ def agg_from_payload(payload: dict) -> AggSpec:
             f"malformed aggregate payload: {exc}") from None
 
 
-def _py_key(cols, position) -> tuple:
-    return tuple(_pyval(col[position]) for col in cols)
-
-
 class PartialAggregator:
-    """Streaming accumulator for one :class:`AggSpec`.
+    """Streaming accumulator for one :class:`AggSpec`, holding *partial
+    blocks*: arrays of group key columns and partial columns, groups
+    sorted by key.
 
-    ``add_block`` folds raw (already filtered) blocks; ``merge`` folds
-    another aggregator's partial block; ``partial_arrays`` emits this
-    side's deterministic partial block (groups sorted by key);
-    ``finalize`` produces the final output arrays with
+    ``add_block`` reduces one raw (already filtered) block to a partial
+    block with :func:`~repro.engine.relation.group_partials`; ``merge``
+    takes another aggregator's partial block as is. Buffered blocks are
+    combined by the same kernel over the factorized group keys (count
+    partials add up as sums; sum/min/max keep their kind): when
+    ``partial_arrays`` or ``finalize`` is asked, and whenever the buffer
+    grows past twice the rows of the last combined result, which bounds
+    memory for high-cardinality keys. Each group's float sum adds its
+    partials in arrival order starting from 0, however the buffer was
+    cut. ``finalize`` produces the final output arrays with
     ``GroupBy.agg``-identical dtypes, ordering, and empty-input shape.
     """
 
     def __init__(self, spec: AggSpec):
         self.spec = spec
         self._parts = spec.partials()
-        # group key tuple -> accumulator list aligned with self._parts
-        self._groups: dict[tuple, list] = {}
+        self._lead = self._parts[0][0]  # a column every partial block has
+        # The combine step: each partial column re-aggregated by itself.
+        self._merge_parts = [(p, "sum" if kind == "count" else kind, p)
+                             for p, kind, _s in self._parts]
+        self._blocks: list[dict] = []  # partial blocks, arrival order
+        self._rows = 0       # rows held in self._blocks
+        self._combined = 0   # rows of the last combined result
 
     # -- accumulation ------------------------------------------------------
 
-    def _fresh(self) -> list:
-        return [0 if kind in ("sum", "count") else None
-                for _p, kind, _s in self._parts]
-
-    def _combine(self, state: list, index: int, kind: str, value) -> None:
-        if kind in ("sum", "count"):
-            state[index] += value
-        elif state[index] is None:
-            state[index] = value
-        elif kind == "min":
-            if value < state[index]:
-                state[index] = value
-        elif value > state[index]:
-            state[index] = value
-
-    def add_block(self, arrays: dict) -> None:
-        """Fold one raw block (post-filter) into the running groups."""
-        if not arrays:
-            return
-        n = len(next(iter(arrays.values())))
-        if n == 0:
-            return
-        group_cols = [np.asarray(arrays[k]) for k in self.spec.group_by]
-        if group_cols:
-            codes = _combined_codes(group_cols)
-            _uniq, rep, inv = np.unique(
-                codes, return_index=True, return_inverse=True)
-            n_groups = len(rep)
-        else:
-            inv = np.zeros(n, dtype=np.int64)
-            rep = np.zeros(1, dtype=np.int64)
-            n_groups = 1
-        keys = [_py_key(group_cols, r) for r in rep]
-        for index, (_pname, kind, src) in enumerate(self._parts):
-            per_group = group_partials(arrays, inv, n_groups, kind, src)
-            for g, key in enumerate(keys):
-                state = self._groups.get(key)
-                if state is None:
-                    state = self._groups[key] = self._fresh()
-                self._combine(state, index, kind, _pyval(per_group[g]))
+    def add_block(self, arrays: dict, rows: int | None = None) -> None:
+        """Fold one raw block (post-filter) of ``rows`` rows — by default
+        the length of its columns — into the running groups."""
+        if rows is None:
+            rows = len(next(iter(arrays.values()))) if arrays else 0
+        if rows:
+            self._push(self._reduce(arrays, rows, self._parts))
 
     def merge(self, arrays: dict) -> None:
         """Fold one *partial* block (another aggregator's
         ``partial_arrays`` output) into the running groups."""
-        if not arrays:
-            return
-        group_cols = [arrays[k] for k in self.spec.group_by]
-        part_cols = [arrays[p] for p, _k, _s in self._parts]
-        n = len(part_cols[0]) if part_cols else 0
-        for i in range(n):
-            key = _py_key(group_cols, i)
-            state = self._groups.get(key)
-            if state is None:
-                state = self._groups[key] = self._fresh()
-            for index, (_p, kind, _s) in enumerate(self._parts):
-                self._combine(state, index, kind,
-                              _pyval(part_cols[index][i]))
+        if arrays and len(arrays[self._lead]):
+            self._push(arrays)
+
+    def _reduce(self, arrays: dict, rows: int, parts) -> dict:
+        """One partial block of ``arrays``: a row per group, in key order."""
+        group_by = self.spec.group_by
+        if group_by:
+            inv, keys = factorize([arrays[k] for k in group_by])
+            n_groups = len(keys[0])
+        else:
+            inv, keys, n_groups = np.zeros(rows, dtype=np.int64), [], 1
+        out = dict(zip(group_by, keys))
+        for pname, kind, src in parts:
+            out[pname] = group_partials(arrays, inv, n_groups, kind, src)
+        return out
+
+    def _push(self, block: dict) -> None:
+        self._blocks.append(block)
+        self._rows += len(block[self._lead])
+        if self._rows > 2 * self._combined:
+            self._combine()
+
+    def _combine(self) -> dict | None:
+        """Combine the buffered partial blocks into one (``None`` if
+        nothing was added)."""
+        if len(self._blocks) > 1:
+            cat = {c: np.concatenate([b[c] for b in self._blocks])
+                   for c in self._blocks[0]}
+            block = self._reduce(cat, self._rows, self._merge_parts)
+            self._blocks = [block]
+            self._rows = len(block[self._lead])
+        self._combined = self._rows
+        return self._blocks[0] if self._blocks else None
 
     # -- output ------------------------------------------------------------
 
     def _src_dtype(self, col: str):
         dt = self.spec.dtypes.get(col)
         return None if dt is None else np.dtype(dt)
-
-    def _keyed_column(self, values, dtype) -> np.ndarray:
-        if dtype is None:
-            dtype = np.asarray(values).dtype if values else np.float64
-        if np.dtype(dtype) == object:
-            out = np.empty(len(values), dtype=object)
-            out[:] = values
-            return out
-        return np.array(values, dtype=dtype)
 
     def _partial_dtype(self, kind: str, src: str):
         if kind == "count":
@@ -503,22 +493,25 @@ class PartialAggregator:
             return np.dtype(np.float64)
         if dt is not None and np.issubdtype(dt, np.floating):
             return np.dtype(np.float64)
-        return dt  # min/max keep the source dtype (None -> infer)
+        return dt  # min/max keep the source dtype (None -> as computed)
+
+    def _dtypes(self) -> dict:
+        """Partial-block column -> pinned dtype (``None``: unpinned)."""
+        out = {col: self._src_dtype(col) for col in self.spec.group_by}
+        for pname, kind, src in self._parts:
+            out[pname] = self._partial_dtype(kind, src)
+        return out
 
     def partial_arrays(self) -> dict:
         """This side's partial block: group columns + partial columns,
         groups sorted ascending by key — deterministic for any input
         block order, which the crash-redispatch skip contract needs."""
-        keys = sorted(self._groups)
-        out: dict = {}
-        for i, col in enumerate(self.spec.group_by):
-            out[col] = self._keyed_column(
-                [key[i] for key in keys], self._src_dtype(col))
-        for index, (pname, kind, src) in enumerate(self._parts):
-            vals = [self._groups[key][index] for key in keys]
-            out[pname] = self._keyed_column(
-                vals, self._partial_dtype(kind, src))
-        return out
+        block = self._combine()
+        if block is None:
+            return {c: np.empty(0, dtype=np.float64 if dt is None else dt)
+                    for c, dt in self._dtypes().items()}
+        return {c: block[c] if dt is None else block[c].astype(dt, copy=False)
+                for c, dt in self._dtypes().items()}
 
     def finalize(self) -> dict:
         """Final output arrays, exactly as ``GroupBy.agg`` would produce
@@ -526,37 +519,21 @@ class PartialAggregator:
         quirks (a single zero row for global aggregates, empty float64
         columns for grouped ones) and int-preserving min/max dtypes."""
         spec = self.spec
-        keys = sorted(self._groups)
-        out: dict = {}
-        if not keys:
-            if spec.group_by:
-                for col in spec.group_by:
-                    dt = self._src_dtype(col)
-                    out[col] = self._keyed_column([], dt)
-                for name, _col, _func in spec.aggs:
-                    out[name] = np.empty(0, dtype=np.float64)
+        empty = not self._blocks
+        if empty and not spec.group_by:
+            return {name: np.zeros(1, dtype=np.int64 if func == "count"
+                                   else np.float64)
+                    for name, _col, func in spec.aggs}
+        block = self.partial_arrays()
+        out = {col: block[col] for col in spec.group_by}
+        for name, _col, func in spec.aggs:
+            if empty:
+                out[name] = np.empty(0, dtype=np.float64)
+            elif func == "avg":
+                out[name] = (block[f"{name}::sum"]
+                             / np.maximum(block[f"{name}::count"], 1))
             else:
-                for name, _col, func in spec.aggs:
-                    out[name] = (np.zeros(1, dtype=np.int64)
-                                 if func == "count"
-                                 else np.zeros(1, dtype=np.float64))
-            return out
-        for i, col in enumerate(spec.group_by):
-            out[col] = self._keyed_column(
-                [key[i] for key in keys], self._src_dtype(col))
-        part_index = {p: j for j, (p, _k, _s) in enumerate(self._parts)}
-
-        def column_of(pname, kind, src):
-            vals = [self._groups[key][part_index[pname]] for key in keys]
-            return self._keyed_column(vals, self._partial_dtype(kind, src))
-
-        for name, col, func in spec.aggs:
-            if func == "avg":
-                sums = column_of(f"{name}::sum", "sum", col)
-                counts = column_of(f"{name}::count", "count", col)
-                out[name] = sums / np.maximum(counts, 1)
-            else:
-                out[name] = column_of(name, func, col)
+                out[name] = block[name]
         return out
 
 
@@ -596,11 +573,12 @@ def pushdown_stream(stream, where: Expr | None = None,
             where_mask = where.mask(arrays)
             mask = where_mask if mask is None else mask & where_mask
         if mask is not None and not mask.all():
-            arrays = {c: a[mask] for c, a in arrays.items()}
+            # An aggregate job copies only the columns it aggregates.
+            kept = agg.inputs() if aggregator is not None else arrays
+            arrays = {c: arrays[c][mask] for c in kept}
             n = int(mask.sum())
         if aggregator is not None:
-            if n:
-                aggregator.add_block(arrays)
+            aggregator.add_block(arrays, n)
             continue
         if n:
             if counter is not None:

@@ -6,9 +6,9 @@ filter, project, equi-join (inner/left/semi/anti), grouped aggregation,
 sort, limit — enough to run all 22 TPC-H queries (:mod:`repro.tpch.queries`).
 
 Keys of any type (including strings and multi-column composites) are
-*factorized* into dense integer codes with :func:`numpy.unique`, after
-which joins, grouping, sorting, and distinct are uniform vectorized
-integer operations.
+*factorized* (:func:`factorize`) into dense, order-preserving integer
+codes, after which joins, grouping, sorting, and distinct are uniform
+vectorized integer operations.
 """
 
 from __future__ import annotations
@@ -26,22 +26,54 @@ def _as_object_array(values) -> np.ndarray:
     return arr
 
 
-def _codes_of(column: np.ndarray) -> np.ndarray:
-    """Dense order-preserving integer codes for one column."""
-    _, inverse = np.unique(column, return_inverse=True)
-    return inverse.astype(np.int64)
+def _factorize_one(column) -> tuple:
+    """``(codes, uniques)`` of one column: dense int64 codes in the
+    order of the sorted distinct values. Object (string) columns go
+    through a sorted set and a dict, never an object ``np.unique``."""
+    column = np.asarray(column)
+    if column.dtype == object:
+        values = column.tolist()
+        uniques = sorted(set(values))
+        lookup = {value: code for code, value in enumerate(uniques)}
+        codes = np.fromiter(map(lookup.__getitem__, values), np.int64,
+                            count=len(values))
+        return codes, _as_object_array(uniques)
+    uniques, inverse = np.unique(column, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64, copy=False), uniques
 
 
-def _combined_codes(columns) -> np.ndarray:
-    """Order-preserving codes for a composite key (row-wise tuples)."""
-    codes = None
-    for column in columns:
-        inv = _codes_of(column)
-        k = int(inv.max()) + 1 if len(inv) else 1
-        codes = inv if codes is None else codes * k + inv
-    if codes is None:
+#: Composite codes are re-densified before a multiply could pass this.
+_CODE_LIMIT = 2 ** 62
+
+
+def factorize(columns) -> tuple:
+    """Factorize the row-wise tuples of ``columns`` (one or more equal-
+    length arrays): ``(codes, keys)`` where ``codes`` numbers each row's
+    tuple densely from 0 in lexicographic tuple order and ``keys`` holds
+    one array per column with each group's key values in code order.
+    Composite codes are re-densified whenever the next multiply could
+    pass 2**62, so they never overflow int64 (for fewer than 2**31
+    rows). Grouping, distinct, sorting, joins and the pushed aggregator
+    all key on these codes."""
+    columns = list(columns)
+    if not columns:
         raise EngineError("composite key needs at least one column")
-    return codes
+    codes, uniques = _factorize_one(columns[0])
+    if len(columns) == 1:
+        return codes, [uniques]
+    bound = len(uniques)
+    for column in columns[1:]:
+        inverse, uniques = _factorize_one(column)
+        k = max(len(uniques), 1)
+        if bound * k > _CODE_LIMIT:
+            _, codes = np.unique(codes, return_inverse=True)
+            bound = int(codes.max()) + 1
+        codes = codes * k + inverse
+        bound *= k
+    _, first, codes = np.unique(codes, return_index=True,
+                                return_inverse=True)
+    return (codes.reshape(-1).astype(np.int64, copy=False),
+            [np.asarray(column)[first] for column in columns])
 
 
 def group_partials(arrays, inv, n_groups, kind, src):
@@ -51,7 +83,8 @@ def group_partials(arrays, inv, n_groups, kind, src):
     :class:`~repro.engine.expr.PartialAggregator` both call it, so both
     are exact on integers (int64 sums of integers and bools, min/max in
     the source dtype — never through float64). Object-column min/max
-    returns a list."""
+    takes the per-group min/max of the column's order-preserving codes
+    and returns an object array."""
     if kind == "count":
         return np.bincount(inv, minlength=n_groups)
     values = np.asarray(arrays[src])
@@ -66,14 +99,12 @@ def group_partials(arrays, inv, n_groups, kind, src):
         return np.bincount(inv, weights=values.astype(np.float64),
                            minlength=n_groups)
     # min / max
+    ufunc = np.minimum if kind == "min" else np.maximum
     if values.dtype == object:
-        out = [None] * n_groups
-        better = (lambda a, b: a < b) if kind == "min" \
-            else (lambda a, b: a > b)
-        for gid, val in zip(inv, values):
-            if out[gid] is None or better(val, out[gid]):
-                out[gid] = val
-        return out
+        codes, uniques = _factorize_one(values)
+        acc = np.full(n_groups, len(uniques) if kind == "min" else -1)
+        ufunc.at(acc, inv, codes)
+        return uniques[acc]
     if values.dtype == bool:
         acc = np.full(n_groups, kind == "min")
     elif np.issubdtype(values.dtype, np.integer):
@@ -84,10 +115,7 @@ def group_partials(arrays, inv, n_groups, kind, src):
         fill = np.inf if kind == "min" else -np.inf
         acc = np.full(n_groups, fill, dtype=np.float64)
         values = values.astype(np.float64)
-    if kind == "min":
-        np.minimum.at(acc, inv, values)
-    else:
-        np.maximum.at(acc, inv, values)
+    ufunc.at(acc, inv, values)
     return acc
 
 
@@ -211,7 +239,7 @@ class Relation:
         names = names or tuple(self.column_names)
         if self.num_rows == 0:
             return self.select(*names)
-        codes = _combined_codes([self[n] for n in names])
+        codes, _keys = factorize([self[n] for n in names])
         _, first = np.unique(codes, return_index=True)
         return Relation({n: self[n][np.sort(first)] for n in names})
 
@@ -283,18 +311,10 @@ class Relation:
         return Relation(cols)
 
     def _join_codes(self, other, left_on, right_on):
-        lcodes = rcodes = None
-        for lname, rname in zip(left_on, right_on):
-            both = np.concatenate([self[lname], other[rname]])
-            inv = _codes_of(both)
-            k = int(inv.max()) + 1 if len(inv) else 1
-            linv, rinv = inv[: self.num_rows], inv[self.num_rows:]
-            if lcodes is None:
-                lcodes, rcodes = linv, rinv
-            else:
-                lcodes = lcodes * k + linv
-                rcodes = rcodes * k + rinv
-        return lcodes, rcodes
+        codes, _keys = factorize(
+            np.concatenate([self[lname], other[rname]])
+            for lname, rname in zip(left_on, right_on))
+        return codes[: self.num_rows], codes[self.num_rows:]
 
     @staticmethod
     def _null_column(template: np.ndarray, n: int) -> np.ndarray:
@@ -333,7 +353,7 @@ class Relation:
         for name, direction in reversed(norm):
             arr = self[name]
             if arr.dtype == object:
-                codes = _codes_of(arr)
+                codes = factorize([arr])[0]
             else:
                 codes = arr
             if direction == "desc":
@@ -374,17 +394,12 @@ class GroupBy:
         if not self.keys:
             group_ids = np.zeros(rel.num_rows, dtype=np.int64)
             n_groups = 1
-            rep_positions = np.zeros(0, dtype=np.int64)
+            key_values = []
         else:
-            codes = _combined_codes([rel[k] for k in self.keys])
-            uniq, rep_positions, group_ids = np.unique(
-                codes, return_index=True, return_inverse=True
-            )
-            n_groups = len(uniq)
+            group_ids, key_values = factorize([rel[k] for k in self.keys])
+            n_groups = len(key_values[0])
 
-        out: dict[str, np.ndarray] = {}
-        for key in self.keys:
-            out[key] = rel[key][rep_positions]
+        out: dict[str, np.ndarray] = dict(zip(self.keys, key_values))
         for name, (col, func) in specs.items():
             out[name] = self._compute(rel, group_ids, n_groups, col, func)
         return Relation(out)
@@ -397,15 +412,10 @@ class GroupBy:
                 return np.zeros(1, dtype=np.float64)
             return np.empty(0, dtype=np.float64)
         if func == "count_distinct":
-            value_codes = _codes_of(rel[col])
-            k = int(value_codes.max()) + 1
-            uniq_pairs = np.unique(group_ids * k + value_codes)
-            return np.bincount(
-                (uniq_pairs // k).astype(np.int64), minlength=n_groups
-            )
+            _codes, (pair_groups, _values) = factorize([group_ids, rel[col]])
+            return np.bincount(pair_groups, minlength=n_groups)
         if func == "avg":
             sums = group_partials(rel, group_ids, n_groups, "sum", col)
             counts = np.bincount(group_ids, minlength=n_groups)
             return sums / np.maximum(counts, 1)
-        out = group_partials(rel, group_ids, n_groups, func, col)
-        return _as_object_array(out) if isinstance(out, list) else out
+        return group_partials(rel, group_ids, n_groups, func, col)
