@@ -5,9 +5,9 @@ one asyncio event loop — a continuous refresh stream (bulk update batches)
 *and* a fleet of concurrent analytics queries. Each analytics query pins a
 database-wide snapshot, streams its result blocks as shards complete, and
 verifies its own consistency (every cross-shard read sees exactly one
-commit point, however the refresh stream interleaves). Skewed concurrent
-scans share physical shard scans through the cooperative job scheduler;
-the run ends with the service's stats and a clean ``db.close()``.
+commit point, however the refresh stream interleaves). Each query runs
+one scan job per shard it touches; the run ends with the service's
+stats and a clean ``db.close()``.
 
 Run: ``python examples/async_service.py``
 """
@@ -79,7 +79,7 @@ async def analyst(svc, i: int) -> tuple:
         assert rows == oracle.num_rows, "torn cross-shard read!"
         assert qty_sum == int(oracle["qty"].sum())
         profile = cursor.profile
-        return rows, profile.shared_jobs, profile.time_to_first_block_s
+        return rows, profile.shards, profile.time_to_first_block_s
     finally:
         pin.release()
 
@@ -95,14 +95,13 @@ async def main() -> None:
 
         print(f"refresh stream: {applied} ops in {N_REFRESH_BATCHES} "
               f"batches, concurrent with {N_ANALYSTS} analysts")
-        for i, (rows, shared, ttfb) in enumerate(results):
-            print(f"  analyst {i}: {rows} rows streamed, "
-                  f"{shared} shard scans shared, "
+        for i, (rows, shards, ttfb) in enumerate(results):
+            print(f"  analyst {i}: {rows} rows streamed "
+                  f"from {shards} shards, "
                   f"first block after {ttfb * 1e3:.2f} ms")
         stats = svc.stats
         print(f"service: {stats.range_queries} range queries, "
-              f"{stats.batches} batches, {stats.jobs_scheduled} shard jobs "
-              f"scanned + {stats.jobs_shared} shared, "
+              f"{stats.batches} batches, {stats.jobs_scheduled} shard jobs, "
               f"{stats.rows_streamed} rows streamed, "
               f"peak in-flight {svc.admission.peak_inflight}, "
               f"{stats.maintenance_runs} maintenance drains")

@@ -29,7 +29,7 @@ import json
 import sys
 from pathlib import Path
 
-MEASUREMENT_COLUMNS = {"speedup_x", "jobs_shared"}
+MEASUREMENT_COLUMNS = {"speedup_x"}
 
 
 def _is_measurement(col: str) -> bool:

@@ -152,40 +152,55 @@ class Database:
         self.io = IOStats()
         self.obs = Observability(trace=trace, slow_query_ms=slow_query_ms)
         self.storage = resolve_storage(storage, storage_path)
-        exec_mode = executor or os.environ.get("REPRO_EXECUTOR") or "thread"
-        self.exec_router = ExecutorRouter(exec_mode, workers=workers,
-                                          storage=self.storage)
-        self.store = BlockStore(compressed=compressed, block_rows=block_rows,
-                                backend=self.storage.open(MAIN_SCOPE))
-        self.buffer_capacity = buffer_capacity
-        self.pool = BufferPool(self.store, self.io,
-                               capacity_bytes=buffer_capacity)
-        if wal_path is None:
-            wal_path = self.storage.wal_path()
-        self.manager = TransactionManager(
-            wal=WriteAheadLog(wal_path, fsync=self.storage.fsync))
-        # The manager's logical-table registry: names resolve to physical
-        # tables through manager.physical_names / route / split_ops.
-        self._sharded: dict = self.manager.sharded_tables
-        self.scheduler = CheckpointScheduler(self.manager, checkpoint_policy)
-        if checkpoint_policy is not None:
-            self.manager.add_commit_listener(self.scheduler.on_commit)
-        self._services: list = []  # attached QueryService front-ends
-        self._closed = False
-        self.recovered_lsn = 0
-        if self.storage.persistent:
-            from ..txn.recovery import recover_persistent
+        try:
+            exec_mode = (executor or os.environ.get("REPRO_EXECUTOR")
+                         or "thread")
+            self.exec_router = ExecutorRouter(exec_mode, workers=workers,
+                                              storage=self.storage)
+            self.store = BlockStore(compressed=compressed,
+                                    block_rows=block_rows,
+                                    backend=self.storage.open(MAIN_SCOPE))
+            self.buffer_capacity = buffer_capacity
+            self.pool = BufferPool(self.store, self.io,
+                                   capacity_bytes=buffer_capacity)
+            if wal_path is None:
+                wal_path = self.storage.wal_path()
+            self.manager = TransactionManager(
+                wal=WriteAheadLog(wal_path, fsync=self.storage.fsync))
+            # The manager's logical-table registry: names resolve to
+            # physical tables through manager.physical_names / route /
+            # split_ops.
+            self._sharded: dict = self.manager.sharded_tables
+            self.scheduler = CheckpointScheduler(self.manager,
+                                                 checkpoint_policy)
+            if checkpoint_policy is not None:
+                self.manager.add_commit_listener(self.scheduler.on_commit)
+            self._services: list = []  # attached QueryService front-ends
+            self._closed = False
+            self.recovered_lsn = 0
+            if self.storage.persistent:
+                from ..txn.recovery import recover_persistent
 
-            self.recovered_lsn = recover_persistent(self)
-        # Attach observability last: recovery may swap in the loaded WAL
-        # (and its group coordinator), and replayed commits should not
-        # pollute latency histograms.
-        self.manager.obs = self.obs
-        if self.manager.wal.group is not None:
-            self.manager.wal.group.obs = self.obs
-        self.exec_router.tracer = self.obs.tracer
-        self.exec_router.io = self.io
-        self._register_metric_sources()
+                self.recovered_lsn = recover_persistent(self)
+            # Attach observability last: recovery may swap in the loaded
+            # WAL (and its group coordinator), and replayed commits should
+            # not pollute latency histograms.
+            self.manager.obs = self.obs
+            if self.manager.wal.group is not None:
+                self.manager.wal.group.obs = self.obs
+            self.exec_router.tracer = self.obs.tracer
+            self.exec_router.io = self.io
+            self._register_metric_sources()
+        except BaseException:
+            # A failed open (a bad option, a refused recovery) must not
+            # leak what it acquired: worker processes, file handles and
+            # locks, an ephemeral temp root.
+            if hasattr(self, "exec_router"):
+                self.exec_router.close()
+            self.storage.close()
+            if hasattr(self, "manager"):
+                self.manager.wal.close()
+            raise
 
     # -- observability -----------------------------------------------------
 

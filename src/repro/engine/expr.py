@@ -143,7 +143,7 @@ class Expr:
 
     def key(self) -> tuple:
         """Hashable canonical form — two predicates with equal keys
-        evaluate identically (job share-key component)."""
+        evaluate identically (equality and hashing use it)."""
         if self.op in COMBINATOR_OPS:
             return (self.op, tuple(c.key() for c in self.children))
         return (self.op, self.column, self.value)
@@ -354,7 +354,7 @@ class AggSpec:
         return out
 
     def key(self) -> tuple:
-        """Share-key component: equal keys aggregate identically."""
+        """Hashable canonical form: equal keys aggregate identically."""
         return ("agg", self.group_by, self.aggs)
 
     def bind(self, schema) -> "AggSpec":

@@ -472,22 +472,22 @@ class ExecutorRouter:
         """The per-shard job runner the query service installs, or None
         in thread mode (the scheduler then keeps its zero-cost default).
         The runner signature matches ``ShardScanJob``'s contract:
-        ``runner(spec, sid_lo, sid_hi, block_rows, counter=None) ->
-        block iterable``. Pushed-down specs ship their predicate and
-        partial-aggregate payload to the worker, which streams back the
-        *reduced* blocks over the ring; ``counter`` collects the
-        worker's rows_in/rows_out accounting (or the local pipeline's,
-        on fallback) exactly once per completed pass."""
+        ``runner(spec, block_rows, counter=None) -> block iterable``
+        over the spec's own SID range. Pushed-down specs ship their
+        predicate and partial-aggregate payload to the worker, which
+        streams back the *reduced* blocks over the ring; ``counter``
+        collects the worker's rows_in/rows_out accounting (or the local
+        pipeline's, on fallback) exactly once per completed pass."""
         if self.mode != "process":
             return None
 
-        def run(spec, sid_lo, sid_hi, block_rows, counter=None):
+        def run(spec, block_rows, counter=None):
             pinned = spec.pinned
             local = lambda: spec.pushed_stream(  # noqa: E731
-                sid_lo, sid_hi, block_rows, counter=counter)
+                block_rows, counter=counter)
             payload = self.payload_for(
                 pinned.stable, pinned.layers, spec.scan_cols,
-                sid_lo, sid_hi, block_rows,
+                spec.sid_lo, spec.sid_hi, block_rows,
                 image_lsn=getattr(pinned, "image_lsn", None),
                 push=spec.push_payload(),
             )

@@ -3,11 +3,10 @@
 :class:`QueryProfile` is built by the streaming cursor as blocks flow:
 plan time, time-to-first-block, total drain time, and per-shard
 blocks/rows (counted where the shard feeds hand blocks to the cursor,
-i.e. what each shard's pipeline actually streamed — pre-filter, so
-union over-scan is visible). When tracing is enabled the profile also
-reports remote vs local block counts, read off the query's span tree at
-finish time (the router annotates shard-scan spans; the worker reports
-its own).
+i.e. what each shard's pipeline actually streamed, pre-filter). When
+tracing is enabled the profile also reports remote vs local block
+counts, read off the query's span tree at finish time (the router
+annotates shard-scan spans; the worker reports its own).
 
 :class:`SlowQueryLog` keeps a bounded ring of queries that exceeded the
 ``slow_query_ms`` threshold. Each entry carries the profile dict and —
@@ -51,7 +50,6 @@ class QueryProfile:
     rows: int = 0          # post-filter rows delivered to the consumer
     blocks: int = 0        # post-filter blocks delivered to the consumer
     shards: int = 0
-    shared_jobs: int = 0   # jobs this query attached to instead of owning
     remote_blocks: int | None = None  # from span attrs; None w/o tracing
     local_blocks: int | None = None
     per_shard: list = field(default_factory=list)
@@ -66,7 +64,6 @@ class QueryProfile:
             "rows": self.rows,
             "blocks": self.blocks,
             "shards": self.shards,
-            "shared_jobs": self.shared_jobs,
             "remote_blocks": self.remote_blocks,
             "local_blocks": self.local_blocks,
             "per_shard": [sp.as_dict() for sp in self.per_shard],

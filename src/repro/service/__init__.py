@@ -5,11 +5,10 @@ carries that property across the API boundary. A
 :class:`~repro.service.service.QueryService` admits concurrent query,
 range-query, and update/batch requests (thread-safe ``submit_*`` calls or
 an asyncio façade), plans every read against a database-wide snapshot pin
-(one commit point across all shards), schedules one scan job per shard —
-coalescing compatible concurrent scans into shared jobs — and returns
-streaming cursors that yield result blocks as shards complete. See
-``DESIGN.md`` ("Query service") for the job scheduling, cursor protocol,
-and pin lifecycle.
+(one commit point across all shards), schedules one scan job per request
+and shard, and returns streaming cursors that yield result blocks as
+shards complete. See ``DESIGN.md`` ("Query service") for the job
+scheduling, cursor protocol, and pin lifecycle.
 """
 
 from .cursor import StreamingCursor

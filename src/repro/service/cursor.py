@@ -54,8 +54,7 @@ class StreamingCursor:
     def _blocks(self, feeds):
         from .plan import filter_blocks
 
-        # Count what each shard's pipeline actually streamed (pre-filter,
-        # so union over-scan from job sharing is visible in the profile).
+        # Count what each shard's pipeline actually streamed (pre-filter).
         streams = []
         for feed, spec in zip(feeds, self._plan.parts):
             shard_prof = ShardScanProfile(shard=spec.pinned.name)

@@ -1,32 +1,14 @@
-"""Per-shard scan jobs, cooperative sharing, and admission control.
+"""Per-shard scan jobs and admission control.
 
 The service decomposes every read request into one job per shard (the
-:mod:`~repro.service.plan` output). Jobs are the unit of scheduling *and*
-of sharing: a :class:`ShardScanJob` carries a list of consumer feeds, and
-any request whose spec reads the same pinned version
-(:attr:`~repro.service.plan.ShardScanSpec.share_key`) can attach to a job
-instead of scheduling its own scan. The job then runs one MergeScan over
-the union of its consumers' SID ranges and pushes every block to every
-feed — the cooperative-scans idea (Zukowski et al.'s X100 lineage, the
-same system family as the paper): under concurrent skewed analytics most
-requests want the same hot blocks, so one physical scan amortizes across
-all of them. Each consumer's own key filter discards whatever the union
-over-scans, which is what makes attach-with-extension unconditionally
-safe.
-
-Attachment works *mid-scan* too: a compatible consumer arriving after the
-job started (whose range the already-frozen union covers) gets a
-:class:`DeferredFeed` — it rides along for the remaining blocks, which
-buffer while a small *catch-up* sub-scan re-reads the deterministic
-prefix it missed; once the prefix is delivered the buffered tail flushes
-and the consumer has the exact full stream. Only a consumer arriving
-after the scan finished (or needing rows outside the frozen union)
-schedules a fresh job.
+:mod:`~repro.service.plan` output). A :class:`ShardScanJob` makes one pass
+over its spec's SID range and pushes every block into its one
+:class:`ShardFeed`, which the request's cursor drains.
 
 Jobs execute through a pluggable ``runner`` — by default the spec's own
 in-thread block pipeline; a process-mode database installs the
-:class:`~repro.exec.router.ExecutorRouter`'s runner so the same job (and
-its catch-up sub-scans) stream from a shard worker process instead.
+:class:`~repro.exec.router.ExecutorRouter`'s runner so the same job
+streams from a shard worker process instead.
 
 Feeds are unbounded: a job never blocks on a slow consumer (so job workers
 cannot deadlock), and memory stays bounded because admission control
@@ -58,7 +40,7 @@ _DONE = object()  # feed sentinel: the producing job finished cleanly
 
 
 class ShardFeed:
-    """One consumer's view of one shard job's block stream."""
+    """One shard job's block stream, as its consumer sees it."""
 
     def __init__(self):
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
@@ -84,255 +66,74 @@ class ShardFeed:
             yield item
 
 
-class DeferredFeed(ShardFeed):
-    """A feed attached mid-scan: live items buffer until the catch-up
-    sub-scan primes the prefix the consumer missed, keeping the
-    consumer's stream in exact block order."""
-
-    def __init__(self):
-        super().__init__()
-        self._buffer: list = []
-        self._state_lock = threading.Lock()
-        self._primed = False
-
-    def _enqueue_or_buffer(self, item) -> None:
-        with self._state_lock:
-            if not self._primed:
-                self._buffer.append(item)
-                return
-        self._queue.put(item)
-
-    def put(self, item) -> None:
-        self._enqueue_or_buffer(item)
-
-    def finish(self) -> None:
-        self._enqueue_or_buffer(_DONE)
-
-    def fail(self, exc: BaseException) -> None:
-        self._enqueue_or_buffer(exc)
-
-    def prime(self, prefix_blocks) -> None:
-        """Deliver the missed prefix, then flush whatever the live job
-        buffered in the meantime; later items flow straight through."""
-        with self._state_lock:
-            for block in prefix_blocks:
-                self._queue.put(block)
-            for item in self._buffer:
-                self._queue.put(item)
-            self._buffer = []
-            self._primed = True
-
-    def prime_failed(self, exc: BaseException) -> None:
-        """The catch-up sub-scan failed: the consumer's stream is
-        unrecoverable (its prefix is missing) even if the live job is
-        fine."""
-        with self._state_lock:
-            self._queue.put(exc)
-            self._buffer = []
-            self._primed = True
-
-
 class ShardScanJob:
-    """One scheduled scan of one shard's pinned version, multi-consumer.
+    """One scan of one shard's pinned version, streamed into one feed.
 
-    ``runner(spec, sid_lo, sid_hi, block_rows, counter=None) -> block
-    iterable`` overrides how the union range is physically scanned
+    ``runner(spec, block_rows, counter=None) -> block iterable``
+    overrides how the spec's SID range is physically scanned
     (process-mode dispatch); the default is the spec's in-thread
     *pushed* pipeline, which applies the spec's predicate/aggregate
-    below the feeds. Either way the stream over a pinned version is
-    deterministic — pushed or not — which is what makes mid-scan
-    catch-up (and crash re-dispatch inside the router's runner) exact.
+    before the feed. Either way the stream over a pinned version is
+    deterministic, which is what makes crash re-dispatch inside the
+    router's runner exact.
     """
 
     def __init__(self, spec, block_rows: int, runner=None):
         self.spec = spec
         self.block_rows = block_rows
-        self.sid_lo = spec.sid_lo
-        self.sid_hi = spec.sid_hi
         self._runner = runner
         # Push-down accounting, filled by the pushed stream (locally or
         # from the worker's completion extras): rows the physical scan
-        # read vs. rows that survived into the feeds.
-        self.pushdown = bool(getattr(spec, "pushdown", False))
+        # read vs. rows that survived into the feed.
+        self.pushdown = spec.pushdown
         self.pushdown_counter = {"rows_in": 0, "rows_out": 0}
-        self._feeds: list[ShardFeed] = [ShardFeed()]
-        self._lock = threading.Lock()
-        self._started = False
-        self._finished = False
-        self._emitted = 0  # blocks fanned out so far (under _lock)
-        self._done_callbacks: list = []
-        # (tracer, parent ctx) set by the service on new jobs; the span
-        # parents under the request that *created* the job (a shared job
-        # belongs to its first submitter's trace).
+        self.feed = ShardFeed()
+        self.blocks = 0  # blocks streamed into the feed
+        # Set by the service: the request's (tracer, parent ctx) for the
+        # job's span, and the callback that drops the job's pin-lease
+        # hold once the scan stops reading its pinned inputs.
         self.trace = None
-
-    @property
-    def first_feed(self) -> ShardFeed:
-        return self._feeds[0]
-
-    @property
-    def consumers(self) -> int:
-        return len(self._feeds)
-
-    def _stream(self, sid_lo: int, sid_hi: int, counter: dict | None = None):
-        """The job's (pushed-down) block stream. ``counter`` collects
-        push-down row accounting for the *primary* pass only — catch-up
-        re-scans pass None so re-read rows are not double-counted."""
-        if self._runner is not None:
-            return self._runner(self.spec, sid_lo, sid_hi, self.block_rows,
-                                counter=counter)
-        return self.spec.pushed_stream(sid_lo, sid_hi, self.block_rows,
-                                       counter=counter)
-
-    def try_attach(self, spec):
-        """Join this job; returns ``(feed, catch_up)``.
-
-        Before the scan starts, the union range extends to cover ``spec``
-        and the feed sees every block (``catch_up`` is None). Once
-        underway the union is frozen, so only a spec it already covers
-        can join: the feed buffers the remaining live blocks while
-        ``catch_up`` — run it on a worker thread — re-scans the missed
-        deterministic prefix and primes the feed. ``(None, None)`` means
-        the job cannot take the spec (finished, or range outside the
-        frozen union): schedule a fresh job.
-        """
-        with self._lock:
-            if not self._started:
-                self.sid_lo = min(self.sid_lo, spec.sid_lo)
-                self.sid_hi = max(self.sid_hi, spec.sid_hi)
-                feed = ShardFeed()
-                self._feeds.append(feed)
-                return feed, None
-            if self._finished or spec.sid_lo < self.sid_lo \
-                    or spec.sid_hi > self.sid_hi:
-                return None, None
-            missed = self._emitted
-            if missed == 0:
-                # Started but nothing emitted yet: a plain feed still
-                # sees the whole stream.
-                feed = ShardFeed()
-                self._feeds.append(feed)
-                return feed, None
-            feed = DeferredFeed()
-            self._feeds.append(feed)
-            lo, hi = self.sid_lo, self.sid_hi
-
-        def catch_up():
-            try:
-                prefix = []
-                stream = iter(self._stream(lo, hi))
-                for block in stream:
-                    prefix.append(block)
-                    if len(prefix) == missed:
-                        break
-                close = getattr(stream, "close", None)
-                if close is not None:
-                    close()
-                feed.prime(prefix)
-            except BaseException as exc:
-                feed.prime_failed(exc)
-
-        return feed, catch_up
-
-    def add_done_callback(self, callback) -> None:
-        """Run ``callback`` once the scan stops touching its pinned
-        inputs (pin-lease holds ride on this). Runs immediately if the
-        job already finished."""
-        with self._lock:
-            if not self._finished:
-                self._done_callbacks.append(callback)
-                return
-        callback()
+        self.on_done = None
 
     def run(self) -> None:
-        """Scan the union range once, fanning blocks to every consumer.
-
-        The feed list is re-snapshotted per block in the same locked
-        section that counts the block as emitted, so a mid-scan attach
-        either receives a block live or counts it as missed — never
-        neither, never both.
-        """
-        with self._lock:
-            self._started = True
+        """Scan the spec's range once into the feed. ``on_done`` runs
+        before the feed ends, so a consumer that sees the end of the
+        stream never races the job's lease release."""
+        counter = self.pushdown_counter if self.pushdown else None
+        failure = None
         try:
-            for block in self._stream(self.sid_lo, self.sid_hi,
-                                      counter=self.pushdown_counter
-                                      if self.pushdown else None):
-                with self._lock:
-                    feeds = list(self._feeds)
-                    self._emitted += 1
-                for feed in feeds:
-                    feed.put(block)
-        except BaseException as exc:  # propagate into every consumer
-            with self._lock:
-                self._finished = True
-                feeds = list(self._feeds)
-            for feed in feeds:
-                feed.fail(exc)
-        else:
-            with self._lock:
-                self._finished = True
-                feeds = list(self._feeds)
-            for feed in feeds:
-                feed.finish()
+            if self._runner is not None:
+                stream = self._runner(self.spec, self.block_rows,
+                                      counter=counter)
+            else:
+                stream = self.spec.pushed_stream(self.block_rows,
+                                                 counter=counter)
+            for block in stream:
+                self.blocks += 1
+                self.feed.put(block)
+        except BaseException as exc:  # re-raised in the consumer
+            failure = exc
+        try:
+            if self.on_done is not None:
+                self.on_done()
         finally:
-            with self._lock:
-                self._finished = True
-                callbacks, self._done_callbacks = self._done_callbacks, []
-            for callback in callbacks:
-                callback()
+            if failure is None:
+                self.feed.finish()
+            else:
+                self.feed.fail(failure)
 
 
 class JobScheduler:
-    """Coalesces compatible shard scans and hands jobs to the worker pool.
-
-    ``schedule`` only *registers* work; the caller submits the returned
-    new jobs to its executor after the whole request (or request batch)
-    is planned — so every spec a multi-request submission produces gets
-    its sharing chance before any scan starts.
-    """
-
-    def __init__(self):
-        self._open: dict[tuple, ShardScanJob] = {}
-        self._lock = threading.Lock()
+    """Turns a shard scan spec into the job that scans it."""
 
     def schedule(self, spec, block_rows: int, runner=None
                  ) -> tuple[ShardFeed, ShardScanJob, bool, object]:
-        """``(feed, job, shared, catch_up)`` for ``spec``.
-
-        ``shared`` is True when an open compatible job absorbed the spec
-        (pre-start, or mid-scan through a deferred feed); otherwise the
-        caller must submit the (new) job to its executor. ``catch_up`` is
-        a zero-argument callable the caller must also run (mid-scan
-        attaches only — it back-fills the consumer's missed prefix), or
-        None. ``runner`` overrides the physical scan for a job created
-        here (see :class:`ShardScanJob`).
-        """
-        key = spec.share_key + (block_rows,)
-        with self._lock:
-            job = self._open.get(key)
-            if job is not None:
-                feed, catch_up = job.try_attach(spec)
-                if feed is not None:
-                    return feed, job, True, catch_up
-            job = ShardScanJob(spec, block_rows, runner=runner)
-            self._open[key] = job
-            return job.first_feed, job, False, None
-
-    def run_job(self, job: ShardScanJob) -> None:
-        """Executor entry point for a scheduled job.
-
-        The job stays in the open table *while it runs* — that is what
-        keeps the mid-scan attach window open — and is retired when the
-        scan finishes (unless a later schedule already replaced it with a
-        fresh job for the same key)."""
-        key = job.spec.share_key + (job.block_rows,)
-        try:
-            job.run()
-        finally:
-            with self._lock:
-                if self._open.get(key) is job:
-                    del self._open[key]
+        """``(feed, job, False, None)``: a fresh job and its feed; the
+        caller submits the job to its executor. ``runner`` overrides the
+        physical scan (see :class:`ShardScanJob`)."""
+        # benchmarks/e2e's probes unpack this 4-tuple: keep its shape.
+        job = ShardScanJob(spec, block_rows, runner=runner)
+        return job.feed, job, False, None
 
 
 class AdmissionController:
@@ -401,8 +202,6 @@ class ServiceStats:
     updates: int = 0
     batches: int = 0
     jobs_scheduled: int = 0
-    jobs_shared: int = 0
-    jobs_attached: int = 0  # shared via a *mid-scan* (catch-up) attach
     blocks_streamed: int = 0
     rows_streamed: int = 0
     # Push-down (jobs carrying a pushed predicate/aggregate):

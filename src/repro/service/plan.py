@@ -9,22 +9,13 @@ a SID range, and the result is an ordered list of :class:`ShardScanSpec`
 — one per shard (an unsharded table is a one-part plan), each naming
 exactly the pinned objects a MergeScan pipeline needs.
 
-A spec's :attr:`~ShardScanSpec.share_key` identifies the pinned *version*
-it reads (object identities of the stable image and PDT layers, plus the
-projected columns): two concurrent requests whose specs share a key can be
-served by one physical scan — the cooperative-scan sharing the service's
-job scheduler exploits. Pins taken under the same commit LSN share their
-Write-PDT by reference (each loans the same master), so even separately
-pinned requests coalesce while no commit intervenes.
-
 Push-down: a plan may carry a predicate (:class:`~repro.engine.expr.Expr`)
 and/or a partial-aggregate spec (:class:`~repro.engine.expr.AggSpec`).
 Both ride on every shard spec and are evaluated *inside* the scan job
 (:meth:`ShardScanSpec.pushed_stream`), so only qualifying rows — or one
 partial-aggregate block per shard — ever reach a feed. The predicate also
 contributes conservative sort-key bounds to router and sparse-index
-pruning. The share key then includes the predicate/aggregate identity:
-requests only share a physical pass when they compute the same thing.
+pruning.
 """
 
 from __future__ import annotations
@@ -66,36 +57,13 @@ class ShardScanSpec:
     key_cols: tuple = ()
 
     @property
-    def share_key(self) -> tuple:
-        """Identity of the scanned version, projection, and pushed-down
-        computation. Two specs with equal keys produce identical block
-        streams. For filter-only specs the key stays SID-range-free (a
-        shared job scans the union range; each consumer's key filter
-        discards the excess); aggregate specs fold their SID/key ranges
-        in, because an aggregated stream cannot be trimmed after the
-        fact — only identical-range aggregate requests may share."""
-        key = (
-            self.pinned.name,
-            id(self.pinned.stable),
-            tuple(id(layer) for layer in self.pinned.layers),
-            self.scan_cols,
-        )
-        if self.where is not None or self.agg is not None:
-            key += (None if self.where is None else self.where.key(),)
-        if self.agg is not None:
-            key += (self.agg.key(), self.low, self.high,
-                    self.sid_lo, self.sid_hi)
-        return key
-
-    @property
     def pushdown(self) -> bool:
         return self.where is not None or self.agg is not None
 
-    def stream(self, sid_lo: int | None = None, sid_hi: int | None = None,
-               block_rows: int = MERGE_BLOCK_ROWS, fixed: bool = True):
-        """Raw block pipeline over ``[sid_lo, sid_hi)`` of the pinned
-        version (defaults to the spec's own range; shared jobs pass the
-        union) — no pushed-down evaluation applied.
+    def stream(self, block_rows: int = MERGE_BLOCK_ROWS,
+               fixed: bool = True):
+        """Raw block pipeline over the spec's ``[sid_lo, sid_hi)`` of the
+        pinned version — no pushed-down evaluation applied.
 
         ``fixed`` normalizes the merged stream to exactly ``block_rows``
         rows per block. That is a contract of service cursors and worker
@@ -108,20 +76,18 @@ class ShardScanSpec:
             self.pinned.stable,
             self.pinned.layers,
             self.scan_cols,
-            self.sid_lo if sid_lo is None else sid_lo,
-            self.sid_hi if sid_hi is None else sid_hi,
+            self.sid_lo,
+            self.sid_hi,
             block_rows,
         )
 
-    def pushed_stream(self, sid_lo: int | None = None,
-                      sid_hi: int | None = None,
-                      block_rows: int = MERGE_BLOCK_ROWS,
+    def pushed_stream(self, block_rows: int = MERGE_BLOCK_ROWS,
                       counter: dict | None = None, fixed: bool = True):
         """The job-facing stream: :meth:`stream` wrapped with the spec's
         pushed-down predicate/aggregate (a no-op passthrough without
         them). This is the single local definition process workers must
         match byte for byte."""
-        stream = self.stream(sid_lo, sid_hi, block_rows, fixed)
+        stream = self.stream(block_rows, fixed)
         if not self.pushdown:
             return stream
         return ex.pushdown_stream(

@@ -12,8 +12,7 @@ One read request flows::
     acquire admission slot                 (backpressure: bounded in-flight)
       -> lease a snapshot pin              (one commit point, whole database)
       -> plan per-shard scans against it   (router + sparse-index pruning)
-      -> schedule one job per shard        (coalescing with open compatible
-                                            jobs: cooperative shared scans)
+      -> schedule one job per shard        (one pass over its SID range)
       -> return a StreamingCursor          (blocks stream as shards finish)
 
 Writes (scalar updates and bulk batches) run on the same pool but are
@@ -69,27 +68,19 @@ DEFAULT_WORKERS = 4
 class _PinLease:
     """Refcounted hold on one submission's pin.
 
-    Both the cursors *and* the shard scan jobs of a submission retain the
-    lease: a cursor closed early must not let maintenance rewrite the
-    pinned objects a still-running job is scanning, so the pin releases
-    (if owned) only when the last cursor has finished AND the last job
-    has stopped reading.
+    Both the cursors *and* the shard scan jobs of a submission hold the
+    lease — one hold each, all counted in up front: a cursor closed
+    early must not let maintenance rewrite the pinned objects a
+    still-running job is scanning, so the pin releases (if owned) only
+    when the last cursor has finished AND the last job has stopped
+    reading.
     """
 
-    def __init__(self, pin, owns: bool):
+    def __init__(self, pin, owns: bool, holds: int):
         self.pin = pin
         self.owns = owns
-        # One constructor hold, owned by the submission itself until all
-        # cursors and jobs took theirs — otherwise a shared job finishing
-        # mid-submit could transiently drain the count to zero and
-        # release the pin under the rest of the batch.
-        self._count = 1
+        self._count = holds
         self._lock = threading.Lock()
-
-    def retain(self) -> "_PinLease":
-        with self._lock:
-            self._count += 1
-        return self
 
     def release(self) -> bool:
         """Drop one hold; True when the lease just drained. The pin is
@@ -195,12 +186,10 @@ class QueryService:
         """Admit a batch of read requests against one shared pin.
 
         ``requests`` is a list of dicts with keys ``table`` and optional
-        ``low`` / ``high`` / ``columns`` / ``where`` / ``agg``. The batch
-        is planned before any scan starts, so requests touching the same
-        shards at the same version — computing the same pushed-down
-        predicate/aggregate, if any — are guaranteed to share scan jobs:
-        the submission shape for concurrent analytics over one
-        consistent snapshot.
+        ``low`` / ``high`` / ``columns`` / ``where`` / ``agg``. Every
+        request gets one scan job per shard it touches, all reading the
+        same pinned version: the submission shape for concurrent
+        analytics over one consistent snapshot.
         """
         self._check_open()
         requests = list(requests)
@@ -232,91 +221,59 @@ class QueryService:
             raise
         plan_s = time.perf_counter() - plan_t0
         tracer = self._db.obs.tracer
-        lease = _PinLease(pin, owns=own_pin)
+        lease = _PinLease(
+            pin, owns=own_pin,
+            holds=sum(1 + len(plan.parts) for plan in plans))
         with self._leases_lock:
             self._leases.add(lease)
+        # The job reads the pinned objects until it finishes — its lease
+        # hold keeps an early cursor close from letting maintenance
+        # rewrite state a live scan depends on.
+        drop_job_hold = lambda: self._lease_done(lease)  # noqa: E731
         cursors: list[StreamingCursor] = []
-        new_jobs: list = []
-        catch_ups: list = []
+        jobs: list = []
+        for plan in plans:
+            # One root span per request; its shard jobs parent to it by
+            # explicit context (they run on pool threads). Finished by
+            # the cursor.
+            root = (
+                tracer.begin("query", table=plan.table,
+                             shards=len(plan.parts))
+                if tracer.enabled else None
+            )
+            ctx = root.ctx() if root is not None else None
+            feeds = []
+            for spec in plan.parts:
+                job = self._scheduler.schedule(
+                    spec, self.block_rows, runner=self._runner)[1]
+                feeds.append(job.feed)
+                if ctx is not None:
+                    job.trace = (tracer, ctx)
+                job.on_done = drop_job_hold
+                jobs.append(job)
+            cursor = StreamingCursor(
+                plan, feeds, on_finish=self._make_finisher(lease),
+                tracer=tracer, root_span=root)
+            cursor.profile.plan_s = plan_s  # batch planning time
+            cursors.append(cursor)
+            self.stats.bump(
+                **{"range_queries" if plan.filtered else "queries": 1},
+                jobs_scheduled=len(plan.parts),
+            )
         submitted = 0
-        submitted_cu = 0
         try:
-            for plan in plans:
-                # One root span per request; shard jobs and catch-ups
-                # parent to it by explicit context (they run on pool
-                # threads). Finished by the cursor.
-                root = (
-                    tracer.begin("query", table=plan.table,
-                                 shards=len(plan.parts))
-                    if tracer.enabled else None
-                )
-                ctx = root.ctx() if root is not None else None
-                feeds = []
-                shared = 0
-                attached = 0
-                for spec in plan.parts:
-                    feed, job, was_shared, catch_up = \
-                        self._scheduler.schedule(
-                            spec, self.block_rows, runner=self._runner)
-                    feeds.append(feed)
-                    if was_shared:
-                        shared += 1
-                    else:
-                        if ctx is not None:
-                            job.trace = (tracer, ctx)
-                        new_jobs.append(job)
-                    if catch_up is not None:
-                        # Mid-scan attach: the catch-up sub-scan reads
-                        # the pinned objects on its own schedule (maybe
-                        # after the primary job finished) — it carries
-                        # its own lease hold.
-                        attached += 1
-                        lease.retain()
-                        catch_ups.append(
-                            self._guard_catch_up(catch_up, lease, ctx))
-                    # The job reads the pinned objects until it finishes —
-                    # hold the lease for it, so an early cursor close
-                    # cannot let maintenance rewrite state a live scan
-                    # depends on.
-                    lease.retain()
-                    job.add_done_callback(lambda: self._lease_done(lease))
-                lease.retain()  # the cursor's own hold
-                cursor = StreamingCursor(
-                    plan, feeds, on_finish=self._make_finisher(lease),
-                    tracer=tracer, root_span=root)
-                cursor.profile.shared_jobs = shared
-                cursor.profile.plan_s = plan_s  # batch planning time
-                cursors.append(cursor)
-                self.stats.bump(
-                    **{"range_queries" if plan.filtered else "queries": 1},
-                    jobs_scheduled=len(plan.parts) - shared,
-                    jobs_shared=shared,
-                    jobs_attached=attached,
-                )
-            # Only now do scans start: the batch had its sharing chance.
-            while submitted < len(new_jobs):
-                self._pool.submit(self._run_job, new_jobs[submitted])
+            for job in jobs:
+                self._pool.submit(self._run_job, job)
                 submitted += 1
-            while submitted_cu < len(catch_ups):
-                self._pool.submit(catch_ups[submitted_cu])
-                submitted_cu += 1
         except BaseException:
-            # pool.submit racing close() is the realistic failure here;
-            # unwind so nothing leaks: run never-submitted jobs inline
-            # (other submissions may have attached to them — their feeds
-            # must terminate), prime never-submitted deferred feeds the
-            # same way, close our cursors, free the slots of requests
-            # that never got one.
-            for job in new_jobs[submitted:]:
-                self._scheduler.run_job(job)
-            for catch_up in catch_ups[submitted_cu:]:
-                catch_up()
+            # pool.submit racing close() is the realistic failure here:
+            # drop the hold of every job that never started, and close
+            # our cursors (which frees their slots and holds).
+            for job in jobs[submitted:]:
+                job.on_done()
             for cursor in cursors:
                 cursor.close()
-            self._admission.release(len(requests) - len(cursors))
-            self._lease_done(lease)
             raise
-        self._lease_done(lease)  # drop the submission's constructor hold
         return cursors
 
     # -- write submissions -------------------------------------------------
@@ -431,17 +388,15 @@ class QueryService:
         """Pool entry point for a scheduled shard job: run it under a
         ``shard.scan`` span parented (by explicit context — this is a
         pool thread) to the request that created the job."""
-        trace = job.trace
-        if trace is None:
-            self._scheduler.run_job(job)
+        if job.trace is None:
+            job.run()
             self._note_pushdown(job)
             return
-        tracer, ctx = trace
+        tracer, ctx = job.trace
         with tracer.start("shard.scan", parent=ctx,
                           shard=job.spec.pinned.name) as span:
-            self._scheduler.run_job(job)
-            span.attrs["blocks"] = job._emitted
-            span.attrs["consumers"] = job.consumers
+            job.run()
+            span.attrs["blocks"] = job.blocks
             if job.pushdown:
                 span.attrs["rows_scanned"] = \
                     job.pushdown_counter["rows_in"]
@@ -450,8 +405,7 @@ class QueryService:
 
     def _note_pushdown(self, job) -> None:
         """Fold one finished pushed-down job's row accounting into the
-        service counters (once per physical pass — shared consumers ride
-        the same job)."""
+        service counters."""
         if not job.pushdown:
             return
         counter = job.pushdown_counter
@@ -461,23 +415,6 @@ class QueryService:
             rows_pushed_down=max(0, counter["rows_in"]
                                  - counter["rows_out"]),
         )
-
-    def _guard_catch_up(self, catch_up, lease: _PinLease, ctx=None):
-        """Wrap a mid-scan catch-up sub-scan: it primes its deferred feed
-        whatever happens, and drops its pin-lease hold when done."""
-
-        def run() -> None:
-            try:
-                tracer = self._db.obs.tracer
-                if ctx is not None and tracer.enabled:
-                    with tracer.start("shard.catchup", parent=ctx):
-                        catch_up()
-                else:
-                    catch_up()
-            finally:
-                self._lease_done(lease)
-
-        return run
 
     def _make_finisher(self, lease: _PinLease):
         def on_finish(cursor: StreamingCursor) -> None:

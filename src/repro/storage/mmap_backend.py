@@ -419,3 +419,5 @@ class MmapStorage(StorageFactory):
             backend.sync()
             backend.close()
         self._backends.clear()
+        if self._tmp is not None:
+            self._tmp.cleanup()

@@ -6,12 +6,15 @@ it a *second* time with ``REPRO_STORAGE_BACKEND=mmap``, which makes every
 test then exercises real file-backed blocks with zero edits. This
 conftest keeps those ephemeral roots under pytest's session tmp dir (so
 they are reclaimed with the test run even if an interpreter exit beats a
-GC finalizer) and surfaces the active backend in the report header.
+GC finalizer), closes every database a test leaves open, and surfaces
+the active backend in the report header.
 """
 
 import os
 
 import pytest
+
+from repro import Database
 
 
 def pytest_report_header(config):
@@ -30,6 +33,27 @@ def _storage_root(tmp_path_factory):
         os.environ.pop("REPRO_STORAGE_DIR", None)
     else:
         yield
+
+
+@pytest.fixture(autouse=True)
+def _close_databases(monkeypatch):
+    """Close every ``Database`` a test leaves open. Most tests are
+    written for the in-memory backend, where closing is a no-op; under
+    ``REPRO_STORAGE_BACKEND=mmap`` each of those databases owns a temp
+    root and an open WAL file, and ``pytest.ini`` turns the
+    ``ResourceWarning`` an unclosed one raises into an error."""
+    opened = []
+    init = Database.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append(self)
+
+    monkeypatch.setattr(Database, "__init__", tracked_init)
+    yield
+    monkeypatch.undo()
+    for db in opened:
+        db.close()
 
 
 @pytest.fixture(params=["memory", "mmap"])

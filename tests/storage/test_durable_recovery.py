@@ -45,10 +45,19 @@ def build_db(root) -> tuple[Database, list, list]:
     return db, db.image_rows("inv"), sorted(db.image_rows("orders"))
 
 
+def crash(db) -> None:
+    """Abandon ``db`` the way a kill does: no close, no sync, PDTs gone.
+    Only the WAL's append handle is closed; every acknowledged record
+    was already flushed through it, so the files on disk are exactly
+    what a killed process leaves behind."""
+    db.manager.wal.close()
+
+
 class TestKillAndReopen:
     def test_recover_is_byte_identical(self, tmp_path):
         db, inv, orders = build_db(tmp_path / "db")
-        del db  # crash: no close, no sync, PDTs gone
+        crash(db)
+        del db
 
         revived = Database.recover(tmp_path / "db")
         try:
@@ -64,6 +73,7 @@ class TestKillAndReopen:
 
     def test_recovered_database_accepts_further_work(self, tmp_path):
         db, inv, _ = build_db(tmp_path / "db")
+        crash(db)
         del db
         revived = Database.recover(tmp_path / "db")
         try:
@@ -82,6 +92,7 @@ class TestKillAndReopen:
     def test_recover_reads_persisted_blocks_not_reregistered_images(
             self, tmp_path):
         db, inv, _ = build_db(tmp_path / "db")
+        crash(db)
         del db
         revived = Database.recover(tmp_path / "db")
         try:
@@ -105,6 +116,7 @@ class TestKillAndReopen:
                         [(i, i, "a") for i in range(10)])
         db.apply_batch("inv", [("ins", (100, 1, "pre"))])
         wal_path = db.manager.wal.path
+        crash(db)
         del db
         with open(wal_path, "a", encoding="utf-8") as fh:
             fh.write('{"lsn": 2, "tables": {"inv": [[0, ')  # torn append
@@ -112,7 +124,8 @@ class TestKillAndReopen:
         revived = Database.recover(root)
         assert revived.query("inv", sk=(100,)).num_rows == 1
         revived.apply_batch("inv", [("ins", (200, 2, "post"))])
-        del revived  # crash again right after the acknowledged commit
+        crash(revived)  # again, right after the acknowledged commit
+        del revived
 
         again = Database.recover(root)
         try:

@@ -51,3 +51,30 @@ def test_target_list_is_loaded():
     "target", TARGETS, ids=[f"{t.module}:{t.qualname}" for t in TARGETS])
 def test_probe_target_resolves(target):
     assert resolve(target.module, target.qualname) is not None
+
+
+def test_scheduled_job_keeps_the_shape_the_probes_read():
+    """``probes.py`` unpacks ``JobScheduler.schedule``'s 4-tuple, sets
+    attributes on the job, reads its push-down counter and hooks
+    ``QueryService._run_job(job)``; this drives that contract once."""
+    from repro import Database, DataType, Schema
+    from repro.engine import expr as ex
+    from repro.service.jobs import JobScheduler
+    from repro.service.plan import plan_scan
+
+    schema = Schema.build(("k", DataType.INT64), ("v", DataType.INT64),
+                          sort_key=("k",))
+    with Database(compressed=False) as db:
+        db.create_table("t", schema, [(i, i % 5) for i in range(100)])
+        with db.serve(workers=1) as svc, db.pin_snapshot() as pin:
+            spec = plan_scan(pin, "t", where=ex.eq("v", 0)).parts[0]
+            feed, job, shared, catch_up = JobScheduler().schedule(
+                spec, 32)
+            assert shared is False and catch_up is None
+            assert set(job.pushdown_counter) >= {"rows_in", "rows_out"}
+            job.bench_ctx = 1
+            job.bench_scheduled = 0.0
+            svc._run_job(job)
+            rows = sum(len(arrays["k"]) for _rid, arrays in feed.blocks())
+    assert rows == 20
+    assert job.pushdown_counter == {"rows_in": 100, "rows_out": 20}

@@ -47,13 +47,15 @@ def env():
             rows = data.rows(name)
         ref_db.create_table(name, schema, rows)
 
-    return {
-        "data": data,
-        "pdt": PdtSource(db),
-        "vdt": VdtSource(db, vdts),
-        "ref": CleanSource(ref_db),
-        "clean": CleanSource(load_database(data, compressed=False)),
-    }
+    clean_db = load_database(data, compressed=False)
+    with db, ref_db, clean_db:
+        yield {
+            "data": data,
+            "pdt": PdtSource(db),
+            "vdt": VdtSource(db, vdts),
+            "ref": CleanSource(ref_db),
+            "clean": CleanSource(clean_db),
+        }
 
 
 def normalized(rel):

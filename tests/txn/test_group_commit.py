@@ -36,8 +36,24 @@ GOLDEN_LINES = [
 ]
 
 
+@pytest.fixture
+def open_wal(tmp_path):
+    """``open_wal(fsync)``: a file-backed log at ``tmp_path/wal.jsonl``,
+    closed at teardown."""
+    logs = []
+
+    def make(fsync):
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=fsync)
+        logs.append(wal)
+        return wal
+
+    yield make
+    for wal in logs:
+        wal.close()
+
+
 class TestGroupModeFileFormat:
-    def test_bytes_match_golden_lines(self, tmp_path):
+    def test_bytes_match_golden_lines(self, tmp_path, open_wal):
         schema = Schema.build(
             ("k", DataType.INT64), ("a", DataType.FLOAT64),
             ("b", DataType.STRING), sort_key=("k",),
@@ -58,7 +74,7 @@ class TestGroupModeFileFormat:
             {"t": pdt_with(lambda p: p.add_insert(2, 2, (12, -0.5, ""))),
              "u": pdt_with(lambda p: p.add_modify(0, 1, np.float64(3.0)))},
         ]
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+        wal = open_wal(False)
         for lsn, tables in enumerate(commits, start=1):
             wal.wait_durable(wal.append_commit(lsn, tables))
         wal.append_snapshot("t", pdt_with(lambda p: p.add_insert(
@@ -70,8 +86,8 @@ class TestGroupModeFileFormat:
         assert [r.lsn for r in loaded.records] == [1, 2, 3, 4, 5]
         assert loaded.records[-1].kind == "snapshot"
 
-    def test_ticket_resolution_and_stats(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
+    def test_ticket_resolution_and_stats(self, open_wal):
+        wal = open_wal(True)
         schema = make_schema()
         ticket = wal.append_commit(1, {"t": commit_pdt(schema, 1, "x")})
         assert not ticket.resolved  # staged, not yet flushed
@@ -81,8 +97,8 @@ class TestGroupModeFileFormat:
         assert wal.group.stats.fsyncs == 1
         assert wal.group.pending() == 0
 
-    def test_leader_flushes_whole_group(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
+    def test_leader_flushes_whole_group(self, open_wal):
+        wal = open_wal(True)
         schema = make_schema()
         tickets = [
             wal.append_commit(i + 1, {"t": commit_pdt(schema, i, "x")})
@@ -96,8 +112,8 @@ class TestGroupModeFileFormat:
         loaded = WriteAheadLog.load(wal.path)
         assert [r.lsn for r in loaded.records] == [1, 2, 3, 4]
 
-    def test_rewrite_resolves_staged_tickets(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+    def test_rewrite_resolves_staged_tickets(self, open_wal):
+        wal = open_wal(False)
         schema = make_schema()
         ticket = wal.append_commit(1, {"t": commit_pdt(schema, 1, "x")})
         assert not ticket.resolved
@@ -106,8 +122,8 @@ class TestGroupModeFileFormat:
         assert wal.group.stats.rewrite_drains == 1
         wal.wait_durable(ticket)  # returns immediately, no error
 
-    def test_snapshot_record_is_durable_inline(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=False)
+    def test_snapshot_record_is_durable_inline(self, open_wal):
+        wal = open_wal(False)
         schema = make_schema()
         wal.append_snapshot("t", commit_pdt(schema, 1, "x"), lsn=3,
                             for_image_lsn=3)
@@ -117,8 +133,8 @@ class TestGroupModeFileFormat:
         loaded = WriteAheadLog.load(wal.path)
         assert loaded.records[0].kind == "snapshot"
 
-    def test_concurrent_stage_and_wait(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.jsonl", fsync=True)
+    def test_concurrent_stage_and_wait(self, open_wal):
+        wal = open_wal(True)
         schema = make_schema()
         errors = []
 

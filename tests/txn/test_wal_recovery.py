@@ -97,9 +97,10 @@ class TestReplay:
 class TestFilePersistence:
     def test_roundtrip_via_file(self, tmp_path):
         db, schema = make_db(tmp_path)
-        stable_rows = db.table("t").rows()
-        db.insert("t", (5, 1, "x"))
-        db.modify("t", (10,), "b", "mod")
+        with db:
+            stable_rows = db.table("t").rows()
+            db.insert("t", (5, 1, "x"))
+            db.modify("t", (10,), "b", "mod")
 
         loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
         assert len(loaded) == 2
@@ -109,8 +110,9 @@ class TestFilePersistence:
 
     def test_truncate_clears_file(self, tmp_path):
         db, _ = make_db(tmp_path)
-        db.insert("t", (5, 1, "x"))
-        db.checkpoint("t")
+        with db:
+            db.insert("t", (5, 1, "x"))
+            db.checkpoint("t")
         loaded = WriteAheadLog.load(tmp_path / "wal.jsonl")
         assert len(loaded) == 0
 
