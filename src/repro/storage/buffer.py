@@ -11,6 +11,10 @@ paper's Figure 19:
 * **hot** — ``warm_table()`` (or simply a prior run with a large enough
   pool): all blocks hit, data access is "zero cost", and measured time is
   pure CPU — the regime of plot 4.
+
+Capacity is in bytes of decoded data. A block's charge is computed once,
+when it enters the pool, and stored with the entry: eviction and
+``evict_table`` subtract the stored number and never walk a block again.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ class BufferPool:
         self.store = store
         self.io = io_stats if io_stats is not None else IOStats()
         self.capacity_bytes = capacity_bytes
-        self._cache: OrderedDict[BlockKey, np.ndarray] = OrderedDict()
+        # key -> (decoded block, its charge against capacity_bytes)
+        self._cache: OrderedDict[BlockKey, tuple[np.ndarray, int]] = \
+            OrderedDict()
         self._cached_bytes = 0
         self.hits = 0
         self.misses = 0
@@ -54,12 +60,12 @@ class BufferPool:
             if cached is not None:
                 self._cache.move_to_end(key)
                 self.hits += 1
-                return cached
+                return cached[0]
             self.misses += 1
         # Decode outside the lock so concurrent scans of one shard miss
         # in parallel; two workers racing on the same cold block decode
         # it twice (both charged — the 'disk' really was read twice) and
-        # the second insert wins harmlessly.
+        # the second insert replaces the first.
         data = self.store.read_block(key)
         self.io.record_read(table, column, self.store.stored_size(key))
         with self._lock:
@@ -103,8 +109,7 @@ class BufferPool:
         """
         with self._lock:
             for key in [k for k in self._cache if k.table == table]:
-                self._cached_bytes -= \
-                    self._block_nbytes(self._cache.pop(key))
+                self._cached_bytes -= self._cache.pop(key)[1]
 
     def warm_table(self, table: str, columns=None) -> None:
         """Pre-load a table's blocks without counting the reads as query I/O.
@@ -134,13 +139,17 @@ class BufferPool:
         # into query results; freeze them so an aliasing write raises
         # instead of silently corrupting every later read of the block.
         data.setflags(write=False)
-        size = self._block_nbytes(data)
+        charge = self._block_nbytes(data)
+        replaced = self._cache.pop(key, None)  # a racing reader's copy
+        if replaced is not None:
+            self._cached_bytes -= replaced[1]
         if self.capacity_bytes is not None:
-            while self._cached_bytes + size > self.capacity_bytes and self._cache:
-                _, evicted = self._cache.popitem(last=False)
-                self._cached_bytes -= self._block_nbytes(evicted)
-        self._cache[key] = data
-        self._cached_bytes += size
+            while self._cached_bytes + charge > self.capacity_bytes \
+                    and self._cache:
+                _, (_, evicted) = self._cache.popitem(last=False)
+                self._cached_bytes -= evicted
+        self._cache[key] = (data, charge)
+        self._cached_bytes += charge
 
     @staticmethod
     def _block_nbytes(data: np.ndarray) -> int:

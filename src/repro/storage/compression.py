@@ -16,7 +16,11 @@ Codecs
 ``dict``   dictionary encoding for strings with few distinct values.
 
 ``encode_best`` picks the smallest applicable encoding, mirroring how a
-column store chooses per-block schemes.
+column store chooses per-block schemes. Every fold re-encodes its table,
+so string blocks are encoded with array operations: one pass
+(``_StringBlock``) gives the exact size of plain, rle and dict, and only
+the winner is encoded. The bytes are those of the per-value encoders this
+replaced, which ``tests/oracles/string_codecs.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -66,13 +70,6 @@ def _unzigzag(codes: np.ndarray) -> np.ndarray:
 
 
 def _encode_plain(arr: np.ndarray, dtype: DataType) -> bytes:
-    if dtype is DataType.STRING:
-        parts = []
-        for v in arr:
-            b = str(v).encode("utf-8")
-            parts.append(struct.pack("<I", len(b)))
-            parts.append(b)
-        return b"".join(parts)
     return arr.astype(dtype.numpy_dtype).tobytes()
 
 
@@ -95,28 +92,21 @@ def _decode_plain(payload: bytes, count: int, dtype: DataType) -> np.ndarray:
 
 def _runs(arr: np.ndarray):
     """Run starts of ``arr`` as an index array (first index of each run)."""
-    if len(arr) == 0:
-        return np.empty(0, dtype=np.int64)
-    if arr.dtype == object:
-        change = np.empty(len(arr), dtype=bool)
-        change[0] = True
-        prev = arr[:-1]
-        cur = arr[1:]
-        change[1:] = prev != cur
-    else:
-        change = np.empty(len(arr), dtype=bool)
-        change[0] = True
-        change[1:] = arr[1:] != arr[:-1]
+    change = np.empty(len(arr), dtype=bool)
+    change[:1] = True
+    np.not_equal(arr[1:], arr[:-1], out=change[1:])
     return np.flatnonzero(change)
+
+
+def _run_lengths(starts: np.ndarray, count: int) -> bytes:
+    """The RLE run count, then the length of each run, all ``<u4``."""
+    lengths = np.diff(starts, append=count)
+    return np.append(len(starts), lengths).astype("<u4").tobytes()
 
 
 def _encode_rle(arr: np.ndarray, dtype: DataType) -> bytes:
     starts = _runs(arr)
-    lengths = np.diff(np.append(starts, len(arr))).astype(np.uint32)
-    run_values = arr[starts]
-    header = struct.pack("<I", len(starts))
-    values_blob = _encode_plain(run_values, dtype)
-    return header + lengths.tobytes() + values_blob
+    return _run_lengths(starts, len(arr)) + _encode_plain(arr[starts], dtype)
 
 
 def _decode_rle(payload: bytes, count: int, dtype: DataType) -> np.ndarray:
@@ -128,11 +118,7 @@ def _decode_rle(payload: bytes, count: int, dtype: DataType) -> np.ndarray:
     out = np.repeat(run_values, lengths.astype(np.int64))
     if len(out) != count:
         raise CompressionError("rle length mismatch")
-    if dtype is DataType.STRING:
-        obj = np.empty(count, dtype=object)
-        obj[:] = out
-        return obj
-    return out.astype(dtype.numpy_dtype)
+    return out.astype(dtype.numpy_dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +152,84 @@ def _decode_delta(payload: bytes, count: int, dtype: DataType) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dict (strings only)
+# strings: plain, rle and dict as framing over one pass of block statistics
 
 
-def _encode_dict(arr: np.ndarray, dtype: DataType) -> bytes:
-    values = [str(v) for v in arr]
-    mapping: dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.uint32)
-    for i, v in enumerate(values):
-        code = mapping.get(v)
-        if code is None:
-            code = mapping[v] = len(mapping)
-        codes[i] = code
-    width = _width_for(max(len(mapping) - 1, 0))
-    word_parts = []
-    for word in mapping:
-        encoded = word.encode("utf-8")
-        word_parts.append(struct.pack("<I", len(encoded)))
-        word_parts.append(encoded)
-    dictionary = b"".join(word_parts)
-    return (
-        struct.pack("<IBI", len(mapping), width, len(dictionary))
-        + dictionary
-        + codes.astype(_UINT_OF_WIDTH[width]).tobytes()
-    )
+def _framed(payload: bytes, lengths: np.ndarray) -> bytes:
+    """The string PLAIN layout: each value's ``<u4`` byte length, then its
+    bytes. ``payload`` is the values' bytes back to back; the prefixes go
+    in with one scatter."""
+    out = np.empty(4 * len(lengths) + len(payload), dtype=np.uint8)
+    prefix_at = 4 * np.arange(len(lengths)) + np.cumsum(lengths) - lengths
+    prefix = (prefix_at[:, None] + np.arange(4)).ravel()
+    out[prefix] = lengths.astype("<u4").view(np.uint8)
+    is_value = np.ones(len(out), dtype=bool)
+    is_value[prefix] = False
+    out[is_value] = np.frombuffer(payload, dtype=np.uint8)
+    return out.tobytes()
+
+
+class _StringBlock:
+    """One pass over a string block: the statistics every string codec
+    is framing over, and so the exact size of each before any is built.
+
+    A value is stored as ``str(v)``. The block keeps its text back to
+    back, its distinct texts in first-appearance order (the DICT
+    dictionary) with their UTF-8 byte lengths, each value's code into
+    them, and the run starts of those codes.
+    """
+
+    def __init__(self, arr: np.ndarray):
+        values = arr.tolist()
+        # Anything but a plain str (np.str_ too: its str() drops
+        # trailing NULs) is stored as its str().
+        if not set(map(type, values)) <= {str}:
+            values = list(map(str, values))
+        self.text = "".join(values)
+        self.keys = list(dict.fromkeys(values))
+        if self.text.isascii():
+            key_lengths = map(len, self.keys)
+        else:
+            key_lengths = (len(k.encode("utf-8")) for k in self.keys)
+        self.key_lengths = np.fromiter(key_lengths, np.int64, len(self.keys))
+        index = dict(zip(self.keys, range(len(self.keys))))
+        self.codes = np.fromiter(map(index.__getitem__, values), np.int64,
+                                 len(values))
+        self.starts = _runs(self.codes)
+
+    def _width(self) -> int:
+        return _width_for(max(len(self.keys) - 1, 0))
+
+    def size(self, codec: bytes) -> int:
+        """Payload length of ``encode(codec)``, without encoding."""
+        n, runs = len(self.codes), len(self.starts)
+        if codec == PLAIN:
+            return 4 * n + int(self.key_lengths[self.codes].sum())
+        if codec == RLE:
+            run_codes = self.codes[self.starts]
+            return 4 + 8 * runs + int(self.key_lengths[run_codes].sum())
+        return (9 + 4 * len(self.keys) + int(self.key_lengths.sum())
+                + n * self._width())
+
+    def encode(self, codec: bytes) -> bytes:
+        if codec == PLAIN:
+            return _framed(self.text.encode("utf-8"),
+                           self.key_lengths[self.codes])
+        if codec == RLE:
+            run_codes = self.codes[self.starts]
+            run_text = "".join(map(self.keys.__getitem__, run_codes.tolist()))
+            return _run_lengths(self.starts, len(self.codes)) + _framed(
+                run_text.encode("utf-8"), self.key_lengths[run_codes])
+        if codec == DICT:
+            width = self._width()
+            dictionary = _framed("".join(self.keys).encode("utf-8"),
+                                 self.key_lengths)
+            return (
+                struct.pack("<IBI", len(self.keys), width, len(dictionary))
+                + dictionary
+                + self.codes.astype(_UINT_OF_WIDTH[width]).tobytes()
+            )
+        raise CompressionError(f"codec {codec!r} does not encode strings")
 
 
 def _decode_dict(payload: bytes, count: int, dtype: DataType) -> np.ndarray:
@@ -219,7 +259,6 @@ _ENCODERS = {
     b"PLN ": _encode_plain,
     b"RLE ": _encode_rle,
     b"DLT ": _encode_delta,
-    b"DCT ": _encode_dict,
 }
 _DECODERS = {
     b"PLN ": _decode_plain,
@@ -244,20 +283,25 @@ def candidate_codecs(dtype: DataType) -> tuple[bytes, ...]:
 
 def encode(arr: np.ndarray, dtype: DataType, codec: bytes) -> bytes:
     """Encode ``arr`` with an explicit codec, framed with a header."""
-    payload = _ENCODERS[codec](arr, dtype)
+    if dtype is DataType.STRING:
+        payload = _StringBlock(arr).encode(codec)
+    else:
+        payload = _ENCODERS[codec](arr, dtype)
     return _HEADER.pack(codec, len(arr), len(payload)) + payload
 
 
 def encode_best(arr: np.ndarray, dtype: DataType) -> bytes:
-    """Encode with the smallest applicable codec (per-block scheme choice)."""
-    best = None
-    for codec in candidate_codecs(dtype):
-        if len(arr) == 0 and codec != PLAIN:
-            continue
-        blob = encode(arr, dtype, codec)
-        if best is None or len(blob) < len(best):
-            best = blob
-    return best
+    """Encode with the smallest applicable codec (per-block scheme choice).
+    Ties go to the first of ``candidate_codecs(dtype)``; an empty block is
+    PLAIN. A string block is sized under every codec from one pass and
+    only the winner is encoded."""
+    codecs = candidate_codecs(dtype) if len(arr) else (PLAIN,)
+    if dtype is DataType.STRING:
+        block = _StringBlock(arr)
+        codec = min(codecs, key=block.size)
+        payload = block.encode(codec)
+        return _HEADER.pack(codec, len(arr), len(payload)) + payload
+    return min((encode(arr, dtype, codec) for codec in codecs), key=len)
 
 
 def decode(blob: bytes, dtype: DataType) -> np.ndarray:

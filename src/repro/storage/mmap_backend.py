@@ -153,7 +153,9 @@ class MmapFileBackend(StorageBackend):
         if not readonly:
             self.seg_dir.mkdir(parents=True, exist_ok=True)
         self._epochs: dict[str, int] = {}  # table -> current epoch
-        self._segments: dict[Path, _Segment] = {}
+        # Open segments by (table, epoch): one dict lookup per block
+        # read. Epochs are never reused, so a key names one file.
+        self._segments: dict[tuple[str, int], _Segment] = {}
         self._pending_unlink: set[Path] = set()
         # Advisory single-writer lock on the root. Held for this
         # backend's lifetime; auto-released by the OS when the process
@@ -184,11 +186,12 @@ class MmapFileBackend(StorageBackend):
         return self.seg_dir / f"{_safe_name(table)}.{epoch}.seg"
 
     def _segment(self, table: str) -> _Segment:
-        path = self._segment_path(table, self._epochs[table])
-        seg = self._segments.get(path)
+        key = (table, self._epochs[table])
+        seg = self._segments.get(key)
         if seg is None:
+            path = self._segment_path(*key)
             size = path.stat().st_size if path.exists() else 0
-            seg = self._segments[path] = _Segment(path, size)
+            seg = self._segments[key] = _Segment(path, size)
         return seg
 
     def _next_epoch(self, table: str) -> int:
@@ -227,7 +230,7 @@ class MmapFileBackend(StorageBackend):
             epoch = self._epochs.pop(table, None)
             if epoch is not None:
                 path = self._segment_path(table, epoch)
-                seg = self._segments.pop(path, None)
+                seg = self._segments.pop((table, epoch), None)
                 if seg is not None:
                     seg.close()
                 # The published catalog may still reference this file;
