@@ -8,7 +8,6 @@ Propagate / Serialize transaction-management transformations.
 from .flat_pdt import FlatPDT
 from .merge import (
     BlockMerger,
-    MERGE_BLOCK_ROWS,
     merge_row_stream,
     merge_rows,
     reblock,
@@ -38,7 +37,6 @@ from .value_space import ValueSpace
 __all__ = [
     "BlockMerger",
     "Entry",
-    "MERGE_BLOCK_ROWS",
     "reblock",
     "FlatPDT",
     "KIND_DEL",

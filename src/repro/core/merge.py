@@ -31,11 +31,6 @@ import numpy as np
 
 from .types import KIND_DEL, KIND_INS, PDTError
 
-#: Default number of rows per merged output block. Chosen to keep a block
-#: of a handful of int64/float64 columns comfortably inside L2 while still
-#: amortizing per-block Python overhead (see DESIGN.md).
-MERGE_BLOCK_ROWS = 1024
-
 
 def merge_row_stream(rows, pdt):
     """Yield the current table image given stable ``rows`` and a PDT.
@@ -217,7 +212,7 @@ class BlockMerger:
         return list(zip(*[get_insert(r) for r in refs]))
 
 
-def reblock(stream, block_rows: int = MERGE_BLOCK_ROWS):
+def reblock(stream, block_rows: int):
     """Normalize a ``(first_pos, {col: ndarray})`` stream to fixed-size blocks.
 
     Merged streams produce blocks whose sizes drift with the local net

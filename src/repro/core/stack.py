@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .merge import MERGE_BLOCK_ROWS, BlockMerger, merge_row_stream
+from .merge import BlockMerger, merge_row_stream
 from .types import KIND_INS
 
 
@@ -70,7 +70,7 @@ def merge_scan_layers(
     columns=None,
     start: int = 0,
     stop: int | None = None,
-    batch_rows: int = MERGE_BLOCK_ROWS,
+    batch_rows: int | None = None,
 ):
     """Block-oriented MergeScan of a stable SID window through a stack of
     PDT layers, bottom-up.
@@ -92,6 +92,10 @@ def merge_scan_layers(
     put every insert on the right side of the bound tuple, ghost or not —
     so the key is read only when a higher layer holds an insert at its
     translated bound.
+
+    Input batches are at most ``batch_rows`` long and never straddle a
+    stored block; None (every caller but the property tests) merges one
+    stored block per batch.
     """
     if columns is None:
         columns = stable.schema.column_names

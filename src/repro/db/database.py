@@ -73,7 +73,9 @@ class Database:
     ``block_rows``
         Rows per stored column block; scan batches align to this so
         untouched blocks flow through MergeScan by reference. It is also
-        the sparse index's granule: one entry per stored block.
+        the sparse index's granule (one entry per stored block) and the
+        one block size every read merges and cuts at: inline queries,
+        service cursor blocks, worker frames and checkpoint folds.
     ``buffer_capacity``
         Buffer-pool budget in bytes (``None`` = unbounded).
     ``storage``
@@ -452,8 +454,8 @@ class Database:
 
     # -- queries ---------------------------------------------------------------------
 
-    def query(self, table: str, columns=None, batch_rows: int = 4096,
-              sk=None, pin=None, where=None, aggregate=None) -> Relation:
+    def query(self, table: str, columns=None, sk=None, pin=None,
+              where=None, aggregate=None) -> Relation:
         """Scan the latest committed state (positional merge, no locks).
 
         Only the named ``columns`` are read from storage. Every read —
@@ -474,12 +476,10 @@ class Database:
         Results are identical to scanning everything and filtering /
         aggregating centrally.
         """
-        return self._read(table, sk, sk, columns, batch_rows, pin, where,
-                          aggregate)
+        return self._read(table, sk, sk, columns, pin, where, aggregate)
 
     def query_range(self, table: str, low=None, high=None, columns=None,
-                    batch_rows: int = 4096, pin=None, where=None,
-                    aggregate=None) -> Relation:
+                    pin=None, where=None, aggregate=None) -> Relation:
         """Rows whose sort key (or SK prefix) lies in ``[low, high]``.
 
         The router prunes a sharded table to the shards whose key ranges
@@ -490,19 +490,17 @@ class Database:
         any update load (paper section 2.1, "Respecting Deletes").
         ``pin``, ``where`` and ``aggregate`` as in :meth:`query`.
         """
-        return self._read(table, low, high, columns, batch_rows, pin, where,
-                          aggregate)
+        return self._read(table, low, high, columns, pin, where, aggregate)
 
-    def query_point(self, table: str, sk, columns=None,
-                    batch_rows: int = 4096) -> Relation:
+    def query_point(self, table: str, sk, columns=None) -> Relation:
         """Rows whose sort key equals ``sk`` (or extends it, for an SK
         prefix): the range ``[sk, sk]``, so a full key reaches one shard
         and one sparse-index granule — no fan-out, cold shards
         untouched."""
-        return self._read(table, sk, sk, columns, batch_rows)
+        return self._read(table, sk, sk, columns)
 
-    def _read(self, table: str, low, high, columns, batch_rows: int,
-              pin=None, where=None, aggregate=None) -> Relation:
+    def _read(self, table: str, low, high, columns, pin=None, where=None,
+              aggregate=None) -> Relation:
         """The one read path. A latest-state read first drains the
         maintenance the checkpoint scheduler had to defer (and, on a
         sharded table, runs the rebalancer) — *between* queries, so PDT
@@ -524,8 +522,7 @@ class Database:
                                  agg=aggregate)
                 rel = Relation.from_batches(
                     plan.columns,
-                    iter_plan_blocks(plan, block_rows=batch_rows,
-                                     router=self.exec_router),
+                    iter_plan_blocks(plan, router=self.exec_router),
                 )
             q["rows"] = rel.num_rows
             return rel

@@ -162,7 +162,7 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
     resolved: list[tuple[bool, int]] = []
     ki = 0
     sweep = merge_scan_layers(stable, layers, columns=key_cols, start=start,
-                              stop=stop, batch_rows=4096)
+                              stop=stop)
     while ki < len(keys):
         try:
             first_rid, arrays = next(sweep)

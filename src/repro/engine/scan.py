@@ -16,48 +16,45 @@ size — service cursors, worker frames — use :func:`scan_pdt_blocks`.
 
 from __future__ import annotations
 
-from ..core.merge import MERGE_BLOCK_ROWS, reblock
+from ..core.merge import reblock
 from ..core.stack import merge_scan_layers
 from ..vdt.merge import vdt_merge_scan
 from .relation import Relation
 
 
-def scan_clean(table, columns=None, batch_rows: int = 4096) -> Relation:
+def scan_clean(table, columns=None) -> Relation:
     """Materialize a stable table scan with no update merging."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
-    return Relation.from_batches(
-        columns, table.scan(columns=columns, batch_rows=batch_rows)
-    )
+    return Relation.from_batches(columns, table.scan(columns=columns))
 
 
-def scan_pdt(table, layers, columns=None,
-             batch_rows: int = 4096) -> Relation:
+def scan_pdt(table, layers, columns=None) -> Relation:
     """Materialize a positional MergeScan through PDT ``layers``."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
     return Relation.from_batches(
-        columns,
-        merge_scan_layers(table, layers, columns=columns,
-                          batch_rows=batch_rows),
-    )
+        columns, merge_scan_layers(table, layers, columns=columns))
 
 
 def scan_pdt_blocks(table, layers, columns=None, start: int = 0,
                     stop: int | None = None,
-                    block_rows: int = MERGE_BLOCK_ROWS):
+                    block_rows: int | None = None):
     """Stream the merged table image as fixed-size blocks.
 
     The pipelined form of :func:`scan_pdt`: yields
     ``(first_rid, {column: ndarray})`` blocks of exactly ``block_rows``
-    rows (the last may be shorter) without ever materializing the full
-    relation — the shape service cursors and shard workers stream.
+    rows — the table's stored block size unless given (the last block
+    may be shorter) — without ever materializing the full relation: the
+    shape service cursors and shard workers stream.
     Merged block sizes drift with the local insert/delete balance, so the
     layered stream is re-normalized with :func:`repro.core.merge.reblock`;
     untouched full blocks still pass through without copying.
     """
     if columns is None:
         columns = list(table.schema.column_names)
+    if block_rows is None:
+        block_rows = table.block_rows
     stream = merge_scan_layers(table, layers, columns=columns, start=start,
                                stop=stop, batch_rows=block_rows)
     return reblock(stream, block_rows=block_rows)
@@ -107,11 +104,9 @@ def fanout_scan_blocks(sources, executor=None):
     yield from rebase_block_streams(parts)
 
 
-def scan_vdt(table, vdt, columns=None, batch_rows: int = 4096) -> Relation:
+def scan_vdt(table, vdt, columns=None) -> Relation:
     """Materialize a value-based merge scan (reads SK columns always)."""
     columns = list(columns) if columns is not None \
         else list(table.schema.column_names)
     return Relation.from_batches(
-        columns,
-        vdt_merge_scan(table, vdt, columns=columns, batch_rows=batch_rows),
-    )
+        columns, vdt_merge_scan(table, vdt, columns=columns))

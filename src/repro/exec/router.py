@@ -178,18 +178,16 @@ class ScanSource:
     """
 
     __slots__ = ("local", "stable", "layers", "columns", "sid_lo",
-                 "sid_hi", "block_rows", "trace_ctx", "push")
+                 "sid_hi", "trace_ctx", "push")
 
     def __init__(self, local, stable=None, layers=(), columns=(),
-                 sid_lo=0, sid_hi=None, block_rows=1024, trace_ctx=None,
-                 push=None):
+                 sid_lo=0, sid_hi=None, trace_ctx=None, push=None):
         self.local = local
         self.stable = stable
         self.layers = tuple(layers)
         self.columns = tuple(columns)
         self.sid_lo = sid_lo
         self.sid_hi = sid_hi
-        self.block_rows = block_rows
         # Serialized span context captured on the *submitting* thread
         # (contextvars do not cross the driver pool): lets worker spans
         # stitch under the query span even for inline fan-out scans.
@@ -444,7 +442,7 @@ class ExecutorRouter:
         """Materialize one :class:`ScanSource` (remote when eligible)."""
         payload = self.payload_for(
             source.stable, source.layers, source.columns,
-            source.sid_lo, source.sid_hi, source.block_rows,
+            source.sid_lo, source.sid_hi, source.stable.block_rows,
             push=source.push,
         )
         if payload is None:

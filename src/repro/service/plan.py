@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.merge import MERGE_BLOCK_ROWS
 from ..core.stack import merge_scan_layers
 from ..engine import expr as ex
 from ..engine import functions as fn
@@ -60,17 +59,17 @@ class ShardScanSpec:
     def pushdown(self) -> bool:
         return self.where is not None or self.agg is not None
 
-    def stream(self, block_rows: int = MERGE_BLOCK_ROWS,
-               fixed: bool = True):
+    def stream(self, block_rows: int | None = None, fixed: bool = True):
         """Raw block pipeline over the spec's ``[sid_lo, sid_hi)`` of the
         pinned version — no pushed-down evaluation applied.
 
         ``fixed`` normalizes the merged stream to exactly ``block_rows``
-        rows per block. That is a contract of service cursors and worker
-        frames (a re-dispatched job resumes at ``skip=<blocks
-        delivered>``, so every run of a job must cut identical blocks);
-        a caller that only concatenates the blocks passes ``False`` and
-        saves the copies."""
+        rows per block (the stored block size when None; the merge reads
+        one stored block per batch either way). That is a contract of
+        service cursors and worker frames (a re-dispatched job resumes at
+        ``skip=<blocks delivered>``, so every run of a job must cut
+        identical blocks); a caller that only concatenates the blocks
+        passes ``False`` and saves the copies."""
         scan = scan_pdt_blocks if fixed else merge_scan_layers
         return scan(
             self.pinned.stable,
@@ -81,7 +80,7 @@ class ShardScanSpec:
             block_rows,
         )
 
-    def pushed_stream(self, block_rows: int = MERGE_BLOCK_ROWS,
+    def pushed_stream(self, block_rows: int | None = None,
                       counter: dict | None = None, fixed: bool = True):
         """The job-facing stream: :meth:`stream` wrapped with the spec's
         pushed-down predicate/aggregate (a no-op passthrough without
@@ -274,8 +273,7 @@ def filter_blocks(plan: ScanPlan, stream):
             out_rid += n
 
 
-def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
-                     router=None):
+def iter_plan_blocks(plan: ScanPlan, router=None):
     """Execute a plan synchronously, yielding ``(rid, arrays)`` result
     blocks — the inline (service-less) form every ``Database.query*``
     and ``ShardedTable.scan_blocks`` uses.
@@ -298,14 +296,12 @@ def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
             else None
         sources = [
             ScanSource(
-                (lambda spec=spec: spec.pushed_stream(
-                    block_rows=block_rows)),
+                spec.pushed_stream,
                 stable=spec.pinned.stable,
                 layers=spec.pinned.layers,
                 columns=spec.scan_cols,
                 sid_lo=spec.sid_lo,
                 sid_hi=spec.sid_hi,
-                block_rows=block_rows,
                 trace_ctx=trace_ctx,
                 push=spec.push_payload(),
             )
@@ -313,9 +309,5 @@ def iter_plan_blocks(plan: ScanPlan, block_rows: int = MERGE_BLOCK_ROWS,
         ]
         return filter_blocks(
             plan, fanout_scan_blocks(sources, executor=router))
-    return filter_blocks(
-        plan,
-        rebase_block_streams(
-            spec.pushed_stream(block_rows=block_rows, fixed=False)
-            for spec in plan.parts),
-    )
+    return filter_blocks(plan, rebase_block_streams(
+        spec.pushed_stream(fixed=False) for spec in plan.parts))

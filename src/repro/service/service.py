@@ -52,7 +52,6 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
-from ..core.merge import MERGE_BLOCK_ROWS
 from .cursor import StreamingCursor
 from .jobs import (
     AdmissionController,
@@ -116,7 +115,9 @@ class QueryService:
     bounds admitted read requests (buffered result memory scales with it);
     ``admission_timeout`` turns backpressure into
     :class:`~repro.service.jobs.ServiceSaturated` after that many seconds
-    (``None`` blocks); ``block_rows`` is the cursor block granularity.
+    (``None`` blocks). Cursor blocks are the scanned table's stored
+    blocks: a shard job cuts its stream at the pinned image's
+    ``block_rows``.
 
     The service registers itself with the database, so ``db.close()``
     joins its workers; use either as a context manager.
@@ -124,12 +125,10 @@ class QueryService:
 
     def __init__(self, db, workers: int = DEFAULT_WORKERS,
                  max_inflight: int = 32,
-                 admission_timeout: float | None = None,
-                 block_rows: int = MERGE_BLOCK_ROWS):
+                 admission_timeout: float | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self._db = db
-        self.block_rows = block_rows
         # Process-mode databases hand shard jobs to worker processes; the
         # runner is None in thread mode and the scheduler keeps its
         # zero-overhead in-thread default.
@@ -245,7 +244,8 @@ class QueryService:
             feeds = []
             for spec in plan.parts:
                 job = self._scheduler.schedule(
-                    spec, self.block_rows, runner=self._runner)[1]
+                    spec, spec.pinned.stable.block_rows,
+                    runner=self._runner)[1]
                 feeds.append(job.feed)
                 if ctx is not None:
                     job.trace = (tracer, ctx)

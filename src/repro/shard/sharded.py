@@ -269,7 +269,7 @@ class ShardedTable:
 
     # -- scanning ---------------------------------------------------------
 
-    def scan_blocks(self, columns=None, batch_rows: int = 4096):
+    def scan_blocks(self, columns=None):
         """Stream the merged logical image as ``(global_rid, arrays)``
         blocks without materializing it — the streaming form of
         ``Database.query``, and the same pipeline minus the maintenance
@@ -282,8 +282,7 @@ class ShardedTable:
 
         with self.db.pin_snapshot() as pin:
             plan = plan_scan(pin, self.name, columns=columns)
-            yield from iter_plan_blocks(plan, block_rows=batch_rows,
-                                        router=self.db.exec_router)
+            yield from iter_plan_blocks(plan, router=self.db.exec_router)
 
     # -- maintenance ------------------------------------------------------
 

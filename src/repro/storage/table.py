@@ -26,8 +26,6 @@ from .blocks import BlockStore
 from .buffer import BufferPool
 from .schema import DataType, Schema, SchemaError
 
-DEFAULT_BATCH_ROWS = 1024
-
 
 def sorted_arrays(schema: Schema, rows) -> dict[str, np.ndarray]:
     """Coerce Python tuples, sort them by the SK and return one typed
@@ -181,6 +179,12 @@ class StableTable:
     def pool(self) -> BufferPool:
         return self._pool
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per stored block: the one size every read of this image
+        merges and cuts its blocks at."""
+        return self._pool.store.block_rows
+
     # -- reading -----------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
@@ -202,16 +206,19 @@ class StableTable:
         columns=None,
         start: int = 0,
         stop: int | None = None,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
+        batch_rows: int | None = None,
     ):
         """Yield ``(first_sid, {column: ndarray})`` batches over ``[start, stop)``.
 
         Batch boundaries are snapped to stored-block boundaries so every
         batch is a zero-copy view of a single decoded block (batches are
-        then at most ``batch_rows`` long, never longer).
+        then at most ``batch_rows`` long, never longer; one stored block
+        when None).
         """
         if columns is None:
             columns = self.schema.column_names
+        if batch_rows is None:
+            batch_rows = self.block_rows
         if stop is None:
             stop = self.num_rows
         stop = min(stop, self.num_rows)

@@ -96,8 +96,7 @@ class Transaction:
 
     # -- reads ----------------------------------------------------------------
 
-    def scan(self, table: str, columns=None, batch_rows: int = 4096
-             ) -> Relation:
+    def scan(self, table: str, columns=None) -> Relation:
         """Snapshot-consistent scan (sees this transaction's own updates):
         the physical tables behind ``table`` in key order, each through
         this transaction's own layer stack."""
@@ -112,7 +111,7 @@ class Transaction:
                 yield from merge_scan_layers(
                     self._manager.state_of(name).stable,
                     self._read_layers(name),
-                    columns=columns, batch_rows=batch_rows,
+                    columns=columns,
                 )
         return Relation.from_batches(columns, batches())
 

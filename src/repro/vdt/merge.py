@@ -52,7 +52,8 @@ def _lower_bound(key_arrays, key_tuple, n: int) -> int:
     return eq_lo
 
 
-def vdt_merge_scan(stable, vdt: VDT, columns=None, batch_rows: int = 1024):
+def vdt_merge_scan(stable, vdt: VDT, columns=None,
+                   batch_rows: int | None = None):
     """Block-oriented value-based merge scan over a full table.
 
     Yields ``(first_rid, {column: ndarray})``. Sort-key columns are always

@@ -7,6 +7,7 @@ counters matching a thread-executor oracle — the executor is invisible
 in the numbers, not just in the rows.
 """
 
+import math
 import os
 import signal
 import threading
@@ -75,7 +76,12 @@ class TestStitchedTraces:
                     assert scan.name == "shard.scan"
                     root = by_id[scan.parent_id]
                     assert root.name == "query"
-                assert cursor.profile.remote_blocks == 40
+                # One block per stored block of each shard's image.
+                block_rows = db.store.block_rows
+                shard_rows = [db.manager.state_of(name).stable.num_rows
+                              for name in db.sharded("t").shard_names]
+                assert cursor.profile.remote_blocks == sum(
+                    math.ceil(rows / block_rows) for rows in shard_rows)
                 assert cursor.profile.local_blocks == 0
         finally:
             db.close()
