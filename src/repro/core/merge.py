@@ -213,64 +213,33 @@ class BlockMerger:
 
 
 def reblock(stream, block_rows: int):
-    """Normalize a ``(first_pos, {col: ndarray})`` stream to fixed-size blocks.
+    """Cut a ``(first_pos, {col: ndarray})`` stream's long blocks into
+    views shorter than ``2 * block_rows`` rows.
 
-    Merged streams produce blocks whose sizes drift with the local net
-    delta (deletes shrink a block, inserts grow it). Consumers that want a
-    steady block size — operator pipelines sized for a cache budget, the
-    fixed-stride kernels in :mod:`repro.engine` — wrap the stream in
-    ``reblock``. Full input blocks that already match ``block_rows`` pass
-    through without copying; only stragglers are stitched.
+    A merged block is one stored block's merge: deletes shrink it,
+    inserts grow it, and a trailing-insert run may have any length. A
+    block shorter than ``2 * block_rows`` rows passes as the same object;
+    a longer one is cut into ``block_rows``-row views, the last one
+    taking the remainder. Nothing is copied or buffered, so the output
+    blocks are a function of the input blocks alone — every run over one
+    pinned version cuts the same sequence. The bound is twice the stored
+    block, not the stored block, because an insert-heavy block is
+    usually only a few rows longer than it: cutting at ``block_rows``
+    would ship nearly every dirty block as two frames, one of them tiny.
     """
     if block_rows <= 0:
         raise ValueError("block_rows must be positive")
-    pending: list[dict] = []  # buffered partial batches, in order
-    pending_rows = 0
-    pos = None
-
-    def flush(count):
-        nonlocal pending, pending_rows, pos
-        take, taken = [], 0
-        while taken < count:
-            head = pending[0]
-            head_n = len(next(iter(head.values())))
-            if taken + head_n <= count:
-                take.append(head)
-                taken += head_n
-                pending.pop(0)
-            else:
-                split = count - taken
-                take.append({c: a[:split] for c, a in head.items()})
-                pending[0] = {c: a[split:] for c, a in head.items()}
-                taken = count
-        if len(take) == 1:
-            block = take[0]
-        else:
-            block = {
-                c: np.concatenate([piece[c] for piece in take])
-                for c in take[0]
-            }
-        out = (pos, block)
-        pos += count
-        pending_rows -= count
-        return out
-
     for first_pos, arrays in stream:
         n = len(next(iter(arrays.values())))
-        if n == 0:
+        if n < 2 * block_rows:
+            if n:
+                yield first_pos, arrays
             continue
-        if pos is None:
-            pos = first_pos
-        if not pending and n == block_rows:
-            yield pos, arrays  # aligned full block: zero-copy pass-through
-            pos += n
-            continue
-        pending.append(arrays)
-        pending_rows += n
-        while pending_rows >= block_rows:
-            yield flush(block_rows)
-    if pending_rows:
-        yield flush(pending_rows)
+        last = (n // block_rows - 1) * block_rows
+        for lo in range(0, last, block_rows):
+            hi = lo + block_rows
+            yield first_pos + lo, {c: a[lo:hi] for c, a in arrays.items()}
+        yield first_pos + last, {c: a[last:] for c, a in arrays.items()}
 
 
 def merge_rows(stable_rows, pdt) -> list[tuple]:

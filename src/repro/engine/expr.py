@@ -17,11 +17,12 @@ scan boundary must travel over a pipe to a spawned worker and produce the
   exact dtype and group-ordering semantics of
   :meth:`repro.engine.relation.GroupBy.agg`, so a pushed aggregate is
   indistinguishable from central evaluation.
-* :func:`pushdown_stream` — the single evaluation wrapper both the
-  in-thread job runner and the worker process apply to a raw
-  ``scan_pdt_blocks`` stream. One definition, so the thread leg, the
-  process leg, and every crash-redispatch replay produce identical block
-  sequences (the skip-based re-dispatch contract depends on this).
+* :func:`pushdown_stream` — the single evaluation wrapper the shard-scan
+  pipeline (:func:`repro.engine.scan.shard_scan_stream`) applies to the
+  merge's blocks, in the calling thread or a worker process. One
+  definition, so the thread leg, the process leg, and every
+  crash-redispatch replay produce identical block sequences (the
+  skip-based re-dispatch contract depends on this).
 
 Correctness of the partial merge: every supported aggregate is a
 commutative monoid over per-group accumulators (sum/count add, min/max

@@ -10,8 +10,10 @@ Three scan modes mirror the paper's three TPC-H configurations:
 All three are *block-pipelined*: stable storage yields decoded blocks,
 each PDT layer splices its updates in block-at-a-time (see
 :class:`repro.core.merge.BlockMerger`), and only the terminal
-``Relation.from_batches`` materializes. Consumers that need a fixed block
-size — service cursors, worker frames — use :func:`scan_pdt_blocks`.
+``Relation.from_batches`` materializes. Every shard-scan reader (inline
+plans, service jobs, worker processes) streams
+:func:`shard_scan_stream`: the merge's own blocks, one per stored block,
+cut only where one runs to twice the stored block size.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from ..core.merge import reblock
 from ..core.stack import merge_scan_layers
 from ..vdt.merge import vdt_merge_scan
+from . import expr as ex
 from .relation import Relation
 
 
@@ -37,27 +40,32 @@ def scan_pdt(table, layers, columns=None) -> Relation:
         columns, merge_scan_layers(table, layers, columns=columns))
 
 
-def scan_pdt_blocks(table, layers, columns=None, start: int = 0,
-                    stop: int | None = None,
-                    block_rows: int | None = None):
-    """Stream the merged table image as fixed-size blocks.
+def shard_scan_stream(stable, layers, columns, start: int = 0,
+                      stop: int | None = None, where=None, agg=None,
+                      key_cols=(), low=None, high=None,
+                      counter: dict | None = None):
+    """The shard-scan pipeline: one partition's pinned version as a
+    ``(first_rid, {column: ndarray})`` block stream.
 
-    The pipelined form of :func:`scan_pdt`: yields
-    ``(first_rid, {column: ndarray})`` blocks of exactly ``block_rows``
-    rows — the table's stored block size unless given (the last block
-    may be shorter) — without ever materializing the full relation: the
-    shape service cursors and shard workers stream.
-    Merged block sizes drift with the local insert/delete balance, so the
-    layered stream is re-normalized with :func:`repro.core.merge.reblock`;
-    untouched full blocks still pass through without copying.
+    The MergeScan of the stable SID window ``[start, stop)`` through
+    ``layers`` yields one block per non-empty merged stored block;
+    :func:`repro.core.merge.reblock` cuts a block of twice the image's
+    ``block_rows`` or more into views. With a pushed predicate or
+    aggregate the stream is wrapped by
+    :func:`repro.engine.expr.pushdown_stream` (``counter`` receives its
+    row accounting). Inline reads, service jobs, fan-out sources and
+    worker processes all run this function, so every run over one
+    pinned version yields the same blocks — what skip-based crash
+    re-dispatch relies on.
     """
-    if columns is None:
-        columns = list(table.schema.column_names)
-    if block_rows is None:
-        block_rows = table.block_rows
-    stream = merge_scan_layers(table, layers, columns=columns, start=start,
-                               stop=stop, batch_rows=block_rows)
-    return reblock(stream, block_rows=block_rows)
+    stream = reblock(
+        merge_scan_layers(stable, layers, columns, start, stop),
+        stable.block_rows)
+    if where is None and agg is None:
+        return stream
+    return ex.pushdown_stream(stream, where=where, agg=agg,
+                              key_cols=key_cols, low=low, high=high,
+                              counter=counter)
 
 
 def rebase_block_streams(parts):

@@ -46,15 +46,16 @@ def rebuild_layers(schema, serialized: list[list]) -> list[PDT]:
 
 
 def scan_payload(root, table: str, image_lsn: int, epoch: int, layers,
-                 columns, sid_lo, sid_hi, block_rows: int,
-                 push: dict | None = None) -> dict:
+                 columns, sid_lo, sid_hi, push: dict | None = None) -> dict:
     """The complete job payload for one remote shard scan.
 
     ``root`` is the shard scope's backend directory (the worker opens it
     read-only and verifies the published catalog still carries exactly
     the ``(image_lsn, epoch)`` pair before trusting the layers to be
     relative to it — the LSN ties the image to the pinned commit point,
-    the segment epoch disambiguates republishes at one LSN).
+    the segment epoch disambiguates republishes at one LSN). No block
+    size travels: the worker cuts blocks at the size the store persisted
+    with the image it opens, which is the pinned image's.
 
     ``push`` is the optional pushed-down computation
     (:meth:`repro.service.plan.ShardScanSpec.push_payload`): serialized
@@ -72,7 +73,6 @@ def scan_payload(root, table: str, image_lsn: int, epoch: int, layers,
         "columns": list(columns),
         "sid_lo": sid_lo,
         "sid_hi": sid_hi,
-        "block_rows": block_rows,
         "skip": 0,
     }
     if push:

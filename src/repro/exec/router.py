@@ -310,7 +310,7 @@ class ExecutorRouter:
     # -- payloads ----------------------------------------------------------
 
     def payload_for(self, stable, layers, columns, sid_lo, sid_hi,
-                    block_rows, image_lsn=None, push=None) -> dict | None:
+                    push=None) -> dict | None:
         """A pin-vector job payload, or None when the job must stay
         local: thread mode, a table too small to be worth the hop, a
         non-mmap scope (including an outgoing image a fold under a pin
@@ -323,17 +323,16 @@ class ExecutorRouter:
         backend = stable.pool.store.backend
         if not isinstance(backend, MmapFileBackend):
             return None
-        if image_lsn is None:
-            # The LSN stamped on the object when *this* image was
-            # published — never the store's current value, which a
-            # concurrent checkpoint may already have moved past.
-            image_lsn = stable.image_lsn
+        # The LSN stamped on the object when *this* image was published
+        # — never the store's current value, which a concurrent
+        # checkpoint may already have moved past.
+        image_lsn = stable.image_lsn
         epoch = stable.image_epoch
         if image_lsn is None or epoch is None:
             return None
         payload = scan_payload(
             backend.root, stable.name, image_lsn, epoch, layers, columns,
-            sid_lo, sid_hi, block_rows, push=push,
+            sid_lo, sid_hi, push=push,
         )
         if self.block_delay_s:
             payload["block_delay_s"] = self.block_delay_s
@@ -442,8 +441,7 @@ class ExecutorRouter:
         """Materialize one :class:`ScanSource` (remote when eligible)."""
         payload = self.payload_for(
             source.stable, source.layers, source.columns,
-            source.sid_lo, source.sid_hi, source.stable.block_rows,
-            push=source.push,
+            source.sid_lo, source.sid_hi, push=source.push,
         )
         if payload is None:
             self.local_jobs += 1
@@ -470,7 +468,7 @@ class ExecutorRouter:
         """The per-shard job runner the query service installs, or None
         in thread mode (the scheduler then keeps its zero-cost default).
         The runner signature matches ``ShardScanJob``'s contract:
-        ``runner(spec, block_rows, counter=None) -> block iterable``
+        ``runner(spec, counter=None) -> block iterable``
         over the spec's own SID range. Pushed-down specs ship their
         predicate and partial-aggregate payload to the worker, which
         streams back the *reduced* blocks over the ring; ``counter``
@@ -479,15 +477,12 @@ class ExecutorRouter:
         if self.mode != "process":
             return None
 
-        def run(spec, block_rows, counter=None):
+        def run(spec, counter=None):
             pinned = spec.pinned
-            local = lambda: spec.pushed_stream(  # noqa: E731
-                block_rows, counter=counter)
+            local = lambda: spec.pushed_stream(counter=counter)  # noqa: E731
             payload = self.payload_for(
                 pinned.stable, pinned.layers, spec.scan_cols,
-                spec.sid_lo, spec.sid_hi, block_rows,
-                image_lsn=getattr(pinned, "image_lsn", None),
-                push=spec.push_payload(),
+                spec.sid_lo, spec.sid_hi, push=spec.push_payload(),
             )
             if payload is None:
                 self.local_jobs += 1

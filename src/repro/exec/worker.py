@@ -4,9 +4,12 @@
 :class:`ShardWorker` process. The worker owns nothing: it opens shard
 storage scopes **read-only** (no writer lock, no orphan sweep, writes
 rejected), rebuilds the pinned snapshot from the job's serialized pin
-vector, and runs the very same ``scan_pdt_blocks`` pipeline the parent
-would have run on a thread. Result blocks go out through the shared
-ring (:mod:`repro.exec.transport`); only control frames cross the pipe.
+vector, and runs the one shard-scan pipeline
+(:func:`repro.engine.scan.shard_scan_stream`) the parent would have run
+on a thread — the merge's own blocks, cut only where one runs to twice
+the opened image's ``block_rows``. Result blocks go out through the
+shared ring (:mod:`repro.exec.transport`); only control frames cross
+the pipe.
 
 Stable images are cached per ``(scope root, table)`` keyed by the
 published ``(image_lsn, segment epoch)`` pair, so repeated jobs against
@@ -100,10 +103,11 @@ class _ScopeCache:
         self._tables.clear()
 
 
-def _decode_push(push: dict):
-    """Rebuild the pushed-down computation from its payload, rejecting
-    anything outside the supported vocabulary *before* the scan starts
-    (so an unsupported job never half-streams)."""
+def _decode_push(push: dict) -> dict:
+    """Rebuild the pushed-down computation from its payload as
+    :func:`~repro.engine.scan.shard_scan_stream` keyword arguments,
+    rejecting anything outside the supported vocabulary *before* the
+    scan starts (so an unsupported job never half-streams)."""
     from ..engine import expr as ex
 
     known = {"where", "agg", "key_filter"}
@@ -111,29 +115,29 @@ def _decode_push(push: dict):
     if unknown:
         raise _Unsupported(f"unknown push-down fields {sorted(unknown)}")
     try:
-        where = (ex.expr_from_payload(push["where"])
-                 if "where" in push else None)
-        agg = (ex.agg_from_payload(push["agg"])
-               if "agg" in push else None)
+        pushed = {
+            "where": (ex.expr_from_payload(push["where"])
+                      if "where" in push else None),
+            "agg": (ex.agg_from_payload(push["agg"])
+                    if "agg" in push else None),
+        }
     except ex.PushdownUnsupported as exc:
         raise _Unsupported(str(exc)) from None
-    key_cols, low, high = (), None, None
     key_filter = push.get("key_filter")
     if key_filter:
-        key_cols = tuple(key_filter["cols"])
-        low = (None if key_filter.get("low") is None
-               else tuple(key_filter["low"]))
-        high = (None if key_filter.get("high") is None
-                else tuple(key_filter["high"]))
-    return where, agg, key_cols, low, high
+        pushed["key_cols"] = tuple(key_filter["cols"])
+        for end in ("low", "high"):
+            if key_filter.get(end) is not None:
+                pushed[end] = tuple(key_filter[end])
+    return pushed
 
 
 def _run_job(cache: _ScopeCache, ring, conn, job_id: int,
              payload: dict) -> None:
-    from ..engine.scan import scan_pdt_blocks
+    from ..engine.scan import shard_scan_stream
 
     push = payload.get("push")
-    pushed = _decode_push(push) if push else None
+    pushed = _decode_push(push) if push else {}
     stable, pool = cache.stable_for(payload)
     # Telemetry for the final frame: the parent merges the IO delta into
     # its db-level stats (exactly once, only for *completed* jobs — a
@@ -144,25 +148,13 @@ def _run_job(cache: _ScopeCache, ring, conn, job_id: int,
     wall_start = time.time()
     t0 = time.perf_counter()
     layers = rebuild_layers(stable.schema, payload["layers"])
-    stop = payload["sid_hi"]
-    stream = scan_pdt_blocks(
-        stable, layers, columns=payload["columns"],
-        start=payload["sid_lo"],
-        stop=None if stop is None else stop,
-        block_rows=payload["block_rows"],
-    )
-    pushdown_counter = None
-    if pushed is not None:
-        # Same wrapper, same module, as the parent's local pipeline —
-        # the reduced stream is byte-identical on either side, which
-        # keeps skip-based crash re-dispatch exact for pushed jobs too.
-        from ..engine.expr import pushdown_stream
-
-        where, agg, key_cols, low, high = pushed
-        pushdown_counter = {"rows_in": 0, "rows_out": 0}
-        stream = pushdown_stream(stream, where=where, agg=agg,
-                                 key_cols=key_cols, low=low, high=high,
-                                 counter=pushdown_counter)
+    pushdown_counter = {"rows_in": 0, "rows_out": 0} if pushed else None
+    # The parent's own pipeline on the same inputs: the block sequence
+    # is identical on either side, which keeps skip-based crash
+    # re-dispatch exact, pushed jobs included.
+    stream = shard_scan_stream(
+        stable, layers, payload["columns"], payload["sid_lo"],
+        payload["sid_hi"], counter=pushdown_counter, **pushed)
     skip = payload.get("skip", 0)
     delay = payload.get("block_delay_s") or 0.0
     produced = 0

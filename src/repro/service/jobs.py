@@ -69,18 +69,16 @@ class ShardFeed:
 class ShardScanJob:
     """One scan of one shard's pinned version, streamed into one feed.
 
-    ``runner(spec, block_rows, counter=None) -> block iterable``
-    overrides how the spec's SID range is physically scanned
-    (process-mode dispatch); the default is the spec's in-thread
-    *pushed* pipeline, which applies the spec's predicate/aggregate
-    before the feed. Either way the stream over a pinned version is
-    deterministic, which is what makes crash re-dispatch inside the
-    router's runner exact.
+    ``runner(spec, counter=None) -> block iterable`` overrides how the
+    spec's SID range is physically scanned (process-mode dispatch); the
+    default is the spec's in-thread *pushed* pipeline, which applies the
+    spec's predicate/aggregate before the feed. Either way the stream
+    over a pinned version is deterministic, which is what makes crash
+    re-dispatch inside the router's runner exact.
     """
 
-    def __init__(self, spec, block_rows: int, runner=None):
+    def __init__(self, spec, runner=None):
         self.spec = spec
-        self.block_rows = block_rows
         self._runner = runner
         # Push-down accounting, filled by the pushed stream (locally or
         # from the worker's completion extras): rows the physical scan
@@ -103,11 +101,9 @@ class ShardScanJob:
         failure = None
         try:
             if self._runner is not None:
-                stream = self._runner(self.spec, self.block_rows,
-                                      counter=counter)
+                stream = self._runner(self.spec, counter=counter)
             else:
-                stream = self.spec.pushed_stream(self.block_rows,
-                                                 counter=counter)
+                stream = self.spec.pushed_stream(counter=counter)
             for block in stream:
                 self.blocks += 1
                 self.feed.put(block)
@@ -126,13 +122,13 @@ class ShardScanJob:
 class JobScheduler:
     """Turns a shard scan spec into the job that scans it."""
 
-    def schedule(self, spec, block_rows: int, runner=None
+    def schedule(self, spec, runner=None
                  ) -> tuple[ShardFeed, ShardScanJob, bool, object]:
         """``(feed, job, False, None)``: a fresh job and its feed; the
         caller submits the job to its executor. ``runner`` overrides the
         physical scan (see :class:`ShardScanJob`)."""
         # benchmarks/e2e's probes unpack this 4-tuple: keep its shape.
-        job = ShardScanJob(spec, block_rows, runner=runner)
+        job = ShardScanJob(spec, runner=runner)
         return job.feed, job, False, None
 
 

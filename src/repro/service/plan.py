@@ -7,7 +7,12 @@ layout routes range predicates to the shards whose key ranges intersect,
 each surviving shard's captured (stale) sparse index narrows the scan to
 a SID range, and the result is an ordered list of :class:`ShardScanSpec`
 — one per shard (an unsharded table is a one-part plan), each naming
-exactly the pinned objects a MergeScan pipeline needs.
+exactly the pinned objects a MergeScan pipeline needs. Every reader of a
+spec — the inline chain, a service job, a fan-out source, a worker
+process — streams it through the one shard-scan stream
+(:func:`~repro.engine.scan.shard_scan_stream`): a block is one stored
+block's merge, cut into views only where it runs to twice the image's
+``block_rows``.
 
 Push-down: a plan may carry a predicate (:class:`~repro.engine.expr.Expr`)
 and/or a partial-aggregate spec (:class:`~repro.engine.expr.AggSpec`).
@@ -22,13 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.stack import merge_scan_layers
-from ..engine import expr as ex
 from ..engine import functions as fn
 from ..engine.scan import (
     fanout_scan_blocks,
     rebase_block_streams,
-    scan_pdt_blocks,
+    shard_scan_stream,
 )
 from ..exec.router import ScanSource
 from ..shard.router import ShardRouter
@@ -59,38 +62,16 @@ class ShardScanSpec:
     def pushdown(self) -> bool:
         return self.where is not None or self.agg is not None
 
-    def stream(self, block_rows: int | None = None, fixed: bool = True):
-        """Raw block pipeline over the spec's ``[sid_lo, sid_hi)`` of the
-        pinned version — no pushed-down evaluation applied.
-
-        ``fixed`` normalizes the merged stream to exactly ``block_rows``
-        rows per block (the stored block size when None; the merge reads
-        one stored block per batch either way). That is a contract of
-        service cursors and worker frames (a re-dispatched job resumes at
-        ``skip=<blocks delivered>``, so every run of a job must cut
-        identical blocks); a caller that only concatenates the blocks
-        passes ``False`` and saves the copies."""
-        scan = scan_pdt_blocks if fixed else merge_scan_layers
-        return scan(
-            self.pinned.stable,
-            self.pinned.layers,
-            self.scan_cols,
-            self.sid_lo,
-            self.sid_hi,
-            block_rows,
-        )
-
-    def pushed_stream(self, block_rows: int | None = None,
-                      counter: dict | None = None, fixed: bool = True):
-        """The job-facing stream: :meth:`stream` wrapped with the spec's
-        pushed-down predicate/aggregate (a no-op passthrough without
-        them). This is the single local definition process workers must
-        match byte for byte."""
-        stream = self.stream(block_rows, fixed)
-        if not self.pushdown:
-            return stream
-        return ex.pushdown_stream(
-            stream, where=self.where, agg=self.agg,
+    def pushed_stream(self, counter: dict | None = None):
+        """The spec's block stream: the shard-scan pipeline
+        (:func:`~repro.engine.scan.shard_scan_stream`) over the pinned
+        version's ``[sid_lo, sid_hi)``, with the pushed-down
+        predicate/aggregate applied when the spec carries one. Process
+        workers run the same function on the same inputs."""
+        pinned = self.pinned
+        return shard_scan_stream(
+            pinned.stable, pinned.layers, self.scan_cols, self.sid_lo,
+            self.sid_hi, where=self.where, agg=self.agg,
             key_cols=self.key_cols, low=self.low, high=self.high,
             counter=counter,
         )
@@ -283,9 +264,9 @@ def iter_plan_blocks(plan: ScanPlan, router=None):
     mode *and* the plan has more than one part: then the parts fan out to
     shard worker processes concurrently. A one-part plan has nothing to
     overlap — the caller would only wait on a worker hop — so it never
-    leaves the calling thread. The rebased/filtered stream is
-    byte-identical either way; only the fanned form needs fixed-size
-    blocks (see :meth:`ShardScanSpec.stream`).
+    leaves the calling thread. Both forms stream every part through
+    :meth:`ShardScanSpec.pushed_stream`, so the rebased/filtered result
+    is byte-identical either way.
     """
     if router is not None and len(plan.parts) > 1 \
             and router.fanout_executor() is not None:
@@ -310,4 +291,4 @@ def iter_plan_blocks(plan: ScanPlan, router=None):
         return filter_blocks(
             plan, fanout_scan_blocks(sources, executor=router))
     return filter_blocks(plan, rebase_block_streams(
-        spec.pushed_stream(fixed=False) for spec in plan.parts))
+        spec.pushed_stream() for spec in plan.parts))

@@ -115,9 +115,8 @@ class QueryService:
     bounds admitted read requests (buffered result memory scales with it);
     ``admission_timeout`` turns backpressure into
     :class:`~repro.service.jobs.ServiceSaturated` after that many seconds
-    (``None`` blocks). Cursor blocks are the scanned table's stored
-    blocks: a shard job cuts its stream at the pinned image's
-    ``block_rows``.
+    (``None`` blocks). A cursor block is one stored block's merge, cut
+    only where it runs to twice the pinned image's ``block_rows``.
 
     The service registers itself with the database, so ``db.close()``
     joins its workers; use either as a context manager.
@@ -244,8 +243,7 @@ class QueryService:
             feeds = []
             for spec in plan.parts:
                 job = self._scheduler.schedule(
-                    spec, spec.pinned.stable.block_rows,
-                    runner=self._runner)[1]
+                    spec, runner=self._runner)[1]
                 feeds.append(job.feed)
                 if ctx is not None:
                     job.trace = (tracer, ctx)

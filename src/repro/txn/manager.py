@@ -234,7 +234,6 @@ class TransactionManager:
                 write_pdt=self.write_snapshot(name, self._lsn),
                 sparse_index=state.sparse_index,
                 lsn=state.last_commit_lsn,
-                image_lsn=state.stable.image_lsn,
             )
             for name, state in self._tables.items()
         }

@@ -47,13 +47,9 @@ class PinnedTable:
 
     ``write_pdt`` is ``None`` when the Write-PDT was empty at the pin
     point (the common case between maintenance cycles); ``layers`` yields
-    the non-empty PDT stack in merge order.
-
-    ``image_lsn`` names the *persisted* stable image the pinned layers
-    are relative to (the value block storage published for this table),
-    or ``None`` when the image was never published — it is what lets a
-    shard worker process re-open the same version from disk and trust the
-    shipped pin vector.
+    the non-empty PDT stack in merge order. Every stable image is
+    published before it is registered, so ``stable`` itself names the
+    persisted image the layers are relative to.
     """
 
     name: str
@@ -62,7 +58,6 @@ class PinnedTable:
     write_pdt: object  # loaned master, or None when empty at pin time
     sparse_index: object
     lsn: int
-    image_lsn: int | None = None
 
     @property
     def layers(self) -> tuple:

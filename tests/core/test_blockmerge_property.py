@@ -7,7 +7,7 @@ the faithful Algorithm-2 next() loop (:func:`merge_row_stream`). Under any
 valid random op sequence, over any block size, projection and scan range,
 both must produce identical output — including the zero-copy pass-through,
 the skipped modifies of unprojected columns, object-column splicing,
-range-scan, and fixed-size :func:`reblock` paths.
+range-scan, and cut-only :func:`reblock` paths.
 """
 
 import random
@@ -120,18 +120,30 @@ def test_block_merge_range_scan_equals_oracle_slice(
 def test_reblock_preserves_stream(seed, n_ops, block_rows):
     stable, pdt, rows, expected = _build(seed, n_ops)
     cols = list(stable.schema.column_names)
-    stream = merge_scan_layers(stable, [pdt], columns=cols, batch_rows=7)
-    blocks = list(reblock(stream, block_rows=block_rows))
-    # All blocks are exactly block_rows long except possibly the last.
-    sizes = [len(arrays[cols[0]]) for _, arrays in blocks]
-    assert all(s == block_rows for s in sizes[:-1])
-    if sizes:
-        assert 0 < sizes[-1] <= block_rows
-    # First positions are consecutive.
-    positions = [pos for pos, _ in blocks]
-    assert positions == [
-        positions[0] + i * block_rows for i in range(len(positions))
-    ] if positions else True
+    merged = list(merge_scan_layers(stable, [pdt], columns=cols,
+                                    batch_rows=7))
+    blocks = list(reblock(iter(merged), block_rows=block_rows))
+    # Cut only: a block shorter than 2 * block_rows passes as the same
+    # object, a longer one becomes block_rows-row views of it, the last
+    # view taking the remainder, in order.
+    out = iter(blocks)
+    for first, arrays in merged:
+        n = len(arrays[cols[0]])
+        if n < 2 * block_rows:
+            pos, same = next(out)
+            assert pos == first and same is arrays
+            continue
+        lo = 0
+        while lo < n:
+            pos, piece = next(out)
+            size = len(piece[cols[0]])
+            assert pos == first + lo
+            assert size == (block_rows if n - lo >= 2 * block_rows
+                            else n - lo)
+            for c in cols:
+                assert np.shares_memory(piece[c], arrays[c])
+            lo += size
+    assert next(out, None) is None
     assert _materialize(iter(blocks), cols) == expected
 
 

@@ -177,7 +177,7 @@ def test_planned_windows_hold_only_their_keys(env):
                             and (len(names) == 1 or bisect_right(
                                 BOUNDARIES, (k,)) == shard)]
                     rows = []
-                    for _, arrays in part.stream(fixed=False):
+                    for _, arrays in part.pushed_stream():
                         rows += zip(arrays["k0"].tolist(),
                                     arrays["a"].tolist())
                     assert rows == want, (lo, hi, part.pinned.name)

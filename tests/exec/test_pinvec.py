@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import Database, DataType, Schema
-from repro.engine.scan import scan_pdt_blocks
+from repro.engine.scan import shard_scan_stream
 from repro.exec.pinvec import rebuild_layers, scan_payload, serialize_layers
 
 
@@ -20,7 +20,8 @@ def make_db(ops):
         ("k", DataType.INT64), ("a", DataType.INT64),
         ("s", DataType.STRING), sort_key=("k",),
     )
-    db = Database(compressed=False)
+    # 16-row stored blocks: the 50-row image scans as four blocks.
+    db = Database(compressed=False, block_rows=16)
     db.create_table("t", schema, [(i * 2, i, f"r{i}") for i in range(50)])
     if ops:
         db.apply_batch("t", ops)
@@ -29,9 +30,8 @@ def make_db(ops):
 
 def stream_bytes(stable, layers, schema):
     out = []
-    for rid, arrays in scan_pdt_blocks(stable, list(layers),
-                                       columns=list(schema.column_names),
-                                       block_rows=16):
+    for rid, arrays in shard_scan_stream(stable, list(layers),
+                                         list(schema.column_names)):
         for c in schema.column_names:
             col = arrays[c]
             out.append((rid, c, col.tolist() if col.dtype == object
@@ -101,12 +101,14 @@ def test_scan_payload_shape():
     try:
         pt = pin.table("t")
         payload = scan_payload("/some/root", "t", 17, 3, pt.layers,
-                               ["k", "a"], 0, 50, 1024)
+                               ["k", "a"], 0, 50)
         assert payload["root"] == "/some/root"
         assert payload["image_lsn"] == 17 and payload["epoch"] == 3
         assert payload["skip"] == 0
         assert payload["columns"] == ["k", "a"]
         assert (payload["sid_lo"], payload["sid_hi"]) == (0, 50)
+        # The worker cuts at the block size of the image it opens.
+        assert "block_rows" not in payload
         # The payload must survive the pipe: pickle round-trip keeps the
         # rebuilt layers equivalent.
         import pickle

@@ -18,6 +18,8 @@ import pytest
 from repro import Database, DataType, Schema
 from repro.exec import ExecutorRouter, StaleImage
 
+from .test_process_property import block_signature
+
 SCHEMA = Schema.build(
     ("k", DataType.INT64), ("v", DataType.INT64), ("s", DataType.STRING),
     sort_key=("k",),
@@ -49,6 +51,35 @@ def assert_identical(rel, oracle_rel):
             assert a.tolist() == b.tolist(), c
         else:
             assert a.tobytes() == b.tobytes(), c
+
+
+def dirty_ops(block_rows):
+    """Deltas that give merged blocks of every size: scattered deletes
+    and modifies, delete+reinsert chains, a fully deleted stored block
+    (shard 1's second), and insert runs longer than two stored blocks —
+    leading shard 0 and trailing shard 3."""
+    shard = N_ROWS // 4
+    run = 2 * block_rows + 904
+    gone = range(shard + block_rows, shard + 2 * block_rows)
+    ops = [("ins", (-run + i, i, f"lead{i}")) for i in range(run)]
+    ops += [("del", (k,)) for k in gone]
+    for k in range(3, N_ROWS, 211):
+        if k in gone:
+            continue
+        if k % 3 == 2:
+            ops.append(("mod", (k,), "v", -k))
+        else:
+            ops.append(("del", (k,)))
+            if k % 3 == 1:
+                ops.append(("ins", (k, -k, f"re{k}")))
+    ops += [("ins", (N_ROWS + i, i, f"tail{i}")) for i in range(run)]
+    return ops
+
+
+def dirty_if(db, table):
+    """Leave ``t`` as it is ("clean") or apply :func:`dirty_ops`."""
+    if table == "dirty":
+        db.apply_batch("t", dirty_ops(db.store.block_rows))
 
 
 @pytest.fixture
@@ -158,7 +189,7 @@ class TestEligibility:
             router = db.exec_router
             payload = router.payload_for(
                 pt.stable, pt.layers, tuple(SCHEMA.column_names),
-                0, pt.stable.num_rows, 1024, image_lsn=pt.image_lsn,
+                0, pt.stable.num_rows,
             )
             assert payload is not None
             payload["image_lsn"] += 1_000_000  # never published
@@ -184,8 +215,12 @@ class TestCrashIsolation:
                 return
             time.sleep(0.002)
 
-    def test_kill_worker_mid_scan_redispatches(self, tmp_path, oracle):
+    @pytest.mark.parametrize("table", ["clean", "dirty"])
+    def test_kill_worker_mid_scan_redispatches(self, tmp_path, oracle,
+                                               table):
         db = make_db(tmp_path, "process")
+        dirty_if(db, table)
+        dirty_if(oracle, table)
         try:
             db.exec_router.block_delay_s = 0.01  # widen the kill window
             killed = []
@@ -206,11 +241,15 @@ class TestCrashIsolation:
         finally:
             db.close()
 
-    def test_exhausted_redispatch_falls_back_local(self, tmp_path, oracle):
+    @pytest.mark.parametrize("table", ["clean", "dirty"])
+    def test_exhausted_redispatch_falls_back_local(self, tmp_path, oracle,
+                                                   table):
         """With a redispatch budget of zero, a single death routes the
         in-flight job to the thread fallback, continuing exactly where
         the dead worker stopped."""
         db = make_db(tmp_path, "process")
+        dirty_if(db, table)
+        dirty_if(oracle, table)
         try:
             db.exec_router.max_redispatch = 0
             db.exec_router.block_delay_s = 0.01
@@ -225,6 +264,43 @@ class TestCrashIsolation:
             assert db.exec_router.redispatches >= 1
             assert db.exec_router.local_jobs >= 1
             assert_identical(rel, oracle.query("t"))
+        finally:
+            db.close()
+
+    def test_redispatch_resumes_block_for_block(self, tmp_path):
+        """Kill the worker after each dirty shard job's first block: the
+        replacement skips that block and the stream continues with the
+        same cuts the local pipeline makes — merged blocks of every
+        size, a fully deleted stored block, insert runs longer than two
+        stored blocks."""
+        from repro.service.plan import plan_scan
+
+        db = make_db(tmp_path, "process")
+        db.apply_batch("t", dirty_ops(db.store.block_rows))
+        router = db.exec_router
+        try:
+            router.block_delay_s = 0.05  # the worker sleeps between blocks
+            sizes = []
+            with db.pin_snapshot() as pin:
+                for spec in plan_scan(pin, "t").parts:
+                    want = block_signature(spec.pushed_stream())
+                    sizes += [size for _, size, _ in want]
+                    payload = router.payload_for(
+                        spec.pinned.stable, spec.pinned.layers,
+                        spec.scan_cols, spec.sid_lo, spec.sid_hi)
+                    assert payload is not None
+                    stream = router.stream_blocks(payload,
+                                                  spec.pushed_stream)
+                    first = next(stream)
+                    before = router.redispatches
+                    for pid in router.worker_pids():
+                        os.kill(pid, signal.SIGKILL)
+                    got = block_signature([first, *stream])
+                    assert router.redispatches > before
+                    assert got == want
+            assert db.store.block_rows in sizes
+            assert max(sizes) < 2 * db.store.block_rows
+            assert len(set(sizes)) > 4
         finally:
             db.close()
 

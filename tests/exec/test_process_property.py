@@ -9,6 +9,13 @@ oracle is an in-memory thread-mode unsharded table fed identical
 updates; any divergence in the pin-vector serialization, the worker's
 snapshot materialization, or the shared-memory block transport shows up
 as a row-stream mismatch.
+
+After every step each shard job — plain, ``where=`` and ``aggregate=`` —
+is also run both ways at block level: the remote stream
+(:meth:`~repro.exec.router.ExecutorRouter.stream_blocks`) must yield the
+same ``(first_rid, size, bytes)`` sequence as the local
+:meth:`~repro.service.plan.ShardScanSpec.pushed_stream`, which is what
+skip-based crash re-dispatch relies on.
 """
 
 import random
@@ -19,6 +26,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, DataType, Schema
+from repro.engine import expr as ex
+from repro.service.plan import plan_scan
 from repro.shard import merge_adjacent, split_shard
 
 from ..shard.test_sharded_property import KEY_RANGE, gen_batch
@@ -29,6 +38,39 @@ SCHEMA = Schema.build(
     ("b", DataType.STRING),
     sort_key=("k",),
 )
+
+
+JOBS = {
+    "plain": {},
+    "where": {"where": ex.lt("a", 500)},
+    "aggregate": {"agg": ex.AggSpec(
+        ("b",), {"total": ("a", "sum"), "n": ("*", "count")})},
+}
+
+
+def block_signature(stream):
+    """``(first_rid, block size, column bytes)`` per block."""
+    out = []
+    for rid, arrays in stream:
+        cols = sorted(arrays)
+        out.append((rid, len(arrays[cols[0]]) if cols else 0, tuple(
+            (c, arrays[c].tolist() if arrays[c].dtype == object
+             else arrays[c].tobytes()) for c in cols)))
+    return out
+
+
+def assert_remote_blocks_match_local(db):
+    router = db.exec_router
+    with db.pin_snapshot() as pin:
+        for kwargs in JOBS.values():
+            for spec in plan_scan(pin, "t", **kwargs).parts:
+                payload = router.payload_for(
+                    spec.pinned.stable, spec.pinned.layers, spec.scan_cols,
+                    spec.sid_lo, spec.sid_hi, push=spec.push_payload())
+                assert payload is not None
+                remote = router.stream_blocks(payload, spec.pushed_stream)
+                assert block_signature(remote) \
+                    == block_signature(spec.pushed_stream())
 
 
 @settings(max_examples=10, deadline=None)
@@ -78,6 +120,7 @@ def test_process_executor_matches_thread_oracle(seed, n_rows, shards,
                 checkpoint_table(db.manager, shard)
             assert db.query("t").rows() == oracle.query("t").rows()
             assert db.row_count("t") == oracle.row_count("t")
+            assert_remote_blocks_match_local(db)
 
         db.checkpoint("t")
         oracle.checkpoint("t")

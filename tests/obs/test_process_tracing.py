@@ -7,7 +7,6 @@ counters matching a thread-executor oracle — the executor is invisible
 in the numbers, not just in the rows.
 """
 
-import math
 import os
 import signal
 import threading
@@ -17,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import Database, DataType, Schema
+from repro.core import merge_scan_layers
 
 SCHEMA = Schema.build(("k", DataType.INT64), ("v", DataType.INT64),
                       sort_key=("k",))
@@ -64,6 +64,11 @@ class TestStitchedTraces:
     def test_service_tree_spans_three_levels(self, tmp_path):
         db = make_db(tmp_path, "process", trace=True)
         try:
+            # Deletes shrink stored blocks; a trailing-insert run longer
+            # than two stored blocks lands past the last shard's image.
+            db.apply_batch(
+                "t", [("del", (k,)) for k in range(5, N_ROWS, 301)]
+                + [("ins", (N_ROWS + i, i)) for i in range(9000)])
             with db.serve() as svc:
                 cursor = svc.submit_query("t")
                 cursor.to_relation()
@@ -76,12 +81,21 @@ class TestStitchedTraces:
                     assert scan.name == "shard.scan"
                     root = by_id[scan.parent_id]
                     assert root.name == "query"
-                # One block per stored block of each shard's image.
+                # One block per merged stored block of each shard; one
+                # of two stored blocks or more is cut into pieces of
+                # one, the last taking the remainder.
                 block_rows = db.store.block_rows
-                shard_rows = [db.manager.state_of(name).stable.num_rows
-                              for name in db.sharded("t").shard_names]
+                merged = []
+                for name in db.sharded("t").shard_names:
+                    state = db.manager.state_of(name)
+                    merged += [len(arrays["k"]) for _, arrays in
+                               merge_scan_layers(
+                                   state.stable,
+                                   [state.read_pdt, state.write_pdt],
+                                   ["k"])]
+                assert max(merged) >= 2 * block_rows
                 assert cursor.profile.remote_blocks == sum(
-                    math.ceil(rows / block_rows) for rows in shard_rows)
+                    max(1, rows // block_rows) for rows in merged)
                 assert cursor.profile.local_blocks == 0
         finally:
             db.close()

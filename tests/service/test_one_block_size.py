@@ -1,8 +1,11 @@
-"""One block size: every read path merges and cuts its blocks at the
-scanned table's stored block size (``BlockStore.block_rows``).
+"""One block size: every read path merges one stored block
+(``BlockStore.block_rows`` rows) per batch, and a cursor block is one
+merged stored block, cut into ``block_rows``-row pieces only where it
+runs to twice that size or more.
 
 The database is a dirty 4-shard table whose every shard holds both a
-Read-PDT and a Write-PDT. It is built on whatever backend and executor
+Read-PDT and a Write-PDT, and whose last shard ends in a trailing-insert
+run longer than two stored blocks. It is built on whatever backend and executor
 the environment selects (``REPRO_STORAGE_BACKEND`` / ``REPRO_EXECUTOR``),
 so under the process executor on mmap the service's shard jobs run in
 worker processes and the cursor blocks checked here are worker frames.
@@ -19,6 +22,7 @@ import pytest
 
 import repro.core
 from repro import Database, DataType, Schema
+from repro.core import merge_scan_layers
 from repro.core.merge import BlockMerger
 from repro.engine import expr as ex
 from repro.service import QueryService
@@ -56,6 +60,8 @@ def make_db(block_rows: int, **kwargs) -> Database:
     for name in db.sharded("t").shard_names:
         db.manager.propagate_write_to_read(name)
     db.apply_batch("t", ops_for(1))
+    db.apply_batch("t", [("ins", (2 * N_ROWS + i, i, f"tail{i}"))
+                         for i in range(2 * block_rows + 100)])
     for name in db.sharded("t").shard_names:
         state = db.manager.state_of(name)
         assert not state.read_pdt.is_empty()
@@ -83,19 +89,35 @@ def stored_blocks(db) -> int:
         for name in db.sharded("t").shard_names)
 
 
+def merged_block_sizes(db, name) -> list:
+    """Row counts of the merge's own blocks over a shard's latest state:
+    one per non-empty merged stored block, trailing inserts last."""
+    state = db.manager.state_of(name)
+    layers = [state.read_pdt, state.write_pdt]
+    return [len(arrays["k"]) for _, arrays in
+            merge_scan_layers(state.stable, layers, ["k"])]
+
+
 @pytest.mark.parametrize("columns", [None, ["v"], ["s", "k"]])
 def test_service_cursor_blocks_are_stored_blocks(db, block_rows, columns):
     with db.serve(workers=2) as svc:
         cursor = svc.submit_query("t", columns=columns)
         sizes = [len(next(iter(arrays.values()))) for _, arrays in cursor]
+    merged = [size for name in db.sharded("t").shard_names
+              for size in merged_block_sizes(db, name)]
     expected = []
-    for shard in cursor.profile.per_shard:
-        full, rest = divmod(shard.rows, block_rows)
-        expected += [block_rows] * full + ([rest] if rest else [])
+    for size in merged:
+        pieces = size // block_rows
+        if pieces < 2:
+            expected.append(size)
+        else:
+            expected += [block_rows] * (pieces - 1)
+            expected.append(size - (pieces - 1) * block_rows)
     assert sizes == expected
-    assert cursor.profile.blocks == sum(
-        math.ceil(shard.rows / block_rows)
-        for shard in cursor.profile.per_shard)
+    assert max(sizes) < 2 * block_rows
+    # The trailing-insert run was cut; no other block was.
+    assert len(sizes) == len(merged) + 1
+    assert cursor.profile.blocks == len(sizes)
 
 
 def assert_identical(got, want):

@@ -68,8 +68,7 @@ def test_scheduled_job_keeps_the_shape_the_probes_read():
         db.create_table("t", schema, [(i, i % 5) for i in range(100)])
         with db.serve(workers=1) as svc, db.pin_snapshot() as pin:
             spec = plan_scan(pin, "t", where=ex.eq("v", 0)).parts[0]
-            feed, job, shared, catch_up = JobScheduler().schedule(
-                spec, 32)
+            feed, job, shared, catch_up = JobScheduler().schedule(spec)
             assert shared is False and catch_up is None
             assert set(job.pushdown_counter) >= {"rows_in", "rows_out"}
             job.bench_ctx = 1
