@@ -18,6 +18,9 @@ touches are passed through the entire stack by reference.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, takewhile
+
+import numpy as np
 
 from .merge import BlockMerger, merge_row_stream
 from .types import KIND_INS
@@ -29,15 +32,19 @@ class _Bound:
     ``pos`` is the bound in the current layer's SID domain; the bound key
     is the stable key at ``sid - 1``. A bound at SID 0 sorts below every
     key and an open upper end above every key, so neither reads one.
+    ``block`` is ``(first_sid, sort-key arrays)`` of the stored block the
+    merge read first, or None: a bound key inside it costs no pool read.
     """
 
-    __slots__ = ("stable", "sid", "pos", "open", "_key")
+    __slots__ = ("stable", "sid", "pos", "open", "_key", "_block")
 
-    def __init__(self, stable, sid: int, open_end: bool = False):
+    def __init__(self, stable, sid: int, open_end: bool = False,
+                 block=None):
         self.stable = stable
         self.sid = self.pos = sid
         self.open = open_end
         self._key = None
+        self._block = block
 
     def _below(self, pdt, ref, keyed: bool) -> bool:
         """Whether insert ``ref``, positioned exactly at the bound, sorts
@@ -45,7 +52,12 @@ class _Bound:
         if not keyed or self.sid == 0:
             return False
         if self._key is None:
-            self._key = self.stable.sk_at(self.sid - 1)
+            at = self.sid - 1
+            first, keys = self._block or (0, None)
+            if keys is not None and first <= at < first + len(keys[0]):
+                self._key = tuple(col[at - first] for col in keys)
+            else:
+                self._key = self.stable.sk_at(at)
         return pdt.schema.sk_of(pdt.values.get_insert(ref)) <= self._key
 
     def cut(self, pdt, sids, kinds, refs, keyed: bool) -> int:
@@ -64,6 +76,23 @@ class _Bound:
         return end
 
 
+def key_run(columns, key, a: int = 0, b: int | None = None):
+    """Narrow ``[a, b)`` of sorted sort-key ``columns`` (leading columns
+    first) to the rows whose key prefix equals ``key``: ``a`` becomes the
+    first row whose prefix sorts at or above ``key``, ``b`` the first
+    that sorts above it. A ``key`` longer than ``columns`` is compared
+    on the columns given."""
+    if b is None:
+        b = len(columns[0])
+    for col, value in zip(columns, key):
+        if a == b:
+            break
+        run = col[a:b]
+        b = a + int(np.searchsorted(run, value, side="right"))
+        a += int(np.searchsorted(run, value, side="left"))
+    return a, b
+
+
 def merge_scan_layers(
     stable,
     layers,
@@ -71,6 +100,8 @@ def merge_scan_layers(
     start: int = 0,
     stop: int | None = None,
     batch_rows: int | None = None,
+    low: tuple | None = None,
+    high: tuple | None = None,
 ):
     """Block-oriented MergeScan of a stable SID window through a stack of
     PDT layers, bottom-up.
@@ -91,7 +122,17 @@ def merge_scan_layers(
     test — its SID domain is the stable image, where Algorithm 6 already
     put every insert on the right side of the bound tuple, ghost or not —
     so the key is read only when a higher layer holds an insert at its
-    translated bound.
+    translated bound, and not at all when it lies in the first stored
+    block the merge read.
+
+    ``low`` / ``high`` are inclusive sort-key (or prefix) bounds of the
+    tuples the caller wants (DESIGN.md, "Key narrowing"). Before any
+    layer exports entries, the window's first stored block is read and
+    the window narrowed inside it: ``start`` up to the block's first SID
+    keyed ``>= low``, ``stop`` down to one past its first SID keyed
+    ``> high`` when the block holds one — still a window, holding every
+    tuple keyed in ``[low, high]``; the caller still trims to the bounds.
+    Narrowing compares the leading sort-key columns among ``columns``.
 
     Input batches are at most ``batch_rows`` long and never straddle a
     stored block; None (every caller but the property tests) merges one
@@ -103,9 +144,31 @@ def merge_scan_layers(
     start = min(start, n)
     open_end = stop is None or stop >= n
     stop = n if open_end else max(stop, start)
-    lo, hi = _Bound(stable, start), _Bound(stable, stop, open_end)
     stream = stable.scan(columns=columns, start=start, stop=stop,
                          batch_rows=batch_rows)
+    block = None
+    if (low is not None or high is not None) and start < stop:
+        first_sid, arrays = next(stream)
+        end = first_sid + len(arrays[columns[0]])
+        keys = [arrays[c] for c in
+                takewhile(arrays.__contains__, stable.schema.sort_key)]
+        if keys:
+            if len(keys) == len(stable.schema.sort_key):
+                block = (first_sid, keys)
+            if low is not None:
+                start = first_sid + key_run(keys, low)[0]
+            if high is not None:
+                past = first_sid + key_run(keys, high, start - first_sid)[1]
+                if past < end:
+                    stop = past + 1
+                    open_end = stop >= n
+        if start > first_sid or stop < end:
+            arrays = {c: a[start - first_sid:min(stop, end) - first_sid]
+                      for c, a in arrays.items()}
+        stream = chain([(start, arrays)] if start < min(stop, end) else [],
+                       stream if stop > end else [])
+    lo = _Bound(stable, start, block=block)
+    hi = _Bound(stable, stop, open_end, block=block)
     keyed = False
     for pdt in layers:
         if pdt.is_empty():

@@ -485,9 +485,10 @@ class Database:
         The router prunes a sharded table to the shards whose key ranges
         intersect the bounds, then each table's *stale* sparse index —
         built once on the stable image and never maintained — restricts
-        the positional MergeScan to the qualifying SID range;
-        ghost-respecting SID assignment keeps the pruning correct under
-        any update load (paper section 2.1, "Respecting Deletes").
+        the positional MergeScan to the qualifying SID range, which the
+        merge narrows to the bounds inside the first stored block it
+        reads; ghost-respecting SID assignment keeps the pruning correct
+        under any update load (paper section 2.1, "Respecting Deletes").
         ``pin``, ``where`` and ``aggregate`` as in :meth:`query`.
         """
         return self._read(table, low, high, columns, pin, where, aggregate)
@@ -495,8 +496,8 @@ class Database:
     def query_point(self, table: str, sk, columns=None) -> Relation:
         """Rows whose sort key equals ``sk`` (or extends it, for an SK
         prefix): the range ``[sk, sk]``, so a full key reaches one shard
-        and one sparse-index granule — no fan-out, cold shards
-        untouched."""
+        and reads one stored block per column, where the merge narrows
+        to the key's own rows — no fan-out, cold shards untouched."""
         return self._read(table, sk, sk, columns)
 
     def _read(self, table: str, low, high, columns, pin=None, where=None,

@@ -30,7 +30,7 @@ import bisect
 
 import numpy as np
 
-from ..core.stack import merge_scan_layers
+from ..core.stack import key_run, merge_scan_layers
 from ..core.types import KIND_DEL, KIND_INS
 from ..storage.sparse_index import SparseIndex
 
@@ -140,8 +140,10 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
     live tuple carrying the key when ``found``, else the RID of the first
     live tuple with a greater key (the insert-before position; the image
     size when the key sorts last). The sparse index bounds the sweep to
-    the window of granules between the smallest and the largest key, so
-    every layer exports only the entries of that window. A merged block
+    the window of granules between the smallest and the largest key, and
+    the merge narrows that window inside its first stored block to the
+    rows from the smallest key to one past the largest, so every layer
+    exports only the entries of the keys' own rows. A merged block
     places all the keys it covers with one ``searchsorted`` pair on the
     leading sort-key column, then narrows each key's run of equal
     prefixes column by column; the sweep ends with the block that places
@@ -162,7 +164,7 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
     resolved: list[tuple[bool, int]] = []
     ki = 0
     sweep = merge_scan_layers(stable, layers, columns=key_cols, start=start,
-                              stop=stop)
+                              stop=stop, low=keys[0], high=keys[-1])
     while ki < len(keys):
         try:
             first_rid, arrays = next(sweep)
@@ -176,13 +178,10 @@ def resolve_batch_positions(stable, layers, sparse_index, keys):
         probe = lead[ki:kj]
         run_lo = np.searchsorted(columns[0], probe, side="left")
         run_hi = np.searchsorted(columns[0], probe, side="right")
+        rest = columns[1:]
         for key, a, b in zip(keys[ki:kj], run_lo.tolist(), run_hi.tolist()):
-            for col, value in zip(columns[1:], key[1:]):
-                if a == b:
-                    break
-                run = col[a:b]
-                b = a + int(np.searchsorted(run, value, side="right"))
-                a += int(np.searchsorted(run, value, side="left"))
+            if rest:
+                a, b = key_run(rest, key[1:], a, b)
             resolved.append((a < b, first_rid + a))
         ki = kj
     return resolved

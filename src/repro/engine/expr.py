@@ -541,14 +541,14 @@ class PartialAggregator:
 # -- the shared evaluation wrapper -----------------------------------------
 
 def pushdown_stream(stream, where: Expr | None = None,
-                    agg: AggSpec | None = None, key_cols=(),
-                    low=None, high=None, counter: dict | None = None):
+                    agg: AggSpec | None = None, trim=None,
+                    counter: dict | None = None):
     """Wrap a raw block stream with pushed-down evaluation.
 
-    Filters each ``(rid, arrays)`` block with ``where`` (and, for
-    aggregate jobs, with the inclusive ``[low, high]`` sort-key bounds
-    over ``key_cols`` — aggregation consumes rows before the cursor's
-    key trim could run, so the job applies the full predicate itself).
+    Filters each ``(rid, arrays)`` block with ``where`` and with ``trim``
+    (a block's row mask, or None for all rows): the shard-scan stream
+    passes its sort-key bounds as ``trim`` for aggregate jobs, which
+    consume rows before the cursor's key trim could see them.
     Filtered blocks are re-numbered densely; with ``agg`` the stream
     reduces to exactly one partial block (possibly zero rows).
 
@@ -556,20 +556,12 @@ def pushdown_stream(stream, where: Expr | None = None,
     ``rows_out`` (streamed) — the push-down metrics surface.
     """
     aggregator = agg.aggregator() if agg is not None else None
-    trim = agg is not None and (low is not None or high is not None)
     out_rid = 0
     for _rid, arrays in stream:
         n = len(next(iter(arrays.values()))) if arrays else 0
         if counter is not None:
             counter["rows_in"] += n
-        mask = None
-        if trim:
-            key_arrays = [arrays[c] for c in key_cols]
-            if low is not None:
-                mask = fn.lex_ge(key_arrays, low)
-            if high is not None:
-                hi_mask = fn.lex_le(key_arrays, high)
-                mask = hi_mask if mask is None else mask & hi_mask
+        mask = trim(arrays) if trim is not None else None
         if where is not None:
             where_mask = where.mask(arrays)
             mask = where_mask if mask is None else mask & where_mask

@@ -133,3 +133,16 @@ def lex_le(columns, bound) -> np.ndarray:
     all Paris rows), matching SQL prefix range predicates on compound sort
     keys."""
     return _lex_bound(columns, bound, operator.lt, operator.le)
+
+
+def key_range_mask(arrays, sort_key, low, high):
+    """Row mask of one block's sort key in the inclusive, prefix-aware
+    ``[low, high]``, or None when both ends are open (None or empty).
+    Reads only the sort-key columns a bound names."""
+    mask = None
+    if low:
+        mask = lex_ge([arrays[c] for c in sort_key[:len(low)]], low)
+    if high:
+        hi_mask = lex_le([arrays[c] for c in sort_key[:len(high)]], high)
+        mask = hi_mask if mask is None else mask & hi_mask
+    return mask

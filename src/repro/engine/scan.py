@@ -18,10 +18,13 @@ cut only where one runs to twice the stored block size.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..core.merge import reblock
 from ..core.stack import merge_scan_layers
 from ..vdt.merge import vdt_merge_scan
 from . import expr as ex
+from . import functions as fn
 from .relation import Relation
 
 
@@ -42,29 +45,34 @@ def scan_pdt(table, layers, columns=None) -> Relation:
 
 def shard_scan_stream(stable, layers, columns, start: int = 0,
                       stop: int | None = None, where=None, agg=None,
-                      key_cols=(), low=None, high=None,
-                      counter: dict | None = None):
+                      low=None, high=None, counter: dict | None = None):
     """The shard-scan pipeline: one partition's pinned version as a
     ``(first_rid, {column: ndarray})`` block stream.
 
     The MergeScan of the stable SID window ``[start, stop)`` through
-    ``layers`` yields one block per non-empty merged stored block;
-    :func:`repro.core.merge.reblock` cuts a block of twice the image's
-    ``block_rows`` or more into views. With a pushed predicate or
-    aggregate the stream is wrapped by
+    ``layers``, narrowed to the inclusive sort-key bounds ``[low, high]``
+    inside its first stored block, yields one block per non-empty merged
+    stored block; :func:`repro.core.merge.reblock` cuts a block of twice
+    the image's ``block_rows`` or more into views. With a pushed predicate
+    or aggregate the stream is wrapped by
     :func:`repro.engine.expr.pushdown_stream` (``counter`` receives its
-    row accounting). Inline reads, service jobs, fan-out sources and
-    worker processes all run this function, so every run over one
-    pinned version yields the same blocks — what skip-based crash
-    re-dispatch relies on.
+    row accounting); an aggregate also trims its rows to the bounds
+    there, on the image's sort-key columns. Inline reads, service jobs,
+    fan-out sources and worker processes all run this function, so every
+    run over one pinned version yields the same blocks — what skip-based
+    crash re-dispatch relies on.
     """
     stream = reblock(
-        merge_scan_layers(stable, layers, columns, start, stop),
+        merge_scan_layers(stable, layers, columns, start, stop,
+                          low=low, high=high),
         stable.block_rows)
     if where is None and agg is None:
         return stream
-    return ex.pushdown_stream(stream, where=where, agg=agg,
-                              key_cols=key_cols, low=low, high=high,
+    trim = None
+    if agg is not None and (low or high):
+        trim = partial(fn.key_range_mask, sort_key=stable.schema.sort_key,
+                       low=low, high=high)
+    return ex.pushdown_stream(stream, where=where, agg=agg, trim=trim,
                               counter=counter)
 
 

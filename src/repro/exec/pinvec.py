@@ -46,7 +46,8 @@ def rebuild_layers(schema, serialized: list[list]) -> list[PDT]:
 
 
 def scan_payload(root, table: str, image_lsn: int, epoch: int, layers,
-                 columns, sid_lo, sid_hi, push: dict | None = None) -> dict:
+                 columns, sid_lo, sid_hi, low=None, high=None,
+                 push: dict | None = None) -> dict:
     """The complete job payload for one remote shard scan.
 
     ``root`` is the shard scope's backend directory (the worker opens it
@@ -57,12 +58,13 @@ def scan_payload(root, table: str, image_lsn: int, epoch: int, layers,
     size travels: the worker cuts blocks at the size the store persisted
     with the image it opens, which is the pinned image's.
 
-    ``push`` is the optional pushed-down computation
+    ``low`` / ``high`` are the job's sort-key bounds (present only when
+    set), which the worker's merge narrows the window to exactly as the
+    parent's does. ``push`` is the optional pushed-down computation
     (:meth:`repro.service.plan.ShardScanSpec.push_payload`): serialized
-    ``where`` predicate, ``agg`` partial-aggregate spec, and an
-    aggregate job's explicit ``key_filter`` bounds. A worker that does
-    not understand any part of it answers ``unsupported`` and the router
-    runs the identical pushed pipeline locally.
+    ``where`` predicate and ``agg`` partial-aggregate spec. A worker that
+    does not understand any part of it answers ``unsupported`` and the
+    router runs the identical pushed pipeline locally.
     """
     payload = {
         "root": str(root),
@@ -75,6 +77,10 @@ def scan_payload(root, table: str, image_lsn: int, epoch: int, layers,
         "sid_hi": sid_hi,
         "skip": 0,
     }
+    if low is not None:
+        payload["low"] = list(low)
+    if high is not None:
+        payload["high"] = list(high)
     if push:
         payload["push"] = push
     return payload

@@ -178,16 +178,19 @@ class ScanSource:
     """
 
     __slots__ = ("local", "stable", "layers", "columns", "sid_lo",
-                 "sid_hi", "trace_ctx", "push")
+                 "sid_hi", "low", "high", "trace_ctx", "push")
 
     def __init__(self, local, stable=None, layers=(), columns=(),
-                 sid_lo=0, sid_hi=None, trace_ctx=None, push=None):
+                 sid_lo=0, sid_hi=None, low=None, high=None,
+                 trace_ctx=None, push=None):
         self.local = local
         self.stable = stable
         self.layers = tuple(layers)
         self.columns = tuple(columns)
         self.sid_lo = sid_lo
         self.sid_hi = sid_hi
+        self.low = low  # sort-key bounds the merge narrows the window to
+        self.high = high
         # Serialized span context captured on the *submitting* thread
         # (contextvars do not cross the driver pool): lets worker spans
         # stitch under the query span even for inline fan-out scans.
@@ -310,7 +313,7 @@ class ExecutorRouter:
     # -- payloads ----------------------------------------------------------
 
     def payload_for(self, stable, layers, columns, sid_lo, sid_hi,
-                    push=None) -> dict | None:
+                    low=None, high=None, push=None) -> dict | None:
         """A pin-vector job payload, or None when the job must stay
         local: thread mode, a table too small to be worth the hop, a
         non-mmap scope (including an outgoing image a fold under a pin
@@ -332,7 +335,7 @@ class ExecutorRouter:
             return None
         payload = scan_payload(
             backend.root, stable.name, image_lsn, epoch, layers, columns,
-            sid_lo, sid_hi, push=push,
+            sid_lo, sid_hi, low=low, high=high, push=push,
         )
         if self.block_delay_s:
             payload["block_delay_s"] = self.block_delay_s
@@ -441,7 +444,8 @@ class ExecutorRouter:
         """Materialize one :class:`ScanSource` (remote when eligible)."""
         payload = self.payload_for(
             source.stable, source.layers, source.columns,
-            source.sid_lo, source.sid_hi, push=source.push,
+            source.sid_lo, source.sid_hi, low=source.low, high=source.high,
+            push=source.push,
         )
         if payload is None:
             self.local_jobs += 1
@@ -482,7 +486,8 @@ class ExecutorRouter:
             local = lambda: spec.pushed_stream(counter=counter)  # noqa: E731
             payload = self.payload_for(
                 pinned.stable, pinned.layers, spec.scan_cols,
-                spec.sid_lo, spec.sid_hi, push=spec.push_payload(),
+                spec.sid_lo, spec.sid_hi, low=spec.low, high=spec.high,
+                push=spec.push_payload(),
             )
             if payload is None:
                 self.local_jobs += 1

@@ -110,12 +110,12 @@ def _decode_push(push: dict) -> dict:
     scan starts (so an unsupported job never half-streams)."""
     from ..engine import expr as ex
 
-    known = {"where", "agg", "key_filter"}
+    known = {"where", "agg"}
     unknown = set(push) - known
     if unknown:
         raise _Unsupported(f"unknown push-down fields {sorted(unknown)}")
     try:
-        pushed = {
+        return {
             "where": (ex.expr_from_payload(push["where"])
                       if "where" in push else None),
             "agg": (ex.agg_from_payload(push["agg"])
@@ -123,13 +123,6 @@ def _decode_push(push: dict) -> dict:
         }
     except ex.PushdownUnsupported as exc:
         raise _Unsupported(str(exc)) from None
-    key_filter = push.get("key_filter")
-    if key_filter:
-        pushed["key_cols"] = tuple(key_filter["cols"])
-        for end in ("low", "high"):
-            if key_filter.get(end) is not None:
-                pushed[end] = tuple(key_filter[end])
-    return pushed
 
 
 def _run_job(cache: _ScopeCache, ring, conn, job_id: int,
@@ -152,9 +145,11 @@ def _run_job(cache: _ScopeCache, ring, conn, job_id: int,
     # The parent's own pipeline on the same inputs: the block sequence
     # is identical on either side, which keeps skip-based crash
     # re-dispatch exact, pushed jobs included.
+    bounds = {end: tuple(payload[end]) for end in ("low", "high")
+              if end in payload}
     stream = shard_scan_stream(
         stable, layers, payload["columns"], payload["sid_lo"],
-        payload["sid_hi"], counter=pushdown_counter, **pushed)
+        payload["sid_hi"], counter=pushdown_counter, **bounds, **pushed)
     skip = payload.get("skip", 0)
     delay = payload.get("block_delay_s") or 0.0
     produced = 0

@@ -20,7 +20,7 @@ Both ride on every shard spec and are evaluated *inside* the scan job
 (:meth:`ShardScanSpec.pushed_stream`), so only qualifying rows — or one
 partial-aggregate block per shard — ever reach a feed. The predicate also
 contributes conservative sort-key bounds to router and sparse-index
-pruning.
+pruning and to the narrowing of each shard's merge.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ class ShardScanSpec:
     """One shard's share of a pinned scan: the version + the SID range.
 
     ``where`` / ``agg`` are the pushed-down predicate and aggregate (both
-    optional); ``low`` / ``high`` / ``key_cols`` carry the request's
-    explicit sort-key bounds for aggregate jobs, which must apply the
-    full predicate themselves (aggregation consumes rows before the
-    cursor's key trim could see them).
+    optional). ``low`` / ``high`` are the plan's inclusive sort-key
+    bounds (explicit and implied by ``where``): the merge narrows the SID
+    range to them inside its first stored block, and an aggregate job,
+    whose rows never reach the cursor's key trim, trims to them itself.
     """
 
     pinned: object  # PinnedTable
@@ -56,7 +56,6 @@ class ShardScanSpec:
     agg: object = None  # AggSpec | None
     low: tuple | None = None
     high: tuple | None = None
-    key_cols: tuple = ()
 
     @property
     def pushdown(self) -> bool:
@@ -65,15 +64,14 @@ class ShardScanSpec:
     def pushed_stream(self, counter: dict | None = None):
         """The spec's block stream: the shard-scan pipeline
         (:func:`~repro.engine.scan.shard_scan_stream`) over the pinned
-        version's ``[sid_lo, sid_hi)``, with the pushed-down
-        predicate/aggregate applied when the spec carries one. Process
-        workers run the same function on the same inputs."""
+        version's ``[sid_lo, sid_hi)`` within ``[low, high]``, with the
+        pushed-down predicate/aggregate applied when the spec carries
+        one. Process workers run the same function on the same inputs."""
         pinned = self.pinned
         return shard_scan_stream(
             pinned.stable, pinned.layers, self.scan_cols, self.sid_lo,
-            self.sid_hi, where=self.where, agg=self.agg,
-            key_cols=self.key_cols, low=self.low, high=self.high,
-            counter=counter,
+            self.sid_hi, where=self.where, agg=self.agg, low=self.low,
+            high=self.high, counter=counter,
         )
 
     def push_payload(self) -> dict | None:
@@ -86,12 +84,6 @@ class ShardScanSpec:
             push["where"] = self.where.to_payload()
         if self.agg is not None:
             push["agg"] = self.agg.to_payload()
-            if self.low is not None or self.high is not None:
-                push["key_filter"] = {
-                    "cols": list(self.key_cols),
-                    "low": None if self.low is None else list(self.low),
-                    "high": None if self.high is None else list(self.high),
-                }
         return push
 
 
@@ -123,18 +115,23 @@ class ScanPlan:
         predicate to one block and project to the requested columns;
         ``None`` when no row qualifies. Blocks the predicate fully covers
         pass through without copying."""
-        keys = [arrays[c] for c in self.sort_key]
-        mask = None
-        if self.low is not None:
-            mask = fn.lex_ge(keys, self.low)
-        if self.high is not None:
-            hi_mask = fn.lex_le(keys, self.high)
-            mask = hi_mask if mask is None else mask & hi_mask
+        mask = fn.key_range_mask(arrays, self.sort_key, self.low,
+                                 self.high)
         if mask is None or mask.all():
             return {c: arrays[c] for c in self.columns}
         if not mask.any():
             return None
         return {c: arrays[c][mask] for c in self.columns}
+
+
+def _tighter_high(a: tuple, b: tuple) -> tuple:
+    """The tighter of two inclusive upper prefix bounds. A prefix admits
+    every extension, so of two bounds equal on their common prefix the
+    longer one is tighter; otherwise the smaller one is."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:
+        return a if len(a) >= len(b) else b
+    return min(a, b)
 
 
 def plan_scan(pin, table: str, low=None, high=None,
@@ -147,35 +144,38 @@ def plan_scan(pin, table: str, low=None, high=None,
     :class:`~repro.engine.expr.Expr`) and ``agg`` (an
     :class:`~repro.engine.expr.AggSpec`) push evaluation into the shard
     jobs: the predicate's sort-key bounds join the explicit ones for
-    router/sparse-index pruning (a conservative superset — the full
-    predicate is re-applied in-job), and an aggregate plan's ``columns``
-    become the aggregate's output columns.
+    router/sparse-index pruning and merge narrowing (a conservative
+    superset — the full predicate is re-applied in-job), and an
+    aggregate plan's ``columns`` become the aggregate's output columns.
     """
     low = tuple(low) if low is not None else None
     high = tuple(high) if high is not None else None
     names = pin.physical_names(table)
     schema = pin.table(names[0]).stable.schema
-    # Pruning bounds: the explicit range, tightened by whatever the
-    # pushed predicate implies for the leading sort-key column. These
-    # are *pruning-only* — the cursor's trim still uses the explicit
-    # [low, high], and the predicate is evaluated exactly, in-job.
-    prune_lo, prune_hi = low, high
+    # Key bounds: the explicit range intersected with whatever the
+    # pushed predicate implies for the leading sort-key column. They
+    # prune shards and granules, narrow each shard's merge and trim an
+    # aggregate job's rows — exactly, since the predicate implies its
+    # own bounds. The cursor's trim still uses the explicit [low, high],
+    # and the predicate is evaluated exactly, in-job.
+    key_lo, key_hi = low, high
     if where is not None:
         for col in where.columns():
             schema.dtype_of(col)  # fail the batch on unknown columns
         wlow, whigh = where.sk_bounds(schema.sort_key)
         if wlow is not None:
-            prune_lo = wlow if prune_lo is None else max(prune_lo, wlow)
+            key_lo = wlow if key_lo is None else max(key_lo, wlow)
         if whigh is not None:
-            prune_hi = whigh if prune_hi is None else min(prune_hi, whigh)
-    pruned = prune_lo is not None or prune_hi is not None
+            key_hi = whigh if key_hi is None \
+                else _tighter_high(key_hi, whigh)
+    pruned = key_lo is not None or key_hi is not None
     layout = pin.layouts.get(table)
     if pruned and layout is not None:
         router = ShardRouter(layout.boundaries)
         # Inverted bounds prune every shard: an empty plan, matching
         # the empty relation the live range path returns.
         names = [names[i]
-                 for i in router.shards_for_range(prune_lo, prune_hi)]
+                 for i in router.shards_for_range(key_lo, key_hi)]
     where_cols = sorted(where.columns()) if where is not None else []
     if agg is not None:
         agg = agg.bind(schema)  # validates columns, pins dtypes
@@ -199,21 +199,18 @@ def plan_scan(pin, table: str, low=None, high=None,
                                + list(schema.sort_key)))
             if filtered else columns
         )
-    key_cols = tuple(schema.sort_key) if agg is not None else ()
     parts = []
     for name in names:
         pt = pin.table(name)
         if pruned:
             sid_range = pt.sparse_index.sid_range_for_key_range(
-                prune_lo, prune_hi)
+                key_lo, key_hi)
             lo, hi = sid_range.start, sid_range.stop
         else:
             lo, hi = 0, pt.stable.num_rows
         parts.append(ShardScanSpec(
             pt, tuple(scan_cols), lo, hi, where=where, agg=agg,
-            low=low if agg is not None else None,
-            high=high if agg is not None else None,
-            key_cols=key_cols,
+            low=key_lo, high=key_hi,
         ))
     return ScanPlan(
         table=table, columns=tuple(columns), scan_cols=tuple(scan_cols),
@@ -283,6 +280,8 @@ def iter_plan_blocks(plan: ScanPlan, router=None):
                 columns=spec.scan_cols,
                 sid_lo=spec.sid_lo,
                 sid_hi=spec.sid_hi,
+                low=spec.low,
+                high=spec.high,
                 trace_ctx=trace_ctx,
                 push=spec.push_payload(),
             )

@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from repro.core.stack import image_rows, merge_scan_layers
 from repro.storage import SparseIndex
 
-from ..oracles.histories import make_schema, make_stable, random_history
+from ..oracles.histories import (
+    key_of,
+    make_schema,
+    make_stable,
+    random_history,
+)
+from ..oracles.narrowing import narrowed_window
 
 N_ROWS = 24  # stable key numbers 0, 2, ..., 46
 GRANULE = 4  # granule closers: the deletes' and inserts' favourite rows
@@ -43,12 +49,13 @@ def build(seed, n_key_cols, n_layers, ops_per_layer):
     return stable, layers, image_rows(stable, layers)
 
 
-def window(stable, layers, start, stop, batch_rows, first_rid):
+def window(stable, layers, start, stop, batch_rows, first_rid, low=None,
+           high=None):
     """The window's rows, asserting its blocks' RIDs run on from
     ``first_rid`` and its return value is the RID just past them."""
     cols = stable.schema.column_names
     stream = merge_scan_layers(stable, layers, start=start, stop=stop,
-                               batch_rows=batch_rows)
+                               batch_rows=batch_rows, low=low, high=high)
     rows = []
     while True:
         try:
@@ -65,6 +72,18 @@ def window(stable, layers, start, stop, batch_rows, first_rid):
 def test_every_window_holds_exactly_its_keys(seed, n_key_cols, n_layers,
                                              ops_per_layer, batch_rows):
     stable, layers, image = build(seed, n_key_cols, n_layers, ops_per_layer)
+    rank = ranker(stable, image, n_key_cols)
+    for start in range(N_ROWS + 1):
+        first = rank(start)
+        for stop in range(start, N_ROWS + 2):
+            # stop == N_ROWS and beyond: the open upper end.
+            end = rank(stop if stop < N_ROWS else N_ROWS + 1)
+            got = window(stable, layers, start,
+                         None if stop > N_ROWS else stop, batch_rows, first)
+            assert got == image[first:end], (start, stop)
+
+
+def ranker(stable, image, n_key_cols):
     keys = [r[:n_key_cols] for r in stable.rows()]
     image_keys = [r[:n_key_cols] for r in image]
 
@@ -76,14 +95,36 @@ def test_every_window_holds_exactly_its_keys(seed, n_key_cols, n_layers,
             return len(image)
         return bisect_right(image_keys, keys[sid - 1])
 
-    for start in range(N_ROWS + 1):
-        first = rank(start)
-        for stop in range(start, N_ROWS + 2):
-            # stop == N_ROWS and beyond: the open upper end.
-            end = rank(stop if stop < N_ROWS else N_ROWS + 1)
-            got = window(stable, layers, start,
-                         None if stop > N_ROWS else stop, batch_rows, first)
-            assert got == image[first:end], (start, stop)
+    return rank
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounds=st.lists(st.tuples(st.integers(-2, 2 * N_ROWS + 2),
+                                 st.integers(-2, 2 * N_ROWS + 2),
+                                 st.booleans()), min_size=1, max_size=4),
+       **HISTORIES)
+def test_key_bounds_narrow_to_a_window(bounds, seed, n_key_cols, n_layers,
+                                       ops_per_layer, batch_rows):
+    """With key bounds — full keys, or leading-value prefixes, inverted
+    ones included — the merge narrows each window inside its first
+    batch to the window the key-at-a-time rule names
+    (``tests/oracles/narrowing.py``), and streams exactly that window's
+    tuples, with their RIDs."""
+    stable, layers, image = build(seed, n_key_cols, n_layers, ops_per_layer)
+    rank = ranker(stable, image, n_key_cols)
+    for a, b, prefix in bounds:
+        low, high = key_of(a, n_key_cols), key_of(b, n_key_cols)
+        if prefix:
+            low, high = low[:1], high[:1]
+        for start in range(0, N_ROWS + 1, 3):
+            for stop in (start, start + 1, start + 5, N_ROWS, None):
+                lo, hi = narrowed_window(stable, start, stop, low, high,
+                                         batch_rows)
+                first = rank(lo)
+                end = rank(hi if hi < N_ROWS else N_ROWS + 1)
+                got = window(stable, layers, start, stop, batch_rows, first,
+                             low, high)
+                assert got == image[first:end], (low, high, start, stop)
 
 
 @settings(max_examples=40, deadline=None)

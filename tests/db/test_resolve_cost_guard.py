@@ -1,11 +1,15 @@
 """Counter-based cost guards for key resolution (no clocks).
 
 The write path's cost model is the paper's: a value-addressed update
-costs one sparse-index probe plus the merge of the granule the index
-points at — not a sweep, and nothing proportional to the PDT. These
+costs one sparse-index probe, the read of the stored block the index
+points at, and the merge of the key's own rows inside it — the merge
+narrows its window to the key in the block it already read, so every
+layer exports and splices only the entries and rows at the key. Not a
+sweep, and nothing proportional to the PDT or to the granule. These
 tests pin that with the counters the system already keeps: blocks the
-buffer pool handed out, blocks the merged sweep yielded, and (for
-``PDT.memory_usage``) equality with a full tree walk.
+buffer pool handed out, blocks the merged sweep yielded, the rows and
+entries each layer's merger was handed, and (for ``PDT.memory_usage``)
+equality with a full tree walk.
 """
 
 import random
@@ -137,18 +141,26 @@ class TestSweepStopsWithItsLastKey:
         db.close()
 
     def test_no_index_still_stops_early(self, monkeypatch):
+        """Without an index the sweep reads every block up to the key's,
+        but the first block holds no key, so it narrows away: only the
+        key's block is merged."""
         db, state, live = dirty_db()
         layers = [state.read_pdt, state.write_pdt]
         yielded = self._counted(monkeypatch)
+        gets = pool_gets(db)
         resolve_batch_positions(state.stable, layers, None,
                                 [(live[5000] * 4,)])
-        assert len(yielded) == live[5000] // GRANULE + 1
+        assert live[5000] // GRANULE == 1
+        assert len(yielded) == 1
+        assert pool_gets(db) - gets == 2
         db.close()
 
 
 class TestMergeWorkFollowsTheWindow:
-    """A write's merge work grows with its granule window, not with the
-    layer: each merger is handed only the entries inside the window."""
+    """A write's merge work follows its key, not the layer or the
+    granule: the merge narrows the granule window to the key's own rows,
+    and each merger is handed only those rows and the entries among
+    them."""
 
     WINDOW_ENTRIES = 200  # ~82 per 4096-row granule at 2k per 100k rows
 
@@ -196,6 +208,47 @@ class TestMergeWorkFollowsTheWindow:
         assert handed and max(handed) < self.WINDOW_ENTRIES
         db.close()
 
+    def test_one_key_merges_at_most_two_stable_rows(self, monkeypatch):
+        """A one-key resolve and a cold ``query_point`` — of a stable
+        key, an inserted key and a deleted one — hand the lowest merger
+        at most 2 stable rows (the key's and the next), and each merger
+        above at most those plus the entries handed below it."""
+        db, state, live = self.dirty_db_2k_writes()
+        layers = [state.read_pdt, state.write_pdt]
+        merges = []
+        real = BlockMerger.merge_batches
+
+        def recording(self, batches, entries, first_rid):
+            rows = []
+            merges.append((rows, len(entries[0])))
+
+            def tap():
+                for first_sid, arrays in batches:
+                    rows.append(len(next(iter(arrays.values()))))
+                    yield first_sid, arrays
+            return real(self, tap(), entries, first_rid)
+
+        monkeypatch.setattr(BlockMerger, "merge_batches", recording)
+        image_keys = db.query("t", columns=["k"])["k"]
+        inserted = [int(k) for k in image_keys if k % 4]
+        gone = sorted(set(range(ROWS)) - set(live))
+        keys = [(live[0] * 4,), (live[len(live) // 2] * 4,),
+                (live[-1] * 4,), (gone[7] * 4,),
+                (inserted[len(inserted) // 2],)]
+        for key in keys:
+            for read in (
+                    lambda: resolve_batch_positions(
+                        state.stable, layers, state.sparse_index, [key]),
+                    lambda: db.query_point("t", key)):
+                db.make_cold()
+                merges.clear()
+                read()
+                assert len(merges) == 2  # one merger per layer
+                (stable_rows, below), (rows, _) = merges
+                assert sum(stable_rows) <= 2, key
+                assert sum(rows) <= sum(stable_rows) + below, key
+        db.close()
+
 
 def cold(db, read):
     """``(pool gets, blocks read, bytes by column, result)`` of ``read``
@@ -233,14 +286,15 @@ class TestWindowBoundCost:
         db.delete("t", (closer * 4,))
         db.manager.propagate_write_to_read("t")  # a Read-PDT ghost ...
         db.insert("t", (closer * 4 - 1, 5, 0.0))  # ... an insert at its bound
-        # A window ending at the bound: its key block is the scan's own.
+        # A window ending at the bound: its key is in the block the
+        # merge read first, which costs no pool get.
         gets, blocks, _, rel = cold(db, lambda: db.query_range(
             "t", (self.FIRST * 4 + 2,), (closer * 4 - 1,)))
-        assert (gets, blocks) == (4, 3)
+        assert (gets, blocks) == (3, 3)
         assert rel["k"][-1] == closer * 4 - 1
         gets, blocks, _, rel = cold(db, lambda: db.query_point(
             "t", (closer * 4 - 1,)))
-        assert (gets, blocks, rel.num_rows) == (4, 3, 1)
+        assert (gets, blocks, rel.num_rows) == (3, 3, 1)
         # A window starting behind it reads the key of the granule before.
         gets, blocks, by_col, rel = cold(db, lambda: db.query_range(
             "t", ((closer + 1) * 4,), ((closer + GRANULE) * 4 - 6,)))

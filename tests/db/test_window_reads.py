@@ -12,8 +12,9 @@ granule bound, then adds random ops around the bounds
 (incl. ``eq`` on the key) and with ``aggregate=`` (incl. a zero-input
 ``count(*)``), through the facade, the query service and a 4-shard
 table, for every key pair of the key space, must equal a plain
-``{key: row}`` model; and every window the planner hands a shard must
-hold only tuples keyed inside it.
+``{key: row}`` model; and every window the planner hands a shard, and
+the window its merge narrows that to, must hold only tuples keyed
+inside it.
 """
 
 import random
@@ -22,10 +23,12 @@ from bisect import bisect_right
 import pytest
 
 from repro import Database
+from repro.core import merge_scan_layers
 from repro.engine import expr as ex
 from repro.service.plan import plan_scan
 
 from ..oracles.histories import make_schema, random_ops
+from ..oracles.narrowing import narrowed_window
 
 SCHEMA = make_schema(1)  # (k0, a), sorted by k0
 N_ROWS = 16              # stable keys 0, 2, ..., 30
@@ -157,7 +160,10 @@ def test_every_key_point_and_full_scan_equal_model(env, push):
 
 def test_planned_windows_hold_only_their_keys(env):
     """Every shard window the planner emits streams exactly the model's
-    tuples of that shard keyed in (key[sid_lo-1], key[sid_hi-1]]."""
+    tuples of that shard keyed in (key[sid_lo-1], key[sid_hi-1]], and
+    the window its merge narrows to the plan's bounds
+    (:func:`~tests.oracles.narrowing.narrowed_window`) exactly those
+    keyed inside the narrowed window."""
     db, _, model = env
     with db.pin_snapshot() as pin:
         names = pin.physical_names("t")
@@ -166,18 +172,25 @@ def test_planned_windows_hold_only_their_keys(env):
                 plan = plan_scan(pin, "t", (lo,), (hi,))
                 for part in plan.parts:
                     stable = part.pinned.stable
-                    low = stable.sk_at(part.sid_lo - 1)[0] \
-                        if part.sid_lo else None
-                    high = stable.sk_at(part.sid_hi - 1)[0] \
-                        if part.sid_hi < stable.num_rows else None
                     shard = names.index(part.pinned.name)
-                    want = [row for k, row in model.items()
-                            if (low is None or k > low)
-                            and (high is None or k <= high)
-                            and (len(names) == 1 or bisect_right(
-                                BOUNDARIES, (k,)) == shard)]
-                    rows = []
-                    for _, arrays in part.pushed_stream():
-                        rows += zip(arrays["k0"].tolist(),
-                                    arrays["a"].tolist())
-                    assert rows == want, (lo, hi, part.pinned.name)
+                    narrowed = narrowed_window(stable, part.sid_lo,
+                                               part.sid_hi, (lo,), (hi,))
+                    for (start, stop), stream in (
+                            ((part.sid_lo, part.sid_hi), merge_scan_layers(
+                                stable, part.pinned.layers, part.scan_cols,
+                                part.sid_lo, part.sid_hi)),
+                            (narrowed, part.pushed_stream())):
+                        low = stable.sk_at(start - 1)[0] if start else None
+                        high = stable.sk_at(stop - 1)[0] \
+                            if stop < stable.num_rows else None
+                        want = [row for k, row in model.items()
+                                if (low is None or k > low)
+                                and (high is None or k <= high)
+                                and (len(names) == 1 or bisect_right(
+                                    BOUNDARIES, (k,)) == shard)]
+                        rows = []
+                        for _, arrays in stream:
+                            rows += zip(arrays["k0"].tolist(),
+                                        arrays["a"].tolist())
+                        assert rows == want, (lo, hi, part.pinned.name,
+                                              start, stop)

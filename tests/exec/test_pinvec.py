@@ -109,6 +109,11 @@ def test_scan_payload_shape():
         assert (payload["sid_lo"], payload["sid_hi"]) == (0, 50)
         # The worker cuts at the block size of the image it opens.
         assert "block_rows" not in payload
+        # Key bounds travel at the top level, and only when set.
+        assert "low" not in payload and "high" not in payload
+        bounded = scan_payload("/some/root", "t", 17, 3, pt.layers,
+                               ["k", "a"], 0, 50, low=(3,), high=(9, 1))
+        assert (bounded["low"], bounded["high"]) == ([3], [9, 1])
         # The payload must survive the pipe: pickle round-trip keeps the
         # rebuilt layers equivalent.
         import pickle

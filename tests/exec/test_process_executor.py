@@ -272,34 +272,50 @@ class TestCrashIsolation:
         replacement skips that block and the stream continues with the
         same cuts the local pipeline makes — merged blocks of every
         size, a fully deleted stored block, insert runs longer than two
-        stored blocks."""
+        stored blocks. Key-bounded jobs (point, range, ``where=`` on the
+        sort key) ship their bounds, and the replacement narrows its
+        window as the local pipeline does; a job of at most one block
+        loses its worker before it starts."""
+        from repro.engine import expr as ex
         from repro.service.plan import plan_scan
 
-        db = make_db(tmp_path, "process")
-        db.apply_batch("t", dirty_ops(db.store.block_rows))
+        db = make_db(tmp_path, "process", workers=1)
+        block_rows = db.store.block_rows
+        db.apply_batch("t", dirty_ops(block_rows))
+        shard = N_ROWS // 4
+        jobs = [
+            {},
+            {"low": (214,), "high": (214,)},  # a deleted, reinserted key
+            {"low": (shard + 100,), "high": (shard + 3 * block_rows,)},
+            {"where": ex.between("k", 2 * shard - 500, 2 * shard + 5000)},
+        ]
         router = db.exec_router
         try:
             router.block_delay_s = 0.05  # the worker sleeps between blocks
             sizes = []
             with db.pin_snapshot() as pin:
-                for spec in plan_scan(pin, "t").parts:
-                    want = block_signature(spec.pushed_stream())
-                    sizes += [size for _, size, _ in want]
-                    payload = router.payload_for(
-                        spec.pinned.stable, spec.pinned.layers,
-                        spec.scan_cols, spec.sid_lo, spec.sid_hi)
-                    assert payload is not None
-                    stream = router.stream_blocks(payload,
-                                                  spec.pushed_stream)
-                    first = next(stream)
-                    before = router.redispatches
-                    for pid in router.worker_pids():
-                        os.kill(pid, signal.SIGKILL)
-                    got = block_signature([first, *stream])
-                    assert router.redispatches > before
-                    assert got == want
-            assert db.store.block_rows in sizes
-            assert max(sizes) < 2 * db.store.block_rows
+                for kwargs in jobs:
+                    for spec in plan_scan(pin, "t", **kwargs).parts:
+                        want = block_signature(spec.pushed_stream())
+                        if not kwargs:
+                            sizes += [size for _, size, _ in want]
+                        payload = router.payload_for(
+                            spec.pinned.stable, spec.pinned.layers,
+                            spec.scan_cols, spec.sid_lo, spec.sid_hi,
+                            low=spec.low, high=spec.high,
+                            push=spec.push_payload())
+                        assert payload is not None
+                        stream = router.stream_blocks(payload,
+                                                      spec.pushed_stream)
+                        before = router.redispatches
+                        head = [next(stream)] if len(want) > 1 else []
+                        for pid in router.worker_pids():
+                            os.kill(pid, signal.SIGKILL)
+                        got = block_signature([*head, *stream])
+                        assert router.redispatches > before, kwargs
+                        assert got == want, kwargs
+            assert block_rows in sizes
+            assert max(sizes) < 2 * block_rows
             assert len(set(sizes)) > 4
         finally:
             db.close()

@@ -10,8 +10,10 @@ updates; any divergence in the pin-vector serialization, the worker's
 snapshot materialization, or the shared-memory block transport shows up
 as a row-stream mismatch.
 
-After every step each shard job — plain, ``where=`` and ``aggregate=`` —
-is also run both ways at block level: the remote stream
+After every step each shard job — plain, ``where=`` and ``aggregate=``,
+and the key-bounded point, range, ``where=``-on-the-sort-key and
+bounded-aggregate jobs whose merge narrows its window — is also run
+both ways at block level: the remote stream
 (:meth:`~repro.exec.router.ExecutorRouter.stream_blocks`) must yield the
 same ``(first_rid, size, bytes)`` sequence as the local
 :meth:`~repro.service.plan.ShardScanSpec.pushed_stream`, which is what
@@ -32,6 +34,8 @@ from repro.shard import merge_adjacent, split_shard
 
 from ..shard.test_sharded_property import KEY_RANGE, gen_batch
 
+MID = KEY_RANGE // 2
+
 SCHEMA = Schema.build(
     ("k", DataType.INT64),
     ("a", DataType.INT64),
@@ -40,11 +44,15 @@ SCHEMA = Schema.build(
 )
 
 
+AGG = ex.AggSpec(("b",), {"total": ("a", "sum"), "n": ("*", "count")})
 JOBS = {
     "plain": {},
     "where": {"where": ex.lt("a", 500)},
-    "aggregate": {"agg": ex.AggSpec(
-        ("b",), {"total": ("a", "sum"), "n": ("*", "count")})},
+    "aggregate": {"agg": AGG},
+    "point": {"low": (MID,), "high": (MID,)},
+    "range": {"low": (MID // 2,), "high": (MID + MID // 2,)},
+    "where_sort_key": {"where": ex.between("k", MID // 3, MID)},
+    "bounded_aggregate": {"low": (MID // 2,), "high": (MID,), "agg": AGG},
 }
 
 
@@ -66,7 +74,8 @@ def assert_remote_blocks_match_local(db):
             for spec in plan_scan(pin, "t", **kwargs).parts:
                 payload = router.payload_for(
                     spec.pinned.stable, spec.pinned.layers, spec.scan_cols,
-                    spec.sid_lo, spec.sid_hi, push=spec.push_payload())
+                    spec.sid_lo, spec.sid_hi, low=spec.low, high=spec.high,
+                    push=spec.push_payload())
                 assert payload is not None
                 remote = router.stream_blocks(payload, spec.pushed_stream)
                 assert block_signature(remote) \
