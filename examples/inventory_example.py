@@ -9,15 +9,14 @@ Run: ``python examples/inventory_example.py``
 """
 
 from repro import DataType, PDT, Schema, SparseIndex, StableTable, merge_rows
-from repro.core.types import kind_name
+from repro.core.types import KIND_INS, kind_name
 from repro.db import PositionalUpdater
 
 
 def print_pdt(pdt: PDT, label: str) -> None:
     print(f"\n--- {label} ---")
     print("PDT entries (sid, rid, kind -> payload):")
-    for entry in pdt.iter_entries():
-        payload = pdt.values.value_of(entry.kind, entry.ref)
+    for entry, (_, _, payload) in zip(pdt.iter_entries(), pdt.entries()):
         print(
             f"   sid={entry.sid} rid={entry.rid} "
             f"{kind_name(entry.kind):<10} {payload}"
@@ -91,9 +90,8 @@ def main() -> None:
         f"live in SID range [{rng.start}, {rng.stop})"
     )
     rack = [
-        pdt.values.get_insert(e.ref)
-        for e in pdt.iter_entries()
-        if e.is_insert and pdt.values.get_insert(e.ref)[0] == "Paris"
+        row for _, kind, row in pdt.entries()
+        if kind == KIND_INS and row[0] == "Paris"
     ]
     print(f"and indeed the merged range contains the new tuple: {rack[0]}")
 

@@ -67,9 +67,6 @@ class FlatPDT:
             refs.append(ref)
         return sids, kinds, refs
 
-    def value_of(self, entry: Entry):
-        return self.values.value_of(entry.kind, entry.ref)
-
     def delta_before_sid(self, sid: int) -> int:
         """Net insert/delete delta of all entries with SID strictly below
         ``sid`` — the RID shift at the start of a SID-range scan."""
@@ -80,28 +77,12 @@ class FlatPDT:
             delta += delta_of(kind)
         return delta
 
-    def append_entry(self, sid: int, kind: int, payload) -> None:
-        """Append an entry known to sort after all existing ones.
-
-        Used by Serialize, which emits entries in order; ``payload`` is a
-        full row (INS), an SK tuple (DEL), or a single value (MOD).
-        """
-        if self._entries and self._entries[-1][0] > sid:
-            raise PDTError(
-                f"append out of order: sid {sid} < {self._entries[-1][0]}"
-            )
-        if kind == KIND_INS:
-            ref = self.values.add_insert(payload)
-        elif kind == KIND_DEL:
-            ref = self.values.add_delete(payload)
-        else:
-            ref = self.values.add_modify(kind, payload)
-        self._entries.append([sid, kind, ref])
-
     def bulk_append_entries(self, triples) -> None:
-        """Ingest a whole SID-ordered ``(sid, kind, payload)`` run at once
-        (bulk interface shared with the tree PDT)."""
-        last = self._entries[-1][0] if self._entries else None
+        """Build this empty structure from a SID-ordered ``(sid, kind,
+        payload)`` run (bulk interface shared with the tree PDT)."""
+        if self._entries:
+            raise PDTError("bulk append onto a non-empty PDT")
+        last = None
         for sid, kind, payload in triples:
             if last is not None and sid < last:
                 raise PDTError(f"bulk append out of order: sid {sid} < {last}")

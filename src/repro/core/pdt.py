@@ -211,8 +211,25 @@ class PDT:
             leaf = leaf.next
         return sids, kinds, refs
 
-    def value_of(self, entry: Entry):
-        return self.values.value_of(entry.kind, entry.ref)
+    def entries(self, start_sid: int = 0, stop_sid: int | None = None):
+        """The SID-ordered ``(sid, kind, payload)`` run of entries with SID
+        in ``[start_sid, stop_sid)``: the one export of a PDT's contents.
+
+        Leaves are drained as in :meth:`entry_lists` and each ref resolved
+        against the value space (equation (7)): a row list (INS), an SK
+        tuple (DEL) or the modified value (MOD). Every INS row is a fresh
+        list, so no holder of the run aliases a row that a later modify
+        rewrites in place. :meth:`bulk_append_entries` on an empty PDT is
+        the inverse; WAL records, worker payloads, fold survivors,
+        rebalanced shards and :meth:`copy` all travel in this form.
+        """
+        value_of = self.values.value_of
+        run = []
+        for sid, kind, ref in zip(*self.entry_lists(start_sid, stop_sid)):
+            payload = value_of(kind, ref)
+            run.append((sid, kind,
+                        list(payload) if kind == KIND_INS else payload))
+        return run
 
     def delta_before_sid(self, sid: int) -> int:
         """Net delta of all entries with SID strictly below ``sid``."""
@@ -379,32 +396,22 @@ class PDT:
                 break  # the tuple's own DEL/MOD chain starts here
         return sid + delta
 
-    def append_entry(self, sid: int, kind: int, payload) -> None:
-        """Append an entry sorting after all existing ones (Serialize's
-        output path and ``copy()``)."""
-        leaf = self._rightmost_leaf()
-        if leaf.sids and leaf.sids[-1] > sid:
-            raise PDTError(
-                f"append out of order: sid {sid} < {leaf.sids[-1]}"
-            )
-        if kind == KIND_INS:
-            ref = self.values.add_insert(payload)
-        elif kind == KIND_DEL:
-            ref = self.values.add_delete(payload)
-        else:
-            ref = self.values.add_modify(kind, payload)
-        self._leaf_insert(leaf, len(leaf), sid, kind, ref)
-
     def bulk_append_entries(self, triples) -> None:
-        """Ingest a whole SID-ordered ``(sid, kind, payload)`` run at once.
+        """Build this empty PDT from a SID-ordered ``(sid, kind, payload)``
+        run (the inverse of :meth:`entries`).
 
-        The bulk twin of :meth:`append_entry` used by the batch update
-        path, ``propagate_batch`` and WAL replay. On an empty tree the
-        leaves and inner levels are built bottom-up in one pass — no
-        per-entry root descents, no incremental splits; on a non-empty
-        tree the run (which must still sort after every existing entry)
-        falls back to per-entry appends.
+        The only way a run turns back into a PDT: the batch update path's
+        empty-top run, ``propagate_batch``'s merged run, Serialize's
+        output, WAL replay staging, worker-side layer rebuilds, checkpoint
+        fold survivors, rebalanced shards and :meth:`copy`. Leaves and
+        inner levels are built bottom-up in one pass, with no per-entry
+        root descents and no incremental splits. A non-empty PDT raises
+        :class:`PDTError`.
         """
+        if self._count:
+            raise PDTError(
+                f"bulk append onto a non-empty PDT ({self._count} entries)"
+            )
         triples = list(triples)
         if not triples:
             return
@@ -414,10 +421,6 @@ class PDT:
                     f"bulk append out of order: sid {triples[i][0]} < "
                     f"{triples[i - 1][0]}"
                 )
-        if self._count:
-            for sid, kind, payload in triples:
-                self.append_entry(sid, kind, payload)
-            return
         refs = []
         for _, kind, payload in triples:
             if kind == KIND_INS:
@@ -461,10 +464,15 @@ class PDT:
     # housekeeping
 
     def copy(self) -> "PDT":
-        """Deep copy (snapshot of the Write-PDT at transaction start)."""
+        """Independent copy, rebuilt in bulk from :meth:`entries`.
+
+        Taken when a loaned PDT must stay as it is: copy-on-commit of a
+        master Write-PDT that a running transaction or a pin still reads
+        (``TransactionManager._finish``), and a pinned Read-PDT about to
+        absorb the Write-PDT (``propagate_write_to_read``).
+        """
         clone = PDT(self.schema, self.fanout)
-        for entry in self.iter_entries():
-            clone.append_entry(entry.sid, entry.kind, self.value_of(entry))
+        clone.bulk_append_entries(self.entries())
         return clone
 
     def clear(self) -> None:
@@ -566,12 +574,6 @@ class PDT:
         node = self._root
         while not node.is_leaf:
             node = node.children[0]
-        return node
-
-    def _rightmost_leaf(self) -> _Leaf:
-        node = self._root
-        while not node.is_leaf:
-            node = node.children[-1]
         return node
 
     # ------------------------------------------------------------------

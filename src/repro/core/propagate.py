@@ -97,13 +97,14 @@ def _merge_fold(read_pdt, write_pdt) -> list:
     schema = read_pdt.schema
     r_entries = list(read_pdt.iter_entries())
     n_read = len(r_entries)
+    value_of = read_pdt.values.value_of
     out: list[tuple] = []
     ri = 0
     delta_r = 0  # net delta of read entries consumed so far
 
     def emit_read(entry) -> None:
         nonlocal ri, delta_r
-        out.append((entry.sid, entry.kind, read_pdt.value_of(entry)))
+        out.append((entry.sid, entry.kind, value_of(entry.kind, entry.ref)))
         delta_r += delta_of(entry.kind)
         ri += 1
 
@@ -186,8 +187,8 @@ def _merge_fold(read_pdt, write_pdt) -> list:
                     and r_entries[ri].rid == pos
                     and r_entries[ri].kind >= 0
                 ):
-                    chain[r_entries[ri].kind] = read_pdt.value_of(
-                        r_entries[ri]
+                    chain[r_entries[ri].kind] = value_of(
+                        r_entries[ri].kind, r_entries[ri].ref
                     )
                     ri += 1
                 chain.update(pending_mods)

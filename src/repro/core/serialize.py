@@ -41,8 +41,8 @@ def serialize(tx, ty):
     Raises :class:`TransactionConflict` on write-write conflicts. ``tx``
     and ``ty`` must be aligned (same base snapshot); neither is mutated.
     """
-    out = tx.__class__(tx.schema)
     schema = tx.schema
+    run: list[tuple] = []  # T'x's (sid, kind, payload) run, in order
 
     x_groups = _groups(tx)
     y_groups = _groups(ty)
@@ -59,9 +59,11 @@ def serialize(tx, ty):
             yi += 1
         else:
             y_chain = []
-        delta += _emit_group(out, schema, tx, ty, x_sid, x_chain, y_chain,
+        delta += _emit_group(run, schema, tx, ty, x_sid, x_chain, y_chain,
                              delta)
         xi += 1
+    out = tx.__class__(schema)
+    out.bulk_append_entries(run)
     return out
 
 
@@ -80,9 +82,10 @@ def _split(chain):
     return ins, dels, mods
 
 
-def _emit_group(out, schema, tx, ty, sid, x_chain, y_chain, delta):
-    """Emit x's updates at ``sid`` re-based by ``delta`` plus same-SID
-    y-effects; returns the delta contribution of the consumed y-chain."""
+def _emit_group(run, schema, tx, ty, sid, x_chain, y_chain, delta):
+    """Append x's updates at ``sid`` to ``run``, re-based by ``delta`` plus
+    same-SID y-effects; returns the delta contribution of the consumed
+    y-chain."""
     x_ins, x_dels, x_mods = _split(x_chain)
     y_ins, y_dels, y_mods = _split(y_chain)
 
@@ -109,7 +112,7 @@ def _emit_group(out, schema, tx, ty, sid, x_chain, y_chain, delta):
     # --- emit x inserts, interleaved with y inserts by sort key ----------
     y_ins_sks = [schema.sk_of(ty.values.get_insert(e.ref)) for e in y_ins]
     for entry in x_ins:
-        row = list(tx.values.get_insert(entry.ref))
+        row = tx.values.get_insert(entry.ref)
         sk = schema.sk_of(row)
         before = 0
         for y_sk in y_ins_sks:
@@ -119,20 +122,16 @@ def _emit_group(out, schema, tx, ty, sid, x_chain, y_chain, delta):
                 )
             if y_sk < sk:
                 before += 1
-        out.append_entry(sid + delta + before, KIND_INS, row)
+        run.append((sid + delta + before, KIND_INS, row))
 
     # --- emit x delete / modifies of the stable tuple at this SID --------
     # y inserts at this SID precede the stable tuple, shifting it by one
     # position each; a y delete of it was already ruled a conflict above.
     shift = delta + len(y_ins)
     for entry in x_mods:
-        out.append_entry(
-            sid + shift, entry.kind,
-            tx.values.get_modify(entry.kind, entry.ref),
-        )
+        run.append((sid + shift, entry.kind,
+                    tx.values.get_modify(entry.kind, entry.ref)))
     for entry in x_dels:
-        out.append_entry(
-            sid + shift, KIND_DEL, tx.values.get_delete(entry.ref)
-        )
+        run.append((sid + shift, KIND_DEL, tx.values.get_delete(entry.ref)))
 
     return sum(delta_of(e.kind) for e in y_chain)

@@ -3,44 +3,34 @@
 A snapshot pin names one version of a physical table as (stable image
 LSN, Read-PDT, Write-PDT): the stable image is *already on disk* — the
 mmap backend published it under its ``image_lsn`` — so only the delta
-layers travel. They are exported with the same bulk entry-list format
-the WAL uses for commit records (``(sid, kind, payload)`` triples in
-(SID, RID) order) and rebuilt worker-side with ``bulk_append_entries``,
-the exact round-trip WAL replay already relies on. Payloads ride the job
-pipe (pickled — they are small, proportional to delta size, not table
-size), never the block ring.
+layers travel. Each layer travels as its ``PDT.entries()`` run (the
+``(sid, kind, payload)`` triples in (SID, RID) order that WAL records
+also carry) and is rebuilt worker-side with one ``bulk_append_entries``
+onto an empty PDT, the same build WAL replay stages through. Payloads
+ride the job pipe (pickled — they are small, proportional to delta size,
+not table size), never the block ring.
 """
 
 from __future__ import annotations
 
 from ..core.pdt import PDT
-from ..core.types import KIND_DEL
 
 
 def serialize_layers(layers) -> list[list]:
-    """Entry lists for each non-empty PDT layer, in merge order."""
-    from ..txn.wal import WriteAheadLog
-
+    """Entry runs of each non-empty PDT layer, in merge order."""
     return [
-        WriteAheadLog._serialize_pdt(layer)
+        layer.entries()
         for layer in layers
         if layer is not None and not layer.is_empty()
     ]
 
 
 def rebuild_layers(schema, serialized: list[list]) -> list[PDT]:
-    """Inverse of :func:`serialize_layers`: fresh PDTs over ``schema``.
-
-    Mirrors WAL replay's staging construction (delete payloads are
-    SK tuples; bulk append builds the tree bottom-up in one pass).
-    """
+    """Inverse of :func:`serialize_layers`: fresh PDTs over ``schema``."""
     layers = []
     for entries in serialized:
         pdt = PDT(schema)
-        pdt.bulk_append_entries(
-            (sid, kind, tuple(payload) if kind == KIND_DEL else payload)
-            for sid, kind, payload in entries
-        )
+        pdt.bulk_append_entries(entries)
         layers.append(pdt)
     return layers
 

@@ -71,9 +71,7 @@ def _split_read_pdt(read_pdt: PDT, mid: int, split_key: tuple,
     left, right = PDT(schema, fanout=read_pdt.fanout), \
         PDT(schema, fanout=read_pdt.fanout)
     left_entries, right_entries = [], []
-    sids, kinds, refs = read_pdt.entry_lists()
-    for sid, kind, ref in zip(sids, kinds, refs):
-        payload = read_pdt.values.value_of(kind, ref)
+    for sid, kind, payload in read_pdt.entries():
         if kind == KIND_INS and sid == mid:
             goes_left = tuple(schema.sk_of(payload)) < tuple(split_key)
         else:
@@ -93,14 +91,11 @@ def _merged_read_pdt(left_state, right_state, schema) -> PDT:
     key order)."""
     merged = PDT(schema)
     shift = left_state.stable.num_rows
-    entries = []
-    for state, delta in ((left_state, 0), (right_state, shift)):
-        pdt = state.read_pdt
-        sids, kinds, refs = pdt.entry_lists()
-        for sid, kind, ref in zip(sids, kinds, refs):
-            entries.append((sid + delta, kind,
-                            pdt.values.value_of(kind, ref)))
-    merged.bulk_append_entries(entries)
+    merged.bulk_append_entries(
+        left_state.read_pdt.entries()
+        + [(sid + shift, kind, payload)
+           for sid, kind, payload in right_state.read_pdt.entries()]
+    )
     return merged
 
 

@@ -97,9 +97,10 @@ def _fold(manager: TransactionManager, table: str,
     to_end = sid_hi >= n_rows
     sid_hi = min(sid_hi, n_rows)
 
-    sids, kinds, refs = read_pdt.entry_lists()
-    keep = [sid < sid_lo or (not to_end and sid >= sid_hi) for sid in sids]
-    folded = len(keep) - sum(keep)
+    # Entries outside the range survive the fold; those inside fold in.
+    below = read_pdt.entries(0, sid_lo)
+    above = [] if to_end else read_pdt.entries(sid_hi)
+    folded = read_pdt.count() - len(below) - len(above)
     if not folded:
         return 0
 
@@ -123,9 +124,7 @@ def _fold(manager: TransactionManager, table: str,
     # Rebase the surviving entries into a fresh Read-PDT.
     survivor = PDT(schema, fanout=read_pdt.fanout)
     survivor.bulk_append_entries(
-        (sid if sid < sid_lo else sid + shift, kind,
-         read_pdt.values.value_of(kind, ref))
-        for sid, kind, ref, kept in zip(sids, kinds, refs, keep) if kept
+        below + [(sid + shift, kind, payload) for sid, kind, payload in above]
     )
 
     pool = old.pool

@@ -8,12 +8,13 @@ database state, so replaying records in LSN order through Propagate
 reconstructs the master Write-PDT exactly (see :func:`replay_into`).
 
 Records are *batched*: one record per commit regardless of how many
-updates the transaction (or a ``apply_batch`` bulk commit) carried, with
-the entry lists exported in bulk (``entry_lists``) and replayed in bulk
-(``bulk_append_entries`` + ``propagate_batch``) — the WAL leg of the
-vectorized update path. A record is also the unit of recovery atomicity:
-replay applies whole records only, so a crash between records (exercised
-by ``replay_into(..., max_records=N)``) always recovers a transaction
+updates the transaction (or a ``apply_batch`` bulk commit) carried. A
+record's entry list is the PDT's own entry run (``PDT.entries()``), and
+replay builds it back with one ``bulk_append_entries`` before folding it
+in with ``propagate_batch`` — the WAL leg of the vectorized update path.
+A record is also the unit of recovery atomicity: replay applies whole
+records only, so a crash between records (exercised by
+``replay_into(..., max_records=N)``) always recovers a transaction
 all-or-nothing.
 
 A file-backed log is one JSON-lines file, and every record reaches it
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.types import KIND_DEL
 from .group_commit import GroupCommitCoordinator
 
 
@@ -114,17 +114,15 @@ class WriteAheadLog:
             self._rewrite_file()
 
     def append_commit(self, lsn: int, table_pdts: dict):
-        """Log a commit: ``table_pdts`` maps table name -> serialized PDT.
+        """Log a commit: ``table_pdts`` maps table name -> Trans-PDT, each
+        recorded as its :meth:`~repro.core.pdt.PDT.entries` run.
 
         On a file-backed log the record is *staged* and a
         :class:`~repro.txn.group_commit.GroupCommitTicket` is returned;
         pass it to :meth:`wait_durable` before acknowledging the commit.
         An in-memory log returns None.
         """
-        tables = {
-            name: self._serialize_pdt(pdt)
-            for name, pdt in table_pdts.items()
-        }
+        tables = {name: pdt.entries() for name, pdt in table_pdts.items()}
         return self._append_record(WalRecord(lsn=lsn, tables=tables),
                                    wait=False)
 
@@ -146,7 +144,7 @@ class WriteAheadLog:
         self._append_record(WalRecord(
             lsn=lsn,
             kind="snapshot",
-            tables={table: self._serialize_pdt(snapshot_pdt)},
+            tables={table: snapshot_pdt.entries()},
             meta={"table": table, "for_image_lsn": int(for_image_lsn)},
         ))
 
@@ -294,7 +292,7 @@ class WriteAheadLog:
                 WalRecord(
                     lsn=lsn,
                     kind="snapshot",
-                    tables={table: self._serialize_pdt(snapshot_pdt)},
+                    tables={table: snapshot_pdt.entries()},
                     meta={
                         "table": table,
                         "for_image_lsn": int(
@@ -304,22 +302,6 @@ class WriteAheadLog:
                 )
             )
         self._rewrite_file()
-
-    @staticmethod
-    def _serialize_pdt(pdt) -> list:
-        """JSON-safe ``(sid, kind, payload)`` entry list of one PDT,
-        exported with the bulk leaf-drain interface (no per-entry
-        ``Entry`` construction on the commit path)."""
-        value_of = pdt.values.value_of
-        entries = []
-        for sid, kind, ref in zip(*pdt.entry_lists()):
-            payload = value_of(kind, ref)
-            if kind < 0:
-                # INS row / DEL key: the record must not alias a row the
-                # PDT may still rewrite in place.
-                payload = list(payload)
-            entries.append((sid, kind, payload))
-        return entries
 
     def _rewrite_file(self) -> None:
         if self.path is None or self._defer_rewrites:
@@ -465,10 +447,7 @@ def replay_into(wal: WriteAheadLog, pdts: dict,
             raise KeyError(f"WAL references unknown table {name!r}")
         target = pdts[name]
         staging = target.__class__(target.schema)
-        staging.bulk_append_entries(
-            (sid, kind, tuple(payload) if kind == KIND_DEL else payload)
-            for sid, kind, payload in entries
-        )
+        staging.bulk_append_entries(entries)
         propagate_batch(target, staging)
 
     last_lsn = 0

@@ -18,10 +18,12 @@ cross stable-block and sparse-granule boundaries.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataType, FlatPDT, PDT, Schema, propagate, propagate_batch
+from repro.core.types import KIND_DEL, KIND_INS, PDTError, delta_of
 from repro.core.stack import image_rows
 from repro.core.propagate import _merge_fold
 from repro.db import BatchUpdater, DuplicateKey, KeyNotFound
@@ -352,35 +354,59 @@ class TestPropagateBatch:
         assert materialized_entries(scalar) == materialized_entries(auto)
 
 
+def grow_scalar(pdt, triples):
+    """Grow ``pdt`` from a SID-ordered run through the scalar primitives
+    (Algorithms 3-5), each entry at RID = SID + the delta before it."""
+    delta = 0
+    for sid, kind, payload in triples:
+        rid = sid + delta
+        if kind == KIND_INS:
+            pdt.add_insert(sid, rid, payload)
+        elif kind == KIND_DEL:
+            pdt.add_delete(rid, payload)
+        else:
+            pdt.add_modify(rid, kind, payload)
+        delta += delta_of(kind)
+
+
 class TestBulkAppendEntries:
     def test_tree_bulk_build_matches_scalar_appends(self):
+        """A bulk build equals the tree the scalar add_* primitives grow
+        from the same run, and the FlatPDT oracle's build of it."""
         schema = make_schema()
         triples = []
         for i in range(200):
             if i % 3 == 0:
-                triples.append((i, -1, [i, i, f"r{i}"]))
+                triples.append((i, KIND_INS, [i, i, f"r{i}"]))
             elif i % 3 == 1:
-                triples.append((i, -2, (i,)))
+                triples.append((i, KIND_DEL, (i,)))
             else:
                 triples.append((i, 1, i * 7))
         bulk, scalar = PDT(schema, fanout=8), PDT(schema, fanout=8)
         bulk.bulk_append_entries(triples)
-        for sid, kind, payload in triples:
-            scalar.append_entry(sid, kind, payload)
+        grow_scalar(scalar, triples)
+        flat = FlatPDT(schema)
+        flat.bulk_append_entries(triples)
         bulk.check_invariants()
-        assert materialized_entries(bulk) == materialized_entries(scalar)
+        scalar.check_invariants()
+        assert materialized_entries(bulk) == materialized_entries(scalar) \
+            == materialized_entries(flat)
 
     def test_bulk_append_onto_non_empty_tree(self):
+        """A run builds only an empty PDT: onto a non-empty one (tree or
+        flat) it is refused, and the target keeps its entries."""
         schema = make_schema()
-        pdt = PDT(schema)
-        pdt.append_entry(1, -2, (2,))
-        pdt.bulk_append_entries([(3, -2, (6,)), (5, 0, 9)])
-        pdt.check_invariants()
-        assert [e.sid for e in pdt.iter_entries()] == [1, 3, 5]
+        for cls in (PDT, FlatPDT):
+            pdt = cls(schema)
+            pdt.bulk_append_entries([(1, KIND_DEL, (2,))])
+            with pytest.raises(PDTError, match="non-empty"):
+                pdt.bulk_append_entries([(3, KIND_DEL, (6,)), (5, 0, 9)])
+            with pytest.raises(PDTError, match="non-empty"):
+                pdt.bulk_append_entries([])
+            pdt.check_invariants()
+            assert [e.sid for e in pdt.iter_entries()] == [1]
 
     def test_bulk_append_rejects_disorder(self):
-        from repro.core.types import PDTError
-
         schema = make_schema()
         pdt = PDT(schema)
         try:

@@ -77,17 +77,26 @@ class TestIterationSeek:
 class TestAppendEntry:
     def test_append_out_of_order_rejected(self):
         pdt = PDT(int_schema(), fanout=4)
-        pdt.append_entry(5, KIND_DEL, (50,))
-        with pytest.raises(PDTError):
-            pdt.append_entry(3, KIND_DEL, (30,))
+        with pytest.raises(PDTError, match="out of order"):
+            pdt.bulk_append_entries([(5, KIND_DEL, (50,)),
+                                     (3, KIND_DEL, (30,))])
+        assert pdt.is_empty()
+        pdt.check_invariants()
 
     def test_bulk_append_builds_valid_tree(self):
-        pdt = PDT(int_schema(), fanout=4)
-        for sid in range(200):
-            pdt.append_entry(sid, KIND_INS, [sid, 0, "x"])
+        """200 bulk-built inserts equal the tree Algorithm 3 grows from
+        them one at a time (insert number ``s`` lands at RID ``2s``)."""
+        run = [(sid, KIND_INS, [sid, 0, "x"]) for sid in range(200)]
+        pdt, scalar = PDT(int_schema(), fanout=4), PDT(int_schema(), fanout=4)
+        pdt.bulk_append_entries(run)
+        for sid, _, row in run:
+            scalar.add_insert(sid, 2 * sid, row)
         pdt.check_invariants()
         assert pdt.count() == 200
         assert pdt.total_delta() == 200
+        assert [(e.sid, e.rid, e.kind) for e in pdt.iter_entries()] == \
+            [(e.sid, e.rid, e.kind) for e in scalar.iter_entries()]
+        assert pdt.entries() == scalar.entries() == run
 
     def test_copy_of_deep_tree(self):
         pdt, _ = grown_tree(n_ops=300, fanout=4)

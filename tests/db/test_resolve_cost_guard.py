@@ -367,7 +367,7 @@ class TestMemoryUsageIsMaintained:
             [(sid, KIND_INS, [sid, 0, 0.0]) for sid in range(0, 200, 2)])
         assert bulk.depth() >= 3
         assert bulk.memory_usage() == walked_memory_usage(bulk)
-        bulk.bulk_append_entries([(500, KIND_DEL, (500,))])  # append path
+        bulk.add_delete(500 + bulk.total_delta(), (500,))  # at SID 500
         assert bulk.memory_usage() == walked_memory_usage(bulk)
         bulk.check_invariants()
 

@@ -1,0 +1,93 @@
+"""Layering guard: two couplings that must not grow back.
+
+* A PDT's payloads live in its value space (paper eq. 7), and only
+  ``repro.core`` reads it. Everything above the core takes a PDT's
+  contents through ``PDT.entries()``, so no module under ``txn``,
+  ``shard``, ``exec``, ``db`` or ``service`` calls
+  ``<pdt>.values.value_of`` or ``<pdt>.values.get_*``.
+* ``repro.exec`` (worker processes and their payloads) imports nothing
+  from ``repro.txn``.
+
+The check parses the source (no imports), so it stays well under a
+second.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ABOVE_CORE = ("txn", "shard", "exec", "db", "service")
+
+
+def modules(package):
+    return sorted((SRC / package).rglob("*.py"))
+
+
+def value_space_reads(tree):
+    """``(line, text)`` of every ``X.values.value_of`` / ``X.values.get_*``."""
+    hits = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and (node.attr == "value_of" or node.attr.startswith("get_"))
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "values"
+        ):
+            hits.append((node.lineno, ast.unparse(node)))
+    return hits
+
+
+def txn_imports(tree):
+    """``(line, module)`` of every import of ``repro.txn`` from inside
+    ``repro.exec`` (relative ``..txn`` or absolute)."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 2:
+                target = module
+            elif node.level == 0 and module.startswith("repro."):
+                target = module[len("repro."):]
+            else:
+                target = ""
+            if target == "txn" or target.startswith("txn."):
+                hits.append((node.lineno, module))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro.txn" or \
+                        alias.name.startswith("repro.txn."):
+                    hits.append((node.lineno, alias.name))
+    return hits
+
+
+def test_no_value_space_reads_above_core():
+    found = []
+    for package in ABOVE_CORE:
+        for path in modules(package):
+            tree = ast.parse(path.read_text(), str(path))
+            found += [f"{path.relative_to(SRC)}:{line}: {text}"
+                      for line, text in value_space_reads(tree)]
+    assert not found, "read the PDT through entries():\n" + "\n".join(found)
+
+
+def test_exec_does_not_import_txn():
+    found = []
+    for path in modules("exec"):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.relative_to(SRC)}:{line}: {module}"
+                  for line, module in txn_imports(tree)]
+    assert not found, "repro.exec imports repro.txn:\n" + "\n".join(found)
+
+
+def test_guard_sees_both_couplings():
+    """The detectors fire on the shapes they guard against."""
+    reads = ast.parse("value_of = pdt.values.value_of\n"
+                      "row = state.read_pdt.values.get_insert(ref)\n"
+                      "vals = table.values()\n")
+    assert [line for line, _ in value_space_reads(reads)] == [1, 2]
+    imports = ast.parse("from ..txn.wal import WriteAheadLog\n"
+                        "from repro.txn import manager\n"
+                        "import repro.txn.wal\n"
+                        "from ..core.pdt import PDT\n"
+                        "from .transport import Ring\n")
+    assert [line for line, _ in txn_imports(imports)] == [1, 2, 3]
