@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DataType, FlatPDT, PDT, Schema, propagate, propagate_batch
-from repro.core.types import KIND_DEL, KIND_INS, PDTError, delta_of
 from repro.core.stack import image_rows
 from repro.core.propagate import _merge_fold
+from repro.core.types import KIND_DEL, KIND_INS, PDTError, delta_of
 from repro.db import BatchUpdater, DuplicateKey, KeyNotFound
 from repro.storage.sparse_index import SparseIndex
 from repro.storage.table import StableTable
