@@ -220,8 +220,9 @@ class PDT:
         tuple (DEL) or the modified value (MOD). Every INS row is a fresh
         list, so no holder of the run aliases a row that a later modify
         rewrites in place. :meth:`bulk_append_entries` on an empty PDT is
-        the inverse; WAL records, worker payloads, fold survivors,
-        rebalanced shards and :meth:`copy` all travel in this form.
+        the inverse; WAL records, worker payloads, fold survivors and
+        rebalanced shards all travel in this form (:meth:`copy`, which
+        stays inside one process, skips the fresh lists).
         """
         value_of = self.values.value_of
         run = []
@@ -464,15 +465,23 @@ class PDT:
     # housekeeping
 
     def copy(self) -> "PDT":
-        """Independent copy, rebuilt in bulk from :meth:`entries`.
+        """Independent copy, rebuilt in bulk from :meth:`entry_lists` and
+        the value space. The clone's value space copies each inserted row
+        once (:meth:`ValueSpace.add_insert`), so neither PDT aliases a row
+        the other's modifies rewrite in place.
 
         Taken when a loaned PDT must stay as it is: copy-on-commit of a
-        master Write-PDT that a running transaction or a pin still reads
-        (``TransactionManager._finish``), and a pinned Read-PDT about to
-        absorb the Write-PDT (``propagate_write_to_read``).
+        master Write-PDT that a live pin (a running transaction's, too)
+        still reads (``TransactionManager._finish``), and a pinned
+        Read-PDT about to absorb the Write-PDT
+        (``propagate_write_to_read``).
         """
+        value_of = self.values.value_of
         clone = PDT(self.schema, self.fanout)
-        clone.bulk_append_entries(self.entries())
+        clone.bulk_append_entries([
+            (sid, kind, value_of(kind, ref))
+            for sid, kind, ref in zip(*self.entry_lists())
+        ])
         return clone
 
     def clear(self) -> None:

@@ -9,11 +9,13 @@ transactions, exactly as in the paper's Figure 15 walkthrough.
 
 No locks are taken anywhere on the read path: queries run against shared
 Read-PDTs and Write-PDT snapshots *loaned by reference* — "copying is not
-always required" (section 3.3). A snapshot loan stays valid because the
-commit path never mutates a Write-PDT somebody else is reading: when the
-master Write-PDT is shared with a running transaction or a live pin,
-Propagate runs into a fresh copy that then replaces the master
-(copy-on-commit), and the loaned object is left exactly as it was.
+always required" (section 3.3). Every committed version a reader holds is
+held by one mechanism, a :class:`~repro.txn.pins.SnapshotPin`: ``begin``
+takes one for the transaction (released when it finishes), and reads
+outside transactions take one per scan. A loan stays valid because the
+commit path never mutates a Write-PDT a live pin holds: Propagate then
+runs into a fresh copy that replaces the master (copy-on-commit), and the
+loaned object is left exactly as it was.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class ManagerStats:
     conflicts: int = 0
     propagations: int = 0
     snapshot_copies: int = 0   # copy-on-commit: master replaced while loaned
-    snapshot_reuses: int = 0   # snapshots handed out by reference (loans)
+    snapshot_reuses: int = 0   # Write-PDT loans taken by pins (no copy)
 
     def as_dict(self) -> dict:
         """JSON-able view; the surface ``Database.metrics()`` reads.
@@ -99,7 +101,6 @@ class TransactionManager:
         self._commit_listeners: list = []
         self._next_pin_id = 1
         self._pins: dict[int, SnapshotPin] = {}
-        self._pin_counts: dict[str, int] = {}  # physical table -> live pins
         # Pins are released from whatever thread finishes a cursor, while
         # new pins and is_pinned checks run on writer/maintenance threads.
         self._pin_lock = threading.Lock()
@@ -184,32 +185,6 @@ class TransactionManager:
         self.state_of(table)
         return [(table, ops)]
 
-    # -- snapshots ---------------------------------------------------------------
-
-    def write_snapshot(self, table: str, start_lsn: int):
-        """Write-PDT snapshot as of ``start_lsn`` (None when it was empty).
-
-        The snapshot is the master Write-PDT itself, *loaned by
-        reference* — "copying is not always required" (section 3.3). The
-        loan is safe because Propagate never mutates a shared master: a
-        commit that finds its Write-PDT loaned out propagates into a
-        fresh copy and swings the master to it (see :meth:`_finish`), so
-        every loan keeps describing the commit point it was taken at.
-        Transactions and pins taken under the same commit LSN therefore
-        share one object, and the commit fast path (nothing loaned)
-        copies nothing at all.
-        """
-        state = self.state_of(table)
-        if state.last_commit_lsn > start_lsn:
-            raise TransactionError(
-                f"snapshot of {table!r} requested after a newer commit; "
-                f"snapshots must be pinned at transaction start"
-            )
-        if state.write_pdt.is_empty():
-            return None
-        self.stats.snapshot_reuses += 1
-        return state.write_pdt
-
     # -- snapshot pins -----------------------------------------------------------
 
     def pin_snapshot(self) -> SnapshotPin:
@@ -217,31 +192,33 @@ class TransactionManager:
         :mod:`repro.txn.pins`).
 
         Requires no quiescence: the pin captures committed state only
-        (running transactions' Trans-PDTs are invisible to it). Write-PDT
-        snapshots are reference loans — the same ones transaction starts
-        take — so pins and transactions under one commit LSN share one
-        object and pinning copies nothing. While the pin is live,
-        maintenance on its tables is deferred or runs copy-on-write and
-        commits touching them propagate copy-on-commit; release pins
-        promptly (the scheduler reports the oldest one that blocked it
-        as ``oldest_pin_age_s``).
+        (running transactions' Trans-PDTs are invisible to it). The
+        Write-PDT snapshot is the master itself, *loaned by reference*,
+        or None when it is empty — "copying is not always required"
+        (section 3.3) — so pins under one commit LSN share one object
+        and pinning copies nothing. While the pin is live, maintenance on
+        its tables is deferred or runs copy-on-write and commits touching
+        them propagate copy-on-commit (see :meth:`_finish_inner`); release
+        pins promptly (the scheduler reports the oldest one that blocked
+        it as ``oldest_pin_age_s``). Every transaction holds one.
         """
-        tables = {
-            name: PinnedTable(
-                name=name,
-                stable=state.stable,
-                read_pdt=state.read_pdt,
-                write_pdt=self.write_snapshot(name, self._lsn),
-                sparse_index=state.sparse_index,
-                lsn=state.last_commit_lsn,
+        tables = {}
+        loans = 0
+        for name, state in self._tables.items():
+            write_pdt = state.write_pdt
+            if write_pdt.is_empty():
+                write_pdt = None
+            else:
+                loans += 1
+            tables[name] = PinnedTable(
+                name, state.stable, state.read_pdt, write_pdt,
+                state.sparse_index, state.last_commit_lsn,
             )
-            for name, state in self._tables.items()
-        }
+        self.stats.snapshot_reuses += loans
         layouts = {
-            logical: PinnedLayout(
-                boundaries=tuple(tuple(b) for b in sharded.router.boundaries),
-                shard_names=tuple(sharded.shard_names),
-            )
+            # The router keeps its boundaries as tuples.
+            logical: PinnedLayout(tuple(sharded.router.boundaries),
+                                  tuple(sharded.shard_names))
             for logical, sharded in self.sharded_tables.items()
         }
         with self._pin_lock:
@@ -252,8 +229,6 @@ class TransactionManager:
             )
             self._next_pin_id += 1
             self._pins[pin.pin_id] = pin
-            for name in tables:
-                self._pin_counts[name] = self._pin_counts.get(name, 0) + 1
         return pin
 
     def release_pin(self, pin: SnapshotPin) -> None:
@@ -262,25 +237,18 @@ class TransactionManager:
         :meth:`SnapshotPin.release`, which makes it idempotent; safe from
         any thread — cursors release pins from their consumers.)"""
         with self._pin_lock:
-            if self._pins.pop(pin.pin_id, None) is None:
-                return
-            for name in pin.tables:
-                left = self._pin_counts.get(name, 0) - 1
-                if left > 0:
-                    self._pin_counts[name] = left
-                else:
-                    self._pin_counts.pop(name, None)
+            self._pins.pop(pin.pin_id, None)
 
     def is_pinned(self, table: str) -> bool:
         """True while any live pin captured ``table``'s current version."""
         with self._pin_lock:
-            return table in self._pin_counts
+            return any(table in pin.tables for pin in self._pins.values())
 
     def pin_count(self, table: str | None = None) -> int:
         with self._pin_lock:
             if table is None:
                 return len(self._pins)
-            return self._pin_counts.get(table, 0)
+            return sum(table in pin.tables for pin in self._pins.values())
 
     def oldest_pin_age(self, table: str | None = None) -> float:
         """Seconds since the oldest live pin (covering ``table``, or any
@@ -298,21 +266,12 @@ class TransactionManager:
     # -- transaction lifecycle ------------------------------------------------------
 
     def begin(self) -> Transaction:
-        txn = Transaction(self, self._next_txn_id, start_lsn=self._lsn)
+        """Start a transaction reading through one snapshot pin: later
+        commits never leak into its view (they swing a loaned master to
+        a copy instead of mutating it)."""
+        txn = Transaction(self, self._next_txn_id, self.pin_snapshot())
         self._next_txn_id += 1
         self._running[txn.txn_id] = txn
-        # Loan non-empty write-PDT snapshots now: later commits must not
-        # leak into this transaction's view (they swing the master to a
-        # copy instead of mutating a loaned object).
-        for name, state in self._tables.items():
-            if not state.write_pdt.is_empty():
-                txn._snapshots[name] = self.write_snapshot(
-                    name, txn.start_lsn
-                )
-            # Empty write-PDTs are pinned lazily as None-or-copy; record
-            # emptiness eagerly for correctness:
-            else:
-                txn._snapshots[name] = None
         return txn
 
     def commit(self, txn: Transaction) -> None:
@@ -376,7 +335,11 @@ class TransactionManager:
             if record.refcnt == 0:
                 self._tz.remove(record)
         ser_s = (time.perf_counter() - t_ser) if timings is not None else 0.0
+        # Off the running list and its pin released together, before the
+        # copy-on-commit check: the committer's own loan must not force
+        # a copy of the master it is about to propagate into.
         del self._running[txn.txn_id]
+        txn.pin.release()
 
         if not ok or conflict is not None:
             txn.status = TxnStatus.ABORTED
@@ -393,9 +356,10 @@ class TransactionManager:
             for name, pdt in trans_pdts.items():
                 state = self.state_of(name)
                 if self._write_pdt_shared(name, state):
-                    # The master is loaned out (a running transaction or
-                    # live pin reads it): propagate into a copy and swing
-                    # the master, leaving every loan untouched.
+                    # The master is loaned out (a live pin — maybe a
+                    # running transaction's — reads it): propagate into a
+                    # copy and swing the master, leaving every loan
+                    # untouched.
                     fresh = state.write_pdt.copy()
                     propagate_batch(fresh, pdt)
                     state.write_pdt = fresh
@@ -442,16 +406,13 @@ class TransactionManager:
                            wal_append=wal_s, durability_wait=wait_s)
 
     def _write_pdt_shared(self, name: str, state: TableState) -> bool:
-        """Is the master Write-PDT loaned to anyone who must not see the
-        commit being propagated? (The committer itself is already off the
-        running list when this is asked.) Empty masters are never loaned:
-        ``write_snapshot`` returns None for them."""
+        """Is the master Write-PDT loaned to a live pin that must not see
+        the commit being propagated? (The committer's own pin is already
+        released when this is asked.) Empty masters are never loaned:
+        ``pin_snapshot`` captures None for them."""
         current = state.write_pdt
         if current.is_empty():
             return False
-        for txn in self._running.values():
-            if txn._snapshots.get(name) is current:
-                return True
         with self._pin_lock:
             for pin in self._pins.values():
                 pinned = pin.tables.get(name)
@@ -500,9 +461,10 @@ class TransactionManager:
     def propagate_write_to_read(self, table: str) -> None:
         """Migrate the master Write-PDT into the Read-PDT (section 3.3).
 
-        Requires a quiescent point: running transactions hold Write-PDT
-        snapshot loans whose contents would be double-applied if the
-        shared Read-PDT absorbed them mid-flight.
+        Requires a quiescent point, the paper's rule for Write-PDT
+        snapshots that the shared Read-PDT would otherwise double-apply.
+        A running transaction reads through its own pin, and a pinned
+        Read-PDT is copied before it absorbs anything (below).
         """
         if self._running:
             raise TransactionError(

@@ -6,14 +6,14 @@ shards can be captured on either side of a commit, so a concurrent writer
 can tear a logical table's image across shards. A :class:`SnapshotPin`
 fixes the whole database at one commit point instead: for every physical
 table it captures the stable image, the Read-PDT (by reference), a
-Write-PDT snapshot *loan* (the master by reference, through the same
-loan machinery transaction starts use — commits propagate copy-on-commit
-while it is loaned, so the object never changes under the pin), the stale
-sparse index, and the table's last-commit LSN — together a per-table/per-shard
-LSN vector naming exactly one version of the database. For sharded
-logical tables the shard layout (boundaries + shard names) is captured
-too, so a pinned reader keeps routing against the layout it pinned even
-while the rebalancer restructures the live table.
+Write-PDT snapshot *loan* (the master by reference — commits propagate
+copy-on-commit while it is loaned, so the object never changes under the
+pin), the stale sparse index, and the table's last-commit LSN — together
+a per-table/per-shard LSN vector naming exactly one version of the
+database. For sharded logical tables the shard layout (boundaries +
+shard names) is captured too, so a pinned reader keeps routing against
+the layout it pinned even while the rebalancer restructures the live
+table.
 
 Pinned state stays valid because every mutation of committed layers is
 *by replacement* (a commit on a pinned table propagates into a copy and
@@ -32,24 +32,29 @@ objects) or made pin-aware:
   images coexist in the block store).
 
 Pins are cheap (reference captures only — no copies at pin time),
-require no quiescence, and are the unit of consistency the async query
-service hands every streaming cursor.
+require no quiescence, and are the one way to hold a committed version:
+the async query service hands one to every streaming cursor, every
+latest-state read takes one for its scan, and every transaction reads
+through the pin ``TransactionManager.begin`` takes (paper section 3.3's
+Write-PDT snapshot is that pin's loan). A running transaction therefore
+counts as a pin everywhere pins are counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class PinnedTable:
+class PinnedTable(NamedTuple):
     """One physical table's captured version: the scan inputs at pin time.
 
     ``write_pdt`` is ``None`` when the Write-PDT was empty at the pin
     point (the common case between maintenance cycles); ``layers`` yields
     the non-empty PDT stack in merge order. Every stable image is
     published before it is registered, so ``stable`` itself names the
-    persisted image the layers are relative to.
+    persisted image the layers are relative to. A plain immutable record:
+    every transaction start builds one per physical table.
     """
 
     name: str
@@ -66,8 +71,7 @@ class PinnedTable:
         return (self.read_pdt, self.write_pdt)
 
 
-@dataclass(frozen=True)
-class PinnedLayout:
+class PinnedLayout(NamedTuple):
     """A sharded logical table's layout at pin time."""
 
     boundaries: tuple
@@ -79,11 +83,12 @@ class SnapshotPin:
     """A released-once handle on one database-wide commit point.
 
     Obtained from :meth:`TransactionManager.pin_snapshot` (usually via
-    ``Database.pin_snapshot()`` or ``QueryService.pin()``). Usable as a
-    context manager; releasing is idempotent. While any pin covering a
-    table is live, maintenance on that table is deferred or runs
-    copy-on-write, so the captured objects keep describing the pinned
-    version.
+    ``Database.pin_snapshot()`` or ``QueryService.pin()``; every
+    transaction holds one as ``Transaction.pin`` until it finishes).
+    Usable as a context manager; releasing is idempotent. While any pin
+    covering a table is live, maintenance on that table is deferred or
+    runs copy-on-write, so the captured objects keep describing the
+    pinned version.
     """
 
     manager: object

@@ -4,13 +4,17 @@ A transaction sees (equation (9))::
 
     TABLE = stable .Merge(Read-PDT) .Merge(Write-PDT snapshot) .Merge(Trans-PDT)
 
-The Read-PDT is shared by reference (only Propagate mutates it, and only
-when no snapshots are live); the Write-PDT snapshot is a reference *loan*
-of the master taken at transaction start (transactions that started under
-the same commit LSN share the same object; commits never mutate a loaned
-master in place — they propagate into a copy and replace it); the
-Trans-PDT is private and collects this transaction's own updates, so
-later queries in the transaction see its earlier effects.
+A running transaction is a snapshot pin (:mod:`repro.txn.pins`) plus
+private layers. ``TransactionManager.begin`` takes one pin and every
+table's stable image, Read-PDT, Write-PDT snapshot and sparse index are
+read through it, never from the live manager state. The Write-PDT
+snapshot is the pin's reference *loan* of the master (pins under the
+same commit LSN share the same object; commits never mutate a loaned
+master in place — they propagate into a copy and replace it). The
+Trans-PDT stacks on top of the pinned layers, is private and collects
+this transaction's own updates, so later queries in the transaction see
+its earlier effects. A table registered after ``begin`` lies outside
+the pin: touching it raises the pin's ``KeyError``.
 
 An optional fourth *Query-PDT* layer (paper footnote 5) buffers the updates
 of a single statement so the statement does not see its own changes
@@ -42,50 +46,37 @@ class TransactionError(RuntimeError):
 class Transaction:
     """One snapshot-isolated transaction; created by the manager."""
 
-    def __init__(self, manager, txn_id: int, start_lsn: int):
+    def __init__(self, manager, txn_id: int, pin):
         self._manager = manager
         self.txn_id = txn_id
-        self.start_lsn = start_lsn
+        self.pin = pin  # the committed version this transaction reads
+        self.start_lsn = pin.lsn
         self.status = TxnStatus.ACTIVE
-        self._snapshots: dict = {}  # table -> write-PDT snapshot (or None)
         self._trans: dict[str, PDT] = {}  # table -> Trans-PDT
         self._query: dict[str, PDT] | None = None  # Query-PDT layer
 
     # -- layer plumbing ------------------------------------------------------
 
     def _read_layers(self, table: str) -> list:
-        state = self._manager.state_of(table)
-        layers = [state.read_pdt]
-        snapshot = self._snapshot(table)
-        if snapshot is not None:
-            layers.append(snapshot)
+        layers = list(self.pin.table(table).layers)
         if table in self._trans:
             layers.append(self._trans[table])
         return layers
 
     def _update_layers(self, table: str) -> list:
         layers = self._read_layers(table)
+        schema = layers[0].schema  # the pinned Read-PDT's
         if table not in self._trans:
-            self._trans[table] = PDT(self._manager.state_of(table).schema)
+            self._trans[table] = PDT(schema)
             layers.append(self._trans[table])
         if self._query is not None:
-            pdt = self._query.setdefault(
-                table, PDT(self._manager.state_of(table).schema)
-            )
-            layers.append(pdt)
+            layers.append(self._query.setdefault(table, PDT(schema)))
         return layers
 
-    def _snapshot(self, table: str):
-        if table not in self._snapshots:
-            self._snapshots[table] = self._manager.write_snapshot(
-                table, self.start_lsn
-            )
-        return self._snapshots[table]
-
     def _updater(self, table: str) -> PositionalUpdater:
-        state = self._manager.state_of(table)
+        pinned = self.pin.table(table)
         return PositionalUpdater(
-            state.stable, self._update_layers(table), state.sparse_index
+            pinned.stable, self._update_layers(table), pinned.sparse_index
         )
 
     def _require_active(self) -> None:
@@ -101,17 +92,16 @@ class Transaction:
         the physical tables behind ``table`` in key order, each through
         this transaction's own layer stack."""
         self._require_active()
-        names = self._manager.physical_names(table)
+        pinned = [self.pin.table(name)
+                  for name in self._manager.physical_names(table)]
         if columns is None:
-            columns = self._manager.state_of(names[0]).schema.column_names
+            columns = pinned[0].stable.schema.column_names
         columns = list(columns)
 
         def batches():
-            for name in names:
+            for pt in pinned:
                 yield from merge_scan_layers(
-                    self._manager.state_of(name).stable,
-                    self._read_layers(name),
-                    columns=columns,
+                    pt.stable, self._read_layers(pt.name), columns=columns,
                 )
         return Relation.from_batches(columns, batches())
 
@@ -120,8 +110,8 @@ class Transaction:
         self._require_active()
         rows: list[tuple] = []
         for name in self._manager.physical_names(table):
-            state = self._manager.state_of(name)
-            rows.extend(image_rows(state.stable, self._read_layers(name)))
+            rows.extend(image_rows(self.pin.table(name).stable,
+                                   self._read_layers(name)))
         return rows
 
     # -- writes ---------------------------------------------------------------
@@ -129,7 +119,7 @@ class Transaction:
     def insert(self, table: str, row) -> int:
         self._require_active()
         first = self._manager.physical_names(table)[0]
-        schema = self._manager.state_of(first).schema
+        schema = self.pin.table(first).stable.schema
         row = schema.coerce_row(row)
         physical = self._manager.route(table, schema.sk_of(row))
         return self._updater(physical).insert(row)
@@ -152,10 +142,10 @@ class Transaction:
         self._require_active()
         staged = []
         for physical, part in self._manager.split_ops(table, ops):
-            state = self._manager.state_of(physical)
+            pinned = self.pin.table(physical)
             updater = BatchUpdater(
-                state.stable, self._update_layers(physical),
-                state.sparse_index,
+                pinned.stable, self._update_layers(physical),
+                pinned.sparse_index,
             )
             staged.append((updater, updater.prepare(part)))
         return sum(u.commit_staged(s) for u, s in staged)
@@ -176,9 +166,7 @@ class Transaction:
             raise TransactionError("no query scope open")
         for table, qpdt in self._query.items():
             if table not in self._trans:
-                self._trans[table] = PDT(
-                    self._manager.state_of(table).schema
-                )
+                self._trans[table] = PDT(qpdt.schema)
             propagate_batch(self._trans[table], qpdt)
         self._query = None
 

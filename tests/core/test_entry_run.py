@@ -1,14 +1,15 @@
 """A PDT's entry run: ``PDT.entries()`` out, one bulk build back in.
 
 Every export of a PDT's contents (WAL records, worker payloads, fold
-survivors, rebalanced shards, ``copy()``) is its ``(sid, kind, payload)``
-run, and every import is ``bulk_append_entries`` onto an empty PDT. These
-properties pin that round trip on random 1-3 layer histories
-(``tests/oracles/histories.py``: ghosts at granule closers, delete-
-reinserts, modifies of stable and inserted rows) and on two-column modify
-chains, plus the one aliasing hazard the run format must close: Algorithm
-4 rewrites an inserted row in place, so no holder of an exported run may
-share that row.
+survivors, rebalanced shards) is its ``(sid, kind, payload)`` run, and
+every import — ``copy()``'s too — is ``bulk_append_entries`` onto an
+empty PDT. These properties pin that round trip on random 1-3 layer
+histories (``tests/oracles/histories.py``: ghosts at granule closers,
+delete-reinserts, modifies of either non-key column of stable and
+inserted rows, so two-entry modify chains) and on string rows, plus the
+one aliasing hazard the run format must close: Algorithm 4 rewrites an
+inserted row in place, so no holder of an exported run, and no copy,
+may share that row.
 """
 
 import copy
@@ -79,8 +80,9 @@ class TestRoundTrip:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 100_000), n_ops=st.integers(0, 120))
     def test_two_column_modify_chains(self, seed, n_ops):
-        """The histories modify one column; here modifies of ``a`` and
-        ``b`` chain on stable tuples, and string rows rewrite in place."""
+        """Integer rows as in the histories, string rows here: modifies
+        of ``a`` and ``b`` chain on stable tuples, and string rows
+        rewrite in place."""
         pdt = PDT(int_schema(), fanout=4)
         driver = TableDriver(int_schema(),
                              [(k * 10, k, f"s{k}") for k in range(30)], [pdt])
@@ -139,7 +141,7 @@ class TestNoAliasing:
         rids = inserted_rids(pdt)
         if not rids:
             return
-        col = len(pdt.schema) - 1  # the non-key column
+        col = len(pdt.schema) - 1  # the last non-key column
         wal = WriteAheadLog()  # in memory: the record holds the run itself
         wal.append_snapshot("t", pdt, lsn=1, for_image_lsn=0)
         logged = copy.deepcopy(wal.records[-1].tables["t"])

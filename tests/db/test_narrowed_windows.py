@@ -39,7 +39,8 @@ from repro.db import KeyNotFound, resolve_batch_positions
 from repro.engine import expr as ex
 
 from ..oracles import scalar_resolve
-from ..oracles.histories import key_of, make_schema, random_ops
+from ..oracles.histories import key_of, make_schema, random_ops, \
+    random_row, replay, stable_row
 
 BLOCK_ROWS = 16
 N_ROWS = 4 * BLOCK_ROWS                 # stable key numbers 0, 2, ..., 126
@@ -49,9 +50,10 @@ NUMBERS = range(-3, KEY_SPACE + 3)      # beyond either end of the keys
 COUNT = ex.AggSpec((), {"n": ("*", "count")})
 
 
-def history(rng, n_key_cols, wipe_first):
+def history(rng, schema, wipe_first):
     """A Read-PDT batch and a Write-PDT batch (see the module docstring)
     over the stable key numbers."""
+    n_key_cols = len(schema.sort_key)
     live = set(range(0, KEY_SPACE, 2))
     lower = []
     if wipe_first:
@@ -62,30 +64,18 @@ def history(rng, n_key_cols, wipe_first):
         if c in live and rng.random() < 0.7:
             lower.append(("del", key_of(c, n_key_cols)))
             live.discard(c)
-    lower += random_ops(rng, live, CLOSERS, KEY_SPACE, 10, n_key_cols)
+    lower += random_ops(rng, schema, live, CLOSERS, KEY_SPACE, 10)
     upper = []
     for c in CLOSERS:
         for k in (c - 1, c, c + 1):
             if k not in live and rng.random() < 0.6:
-                upper.append(("ins", key_of(k, n_key_cols)
-                              + (rng.randrange(1000),)))
+                upper.append(("ins", random_row(rng, schema, k)))
                 live.add(k)
             elif k in live and rng.random() < 0.3:
                 upper.append(("del", key_of(k, n_key_cols)))
                 live.discard(k)
-    upper += random_ops(rng, live, CLOSERS, KEY_SPACE, 10, n_key_cols)
+    upper += random_ops(rng, schema, live, CLOSERS, KEY_SPACE, 10)
     return lower, upper
-
-
-def replay(model: dict, ops, n_key_cols) -> dict:
-    for op in ops:
-        if op[0] == "ins":
-            model[tuple(op[1][:n_key_cols])] = tuple(op[1])
-        elif op[0] == "del":
-            del model[tuple(op[1])]
-        else:
-            model[tuple(op[1])] = tuple(op[1]) + (op[3],)
-    return model
 
 
 def in_bounds(key, low, high) -> bool:
@@ -115,17 +105,18 @@ def test_narrowed_reads_and_resolves_equal_the_oracles(seed, n_key_cols,
                                                        wipe_first):
     rng = random.Random(seed)
     n = n_key_cols
-    rows = [key_of(k, n) + (k,) for k in range(0, KEY_SPACE, 2)]
+    schema = make_schema(n)
+    rows = [stable_row(k, n) for k in range(0, KEY_SPACE, 2)]
     db = Database(compressed=False, block_rows=BLOCK_ROWS)
     try:
-        db.create_table("t", make_schema(n), rows)
-        lower, upper = history(rng, n, wipe_first)
+        db.create_table("t", schema, rows)
+        lower, upper = history(rng, schema, wipe_first)
         db.apply_batch("t", lower)
         db.manager.propagate_write_to_read("t")
         db.apply_batch("t", upper)
         model = {r[:n]: r for r in rows}
-        model = dict(sorted(replay(replay(model, lower, n), upper,
-                                   n).items()))
+        model = dict(sorted(replay(replay(model, lower, schema), upper,
+                                   schema).items()))
         state = db.manager.state_of("t")
         stable, index = state.stable, state.sparse_index
         layers = [state.read_pdt, state.write_pdt]

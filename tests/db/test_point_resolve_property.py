@@ -119,7 +119,7 @@ class TestDirectedShapes:
         layers = [PDT(schema)]
         keys = [key_of(k, n_key_cols) for k in (0, 5, 9)]
         assert_agrees(stable, layers, index, keys)
-        ScalarUpdater(stable, layers, index).insert(keys[1] + (1,))
+        ScalarUpdater(stable, layers, index).insert(keys[1] + (1, 1))
         assert_agrees(stable, layers, index, keys)
         assert_agrees(stable, layers, None, keys)
 
@@ -138,8 +138,8 @@ class TestDirectedShapes:
         ScalarUpdater(stable, [lower], index).delete_by_key(
             key_of(14, n_key_cols))
         top = ScalarUpdater(stable, [lower, higher], index)
-        top.insert(key_of(13, n_key_cols) + (0,))
-        top.insert(key_of(14, n_key_cols) + (0,))
+        top.insert(key_of(13, n_key_cols) + (0, 0))
+        top.insert(key_of(14, n_key_cols) + (0, 0))
         keys = [key_of(k, n_key_cols) for k in range(10, 20)]
         layers = [lower, higher]
         assert_agrees(stable, layers, index if use_index else None, keys)
@@ -158,7 +158,7 @@ class TestDirectedShapes:
         updater = ScalarUpdater(stable, [lower], index)
         for k in range(16, 32, 2):
             updater.delete_by_key((k,))
-        ScalarUpdater(stable, [lower, higher], index).insert((21, 0))
+        ScalarUpdater(stable, [lower, higher], index).insert((21, 0, 0))
         keys = [(k,) for k in range(12, 36)]
         assert_agrees(stable, [lower, higher], index, keys)
         assert_agrees(stable, [lower], index, keys)
@@ -171,7 +171,7 @@ class TestDirectedShapes:
         updater = ScalarUpdater(stable, layers, index)
         for k in (14, 16, 94):
             updater.delete_by_key((k,))
-            updater.insert((k, 1))
+            updater.insert((k, 1, 1))
         updater.delete_by_key((0,))
         assert_agrees(stable, layers, index, whole_key_space(1))
 
@@ -185,7 +185,7 @@ class TestDirectedShapes:
         for at, keys in ((1, (61, 70, 3)), (2, (65, 99, 1))):
             updater = ScalarUpdater(stable, layers[:at], index)
             for k in keys:
-                updater.insert((k, 0))
+                updater.insert((k, 0, 0))
         assert_agrees(stable, layers, index,
                       [(k,) for k in range(0, 102)])
 

@@ -27,10 +27,12 @@ from repro.core import merge_scan_layers
 from repro.engine import expr as ex
 from repro.service.plan import plan_scan
 
-from ..oracles.histories import make_schema, random_ops
+from ..oracles.histories import make_schema, random_ops, random_row, \
+    replay, stable_row
 from ..oracles.narrowing import narrowed_window
 
-SCHEMA = make_schema(1)  # (k0, a), sorted by k0
+SCHEMA = make_schema(1)  # (k0, b, a), sorted by k0
+A = SCHEMA.column_names.index("a")
 N_ROWS = 16              # stable keys 0, 2, ..., 30
 GRANULE = 2
 BOUNDARIES = [(8,), (16,), (24,)]  # 4 shards x 4 rows x 2 granules
@@ -56,27 +58,15 @@ def history(seed):
     rng = random.Random(seed)
     live = set(range(0, 2 * N_ROWS, 2)) - set(CLOSERS)
     lower = [("del", (c,)) for c in CLOSERS]
-    lower += random_ops(rng, live, CLOSERS, 2 * N_ROWS, 8)
+    lower += random_ops(rng, SCHEMA, live, CLOSERS, 2 * N_ROWS, 8)
     upper = []
     for c in CLOSERS:
         for k in (c - 1, c):
             if k not in live:
-                upper.append(("ins", (k, rng.randrange(1000))))
+                upper.append(("ins", random_row(rng, SCHEMA, k)))
                 live.add(k)
-    upper += random_ops(rng, live, CLOSERS, 2 * N_ROWS, 8)
+    upper += random_ops(rng, SCHEMA, live, CLOSERS, 2 * N_ROWS, 8)
     return lower, upper
-
-
-def replay(model: dict, ops) -> dict:
-    model = dict(model)
-    for op in ops:
-        if op[0] == "ins":
-            model[op[1][0]] = tuple(op[1])
-        elif op[0] == "del":
-            del model[op[1][0]]
-        else:
-            model[op[1][0]] = (op[1][0], op[3])
-    return model
 
 
 @pytest.fixture(scope="module", params=[
@@ -86,7 +76,7 @@ def env(request):
     """``(db, svc, model)`` after one history."""
     layout, seed = request.param
     db = Database(compressed=False, block_rows=GRANULE)
-    rows = [(k, k) for k in range(0, 2 * N_ROWS, 2)]
+    rows = [stable_row(k, 1) for k in range(0, 2 * N_ROWS, 2)]
     if layout == "sharded":
         db.create_sharded_table("t", SCHEMA, rows, boundaries=BOUNDARIES)
         names = db.sharded("t").shard_names
@@ -99,9 +89,11 @@ def env(request):
     for name in names:
         db.manager.propagate_write_to_read(name)
     db.apply_batch("t", upper)
-    model = replay(replay({r[0]: r for r in rows}, lower), upper)
+    model = replay(replay({r[:1]: r for r in rows}, lower, SCHEMA), upper,
+                   SCHEMA)
+    model = {k[0]: row for k, row in sorted(model.items())}
     with db.serve(workers=2) as svc:
-        yield db, svc, dict(sorted(model.items()))
+        yield db, svc, model
     db.close()
 
 
@@ -109,11 +101,11 @@ def expected(model: dict, low, high, push: str):
     rows = [row for k, row in model.items()
             if (low is None or k >= low) and (high is None or k <= high)]
     if "where" in PUSHES[push]:
-        rows = [r for r in rows if r[1] < 500]
+        rows = [r for r in rows if r[A] < 500]
     if push == "count":
         return [(len(rows),)]
     if push == "sum-where":
-        return [(sum(r[1] for r in rows),)]
+        return [(sum(r[A] for r in rows),)]
     return rows
 
 
@@ -190,7 +182,7 @@ def test_planned_windows_hold_only_their_keys(env):
                                     BOUNDARIES, (k,)) == shard)]
                         rows = []
                         for _, arrays in stream:
-                            rows += zip(arrays["k0"].tolist(),
-                                        arrays["a"].tolist())
+                            rows += zip(*(arrays[c].tolist()
+                                          for c in SCHEMA.column_names))
                         assert rows == want, (lo, hi, part.pinned.name,
                                               start, stop)

@@ -10,7 +10,9 @@ biased to granule-closing rows and inserts around them.
 histories through a ``Database``.
 
 Stable rows hold the even key numbers ``0, 2, ...`` and carry the number
-in their last column; the key space is twice the row count.
+in their last column; the key space is twice the row count. Rows have two
+non-key columns, ``b`` and ``a``, and modifies pick either, so a stable
+tuple can collect a two-entry modify chain in one layer.
 """
 
 from repro import DataType, PDT, Schema
@@ -21,9 +23,14 @@ from .scalar_resolve import ScalarUpdater
 
 def make_schema(n_key_cols):
     cols = [(f"k{i}", DataType.INT64) for i in range(n_key_cols)]
-    cols.append(("a", DataType.INT64))
+    cols += [("b", DataType.INT64), ("a", DataType.INT64)]
     return Schema.build(*cols,
                         sort_key=tuple(f"k{i}" for i in range(n_key_cols)))
+
+
+def value_columns(schema):
+    """The non-key columns, in schema order."""
+    return [c for c in schema.column_names if c not in schema.sort_key]
 
 
 def key_of(number, n_key_cols):
@@ -34,18 +41,32 @@ def key_of(number, n_key_cols):
     return (number // 4, number % 4)
 
 
+def stable_row(number, n_key_cols):
+    """The stable row of a key number: its key, ``b = -number``, then the
+    number itself."""
+    return key_of(number, n_key_cols) + (-number, number)
+
+
+def random_row(rng, schema, number):
+    """A row to insert at a key number: random non-key values."""
+    return key_of(number, len(schema.sort_key)) + tuple(
+        rng.randrange(1000) for _ in value_columns(schema))
+
+
 def make_stable(schema, numbers):
     n = len(schema.sort_key)
     return StableTable.bulk_load(
-        "t", schema, [key_of(k, n) + (k,) for k in numbers])
+        "t", schema, [stable_row(k, n) for k in numbers])
 
 
-def random_ops(rng, live, closers, key_space, count, n_key_cols=1):
+def random_ops(rng, schema, live, closers, key_space, count):
     """``count`` rolls of valid ``("ins"|"del"|"mod", ...)`` batch ops over
     the key numbers in ``live`` (updated in place). Deletes favour the
     ``closers`` still live and inserts the keys around them; a deleted
-    key is a candidate for re-insertion."""
-    n = n_key_cols
+    key is a candidate for re-insertion; a modify sets any non-key
+    column."""
+    n = len(schema.sort_key)
+    columns = value_columns(schema)
     ops = []
     for _ in range(count):
         roll = rng.random()
@@ -55,7 +76,7 @@ def random_ops(rng, live, closers, key_space, count, n_key_cols=1):
                 else rng.randrange(-2, key_space + 3)
             if around in live:
                 continue
-            ops.append(("ins", key_of(around, n) + (rng.randrange(1000),)))
+            ops.append(("ins", random_row(rng, schema, around)))
             live.add(around)
         elif live and roll < 0.85:
             boundary = [k for k in closers if k in live]
@@ -65,8 +86,8 @@ def random_ops(rng, live, closers, key_space, count, n_key_cols=1):
             ops.append(("del", key_of(k, n)))
             live.discard(k)
         elif live:
-            ops.append(("mod", key_of(rng.choice(sorted(live)), n), "a",
-                        rng.randrange(1000)))
+            ops.append(("mod", key_of(rng.choice(sorted(live)), n),
+                        rng.choice(columns), rng.randrange(1000)))
     return ops
 
 
@@ -75,7 +96,6 @@ def random_history(rng, stable, index, n_layers, ops_per_layer):
     updater (so the production resolver has no hand in the fixture), the
     closers being the last row of every ``index`` granule. Returns the
     layers and the live key numbers."""
-    n = len(stable.schema.sort_key)
     numbers = [r[-1] for r in stable.rows()]
     live = set(numbers)
     closers = numbers[index.granularity - 1::index.granularity]
@@ -83,8 +103,8 @@ def random_history(rng, stable, index, n_layers, ops_per_layer):
     for _ in range(n_layers):
         layers.append(PDT(stable.schema, fanout=4))
         updater = ScalarUpdater(stable, layers, index)
-        for op in random_ops(rng, live, closers, 2 * len(numbers),
-                             ops_per_layer, n):
+        for op in random_ops(rng, stable.schema, live, closers,
+                             2 * len(numbers), ops_per_layer):
             if op[0] == "ins":
                 updater.insert(op[1])
             elif op[0] == "del":
@@ -92,3 +112,19 @@ def random_history(rng, stable, index, n_layers, ops_per_layer):
             else:
                 updater.modify_by_key(op[1], op[2], op[3])
     return layers, live
+
+
+def replay(model, ops, schema):
+    """Apply batch ops to ``model`` (SK tuple -> row tuple) in place and
+    return it."""
+    n = len(schema.sort_key)
+    for op in ops:
+        if op[0] == "ins":
+            model[tuple(op[1][:n])] = tuple(op[1])
+        elif op[0] == "del":
+            del model[tuple(op[1])]
+        else:
+            row = list(model[tuple(op[1])])
+            row[schema.column_names.index(op[2])] = op[3]
+            model[tuple(op[1])] = tuple(row)
+    return model

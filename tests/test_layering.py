@@ -1,4 +1,4 @@
-"""Layering guard: two couplings that must not grow back.
+"""Layering guard: three couplings that must not grow back.
 
 * A PDT's payloads live in its value space (paper eq. 7), and only
   ``repro.core`` reads it. Everything above the core takes a PDT's
@@ -7,6 +7,11 @@
   ``<pdt>.values.value_of`` or ``<pdt>.values.get_*``.
 * ``repro.exec`` (worker processes and their payloads) imports nothing
   from ``repro.txn``.
+* A transaction reads every committed layer through its snapshot pin, so
+  ``repro.txn.transaction`` never reads ``.stable``, ``.read_pdt``,
+  ``.write_pdt`` or ``.sparse_index`` off the manager's live table state
+  (``state_of(...)``, ``_tables[...]`` or a name bound to either);
+  reading its ``.schema`` is fine.
 
 The check parses the source (no imports), so it stays well under a
 second.
@@ -17,6 +22,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ABOVE_CORE = ("txn", "shard", "exec", "db", "service")
+STATE_FIELDS = ("stable", "read_pdt", "write_pdt", "sparse_index")
 
 
 def modules(package):
@@ -60,6 +66,33 @@ def txn_imports(tree):
     return hits
 
 
+def _is_live_state(node, state_names):
+    """Is ``node`` the manager's live state of a table?"""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return isinstance(func, ast.Attribute) and func.attr == "state_of"
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Attribute) and \
+            node.value.attr == "_tables"
+    return isinstance(node, ast.Name) and node.id in state_names
+
+
+def live_state_reads(tree):
+    """``(line, text)`` of every ``.stable`` / ``.read_pdt`` /
+    ``.write_pdt`` / ``.sparse_index`` read off live table state."""
+    state_names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _is_live_state(node.value, ()):
+            state_names.update(t.id for t in node.targets
+                               if isinstance(t, ast.Name))
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in STATE_FIELDS
+        and _is_live_state(node.value, state_names)
+    ]
+
+
 def test_no_value_space_reads_above_core():
     found = []
     for package in ABOVE_CORE:
@@ -79,6 +112,15 @@ def test_exec_does_not_import_txn():
     assert not found, "repro.exec imports repro.txn:\n" + "\n".join(found)
 
 
+def test_transaction_reads_through_its_pin():
+    path = SRC / "txn" / "transaction.py"
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"txn/transaction.py:{line}: {text}"
+             for line, text in live_state_reads(tree)]
+    assert not found, "read committed layers through the pin:\n" + \
+        "\n".join(found)
+
+
 def test_guard_sees_both_couplings():
     """The detectors fire on the shapes they guard against."""
     reads = ast.parse("value_of = pdt.values.value_of\n"
@@ -91,3 +133,17 @@ def test_guard_sees_both_couplings():
                         "from ..core.pdt import PDT\n"
                         "from .transport import Ring\n")
     assert [line for line, _ in txn_imports(imports)] == [1, 2, 3]
+
+
+def test_guard_sees_live_state_reads():
+    """Committed layers read off live state fire; the pin's and
+    ``.schema`` do not."""
+    state = ast.parse("state = self._manager.state_of(table)\n"
+                      "layers = [state.read_pdt, state.write_pdt]\n"
+                      "stable = self._manager.state_of(name).stable\n"
+                      "index = manager._tables[name].sparse_index\n"
+                      "schema = self._manager.state_of(name).schema\n"
+                      "pinned = self.pin.table(name)\n"
+                      "rows = (pinned.stable, pinned.read_pdt)\n")
+    assert sorted(line for line, _ in live_state_reads(state)) == \
+        [2, 2, 3, 4]

@@ -122,7 +122,8 @@ class TestSnapshotIsolation:
         t2.image_rows("t")
         # Snapshots are reference loans of the master Write-PDT: same-epoch
         # transactions share one object and nothing is copied at start.
-        assert t1._snapshots["t"] is t2._snapshots["t"]
+        assert t1.pin.table("t").write_pdt is t2.pin.table("t").write_pdt
+        assert t1.pin.table("t").write_pdt is not None
         assert db.manager.stats.snapshot_copies == 0
         assert db.manager.stats.snapshot_reuses >= 2
         t1.abort()
@@ -132,7 +133,7 @@ class TestSnapshotIsolation:
         db = make_db()
         db.insert("t", (5, 1, "seed"))  # non-empty write-PDT
         reader = db.begin()
-        loaned = reader._snapshots["t"]
+        loaned = reader.pin.table("t").write_pdt
         assert loaned is db.manager.state_of("t").write_pdt
         # A commit while the master is loaned swings it to a copy
         # (copy-on-commit) instead of mutating the reader's object...
