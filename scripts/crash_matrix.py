@@ -3,18 +3,23 @@
 reopen, and verify byte-identity against a pre-crash oracle.
 
 For each crash point the parent spawns a child process that runs a
-deterministic workload — commits, full checkpoints, a sharded table with
-per-shard checkpoints, an incremental range checkpoint, and a shard
-split — against the mmap storage backend, and dies with ``os._exit``
-exactly at the chosen boundary:
+deterministic workload — commits, full checkpoints (one of them while a
+transaction is open), a sharded table with per-shard checkpoints, an
+incremental range checkpoint, and a shard split — against the mmap
+storage backend, and dies with ``os._exit`` exactly at the chosen
+boundary:
 
-* ``commit:<k>``        — right after the k-th committed batch
+* ``commit:<k>``        — right after the k-th committed batch (the
+                          fourth is the transaction that spans the fold
+                          of ``inv``, committed after it)
 * ``ckpt-pre-publish``  — inside a checkpoint, after the new image's
                           blocks were appended but *before* the catalog
-                          publish (the old image must recover)
+                          publish (the old image must recover, without
+                          the open transaction's write)
 * ``ckpt-post-publish`` — after the catalog publish but *before* the WAL
                           rebase (image-aware replay must skip the folded
-                          history)
+                          history; the open transaction's write is
+                          absent too)
 * ``shard-ckpt-mid``    — between two shards' checkpoints of one sharded
                           table
 * ``range-pre-publish`` / ``range-post-publish`` — the same two windows
@@ -213,11 +218,13 @@ def _rows(db, table, sort=False):
     return sorted(out) if sort else out
 
 
-def _dump_oracle(root: str, db) -> None:
-    """Atomically publish the expected logical contents of every table."""
+def _dump_oracle(root: str, db, unacked=()) -> None:
+    """Atomically publish the expected logical contents of every table,
+    plus the ``inv`` keys an open, unacknowledged transaction wrote."""
     oracle = {
         "inv": _rows(db, "inv"),
         "orders": _rows(db, "orders", sort=True),
+        "unacked": list(unacked),
     }
     path = os.path.join(root, "oracle.json")
     tmp = path + ".tmp"
@@ -252,13 +259,16 @@ def run_child(root: str, point: str, rows: int) -> None:
 
     commit_no = 0
 
-    def commit(table, ops):
+    def acknowledge():
         nonlocal commit_no
-        db.apply_batch(table, ops)
         commit_no += 1
         _dump_oracle(root, db)
         if point == f"commit:{commit_no}":
             os._exit(CRASH_EXIT)
+
+    def commit(table, ops):
+        db.apply_batch(table, ops)
+        acknowledge()
 
     base = rows * 10
     commit("inv", [("ins", (base + 1, 1, "new")), ("del", (3,)),
@@ -267,10 +277,16 @@ def run_child(root: str, point: str, rows: int) -> None:
                       ("mod", (20,), "v", 555)])
     commit("inv", [("ins", (base + 3, 3, "x")), ("mod", (11,), "tag", "hot")])
 
+    # A transaction spans the fold: written before, committed after.
+    open_txn = db.begin()
+    open_txn.insert("inv", (base + 7, 7, "open"))
+    _dump_oracle(root, db, unacked=[base + 7])
     if point in ("ckpt-pre-publish", "ckpt-post-publish"):
         crasher.arm(point)
     db.checkpoint("inv")
     crasher.disarm()
+    open_txn.commit()
+    acknowledge()
 
     commit("orders", [("del", (30,)), ("ins", (base + 4, 4, "y"))])
 
@@ -570,6 +586,12 @@ def verify_recovery(root: str, point: str) -> None:
     try:
         got_inv = _rows(db, "inv")
         got_orders = _rows(db, "orders", sort=True)
+        leaked = sorted({k for k, *_ in got_inv} & set(oracle["unacked"]))
+        if leaked:
+            raise AssertionError(
+                f"[{point}] unacknowledged transaction's write recovered: "
+                f"inv keys {leaked}"
+            )
         if got_inv != oracle["inv"]:
             raise AssertionError(
                 f"[{point}] inv mismatch: {len(got_inv)} rows recovered "
@@ -650,7 +672,7 @@ def main(argv=None) -> int:
         return 0  # unreachable: the child always _exits
 
     points = (args.points.split(",") if args.points
-              else default_points(n_commits=6))
+              else default_points(n_commits=7))
     failures = run_matrix(points, args.rows, keep=args.keep)
     if failures:
         print(f"\n{failures} crash point(s) failed")

@@ -549,9 +549,10 @@ class Database:
     # -- maintenance --------------------------------------------------------------------
 
     def checkpoint(self, table: str) -> None:
-        """Fold all deltas into a fresh stable image (quiescent only).
+        """Fold all deltas into a fresh stable image.
 
-        The manual, stop-the-world form; ``checkpoint_policy=`` runs full
+        The manual form, run even with transactions open (their pins keep
+        the outgoing version); ``checkpoint_policy=`` runs full
         or incremental checkpoints automatically instead. Sharded tables
         checkpoint shard by shard (each fold rewrites only that shard's
         stable image; shards without deltas are not touched).

@@ -8,12 +8,12 @@ bounded so per-shard maintenance stays cheap — the same argument
 Both operations are stable-image rewrites and follow the same invariants
 as checkpoints:
 
-* **Quiescence.** Running transactions hold Write-PDT snapshots and
-  Trans-PDT entries in the old shards' RID domains; a rewrite under them
-  would double-apply or mis-address. Split/merge therefore require
-  ``running_count() == 0`` (the scheduler's quiescent points), and the
-  committed Write-PDT is propagated down first so only the Read-PDT needs
-  redistributing.
+* **Quiescence.** A running transaction routes its writes through the
+  live shard names: its Trans-PDTs are keyed by the shards it touched,
+  in their RID domains. A split or merge retires those names, so unlike
+  a fold (same name, same RID domain; it asks only about pins) it
+  requires ``running_count() == 0``, and the committed Write-PDT is
+  propagated down first so only the Read-PDT needs redistributing.
 * **SID rebasing.** A split at stable position ``mid`` keeps left-side
   entries verbatim and rebases right-side entries by ``-mid`` — exactly
   how ``checkpoint_table_range`` rebases suffix SIDs, with one refinement:

@@ -17,15 +17,15 @@ There is one fold (:func:`_fold`) with two entry points:
   of :mod:`repro.txn.scheduler` uses it to fold the hottest block ranges
   after commits and between queries.
 
-Both are stop-the-world for the one table they fold (a quiescent point is
-required), merge the range as a one-layer SID window
-(:func:`~repro.core.stack.merge_scan_layers`), splice it with the stable
-prefix and suffix read through the buffer pool, and then drop and
+Both rewrite the one table they fold, merge the range as a one-layer SID
+window (:func:`~repro.core.stack.merge_scan_layers`), splice it with the
+stable prefix and suffix read through the buffer pool, and then drop and
 re-store *every* block of that table — a range fold saves merge work, not
-block writes. The stable image is its blocks, so a pinned reader's
-outgoing image is first re-homed onto a private in-memory copy of them.
-Only this table's buffer-pool blocks are evicted; every other table stays
-hot. A fold with nothing to fold touches neither storage nor the WAL.
+block writes. Neither waits for quiescence: a running transaction is a
+pin, and a pinned reader's outgoing image is first re-homed onto a
+private in-memory copy of its blocks (the image is its blocks). Only this
+table's buffer-pool blocks are evicted; every other table stays hot. A
+fold with nothing to fold touches neither storage nor the WAL.
 """
 
 from __future__ import annotations
@@ -39,17 +39,16 @@ from ..storage.buffer import BufferPool
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
 from .manager import TransactionManager
-from .transaction import TransactionError
 
 
 def checkpoint_table(manager: TransactionManager, table: str) -> StableTable:
     """Materialize merge(stable, Read, Write) as the new stable image.
 
-    Requires a quiescent point (no running transactions). Returns the
-    table's stable image afterwards — the current one, untouched, when
-    there were no deltas to fold; the manager's state is switched over in
-    place and the WAL truncated once every table's deltas are either
-    checkpointed or still empty.
+    Runs while transactions are open (they read through their pins).
+    Returns the table's stable image afterwards — the current one,
+    untouched, when there were no deltas to fold; the manager's state is
+    switched over in place and the WAL truncated once every table's
+    deltas are either checkpointed or still empty.
     """
     state = manager.state_of(table)
     _fold(manager, table, 0, state.stable.num_rows)
@@ -66,8 +65,8 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
     only SIDs the rebuild renumbers). A range reaching the table end also
     folds trailing inserts.
 
-    Requires a quiescent point, like every stable-image rewrite. Returns
-    the number of update entries folded (0 when the range was clean; the
+    Runs while transactions are open, like the full fold. Returns the
+    number of update entries folded (0 when the range was clean; the
     stable image is left untouched in that case).
     """
     if sid_hi < sid_lo:
@@ -86,8 +85,6 @@ def _fold(manager: TransactionManager, table: str,
     holds every committed delta (under a live pin that copies the
     Read-PDT once; the pinned stack is left as it was).
     """
-    if manager.running_count():
-        raise TransactionError("checkpoint requires no running transactions")
     state = manager.state_of(table)
     manager.propagate_write_to_read(table)
     read_pdt = state.read_pdt

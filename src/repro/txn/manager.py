@@ -66,7 +66,7 @@ class ManagerStats:
     aborts: int = 0
     conflicts: int = 0
     propagations: int = 0
-    snapshot_copies: int = 0   # copy-on-commit: master replaced while loaned
+    snapshot_copies: int = 0   # pin-forced copies: commit and Propagate
     snapshot_reuses: int = 0   # Write-PDT loans taken by pins (no copy)
 
     def as_dict(self) -> dict:
@@ -108,10 +108,10 @@ class TransactionManager:
     def add_commit_listener(self, listener) -> None:
         """Register ``listener(tables)`` to run after each successful commit
         that changed data. Listeners run at the end of Finish, when the
-        committing transaction is already off the running list — so a
-        listener sees a quiescent system whenever no *other* transactions
-        are active (which is what lets the checkpoint scheduler piggyback
-        maintenance on the commit path)."""
+        committing transaction's pin is already released — so a listener
+        sees a table unpinned whenever no *other* pin (a running
+        transaction's or a reader's) holds it, which is what lets the
+        checkpoint scheduler piggyback maintenance on the commit path."""
         self._commit_listeners.append(listener)
 
     # -- table registry ---------------------------------------------------------
@@ -461,15 +461,11 @@ class TransactionManager:
     def propagate_write_to_read(self, table: str) -> None:
         """Migrate the master Write-PDT into the Read-PDT (section 3.3).
 
-        Requires a quiescent point, the paper's rule for Write-PDT
-        snapshots that the shared Read-PDT would otherwise double-apply.
-        A running transaction reads through its own pin, and a pinned
-        Read-PDT is copied before it absorbs anything (below).
+        Runs while transactions are open: each reads through its own pin,
+        and a pinned Read-PDT is copied before it absorbs anything
+        (below), so no snapshot double-applies. Positions in the output
+        domain (open Trans-PDTs', TZ records') do not move.
         """
-        if self._running:
-            raise TransactionError(
-                "write->read propagation requires no running transactions"
-            )
         state = self.state_of(table)
         if state.write_pdt.is_empty():
             return
@@ -478,6 +474,7 @@ class TransactionManager:
             # about to fold into it): migrate into a fresh copy so the
             # pinned stack keeps describing the pinned version.
             state.read_pdt = state.read_pdt.copy()
+            self.stats.snapshot_copies += 1
         propagate_batch(state.read_pdt, state.write_pdt)
         # Swing, don't clear: the old Write-PDT object may still be loaned
         # to a pin, and its contents now live in the (possibly copied)

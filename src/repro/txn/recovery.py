@@ -41,6 +41,8 @@ def recover_manager(manager: TransactionManager, wal: WriteAheadLog,
     :func:`~repro.txn.wal.replay_into` for image-aware replay against
     persisted stable images.
     """
+    # Replay may restore a shard layout other than the live shard names
+    # an open transaction routed its writes through.
     if manager.running_count():
         raise RuntimeError("recovery requires a quiescent manager")
     for name in manager.table_names():

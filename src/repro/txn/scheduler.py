@@ -4,10 +4,11 @@ The paper keeps differential structures cheap by assuming *something*
 periodically Propagates the Write-PDT down and folds the deltas back into
 a new stable image (section 3.3). Here that something is the
 :class:`CheckpointScheduler`: after every commit it decides, from PDT
-counts, whether the touched tables need maintenance, and runs it at
-quiescent points. Work that cannot run because transactions or snapshot
-pins are live is deferred exactly as decided and retried by later commits
-and by ``Database.query`` between queries.
+counts, whether the touched tables need maintenance, and runs it on
+tables no snapshot pin holds. A running transaction is a pin, so pins are
+the only thing it asks about. Work that cannot run because a pin is live
+is deferred exactly as decided and retried by later commits and by
+``Database.query`` between queries.
 
 Select the rule with ``Database(checkpoint_policy=...)``:
 
@@ -47,10 +48,10 @@ class SchedulerStats:
     checkpoints: int = 0
     range_checkpoints: int = 0
     entries_folded: int = 0
+    # Every deferral is a pin's (a running transaction's too): a stuck
+    # client holding one stalls maintenance silently otherwise; alert on
+    # ``oldest_pin_age_s``.
     deferrals: int = 0
-    # Pin-driven deferral visibility: a stuck client holding a pin stalls
-    # maintenance silently otherwise; alert on ``oldest_pin_age_s``.
-    pin_deferrals: int = 0
     oldest_pin_age_s: float = 0.0  # oldest pin age seen at a deferral
 
     def as_dict(self) -> dict:
@@ -73,7 +74,7 @@ def _parse(spec) -> tuple[str, int] | None:
 
 
 class CheckpointScheduler:
-    """Decides and executes PDT maintenance at quiescent points.
+    """Decides and executes PDT maintenance on unpinned tables.
 
     ``Database`` registers :meth:`on_commit` as a commit listener on the
     :class:`~repro.txn.manager.TransactionManager` (unless the spec is
@@ -167,17 +168,12 @@ class CheckpointScheduler:
 
     def _try_execute(self, table: str, decision: tuple[str, tuple]) -> bool:
         manager = self.manager
-        if manager.running_count() or manager.is_pinned(table):
-            # Running transactions hold snapshots; snapshot pins hold the
-            # current stable image and Read-PDT. Either way a fold now
-            # would rewrite state a live reader depends on — defer until
-            # the next quiescent, pin-free point.
+        if manager.is_pinned(table):
+            # A pin (a reader's or a running transaction's) holds the
+            # current stable image and Read-PDT: defer until it drains.
             self.stats.deferrals += 1
-            if manager.is_pinned(table):
-                self.stats.pin_deferrals += 1
-                self.stats.oldest_pin_age_s = max(
-                    self.stats.oldest_pin_age_s,
-                    manager.oldest_pin_age(table))
+            self.stats.oldest_pin_age_s = max(
+                self.stats.oldest_pin_age_s, manager.oldest_pin_age(table))
             self._pending[table] = decision
             return False
         self._pending.pop(table, None)

@@ -1,8 +1,9 @@
 """Stateful property test: the Database against a dictionary model.
 
 Hypothesis drives arbitrary interleavings of inserts, deletes, modifies,
-multi-op transactions, aborts, Write->Read propagation, and checkpoints;
-after every step the merged table image must equal the model exactly.
+multi-op transactions, aborts, Write->Read propagation, and checkpoints
+(also with a transaction open across them); after every step the merged
+table image must equal the model exactly.
 This is the widest-net test in the repository — it has no idea which
 subsystem a divergence comes from, but it visits interactions none of the
 targeted suites do.
@@ -103,6 +104,23 @@ class DatabaseMachine(RuleBasedStateMachine):
     @rule()
     def checkpoint(self):
         self.db.checkpoint("t")
+
+    @rule(k=KEYS, a=VALUES,
+          maintenance=st.sampled_from(["propagate", "checkpoint"]))
+    def txn_spans_maintenance(self, k, a, maintenance):
+        txn = self.db.begin()
+        if k in self.model:
+            txn.modify("t", (k,), "a", a)
+            row = (k, a, self.model[k][2])
+        else:
+            txn.insert("t", (k, a, "open"))
+            row = (k, a, "open")
+        if maintenance == "propagate":
+            self.db.manager.propagate_write_to_read("t")
+        else:
+            self.db.checkpoint("t")
+        txn.commit()
+        self.model[k] = row
 
     # -- invariants ----------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Layering guard: three couplings that must not grow back.
+"""Layering guard: four couplings that must not grow back.
 
 * A PDT's payloads live in its value space (paper eq. 7), and only
   ``repro.core`` reads it. Everything above the core takes a PDT's
@@ -12,6 +12,10 @@
   ``.write_pdt`` or ``.sparse_index`` off the manager's live table state
   (``state_of(...)``, ``_tables[...]`` or a name bound to either);
   reading its ``.schema`` is fine.
+* Maintenance protects a reader only through pins (a running transaction
+  is one), so ``txn/checkpoint.py``, ``txn/scheduler.py`` and
+  ``TransactionManager.propagate_write_to_read`` never name
+  ``running_count`` or ``_running``.
 
 The check parses the source (no imports), so it stays well under a
 second.
@@ -23,6 +27,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 ABOVE_CORE = ("txn", "shard", "exec", "db", "service")
 STATE_FIELDS = ("stable", "read_pdt", "write_pdt", "sparse_index")
+RUNNING = ("running_count", "_running")
 
 
 def modules(package):
@@ -93,6 +98,28 @@ def live_state_reads(tree):
     ]
 
 
+def running_refs(tree):
+    """``(line, name)`` of every ``running_count`` / ``_running`` named
+    as an attribute or a bare name (docstrings do not count)."""
+    hits = []
+    for node in ast.walk(tree):
+        name = node.attr if isinstance(node, ast.Attribute) else \
+            node.id if isinstance(node, ast.Name) else None
+        if name in RUNNING:
+            hits.append((node.lineno, name))
+    return hits
+
+
+def method(tree, cls, name):
+    """The ``def name`` node inside ``class cls``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{cls}.{name} not found")
+
+
 def test_no_value_space_reads_above_core():
     found = []
     for package in ABOVE_CORE:
@@ -118,6 +145,22 @@ def test_transaction_reads_through_its_pin():
     found = [f"txn/transaction.py:{line}: {text}"
              for line, text in live_state_reads(tree)]
     assert not found, "read committed layers through the pin:\n" + \
+        "\n".join(found)
+
+
+def test_maintenance_asks_only_about_pins():
+    found = []
+    for rel in ("txn/checkpoint.py", "txn/scheduler.py"):
+        path = SRC / rel
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{rel}:{line}: {name}"
+                  for line, name in running_refs(tree)]
+    path = SRC / "txn" / "manager.py"
+    body = method(ast.parse(path.read_text(), str(path)),
+                  "TransactionManager", "propagate_write_to_read")
+    found += [f"txn/manager.py:{line}: {name}"
+              for line, name in running_refs(body)]
+    assert not found, "maintenance gates on running transactions:\n" + \
         "\n".join(found)
 
 
@@ -147,3 +190,18 @@ def test_guard_sees_live_state_reads():
                       "rows = (pinned.stable, pinned.read_pdt)\n")
     assert sorted(line for line, _ in live_state_reads(state)) == \
         [2, 2, 3, 4]
+
+
+def test_guard_sees_running_refs():
+    """A gate on running transactions fires; its docstring mention and
+    ``is_pinned`` do not."""
+    tree = ast.parse("class TransactionManager:\n"
+                     "    def propagate_write_to_read(self, t):\n"
+                     "        'needs no running_count()'\n"
+                     "        if self._running:\n"
+                     "            raise TransactionError()\n"
+                     "        if manager.running_count() or pinned(t):\n"
+                     "            return\n"
+                     "        _running = manager.is_pinned(t)\n")
+    body = method(tree, "TransactionManager", "propagate_write_to_read")
+    assert sorted(line for line, _ in running_refs(body)) == [4, 6, 8]

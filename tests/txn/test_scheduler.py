@@ -6,7 +6,6 @@ import pytest
 
 from repro import Database, DataType, Schema
 from repro.txn import CheckpointScheduler, checkpoint_table_range
-from repro.txn.transaction import TransactionError
 
 
 def schema():
@@ -195,13 +194,22 @@ def setup_manager(n_rows=100):
     return db
 
 
-def test_range_checkpoint_requires_quiescence():
+def test_range_checkpoint_runs_under_open_txn():
     db = setup_manager()
+    db.modify("t", (2,), "v", 111)           # sid 1: folded
+    db.delete("t", (100,))                   # sid 50: survives
     open_txn = db.begin()
-    db_modifies_blocked = db.manager
-    with pytest.raises(TransactionError):
-        checkpoint_table_range(db_modifies_blocked, "t", 0, 32)
-    open_txn.abort()
+    open_txn.modify("t", (4,), "v", 222)     # inside the folded range
+    open_txn.insert("t", (121, 333))         # above it
+    seen = open_txn.image_rows("t")
+    db.insert("t", (7, 444))                 # committed after the begin
+    assert checkpoint_table_range(db.manager, "t", 0, 32) == 2
+    assert open_txn.image_rows("t") == seen
+    open_txn.commit()
+    expected = {i * 2: i for i in range(100)}
+    expected.update({2: 111, 4: 222, 121: 333, 7: 444})
+    del expected[100]
+    assert db.image_rows("t") == sorted(expected.items())
 
 
 def test_range_checkpoint_clean_range_is_a_noop():

@@ -242,13 +242,22 @@ class TestWritePropagationAndCheckpoint:
         assert not state.read_pdt.is_empty()
         assert (5, 1, "x") in db.image_rows("t")
 
-    def test_propagate_refused_with_running_txns(self):
+    def test_propagate_runs_under_open_txn(self):
         db = make_db()
         db.insert("t", (5, 1, "x"))
         txn = db.begin()
-        with pytest.raises(TransactionError):
-            db.manager.propagate_write_to_read("t")
-        txn.abort()
+        txn.modify("t", (10,), "a", 42)
+        txn.insert("t", (15, 2, "y"))
+        seen = txn.image_rows("t")
+        db.insert("t", (25, 3, "z"))  # committed after the begin
+        db.manager.propagate_write_to_read("t")
+        assert db.manager.state_of("t").write_pdt.is_empty()
+        assert txn.image_rows("t") == seen
+        txn.commit()
+        expected = sorted(
+            [(i * 10, 42 if i == 1 else i, f"s{i}") for i in range(20)]
+            + [(5, 1, "x"), (15, 2, "y"), (25, 3, "z")])
+        assert db.image_rows("t") == expected
 
     def test_checkpoint_rebuilds_stable(self):
         db = make_db()

@@ -3,15 +3,19 @@
 ``TransactionManager.begin`` takes one ``pin_snapshot()`` and the
 transaction reads every committed layer through it. The properties here
 interleave up to three transactions with free-standing pins,
-autocommits, and quiescent-point ``propagate_write_to_read`` and
-checkpoint calls, on an unsharded table and on a 3-shard one, and check
-that every transaction's ``scan`` and ``image_rows`` equal
-``db.query(pin=p)`` for a pin ``p`` taken right after its ``begin``, plus
-its own operations replayed on a dict. ``p`` is read and released at
-once, so nothing but the transaction's own pin keeps its version alive.
-A fixed script pins the loan counters (``snapshot_copies``,
-``snapshot_reuses``): which commits copy the master and how many loans
-pins take.
+autocommits, ``propagate_write_to_read``, full checkpoints and range
+checkpoints — maintenance runs while transactions are open, since pins
+are the one way it protects a reader — on an unsharded table and on a
+3-shard one. They check that every transaction's ``scan`` and
+``image_rows`` equal ``db.query(pin=p)`` for a pin ``p`` taken right
+after its ``begin``, plus its own operations replayed on a dict. ``p`` is
+read and released at once, so nothing but the transaction's own pin
+keeps its version alive. After every step the latest state equals a
+serial oracle (autocommits and successful commits replayed in commit
+order) and every physical table's PDTs pass ``check_invariants()``.
+Fixed scripts pin the loan counters (``snapshot_copies``,
+``snapshot_reuses``): which commits copy the master, which Propagates
+copy a pinned Read-PDT, and how many loans pins take.
 """
 
 import pytest
@@ -20,15 +24,17 @@ from hypothesis import strategies as st
 
 from repro import Database, DataType, Schema
 from repro.core.types import TransactionConflict
+from repro.txn import checkpoint_table_range
 
 SCHEMA = Schema.build(("k", DataType.INT64), ("a", DataType.INT64),
                       sort_key=("k",))
 KEYS = 40  # stable rows hold the even keys below KEYS
 SLOTS = 3
+BLOCK_ROWS = 8
 
 
 def make_db(sharded: bool) -> Database:
-    db = Database(block_rows=8)
+    db = Database(block_rows=BLOCK_ROWS)
     rows = [(k, k) for k in range(0, KEYS, 2)]
     if sharded:
         db.create_sharded_table("t", SCHEMA, rows, shards=3)
@@ -49,6 +55,7 @@ def replay(model: dict, ops) -> dict:
         elif op[0] == "del":
             del model[op[1][0]]
         else:
+            assert op[1][0] in model
             model[op[1][0]] = op[3]
     return model
 
@@ -70,9 +77,14 @@ class Run:
         self.db = make_db(sharded)
         self.txns = [None] * SLOTS  # slot -> (txn, p's rows, own ops)
         self.pins = []
+        self.oracle = as_model(self.db.query("t"))  # serial commit order
 
-    def latest(self) -> dict:
-        return as_model(self.db.query("t"))
+    def check_latest(self) -> None:
+        assert as_model(self.db.query("t")) == self.oracle
+        for name in self.db.manager.physical_names("t"):
+            state = self.db.manager.state_of(name)
+            state.read_pdt.check_invariants()
+            state.write_pdt.check_invariants()
 
     def check(self, slot: int) -> None:
         txn, base, ops = self.txns[slot]
@@ -83,13 +95,15 @@ class Run:
             [(k,) for k, _ in want]
 
     def finish(self, slot: int, commit: bool) -> None:
-        txn = self.txns[slot][0]
+        txn, _, ops = self.txns[slot]
         self.check(slot)
         if commit:
             try:
                 txn.commit()
             except TransactionConflict:
                 pass
+            else:
+                self.oracle = replay(self.oracle, ops)
         else:
             txn.abort()
         assert txn.pin.released
@@ -122,19 +136,25 @@ class Run:
         elif action in ("commit", "abort") and entry is not None:
             self.finish(slot, action == "commit")
         elif action == "auto":
-            op = valid_op(self.latest(), kind, key, value)
+            op = valid_op(self.oracle, kind, key, value)
             if op is not None:
                 db.apply_batch("t", [op])
+                self.oracle = replay(self.oracle, [op])
         elif action == "pin":
             if len(self.pins) < 2:
                 self.pins.append(db.pin_snapshot())
             else:
                 self.pins.pop(0).release()
-        elif action == "propagate" and not db.manager.running_count():
+        elif action == "propagate":
             for name in db.manager.physical_names("t"):
                 db.manager.propagate_write_to_read(name)
-        elif action == "checkpoint" and not db.manager.running_count():
+        elif action == "checkpoint":
             db.checkpoint("t")
+        elif action == "range":  # 1-3 blocks from one of the first six
+            lo = key % 6 * BLOCK_ROWS
+            hi = lo + (1 + value % 3) * BLOCK_ROWS
+            for name in db.manager.physical_names("t"):
+                checkpoint_table_range(db.manager, name, lo, hi)
 
     def close(self) -> None:
         for slot in range(SLOTS):
@@ -150,7 +170,7 @@ class Run:
 STEPS = st.lists(st.tuples(
     st.sampled_from(["begin", "begin", "op", "op", "op", "op", "commit",
                      "abort", "auto", "auto", "pin", "propagate",
-                     "checkpoint"]),
+                     "checkpoint", "range"]),
     st.integers(0, SLOTS - 1),
     st.sampled_from(["ins", "del", "mod"]),
     st.integers(-1, KEYS + 1),
@@ -167,6 +187,7 @@ def test_transactions_read_their_pin(sharded, steps):
     try:
         for step in steps:
             run.step(step)
+            run.check_latest()
     finally:
         run.close()
 
@@ -215,6 +236,27 @@ def loan_script(sharded: bool) -> tuple[int, int]:
 ], ids=["unsharded", "3-shard"])
 def test_loan_counters_of_a_fixed_script(sharded, counters):
     assert loan_script(sharded) == counters
+
+
+def test_propagate_counts_the_pinned_read_pdt_copy():
+    """A Propagate under an open transaction copies the pinned Read-PDT
+    and counts it in ``snapshot_copies``; with nothing open it copies
+    nothing."""
+    db = make_db(False)
+    stats = db.manager.stats
+    db.insert("t", (1, 1))
+    before = stats.snapshot_copies
+    db.manager.propagate_write_to_read("t")
+    assert stats.snapshot_copies == before
+    db.insert("t", (3, 3))
+    txn = db.begin()
+    db.manager.propagate_write_to_read("t")
+    assert stats.snapshot_copies == before + 1
+    txn.abort()
+    db.insert("t", (5, 5))
+    db.manager.propagate_write_to_read("t")
+    assert stats.snapshot_copies == before + 1
+    db.close()
 
 
 # -- tables registered after begin --------------------------------------------
