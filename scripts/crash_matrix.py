@@ -12,7 +12,9 @@ boundary:
 * ``commit:<k>``        — right after the k-th committed batch (the
                           fourth is the transaction that spans the fold
                           of ``inv``, committed after it)
-* ``ckpt-pre-publish``  — inside a checkpoint, after the new image's
+* ``ckpt-pre-publish``  — inside a checkpoint (of a Read-PDT that a
+                          Propagate filled and a Write-PDT that later
+                          commits filled), after the new image's
                           blocks were appended but *before* the catalog
                           publish (the old image must recover, without
                           the open transaction's write)
@@ -24,7 +26,8 @@ boundary:
                           table
 * ``range-pre-publish`` / ``range-post-publish`` — the same two windows
                           around an incremental range checkpoint (whose
-                          surviving deltas ride a tagged snapshot record)
+                          surviving deltas, from both the Read- and the
+                          Write-PDT, ride a tagged snapshot record)
 * ``split-pre-wal``     — mid shard-split, new shards installed but the
                           WAL layout rewrite never landed
 * ``split-post-wal``    — layout committed but the retired shard's files
@@ -273,6 +276,9 @@ def run_child(root: str, point: str, rows: int) -> None:
     base = rows * 10
     commit("inv", [("ins", (base + 1, 1, "new")), ("del", (3,)),
                    ("mod", (7,), "v", 777)])
+    # The full fold of inv merges both layers: this commit in the
+    # Read-PDT, the next one in the Write-PDT.
+    db.manager.propagate_write_to_read("inv")
     commit("orders", [("ins", (base + 2, 2, "new")), ("del", (10,)),
                       ("mod", (20,), "v", 555)])
     commit("inv", [("ins", (base + 3, 3, "x")), ("mod", (11,), "tag", "hot")])
@@ -287,6 +293,9 @@ def run_child(root: str, point: str, rows: int) -> None:
     crasher.disarm()
     open_txn.commit()
     acknowledge()
+    # The range fold below merges both layers too: the transaction's
+    # insert in the Read-PDT, the sixth commit in the Write-PDT.
+    db.manager.propagate_write_to_read("inv")
 
     commit("orders", [("del", (30,)), ("ins", (base + 4, 4, "y"))])
 
@@ -299,8 +308,7 @@ def run_child(root: str, point: str, rows: int) -> None:
                                             "v", 2)])
 
     # Incremental range checkpoint: folds the first half, re-logs the
-    # surviving second-half deltas as a tagged snapshot.
-    db.manager.propagate_write_to_read("inv")
+    # surviving second-half deltas of both layers as a tagged snapshot.
     if point in ("range-pre-publish", "range-post-publish"):
         crasher.arm(point)
     checkpoint_table_range(db.manager, "inv", 0, rows // 2)

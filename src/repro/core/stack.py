@@ -18,6 +18,7 @@ touches are passed through the entire stack by reference.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import chain, takewhile
 
 import numpy as np
@@ -76,6 +77,10 @@ class _Bound:
         return end
 
 
+#: How a window cut one layer (see :func:`merge_scan_layers`).
+LayerCut = namedtuple("LayerCut", "start_sid stop_sid n a b delta")
+
+
 def key_run(columns, key, a: int = 0, b: int | None = None):
     """Narrow ``[a, b)`` of sorted sort-key ``columns`` (leading columns
     first) to the rows whose key prefix equals ``key``: ``a`` becomes the
@@ -102,6 +107,7 @@ def merge_scan_layers(
     batch_rows: int | None = None,
     low: tuple | None = None,
     high: tuple | None = None,
+    cuts: list | None = None,
 ):
     """Block-oriented MergeScan of a stable SID window through a stack of
     PDT layers, bottom-up.
@@ -137,6 +143,11 @@ def merge_scan_layers(
     Input batches are at most ``batch_rows`` long and never straddle a
     stored block; None (every caller but the property tests) merges one
     stored block per batch.
+
+    A ``cuts`` list receives one :data:`LayerCut` per non-empty layer,
+    bottom-up, once the generator starts: the layer exported its ``n``
+    entries with SID in ``[start_sid, stop_sid)`` (None: to the end), the
+    window holds indices ``[a, b)`` of them, changing its size by ``delta``.
     """
     if columns is None:
         columns = stable.schema.column_names
@@ -173,10 +184,14 @@ def merge_scan_layers(
     for pdt in layers:
         if pdt.is_empty():
             continue  # an identity merge
-        sids, kinds, refs = pdt.entry_lists(
-            lo.pos, None if open_end else hi.pos + 1)
+        span = (lo.pos, None if open_end else hi.pos + 1)
+        width = hi.pos - lo.pos
+        sids, kinds, refs = pdt.entry_lists(*span)
         a = lo.cut(pdt, sids, kinds, refs, keyed)
         b = hi.cut(pdt, sids, kinds, refs, keyed)
+        if cuts is not None:
+            cuts.append(LayerCut(*span, len(sids), a, b,
+                                 hi.pos - lo.pos - width))
         if a or b < len(sids):
             sids, kinds, refs = sids[a:b], kinds[a:b], refs[a:b]
         stream = BlockMerger(pdt, columns).merge_batches(

@@ -17,15 +17,17 @@ There is one fold (:func:`_fold`) with two entry points:
   of :mod:`repro.txn.scheduler` uses it to fold the hottest block ranges
   after commits and between queries.
 
-Both rewrite the one table they fold, merge the range as a one-layer SID
-window (:func:`~repro.core.stack.merge_scan_layers`), splice it with the
-stable prefix and suffix read through the buffer pool, and then drop and
-re-store *every* block of that table — a range fold saves merge work, not
-block writes. Neither waits for quiescence: a running transaction is a
-pin, and a pinned reader's outgoing image is first re-homed onto a
-private in-memory copy of its blocks (the image is its blocks). Only this
-table's buffer-pool blocks are evicted; every other table stays hot. A
-fold with nothing to fold touches neither storage nor the WAL.
+Both rewrite the one table they fold: merge the range through the whole
+committed stack as one SID window (stable ∘ Read-PDT ∘ Write-PDT,
+:func:`~repro.core.stack.merge_scan_layers`; no Propagate first), splice
+it with the stable prefix and suffix read through the buffer pool, and
+then drop and re-store *every* block of that table — a range fold saves
+merge work, not block writes. Neither waits for quiescence: a running
+transaction is a pin, the old PDTs are replaced, never mutated, and a
+pinned reader's outgoing image is first re-homed onto a private in-memory
+copy of its blocks (the image is its blocks). Only this table's
+buffer-pool blocks are evicted; every other table stays hot. A fold with
+nothing to fold touches neither storage nor the WAL.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pdt import PDT
+from ..core.propagate import propagate_batch
 from ..core.stack import merge_scan_layers
 from ..storage.blocks import BlockStore
 from ..storage.buffer import BufferPool
@@ -76,40 +79,37 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
 
 def _fold(manager: TransactionManager, table: str,
           sid_lo: int, sid_hi: int) -> int:
-    """The one stable-image rewrite: merge ``[sid_lo, sid_hi)`` with the
-    deltas addressing it, splice the result between the untouched stable
-    prefix and suffix, publish, and rebase the WAL. Returns the number of
-    entries folded.
+    """The one stable-image rewrite: merge ``[sid_lo, sid_hi)`` through
+    the committed Read- and Write-PDT in one pass, splice the result
+    between the untouched stable prefix and suffix, publish, and rebase
+    the WAL. Returns the number of entries folded.
 
-    The committed Write-PDT is first propagated down so the Read-PDT
-    holds every committed delta (under a live pin that copies the
-    Read-PDT once; the pinned stack is left as it was).
+    Each layer's entries outside the window survive, the Write-PDT's
+    propagated into the Read-PDT's; the old PDTs, which a pin may hold,
+    are replaced and left as they were.
     """
     state = manager.state_of(table)
-    manager.propagate_write_to_read(table)
-    read_pdt = state.read_pdt
+    layers = [pdt for pdt in (state.read_pdt, state.write_pdt)
+              if not pdt.is_empty()]
+    if not layers:
+        return 0
     old = state.stable
     n_rows = old.num_rows
     sid_lo = max(0, min(sid_lo, n_rows))
-    to_end = sid_hi >= n_rows
     sid_hi = min(sid_hi, n_rows)
 
-    # Entries outside the range survive the fold; those inside fold in.
-    below = read_pdt.entries(0, sid_lo)
-    above = [] if to_end else read_pdt.entries(sid_hi)
-    folded = read_pdt.count() - len(below) - len(above)
-    if not folded:
-        return 0
-
-    # Merge just the range: the stable window through the Read-PDT alone.
+    # Merge just the range: the stable window through the whole stack.
     schema = state.schema
     columns = list(schema.column_names)
     merged: dict[str, list[np.ndarray]] = {c: [] for c in columns}
-    for _, arrays in merge_scan_layers(old, [read_pdt], columns=columns,
-                                       start=sid_lo, stop=sid_hi):
+    cuts: list = []
+    for _, arrays in merge_scan_layers(old, layers, columns=columns,
+                                       start=sid_lo, stop=sid_hi, cuts=cuts):
         for c in columns:
             merged[c].append(arrays[c])
-    shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)
+    folded = sum(cut.b - cut.a for cut in cuts)
+    if not folded:
+        return 0
 
     # The whole new image, spliced before the old one's blocks go away.
     arrays = {
@@ -118,11 +118,19 @@ def _fold(manager: TransactionManager, table: str,
         for c in columns
     }
 
-    # Rebase the surviving entries into a fresh Read-PDT.
-    survivor = PDT(schema, fanout=read_pdt.fanout)
-    survivor.bulk_append_entries(
-        below + [(sid + shift, kind, payload) for sid, kind, payload in above]
-    )
+    # Entries outside the window survive: above it, a layer's SIDs move
+    # by the window's change in it and every layer over it.
+    shift = sum(cut.delta for cut in cuts)
+    survivor = PDT(schema, fanout=state.read_pdt.fanout)
+    for pdt, cut in zip(layers, cuts):
+        run = _survivors(pdt, cut, shift)
+        shift -= cut.delta
+        if survivor.is_empty():
+            survivor.bulk_append_entries(run)
+        elif run:
+            upper = PDT(schema)
+            upper.bulk_append_entries(run)
+            propagate_batch(survivor, upper)
 
     pool = old.pool
     if manager.is_pinned(table):
@@ -151,6 +159,7 @@ def _fold(manager: TransactionManager, table: str,
     pool.evict_table(table)
     state.stable = new_stable
     state.read_pdt = survivor
+    state.write_pdt = PDT(schema)
     state.sparse_index = SparseIndex(new_stable)
     # Replace this table's WAL history with one snapshot of the surviving
     # (rebased) deltas, if any: recovery then replays exactly the
@@ -159,6 +168,18 @@ def _fold(manager: TransactionManager, table: str,
     manager.wal.rebase_table(table, survivor, lsn=manager._lsn)
     _truncate_wal_if_clean(manager)
     return folded
+
+
+def _survivors(pdt: PDT, cut, shift: int) -> list:
+    """``pdt``'s entries outside the window ``cut`` (a ``LayerCut``): those
+    below as they are, those above with SIDs moved by ``shift``."""
+    span = pdt.entries(cut.start_sid, cut.stop_sid) \
+        if cut.a or cut.b < cut.n else []
+    above = span[cut.b:]
+    if cut.stop_sid is not None:
+        above += pdt.entries(cut.stop_sid)
+    return pdt.entries(0, cut.start_sid) + span[:cut.a] + [
+        (sid + shift, kind, payload) for sid, kind, payload in above]
 
 
 def _truncate_wal_if_clean(manager: TransactionManager) -> None:

@@ -15,7 +15,8 @@ takes one for the transaction (released when it finishes), and reads
 outside transactions take one per scan. A loan stays valid because the
 commit path never mutates a Write-PDT a live pin holds: Propagate then
 runs into a fresh copy that replaces the master (copy-on-commit), and the
-loaned object is left exactly as it was.
+loaned object is left exactly as it was; a checkpoint swaps in fresh
+Read- and Write-PDTs.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class ManagerStats:
     commits: int = 0
     aborts: int = 0
     conflicts: int = 0
-    propagations: int = 0
+    propagations: int = 0      # commits' and propagate_write_to_read's
     snapshot_copies: int = 0   # pin-forced copies: commit and Propagate
     snapshot_reuses: int = 0   # Write-PDT loans taken by pins (no copy)
 
@@ -464,7 +465,8 @@ class TransactionManager:
         Runs while transactions are open: each reads through its own pin,
         and a pinned Read-PDT is copied before it absorbs anything
         (below), so no snapshot double-applies. Positions in the output
-        domain (open Trans-PDTs', TZ records') do not move.
+        domain (open Trans-PDTs', TZ records') do not move. A checkpoint
+        never calls this: its fold merges through both layers.
         """
         state = self.state_of(table)
         if state.write_pdt.is_empty():

@@ -1,4 +1,4 @@
-"""Layering guard: four couplings that must not grow back.
+"""Layering guard: five couplings that must not grow back.
 
 * A PDT's payloads live in its value space (paper eq. 7), and only
   ``repro.core`` reads it. Everything above the core takes a PDT's
@@ -16,6 +16,9 @@
   is one), so ``txn/checkpoint.py``, ``txn/scheduler.py`` and
   ``TransactionManager.propagate_write_to_read`` never name
   ``running_count`` or ``_running``.
+* A checkpoint merges the stable window through the Read- and Write-PDT
+  in one pass, so ``txn/checkpoint.py`` never calls
+  ``propagate_write_to_read`` (a Propagate whose result the fold drops).
 
 The check parses the source (no imports), so it stays well under a
 second.
@@ -110,6 +113,17 @@ def running_refs(tree):
     return hits
 
 
+def calls_of(tree, name):
+    """``(line, text)`` of every call of ``name``, bare or as a method."""
+    return [
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "attr", None),
+                     getattr(node.func, "id", None))
+    ]
+
+
 def method(tree, cls, name):
     """The ``def name`` node inside ``class cls``."""
     for node in ast.walk(tree):
@@ -164,6 +178,14 @@ def test_maintenance_asks_only_about_pins():
         "\n".join(found)
 
 
+def test_fold_runs_no_propagate():
+    path = SRC / "txn" / "checkpoint.py"
+    found = [f"txn/checkpoint.py:{line}: {text}" for line, text in
+             calls_of(ast.parse(path.read_text(), str(path)),
+                      "propagate_write_to_read")]
+    assert not found, "the fold propagates first:\n" + "\n".join(found)
+
+
 def test_guard_sees_both_couplings():
     """The detectors fire on the shapes they guard against."""
     reads = ast.parse("value_of = pdt.values.value_of\n"
@@ -205,3 +227,15 @@ def test_guard_sees_running_refs():
                      "        _running = manager.is_pinned(t)\n")
     body = method(tree, "TransactionManager", "propagate_write_to_read")
     assert sorted(line for line, _ in running_refs(body)) == [4, 6, 8]
+
+
+def test_guard_sees_propagate_calls():
+    """A Propagate call fires, as a method or a bare name; its docstring
+    mention and a lookalike name do not."""
+    tree = ast.parse("def _fold(manager, table):\n"
+                     "    'no propagate_write_to_read() first'\n"
+                     "    manager.propagate_write_to_read(table)\n"
+                     "    propagate_write_to_read(table)\n"
+                     "    manager.propagate_write(table)\n")
+    assert [line for line, _ in
+            calls_of(tree, "propagate_write_to_read")] == [3, 4]

@@ -17,11 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, DataType, Schema
+from repro.core.propagate import propagate_batch
+from repro.core.types import KIND_DEL, KIND_INS
 from repro.storage.backend import MemoryBackend
 from repro.storage.mmap_backend import MmapFileBackend
 from repro.txn import checkpoint_table, checkpoint_table_range
 
 from ..core.test_bulk_update_property import N_STABLE, gen_batch, make_schema
+from ..oracles.propagate_fold import propagate_then_fold
 
 STRING_KEYED = Schema.build(
     ("k0", DataType.STRING), ("a", DataType.INT64), ("b", DataType.STRING),
@@ -246,9 +249,10 @@ def test_sharded_checkpoint_touches_only_shards_with_deltas(tmp_path,
         assert plain(reopened.query("t").rows()) == expected
 
 
-def test_checkpoint_under_pin_copies_the_read_pdt_once():
-    """The fold propagates Write into Read first; under a live pin that
-    is one Read-PDT copy, and the pinned stack keeps its objects."""
+def test_checkpoint_under_pin_copies_no_pdt():
+    """The fold merges through both layers without a Propagate first:
+    under a live pin it copies no PDT, and the pinned stack keeps its
+    objects and contents."""
     db = Database()
     db.create_table("t", make_schema(1), [(i, i, "s") for i in range(50)])
     db.modify("t", (3,), "a", 30)
@@ -256,10 +260,162 @@ def test_checkpoint_under_pin_copies_the_read_pdt_once():
     db.modify("t", (4,), "a", 40)
     with db.pin_snapshot() as pin:
         pinned = pin.tables["t"]
-        read_before, entries = pinned.read_pdt, pinned.read_pdt.count()
+        layers = (pinned.read_pdt, pinned.write_pdt)
+        runs = [pdt.entries() for pdt in layers]
+        copies = db.manager.stats.snapshot_copies
         db.checkpoint("t")
-        assert pinned.read_pdt is read_before
-        assert read_before.count() == entries  # not propagated into
+        assert db.manager.stats.snapshot_copies == copies
+        assert (pinned.read_pdt, pinned.write_pdt) == layers
+        assert [pdt.entries() for pdt in layers] == runs
         assert plain(db.query("t", pin=pin).rows())[3:5] \
             == [(3, 30, "s"), (4, 40, "s")]
     assert plain(db.table("t").rows())[3:5] == [(3, 30, "s"), (4, 40, "s")]
+
+
+def test_checkpoint_with_a_transaction_open_copies_no_pdt():
+    db = Database()
+    db.create_table("t", make_schema(1), [(i, i, "s") for i in range(50)])
+    db.modify("t", (3,), "a", 30)
+    db.manager.propagate_write_to_read("t")
+    db.modify("t", (4,), "a", 40)
+    txn = db.begin()
+    txn.modify("t", (5,), "a", 50)
+    seen = txn.image_rows("t")
+    copies = db.manager.stats.snapshot_copies
+    db.checkpoint("t")
+    state = db.manager.state_of("t")
+    assert db.manager.stats.snapshot_copies == copies
+    assert state.read_pdt.is_empty() and state.write_pdt.is_empty()
+    assert txn.image_rows("t") == seen
+    txn.commit()
+    assert plain(db.image_rows("t"))[3:6] \
+        == [(3, 30, "s"), (4, 40, "s"), (5, 50, "s")]
+
+
+# -- differential: one merge vs Propagate-then-fold ---------------------------
+
+
+def _twin(schema, rows, shards: int) -> Database:
+    db = Database(block_rows=8)
+    if shards:
+        db.create_sharded_table("t", schema, rows, shards=shards)
+    else:
+        db.create_table("t", schema, rows)
+    return db
+
+
+def image_bytes(db, name) -> dict:
+    """The encoded blocks of ``name``'s stable image, per column."""
+    state = db.manager.state_of(name)
+    store = state.stable.pool.store
+    return {c: [store.backend.get_block(name, c, b)
+                for b in range(store.column_blocks(name, c))]
+            for c in state.schema.column_names}
+
+
+def committed_run(state) -> list:
+    """The entry run of the Read-PDT with the Write-PDT propagated into
+    (a copy of) it: one run per committed stack, whatever the layering."""
+    read = state.read_pdt.copy()
+    propagate_batch(read, state.write_pdt)
+    return read.entries()
+
+
+def test_range_fold_keeps_a_write_insert_below_its_ghosted_bound():
+    """The Write-PDT splits at the merge's key-tested cut: an insert at the
+    window's lower bound that sorts below the ghosted bound tuple (key 18,
+    deleted in the Read-PDT) stays a survivor, as the oracle keeps it."""
+    rows = [(i * 2, i, f"s{i}") for i in range(40)]
+    new, old = dbs = [_twin(make_schema(1), rows, 0) for _ in range(2)]
+    for db in dbs:
+        db.delete("t", (18,))
+        db.manager.propagate_write_to_read("t")
+        db.insert("t", (17, 1, "x"))
+        db.modify("t", (30,), "a", -1)  # the one entry inside [10, 20)
+    expected = plain(new.image_rows("t"))
+    assert checkpoint_table_range(new.manager, "t", 10, 20) == 1
+    propagate_then_fold(old.manager, "t", 10, 20)
+    state, twin = (db.manager.state_of("t") for db in dbs)
+    assert image_bytes(new, "t") == image_bytes(old, "t")
+    assert state.read_pdt.entries() == twin.read_pdt.entries()
+    assert [kind for _, kind, _ in state.read_pdt.entries()] \
+        == [KIND_INS, KIND_DEL]
+    assert plain(new.image_rows("t")) == expected
+
+
+@pytest.mark.parametrize("reader", ["none", "pin", "txn"])
+@pytest.mark.parametrize("shards", [0, 3])
+@pytest.mark.parametrize("fold", ["full", "range"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), keying=st.sampled_from(sorted(KEYINGS)),
+       n_read=st.integers(1, 25), n_write=st.integers(1, 25))
+def test_fold_matches_propagate_then_fold(fold, shards, reader, seed, keying,
+                                          n_read, n_write):
+    """Both layers non-empty: the one-merge fold publishes the image bytes
+    and survivor run of the Propagate-then-fold oracle, copies no pinned
+    PDT, and leaves a reader's view and its later commit intact."""
+    schema, rekey = KEYINGS[keying]
+    n_keys = len(schema.sort_key)
+    rng = random.Random(seed)
+    live = set(range(0, N_STABLE * 2, 2))
+    read_ops, write_ops = (
+        [rekey(op) for op in gen_batch(rng, schema, live, n, reuse_keys=True)]
+        for n in (n_read, n_write))
+    new, old = dbs = [_twin(schema, seed_rows(schema, rekey), shards)
+                      for _ in range(2)]
+    for db in dbs:
+        db.apply_batch("t", read_ops)
+        for name in db.manager.physical_names("t"):
+            db.manager.propagate_write_to_read(name)
+        db.apply_batch("t", write_ops)
+    expected = plain(new.image_rows("t"))
+
+    readers, views = [], []
+    for db in dbs:
+        if reader == "pin":
+            readers.append(db.pin_snapshot())
+            views.append(plain(db.query("t", pin=readers[-1]).rows()))
+        elif reader == "txn":
+            txn = db.begin()
+            if live:
+                k = min(live)
+                txn.modify("t", rekey(("del", (k,) * n_keys))[1], "a", -1)
+            readers.append(txn)
+            views.append(plain(txn.image_rows("t")))
+
+    copies = new.manager.stats.snapshot_copies
+    for name in new.manager.physical_names("t"):
+        state, twin = (db.manager.state_of(name) for db in dbs)
+        stable, n_rows = state.stable, state.stable.num_rows
+        if fold == "full":
+            lo, hi = 0, n_rows
+            assert checkpoint_table(new.manager, name) is state.stable
+            assert state.read_pdt.is_empty() and state.write_pdt.is_empty()
+        else:
+            lo = rng.randrange(0, n_rows + 2)
+            hi = rng.randrange(lo, n_rows + 10)
+            if not checkpoint_table_range(new.manager, name, lo, hi):
+                assert state.stable is stable  # a clean window: no-op
+        propagate_then_fold(old.manager, name, lo, hi)
+        assert image_bytes(new, name) == image_bytes(old, name)
+        assert twin.write_pdt.is_empty()
+        if state.stable is not stable:
+            assert state.write_pdt.is_empty()
+            assert state.read_pdt.entries() == twin.read_pdt.entries()
+        assert committed_run(state) == committed_run(twin)
+        state.read_pdt.check_invariants()
+    assert new.manager.stats.snapshot_copies == copies
+    assert plain(new.image_rows("t")) == expected
+
+    for db, r, view in zip(dbs, readers, views):
+        if reader == "pin":
+            assert plain(db.query("t", pin=r).rows()) == view
+            r.release()
+        else:
+            assert plain(r.image_rows("t")) == view
+            key = (N_STABLE * 2 + 9,) * n_keys
+            r.insert("t", rekey(("ins", key + (7, "txn")))[1])
+            final = plain(r.image_rows("t"))
+            r.commit()
+            assert plain(db.image_rows("t")) == final
+    assert plain(new.image_rows("t")) == plain(old.image_rows("t"))

@@ -148,12 +148,9 @@ EXPECTED = [
     (28, 's__s1', 'propagate'),
     (31, 's__s0', 'propagate'),
     (31, 's__s1', 0, 1000),
-    (31, 's__s1', 'propagate'),
     (31, 's__s2', 'propagate'),
     (36, 's__s0', 0, 1000),
-    (36, 's__s0', 'propagate'),
     (36, 's__s2', 0, 1000),
-    (36, 's__s2', 'propagate'),
     (37, 's__s1', 'propagate'),
     (41, 's__s0', 'propagate'),
     (41, 's__s2', 'propagate'),
@@ -161,112 +158,82 @@ EXPECTED = [
     (52, 's__s0', 'propagate'),
     (55, 's__s2', 'propagate'),
     (58, 'u', 0, 2000),
-    (58, 'u', 'propagate'),
     (62, 's__s1', 'propagate'),
     (68, 's__s0', 0, 994),
-    (68, 's__s0', 'propagate'),
     (68, 's__s1', 0, 1002),
-    (68, 's__s1', 'propagate'),
     (73, 's__s2', 'propagate'),
     (75, 's__s0', 'propagate'),
     (75, 's__s1', 'propagate'),
     (75, 's__s2', 0, 1008),
-    (75, 's__s2', 'propagate'),
     (83, 'u', 'propagate'),
     (95, 's__s0', 'propagate'),
     (95, 's__s1', 'propagate'),
     (95, 's__s2', 'propagate'),
     (98, 'u', 'propagate'),
     (102, 'u', 0, 2001),
-    (102, 'u', 'propagate'),
     (108, 's__s0', 'propagate'),
     (108, 's__s1', 0, 1011),
-    (108, 's__s1', 'propagate'),
     (108, 's__s2', 'propagate'),
     (111, 's__s0', 0, 1000),
-    (111, 's__s0', 'propagate'),
     (114, 's__s1', 'propagate'),
     (116, 's__s0', 'propagate'),
     (116, 's__s2', 0, 1012),
-    (116, 's__s2', 'propagate'),
     (117, 's__s1', 'propagate'),
     (127, 'u', 'propagate'),
     (127, 's__s0', 'propagate'),
     (127, 's__s2', 'propagate'),
     (128, 's__s1', 0, 1020),
-    (128, 's__s1', 'propagate'),
     (129, 'u', 0, 2010),
-    (129, 'u', 'propagate'),
     (133, 's__s2', 'propagate'),
     (136, 's__s0', 0, 1003),
-    (136, 's__s0', 'propagate'),
     (138, 'u', 'propagate'),
     (140, 'u', 0, 2007),
-    (140, 'u', 'propagate'),
     (145, 'u', 'propagate'),
     (146, 'h', 768, 1280),
-    (146, 'h', 'propagate'),
     (150, 's__s1', 'propagate'),
     (150, 's__s2', 'propagate'),
     (155, 's__s0', 'propagate'),
     (155, 's__s2', 0, 1013),
-    (155, 's__s2', 'propagate'),
     (158, 's__s0', 'propagate'),
     (158, 's__s1', 'propagate'),
     (165, 'h', 1280, 1536),
-    (165, 'h', 'propagate'),
     (172, 'u', 0, 2010),
-    (172, 'u', 'propagate'),
     (174, 's__s2', 'propagate'),
     (175, 'u', 'propagate'),
     (180, 'u', 'propagate'),
     (182, 'u', 0, 2020),
-    (182, 'u', 'propagate'),
     (183, 's__s0', 'propagate'),
     (187, 'u', 'propagate'),
     (190, 's__s1', 'propagate'),
     (190, 's__s2', 'propagate'),
     (199, 'u', 'propagate'),
     (202, 'u', 0, 2032),
-    (202, 'u', 'propagate'),
     (205, 's__s0', 0, 1015),
-    (205, 's__s0', 'propagate'),
     (205, 's__s1', 0, 1025),
-    (205, 's__s1', 'propagate'),
     (207, 's__s2', 0, 1018),
-    (207, 's__s2', 'propagate'),
     (216, 'u', 'propagate'),
     (217, 's__s0', 'propagate'),
     (217, 's__s1', 'propagate'),
     (228, 'u', 0, 2043),
-    (228, 'u', 'propagate'),
     (234, 'u', 'propagate'),
     (237, 's__s0', 'propagate'),
     (237, 's__s1', 'propagate'),
     (237, 's__s2', 'propagate'),
     (247, 'u', 'propagate'),
     (249, 'u', 0, 2045),
-    (249, 'u', 'propagate'),
     (259, 'h', 768, 1024),
-    (259, 'h', 'propagate'),
     (261, 'u', 'propagate'),
     (263, 'u', 0, 2053),
-    (263, 'u', 'propagate'),
     (264, 's__s2', 'propagate'),
     (269, 's__s0', 0, 1024),
-    (269, 's__s0', 'propagate'),
     (269, 's__s1', 'propagate'),
     (270, 'h', 1280, 1536),
-    (270, 'h', 'propagate'),
     (271, 'u', 'propagate'),
     (277, 'u', 'propagate'),
     (280, 's__s2', 'propagate'),
     (281, 'h', 1024, 1280),
-    (281, 'h', 'propagate'),
     (284, 's__s1', 0, 1030),
-    (284, 's__s1', 'propagate'),
     (290, 's__s2', 0, 1020),
-    (290, 's__s2', 'propagate'),
     (298, 's__s0', 'propagate'),
     (298, 's__s1', 'propagate'),
 ]
