@@ -105,7 +105,9 @@ def test_propagate_top_layer(benchmark, stacks, n_layers):
     def setup():
         if top is None:
             return (PDT(table.schema), layers[0]), {}
-        return (base_proto.copy(), top), {}
+        base = PDT(table.schema, fanout=base_proto.fanout)
+        base.bulk_append_entries(base_proto.entries())
+        return (base, top), {}
 
     def run(base, upper):
         propagate(base, upper)

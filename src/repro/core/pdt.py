@@ -221,8 +221,7 @@ class PDT:
         list, so no holder of the run aliases a row that a later modify
         rewrites in place. :meth:`bulk_append_entries` on an empty PDT is
         the inverse; WAL records, worker payloads, fold survivors and
-        rebalanced shards all travel in this form (:meth:`copy`, which
-        stays inside one process, skips the fresh lists).
+        rebalanced shards all travel in this form.
         """
         value_of = self.values.value_of
         run = []
@@ -404,8 +403,8 @@ class PDT:
         The only way a run turns back into a PDT: the batch update path's
         empty-top run, ``propagate_batch``'s merged run, Serialize's
         output, WAL replay staging, worker-side layer rebuilds, checkpoint
-        fold survivors, rebalanced shards and :meth:`copy`. Leaves and
-        inner levels are built bottom-up in one pass, with no per-entry
+        fold survivors, rebalanced shards and merged Write layers. Leaves
+        and inner levels are built bottom-up in one pass, with no per-entry
         root descents and no incremental splits. A non-empty PDT raises
         :class:`PDTError`.
         """
@@ -463,26 +462,6 @@ class PDT:
 
     # ------------------------------------------------------------------
     # housekeeping
-
-    def copy(self) -> "PDT":
-        """Independent copy, rebuilt in bulk from :meth:`entry_lists` and
-        the value space. The clone's value space copies each inserted row
-        once (:meth:`ValueSpace.add_insert`), so neither PDT aliases a row
-        the other's modifies rewrite in place.
-
-        Taken when a loaned PDT must stay as it is: copy-on-commit of a
-        master Write-PDT that a live pin (a running transaction's, too)
-        still reads (``TransactionManager._finish``), and a pinned
-        Read-PDT about to absorb the Write-PDT
-        (``propagate_write_to_read``).
-        """
-        value_of = self.values.value_of
-        clone = PDT(self.schema, self.fanout)
-        clone.bulk_append_entries([
-            (sid, kind, value_of(kind, ref))
-            for sid, kind, ref in zip(*self.entry_lists())
-        ])
-        return clone
 
     def clear(self) -> None:
         self._root = _Leaf()

@@ -8,8 +8,9 @@ we go, so each entry's RID can be used directly. Inserts additionally need
 their exact SID with respect to read's ghost tuples, recovered from sort
 keys via ``sk_rid_to_sid`` (Algorithm 6).
 
-Used when the Write-PDT outgrows its budget (migrate to the Read-PDT) and
-at commit (migrate a serialized Trans-PDT into the Write-PDT).
+Used when the Write-PDT outgrows its budget (migrate to the Read-PDT), at
+commit (migrate a serialized Trans-PDT into the top Write layer) and when
+two Write layers merge.
 
 Two implementations of the same fold:
 
@@ -79,6 +80,14 @@ def propagate_batch(read_pdt, write_pdt) -> None:
     merged = _merge_fold(read_pdt, write_pdt)
     read_pdt.clear()
     read_pdt.bulk_append_entries(merged)
+
+
+def propagated(read_pdt, write_pdt):
+    """``read_pdt`` with ``write_pdt`` folded in, as a fresh PDT built
+    from the merged run; neither input changes (a pin may hold them)."""
+    fresh = type(read_pdt)(read_pdt.schema, fanout=read_pdt.fanout)
+    fresh.bulk_append_entries(_merge_fold(read_pdt, write_pdt))
+    return fresh
 
 
 def _merge_fold(read_pdt, write_pdt) -> list:

@@ -24,6 +24,8 @@ from itertools import chain, takewhile
 import numpy as np
 
 from .merge import BlockMerger, merge_row_stream
+from .pdt import PDT
+from .propagate import propagate_batch, propagated
 from .types import KIND_INS
 
 
@@ -145,39 +147,57 @@ def merge_scan_layers(
     stored block per batch.
 
     A ``cuts`` list receives one :data:`LayerCut` per non-empty layer,
-    bottom-up, once the generator starts: the layer exported its ``n``
-    entries with SID in ``[start_sid, stop_sid)`` (None: to the end), the
-    window holds indices ``[a, b)`` of them, changing its size by ``delta``.
+    bottom-up, by the time the call returns, before a stored block is
+    read (with ``low`` / ``high``: on the first ``next()``). The layer
+    exported its ``n`` entries with SID in ``[start_sid, stop_sid)``
+    (None: to the end), the window holds indices ``[a, b)`` of them,
+    changing its size by ``delta``.
     """
     if columns is None:
         columns = stable.schema.column_names
     n = stable.num_rows
     start = min(start, n)
-    open_end = stop is None or stop >= n
-    stop = n if open_end else max(stop, start)
+    stop = n if stop is None or stop >= n else max(stop, start)
     stream = stable.scan(columns=columns, start=start, stop=stop,
                          batch_rows=batch_rows)
-    block = None
     if (low is not None or high is not None) and start < stop:
-        first_sid, arrays = next(stream)
-        end = first_sid + len(arrays[columns[0]])
-        keys = [arrays[c] for c in
-                takewhile(arrays.__contains__, stable.schema.sort_key)]
-        if keys:
-            if len(keys) == len(stable.schema.sort_key):
-                block = (first_sid, keys)
-            if low is not None:
-                start = first_sid + key_run(keys, low)[0]
-            if high is not None:
-                past = first_sid + key_run(keys, high, start - first_sid)[1]
-                if past < end:
-                    stop = past + 1
-                    open_end = stop >= n
-        if start > first_sid or stop < end:
-            arrays = {c: a[start - first_sid:min(stop, end) - first_sid]
-                      for c, a in arrays.items()}
-        stream = chain([(start, arrays)] if start < min(stop, end) else [],
-                       stream if stop > end else [])
+        return _narrowed(stable, layers, columns, stream, start, stop,
+                         low, high, cuts)
+    return _stacked(stable, layers, columns, stream, start, stop, None, cuts)
+
+
+def _narrowed(stable, layers, columns, stream, start, stop, low, high,
+              cuts):
+    """:func:`merge_scan_layers` with key bounds: narrow the window inside
+    its first stored block, then cut the layers."""
+    first_sid, arrays = next(stream)
+    end = first_sid + len(arrays[columns[0]])
+    keys = [arrays[c] for c in
+            takewhile(arrays.__contains__, stable.schema.sort_key)]
+    block = None
+    if keys:
+        if len(keys) == len(stable.schema.sort_key):
+            block = (first_sid, keys)
+        if low is not None:
+            start = first_sid + key_run(keys, low)[0]
+        if high is not None:
+            past = first_sid + key_run(keys, high, start - first_sid)[1]
+            if past < end:
+                stop = past + 1
+    if start > first_sid or stop < end:
+        arrays = {c: a[start - first_sid:min(stop, end) - first_sid]
+                  for c, a in arrays.items()}
+    stream = chain([(start, arrays)] if start < min(stop, end) else [],
+                   stream if stop > end else [])
+    return (yield from _stacked(stable, layers, columns, stream, start, stop,
+                                block, cuts))
+
+
+def _stacked(stable, layers, columns, stream, start, stop, block, cuts):
+    """Cut every layer at the window ``[start, stop)`` and splice its
+    entries into ``stream``; the returned generator returns the RID just
+    past the window."""
+    open_end = stop >= stable.num_rows
     lo = _Bound(stable, start, block=block)
     hi = _Bound(stable, stop, open_end, block=block)
     keyed = False
@@ -197,8 +217,12 @@ def merge_scan_layers(
         stream = BlockMerger(pdt, columns).merge_batches(
             stream, (sids, kinds, refs), lo.pos)
         keyed = True
+    return _drain(stream, hi.pos)
+
+
+def _drain(stream, end: int):
     yield from stream
-    return hi.pos
+    return end
 
 
 def merge_rows_layers(stable_rows, layers) -> list[tuple]:
@@ -217,3 +241,41 @@ def image_rows(stable, layers) -> list[tuple]:
 def total_delta(layers) -> int:
     """Net row-count change contributed by a stack of layers."""
     return sum(layer.total_delta() for layer in layers)
+
+
+class WriteStack:
+    """A table's committed Write layers, bottom-up; only the top one is
+    ever written. A commit folds into the top layer, or into a fresh one
+    pushed above it when a live pin holds the top. A top grown to the
+    size of the layer below merges into it: in place, or into a fresh
+    layer when a pin holds the lower one, so depth stays logarithmic. A
+    pin captures ``layers``: held layers are a bottom prefix and never
+    change."""
+
+    __slots__ = ("schema", "layers")
+
+    def __init__(self, schema, layers=()):
+        self.schema = schema
+        self.layers = tuple(layers)
+
+    def count(self) -> int:
+        return sum(layer.count() for layer in self.layers)
+
+    def is_empty(self) -> bool:
+        return all(layer.is_empty() for layer in self.layers)
+
+    def propagate(self, trans, held: int) -> None:
+        """Fold ``trans``, consecutive to the whole stack, into the top;
+        live pins hold the bottom ``held`` layers."""
+        layers = self.layers
+        if held >= len(layers):
+            layers += (PDT(self.schema),)
+        propagate_batch(layers[-1], trans)
+        while len(layers) > 1 and layers[-1].count() >= layers[-2].count():
+            lower, upper = layers[-2:]
+            if held >= len(layers) - 1:
+                lower = propagated(lower, upper)
+            else:
+                propagate_batch(lower, upper)
+            layers = layers[:-2] + (lower,)
+        self.layers = layers

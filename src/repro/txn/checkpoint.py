@@ -18,7 +18,7 @@ There is one fold (:func:`_fold`) with two entry points:
   after commits and between queries.
 
 Both rewrite the one table they fold: merge the range through the whole
-committed stack as one SID window (stable ∘ Read-PDT ∘ Write-PDT,
+committed stack as one SID window (stable ∘ Read-PDT ∘ Write layers,
 :func:`~repro.core.stack.merge_scan_layers`; no Propagate first), splice
 it with the stable prefix and suffix read through the buffer pool, and
 then drop and re-store *every* block of that table — a range fold saves
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..core.pdt import PDT
 from ..core.propagate import propagate_batch
-from ..core.stack import merge_scan_layers
+from ..core.stack import WriteStack, merge_scan_layers
 from ..storage.blocks import BlockStore
 from ..storage.buffer import BufferPool
 from ..storage.sparse_index import SparseIndex
@@ -80,16 +80,17 @@ def checkpoint_table_range(manager: TransactionManager, table: str,
 def _fold(manager: TransactionManager, table: str,
           sid_lo: int, sid_hi: int) -> int:
     """The one stable-image rewrite: merge ``[sid_lo, sid_hi)`` through
-    the committed Read- and Write-PDT in one pass, splice the result
-    between the untouched stable prefix and suffix, publish, and rebase
-    the WAL. Returns the number of entries folded.
+    the committed Read-PDT and Write layers in one pass, splice the
+    result between the untouched stable prefix and suffix, publish, and
+    rebase the WAL. Returns the number of entries folded; a clean window
+    reads no block.
 
-    Each layer's entries outside the window survive, the Write-PDT's
-    propagated into the Read-PDT's; the old PDTs, which a pin may hold,
+    Each layer's entries outside the window survive, each Write layer's
+    propagated into those below; the old PDTs, which a pin may hold,
     are replaced and left as they were.
     """
     state = manager.state_of(table)
-    layers = [pdt for pdt in (state.read_pdt, state.write_pdt)
+    layers = [pdt for pdt in (state.read_pdt, *state.write_pdt.layers)
               if not pdt.is_empty()]
     if not layers:
         return 0
@@ -103,13 +104,14 @@ def _fold(manager: TransactionManager, table: str,
     columns = list(schema.column_names)
     merged: dict[str, list[np.ndarray]] = {c: [] for c in columns}
     cuts: list = []
-    for _, arrays in merge_scan_layers(old, layers, columns=columns,
-                                       start=sid_lo, stop=sid_hi, cuts=cuts):
-        for c in columns:
-            merged[c].append(arrays[c])
+    window = merge_scan_layers(old, layers, columns=columns, start=sid_lo,
+                               stop=sid_hi, cuts=cuts)
     folded = sum(cut.b - cut.a for cut in cuts)
     if not folded:
         return 0
+    for _, arrays in window:
+        for c in columns:
+            merged[c].append(arrays[c])
 
     # The whole new image, spliced before the old one's blocks go away.
     arrays = {
@@ -159,7 +161,7 @@ def _fold(manager: TransactionManager, table: str,
     pool.evict_table(table)
     state.stable = new_stable
     state.read_pdt = survivor
-    state.write_pdt = PDT(schema)
+    state.write_pdt = WriteStack(schema)
     state.sparse_index = SparseIndex(new_stable)
     # Replace this table's WAL history with one snapshot of the surviving
     # (rebased) deltas, if any: recovery then replays exactly the

@@ -7,15 +7,16 @@ master Write-PDT. Serialized Trans-PDTs of recent commits are kept in the
 ``TZ`` set with a reference count of still-running overlapping
 transactions, exactly as in the paper's Figure 15 walkthrough.
 
-No locks are taken anywhere on the read path: queries run against shared
-Read-PDTs and Write-PDT snapshots *loaned by reference* — "copying is not
-always required" (section 3.3). Every committed version a reader holds is
-held by one mechanism, a :class:`~repro.txn.pins.SnapshotPin`: ``begin``
-takes one for the transaction (released when it finishes), and reads
-outside transactions take one per scan. A loan stays valid because the
-commit path never mutates a Write-PDT a live pin holds: Propagate then
-runs into a fresh copy that replaces the master (copy-on-commit), and the
-loaned object is left exactly as it was; a checkpoint swaps in fresh
+No locks are taken anywhere on the read path, and no commit copies a
+PDT: "copying is not always required" (section 3.3). Every committed
+version a reader holds is held by one mechanism, a
+:class:`~repro.txn.pins.SnapshotPin`, which captures each table's layers
+by reference: ``begin`` takes one for the transaction (released when it
+finishes, or when the manager reaps a transaction dropped unfinished),
+and reads outside transactions take one per scan. The master Write-PDT
+is a :class:`~repro.core.stack.WriteStack` of layers; a commit writes
+only its top layer, and stacks a fresh one above a layer a live pin
+holds, so a held layer never changes. A checkpoint swaps in fresh
 Read- and Write-PDTs.
 """
 
@@ -24,11 +25,13 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, fields
 
 from ..core.pdt import PDT
-from ..core.propagate import propagate_batch
+from ..core.propagate import propagate_batch, propagated
 from ..core.serialize import serialize
+from ..core.stack import WriteStack
 from ..core.types import TransactionConflict
 from ..storage.sparse_index import SparseIndex
 from ..storage.table import StableTable
@@ -43,7 +46,7 @@ class TableState:
 
     stable: StableTable
     read_pdt: PDT
-    write_pdt: PDT
+    write_pdt: WriteStack
     sparse_index: SparseIndex | None = None
     last_commit_lsn: int = 0
 
@@ -67,8 +70,7 @@ class ManagerStats:
     aborts: int = 0
     conflicts: int = 0
     propagations: int = 0      # commits' and propagate_write_to_read's
-    snapshot_copies: int = 0   # pin-forced copies: commit and Propagate
-    snapshot_reuses: int = 0   # Write-PDT loans taken by pins (no copy)
+    snapshot_copies: int = 0   # pinned Read-PDTs Propagate rebuilt
 
     def as_dict(self) -> dict:
         """JSON-able view; the surface ``Database.metrics()`` reads.
@@ -85,7 +87,10 @@ class TransactionManager:
         # Only physical_names / route / split_ops read it: they are the
         # one place a name resolves to the physical tables behind it.
         self.sharded_tables: dict = {}
-        self._running: dict[int, Transaction] = {}
+        # txn_id -> finalizer: transactions are held weakly. One dropped
+        # unfinished queues itself on _dropped for _reap.
+        self._running: dict[int, weakref.finalize] = {}
+        self._dropped: list[tuple] = []
         self._tz: list[_CommitRecord] = []
         self._lsn = 0
         self._next_txn_id = 1
@@ -123,7 +128,7 @@ class TransactionManager:
         state = TableState(
             stable=stable,
             read_pdt=PDT(stable.schema),
-            write_pdt=PDT(stable.schema),
+            write_pdt=WriteStack(stable.schema),
             sparse_index=SparseIndex(stable),
         )
         self._tables[stable.name] = state
@@ -134,7 +139,7 @@ class TransactionManager:
         shards it replaces). Requires a quiescent point: a running
         transaction may hold snapshots of — or Trans-PDT entries against —
         the departing table."""
-        if self._running:
+        if self.running_count():
             raise TransactionError(
                 "unregister requires no running transactions"
             )
@@ -193,29 +198,22 @@ class TransactionManager:
         :mod:`repro.txn.pins`).
 
         Requires no quiescence: the pin captures committed state only
-        (running transactions' Trans-PDTs are invisible to it). The
-        Write-PDT snapshot is the master itself, *loaned by reference*,
-        or None when it is empty — "copying is not always required"
-        (section 3.3) — so pins under one commit LSN share one object
-        and pinning copies nothing. While the pin is live, maintenance on
-        its tables is deferred or runs copy-on-write and commits touching
-        them propagate copy-on-commit (see :meth:`_finish_inner`); release
-        pins promptly (the scheduler reports the oldest one that blocked
-        it as ``oldest_pin_age_s``). Every transaction holds one.
+        (running transactions' Trans-PDTs are invisible to it). It holds
+        the Read-PDT and the Write layers by reference, so pins under one
+        commit LSN share them and pinning copies nothing. While the pin is
+        live, maintenance on its tables is deferred or rebuilds what it
+        would change, and commits stack Write layers above the ones it
+        holds (see :class:`~repro.core.stack.WriteStack`); release pins
+        promptly (the scheduler reports the oldest one that blocked it as
+        ``oldest_pin_age_s``). Every transaction holds one.
         """
-        tables = {}
-        loans = 0
-        for name, state in self._tables.items():
-            write_pdt = state.write_pdt
-            if write_pdt.is_empty():
-                write_pdt = None
-            else:
-                loans += 1
-            tables[name] = PinnedTable(
-                name, state.stable, state.read_pdt, write_pdt,
-                state.sparse_index, state.last_commit_lsn,
-            )
-        self.stats.snapshot_reuses += loans
+        self._reap()
+        tables = {
+            name: PinnedTable(name, state.stable, state.read_pdt,
+                              state.write_pdt.layers, state.sparse_index,
+                              state.last_commit_lsn)
+            for name, state in self._tables.items()
+        }
         layouts = {
             # The router keeps its boundaries as tuples.
             logical: PinnedLayout(tuple(sharded.router.boundaries),
@@ -242,10 +240,12 @@ class TransactionManager:
 
     def is_pinned(self, table: str) -> bool:
         """True while any live pin captured ``table``'s current version."""
+        self._reap()
         with self._pin_lock:
             return any(table in pin.tables for pin in self._pins.values())
 
     def pin_count(self, table: str | None = None) -> int:
+        self._reap()
         with self._pin_lock:
             if table is None:
                 return len(self._pins)
@@ -268,12 +268,31 @@ class TransactionManager:
 
     def begin(self) -> Transaction:
         """Start a transaction reading through one snapshot pin: later
-        commits never leak into its view (they swing a loaned master to
-        a copy instead of mutating it)."""
+        commits never leak into its view (they stack Write layers above
+        the ones it holds). The manager holds it weakly: dropped
+        unfinished, it is reaped like an abort."""
         txn = Transaction(self, self._next_txn_id, self.pin_snapshot())
         self._next_txn_id += 1
-        self._running[txn.txn_id] = txn
+        # The finalizer may run while _pin_lock is held: it only queues.
+        self._running[txn.txn_id] = weakref.finalize(
+            txn, self._dropped.append, (txn.txn_id, txn.start_lsn, txn.pin))
         return txn
+
+    def _reap(self) -> None:
+        """Finish each transaction dropped unfinished as an abort would:
+        release its TZ references, then its pin."""
+        while self._dropped:
+            try:
+                txn_id, start_lsn, pin = self._dropped.pop()
+            except IndexError:  # another thread reaped it
+                return
+            del self._running[txn_id]
+            for record in list(self._tz):
+                if record.lsn > start_lsn:
+                    record.refcnt -= 1
+                    if record.refcnt == 0:
+                        self._tz.remove(record)
+            pin.release()
 
     def commit(self, txn: Transaction) -> None:
         """Finish(ok=True): serialize against overlaps, then propagate."""
@@ -284,6 +303,7 @@ class TransactionManager:
         self._finish(txn, ok=False)
 
     def _finish(self, txn: Transaction, ok: bool) -> None:
+        self._reap()
         obs = self.obs
         if obs is None:
             self._finish_inner(txn, ok, None)
@@ -337,9 +357,8 @@ class TransactionManager:
                 self._tz.remove(record)
         ser_s = (time.perf_counter() - t_ser) if timings is not None else 0.0
         # Off the running list and its pin released together, before the
-        # copy-on-commit check: the committer's own loan must not force
-        # a copy of the master it is about to propagate into.
-        del self._running[txn.txn_id]
+        # commit asks what pins hold: its own must not force a new layer.
+        self._running.pop(txn.txn_id).detach()
         txn.pin.release()
 
         if not ok or conflict is not None:
@@ -356,17 +375,7 @@ class TransactionManager:
             self._lsn += 1
             for name, pdt in trans_pdts.items():
                 state = self.state_of(name)
-                if self._write_pdt_shared(name, state):
-                    # The master is loaned out (a live pin — maybe a
-                    # running transaction's — reads it): propagate into a
-                    # copy and swing the master, leaving every loan
-                    # untouched.
-                    fresh = state.write_pdt.copy()
-                    propagate_batch(fresh, pdt)
-                    state.write_pdt = fresh
-                    self.stats.snapshot_copies += 1
-                else:
-                    propagate_batch(state.write_pdt, pdt)
+                state.write_pdt.propagate(pdt, self._held(name, state))
                 state.last_commit_lsn = self._lsn
                 self.stats.propagations += 1
             t_wal = time.perf_counter() if timings is not None else 0.0
@@ -406,20 +415,14 @@ class TransactionManager:
             timings.update(serialize=ser_s, propagate=prop_s,
                            wal_append=wal_s, durability_wait=wait_s)
 
-    def _write_pdt_shared(self, name: str, state: TableState) -> bool:
-        """Is the master Write-PDT loaned to a live pin that must not see
-        the commit being propagated? (The committer's own pin is already
-        released when this is asked.) Empty masters are never loaned:
-        ``pin_snapshot`` captures None for them."""
-        current = state.write_pdt
-        if current.is_empty():
-            return False
+    def _held(self, name: str, state: TableState) -> int:
+        """How many of ``name``'s Write layers a live pin holds: a bottom
+        prefix, since every pin captures the whole stack."""
         with self._pin_lock:
-            for pin in self._pins.values():
-                pinned = pin.tables.get(name)
-                if pinned is not None and pinned.write_pdt is current:
-                    return True
-        return False
+            pinned = [pin.tables[name].write_layers
+                      for pin in self._pins.values() if name in pin.tables]
+        return sum(any(layer in held for held in pinned)
+                   for layer in state.write_pdt.layers)
 
     # -- durability deferral (group-commit write path) -------------------------
 
@@ -449,9 +452,10 @@ class TransactionManager:
     def latest_layers(self, table: str) -> list[PDT]:
         """Read/Write layer stack reflecting the latest committed state."""
         state = self.state_of(table)
-        return [state.read_pdt, state.write_pdt]
+        return [state.read_pdt, *state.write_pdt.layers]
 
     def running_count(self) -> int:
+        self._reap()
         return len(self._running)
 
     def tz_size(self) -> int:
@@ -460,26 +464,26 @@ class TransactionManager:
     # -- maintenance -------------------------------------------------------------------
 
     def propagate_write_to_read(self, table: str) -> None:
-        """Migrate the master Write-PDT into the Read-PDT (section 3.3).
+        """Migrate every Write layer into the Read-PDT (section 3.3).
 
         Runs while transactions are open: each reads through its own pin,
-        and a pinned Read-PDT is copied before it absorbs anything
-        (below), so no snapshot double-applies. Positions in the output
-        domain (open Trans-PDTs', TZ records') do not move. A checkpoint
-        never calls this: its fold merges through both layers.
+        and a pinned Read-PDT is left as it is (below), so no snapshot
+        double-applies. Positions in the output domain (open Trans-PDTs',
+        TZ records') do not move. A checkpoint never calls this: its fold
+        merges through every layer.
         """
         state = self.state_of(table)
         if state.write_pdt.is_empty():
             return
+        read, layers = state.read_pdt, state.write_pdt.layers
         if self.is_pinned(table):
-            # A live pin references this Read-PDT (and loans the Write-PDT
-            # about to fold into it): migrate into a fresh copy so the
-            # pinned stack keeps describing the pinned version.
-            state.read_pdt = state.read_pdt.copy()
+            # A live pin holds this Read-PDT: build the new one from its
+            # merge with the bottom Write layer.
+            read, layers = propagated(read, layers[0]), layers[1:]
             self.stats.snapshot_copies += 1
-        propagate_batch(state.read_pdt, state.write_pdt)
-        # Swing, don't clear: the old Write-PDT object may still be loaned
-        # to a pin, and its contents now live in the (possibly copied)
-        # Read-PDT of the *new* stack only.
-        state.write_pdt = PDT(state.schema)
+        for layer in layers:
+            propagate_batch(read, layer)
+        # Swing, don't clear: a pin may hold the old Write layers.
+        state.read_pdt = read
+        state.write_pdt = WriteStack(state.schema)
         self.stats.propagations += 1

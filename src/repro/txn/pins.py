@@ -5,24 +5,24 @@ latest-committed layer stack independently — correct per shard, but two
 shards can be captured on either side of a commit, so a concurrent writer
 can tear a logical table's image across shards. A :class:`SnapshotPin`
 fixes the whole database at one commit point instead: for every physical
-table it captures the stable image, the Read-PDT (by reference), a
-Write-PDT snapshot *loan* (the master by reference — commits propagate
-copy-on-commit while it is loaned, so the object never changes under the
-pin), the stale sparse index, and the table's last-commit LSN — together
-a per-table/per-shard LSN vector naming exactly one version of the
-database. For sharded logical tables the shard layout (boundaries +
+table it captures the stable image, the Read-PDT and the Write layers
+(all by reference — a commit writes only a top Write layer no pin holds,
+so no captured object changes under the pin), the stale sparse index,
+and the table's last-commit LSN — together a per-table/per-shard LSN
+vector naming exactly one version of the database. For sharded logical tables the shard layout (boundaries +
 shard names) is captured too, so a pinned reader keeps routing against
 the layout it pinned even while the rebalancer restructures the live
 table.
 
-Pinned state stays valid because every mutation of committed layers is
-*by replacement* (a commit on a pinned table propagates into a copy and
-swings the master Write-PDT to it; checkpoints install fresh stable/PDT
-objects) or made pin-aware:
+Pinned state stays valid because every mutation of committed layers
+leaves what a pin holds alone (a commit on a pinned table stacks a fresh
+Write layer above the held ones, and a merge of two Write layers builds
+a fresh one when a pin holds the lower; checkpoints install fresh
+stable/PDT objects) or is made pin-aware:
 
-* ``propagate_write_to_read`` copies-on-write the Read-PDT while the
-  table is pinned, so the pinned reference never absorbs the Write-PDT a
-  pin loans (the checkpoint scheduler additionally *defers* folds on
+* ``propagate_write_to_read`` builds a fresh Read-PDT from the merge
+  while the table is pinned, so the pinned reference never absorbs the
+  Write layers (the checkpoint scheduler additionally *defers* folds on
   pinned tables until pins drain);
 * checkpoints re-home the outgoing stable image onto a private
   in-memory copy of its encoded blocks before dropping them from the
@@ -36,8 +36,8 @@ require no quiescence, and are the one way to hold a committed version:
 the async query service hands one to every streaming cursor, every
 latest-state read takes one for its scan, and every transaction reads
 through the pin ``TransactionManager.begin`` takes (paper section 3.3's
-Write-PDT snapshot is that pin's loan). A running transaction therefore
-counts as a pin everywhere pins are counted.
+Write-PDT snapshot is that pin's Write layers). A running transaction
+therefore counts as a pin everywhere pins are counted.
 """
 
 from __future__ import annotations
@@ -49,26 +49,24 @@ from typing import NamedTuple
 class PinnedTable(NamedTuple):
     """One physical table's captured version: the scan inputs at pin time.
 
-    ``write_pdt`` is ``None`` when the Write-PDT was empty at the pin
-    point (the common case between maintenance cycles); ``layers`` yields
-    the non-empty PDT stack in merge order. Every stable image is
-    published before it is registered, so ``stable`` itself names the
-    persisted image the layers are relative to. A plain immutable record:
-    every transaction start builds one per physical table.
+    ``write_layers`` is the Write stack's tuple of layers, bottom-up
+    (empty between maintenance cycles); ``layers`` yields the whole PDT
+    stack in merge order. Every stable image is published before it is
+    registered, so ``stable`` itself names the persisted image the
+    layers are relative to. A plain immutable record: every transaction
+    start builds one per physical table.
     """
 
     name: str
     stable: object
     read_pdt: object
-    write_pdt: object  # loaned master, or None when empty at pin time
+    write_layers: tuple
     sparse_index: object
     lsn: int
 
     @property
     def layers(self) -> tuple:
-        if self.write_pdt is None:
-            return (self.read_pdt,)
-        return (self.read_pdt, self.write_pdt)
+        return (self.read_pdt, *self.write_layers)
 
 
 class PinnedLayout(NamedTuple):
@@ -87,8 +85,8 @@ class SnapshotPin:
     transaction holds one as ``Transaction.pin`` until it finishes).
     Usable as a context manager; releasing is idempotent. While any pin
     covering a table is live, maintenance on that table is deferred or
-    runs copy-on-write, so the captured objects keep describing the
-    pinned version.
+    leaves the captured objects as they are, so they keep describing
+    the pinned version.
     """
 
     manager: object

@@ -132,8 +132,8 @@ class CheckpointScheduler:
 
         ``updates:<n>`` reads the PDTs' O(1) entry counters. Only
         ``hot-ranges:<k>`` walks the entries, bucketing each SID into its
-        stable block (Write-PDT SIDs are positions in the Read-PDT's
-        output domain, close enough for a heat heuristic).
+        stable block (a Write layer's SIDs are positions in the output
+        domain of the layers below, close enough for a heat heuristic).
         """
         rule, arg = self._rule
         state = self.manager.state_of(table)
@@ -149,7 +149,7 @@ class CheckpointScheduler:
             return None
         block_rows = state.stable.pool.store.block_rows
         hist: dict[int, int] = {}
-        for pdt in (state.read_pdt, state.write_pdt):
+        for pdt in (state.read_pdt, *state.write_pdt.layers):
             for sid in pdt.entry_lists()[0]:
                 block = sid // block_rows
                 hist[block] = hist.get(block, 0) + 1

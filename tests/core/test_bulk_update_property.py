@@ -35,6 +35,15 @@ from ..oracles.scalar_resolve import ScalarUpdater
 N_STABLE = 40  # keys 0, 2, ..., 78; several 8-row sparse granules
 
 
+def clone(pdt):
+    """An independent copy: a tree PDT rebuilt from its entry run."""
+    if isinstance(pdt, FlatPDT):
+        return pdt.copy()
+    out = PDT(pdt.schema, fanout=pdt.fanout)
+    out.bulk_append_entries(pdt.entries())
+    return out
+
+
 def make_schema(n_key_cols=1):
     cols = [(f"k{i}", DataType.INT64) for i in range(n_key_cols)]
     cols += [("a", DataType.INT64), ("b", DataType.STRING)]
@@ -311,7 +320,7 @@ class TestPropagateBatch:
         write = cls(schema)
         apply_scalar(stable, [read, write], None,
                      gen_batch(rng, schema, live, n_write, reuse_keys=True))
-        scalar, batch = read.copy(), read.copy()
+        scalar, batch = clone(read), clone(read)
         propagate(scalar, write)
         # The merge fold itself, at every size ratio (propagate_batch
         # would pick the scalar loop for a large read).
@@ -348,7 +357,7 @@ class TestPropagateBatch:
         write = PDT(schema)
         apply_scalar(stable, [read, write], None,
                      gen_batch(rng, schema, live, 2, reuse_keys=True))
-        scalar, auto = read.copy(), read.copy()
+        scalar, auto = clone(read), clone(read)
         propagate(scalar, write)
         propagate_batch(auto, write)
         assert materialized_entries(scalar) == materialized_entries(auto)

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PDT
+from repro.core.propagate import propagated
 from repro.core.stack import image_rows
 from repro.core.types import KIND_INS
 from repro.exec.pinvec import rebuild_layers, serialize_layers
@@ -90,7 +91,7 @@ class TestRoundTrip:
         back = rebuilt(pdt)
         back.check_invariants()
         assert stream(back) == stream(pdt)
-        assert back.copy().entries() == pdt.entries()
+        assert rebuilt(back).entries() == pdt.entries()
 
     @settings(max_examples=60, deadline=None)
     @given(**HISTORIES)
@@ -99,8 +100,8 @@ class TestRoundTrip:
         stable, layers = build(seed, n_key_cols, n_layers, ops_per_layer)
         assert image_rows(stable, [rebuilt(p) for p in layers]) == \
             image_rows(stable, layers)
-        assert image_rows(stable, [p.copy() for p in layers]) == \
-            image_rows(stable, layers)
+        fresh = [propagated(p, PDT(p.schema)) for p in layers]
+        assert image_rows(stable, fresh) == image_rows(stable, layers)
 
     @settings(max_examples=60, deadline=None)
     @given(**HISTORIES)
@@ -130,7 +131,7 @@ class TestRoundTrip:
 class TestNoAliasing:
     """An in-place rewrite of an inserted row (Algorithm 4) reaches neither
     a WAL record taken before it nor the PDT on the other side of a
-    ``copy()``."""
+    rebuild from the entry run."""
 
     @settings(max_examples=40, deadline=None)
     @given(**HISTORIES)
@@ -147,7 +148,7 @@ class TestNoAliasing:
         logged = copy.deepcopy(wal.records[-1].tables["t"])
         before = pdt.entries()
 
-        clone = pdt.copy()
+        clone = rebuilt(pdt)
         clone.add_modify(rids[0], col, -1)
         cloned = clone.entries()
         assert cloned != before

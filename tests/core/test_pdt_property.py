@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FlatPDT, PDT, merge_rows
+from repro.core.propagate import propagated
 
 from .helpers import TableDriver, apply_random_ops, int_schema
 
@@ -66,10 +67,12 @@ def test_empty_stable_table_workload(seed):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**9))
-def test_copy_is_deep_and_equal(seed):
+def test_fresh_fold_is_deep_and_equal(seed):
+    """A fold into a fresh PDT (how a pinned Write layer merges) leaves
+    its input as it was."""
     driver, tree, flat, rows = make_driver()
     apply_random_ops(driver, random.Random(seed), 60, key_range=200)
-    clone = tree.copy()
+    clone = propagated(tree, PDT(tree.schema))
     clone.check_invariants()
     assert merge_rows(rows, clone) == merge_rows(rows, tree)
     # Mutating the clone must not affect the original.

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core import PDT
+from repro.core.propagate import propagated
 from repro.core.types import KIND_DEL, KIND_INS, PDTError
 
 from .helpers import TableDriver, apply_random_ops, int_schema
@@ -98,12 +99,13 @@ class TestAppendEntry:
             [(e.sid, e.rid, e.kind) for e in scalar.iter_entries()]
         assert pdt.entries() == scalar.entries() == run
 
-    def test_copy_of_deep_tree(self):
+    def test_fresh_fold_of_deep_tree(self):
         pdt, _ = grown_tree(n_ops=300, fanout=4)
-        clone = pdt.copy()
-        clone.check_invariants()
-        assert clone.count() == pdt.count()
-        assert clone.fanout == pdt.fanout
+        run = pdt.entries()
+        fresh = propagated(pdt, PDT(pdt.schema))
+        fresh.check_invariants()
+        assert fresh.entries() == pdt.entries() == run
+        assert fresh.fanout == pdt.fanout
 
 
 class TestErrorPaths:

@@ -119,7 +119,7 @@ def test_narrowed_reads_and_resolves_equal_the_oracles(seed, n_key_cols,
                                    schema).items()))
         state = db.manager.state_of("t")
         stable, index = state.stable, state.sparse_index
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         assert stable.block_rows == BLOCK_ROWS
         assert not state.read_pdt.is_empty()
 

@@ -62,7 +62,7 @@ def pool_gets(db):
 class TestPointResolveTouchesOneGranule:
     def test_find_rid_by_key_decodes_one_key_block(self):
         db, state, live = dirty_db()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         image_keys = db.query("t", columns=["k"])["k"]
         for row in (live[0], live[len(live) // 2], live[-1]):
             db.make_cold()
@@ -80,7 +80,7 @@ class TestPointResolveTouchesOneGranule:
         """A key that sorts between the last row of one granule and the
         first of the next resolves inside the later granule alone."""
         db, state, _ = dirty_db()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         key = (GRANULE * 3 * 4 - 2,)  # after row 3*4096-1, before 3*4096
         db.make_cold()
         db.io.reset()
@@ -113,7 +113,7 @@ class TestSweepStopsWithItsLastKey:
 
     def test_one_key_sweep_yields_one_block(self, monkeypatch):
         db, state, live = dirty_db()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         yielded = self._counted(monkeypatch)
         gets = pool_gets(db)
         (found, _), = resolve_batch_positions(
@@ -128,7 +128,7 @@ class TestSweepStopsWithItsLastKey:
         """Keys in granules 2..4 of 25: three blocks merged, three
         blocks read — none before the first key's, none after the last."""
         db, state, live = dirty_db()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         keys = [(r * 4,) for r in live
                 if 2 * GRANULE <= r < 5 * GRANULE][::97]
         yielded = self._counted(monkeypatch)
@@ -145,7 +145,7 @@ class TestSweepStopsWithItsLastKey:
         but the first block holds no key, so it narrows away: only the
         key's block is merged."""
         db, state, live = dirty_db()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         yielded = self._counted(monkeypatch)
         gets = pool_gets(db)
         resolve_batch_positions(state.stable, layers, None,
@@ -189,7 +189,7 @@ class TestMergeWorkFollowsTheWindow:
 
     def test_cold_point_resolve(self, monkeypatch):
         db, state, live = self.dirty_db_2k_writes()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         handed = self._handed(monkeypatch)
         for row in (live[0], live[len(live) // 2], live[-1]):
             db.make_cold()
@@ -214,7 +214,7 @@ class TestMergeWorkFollowsTheWindow:
         at most 2 stable rows (the key's and the next), and each merger
         above at most those plus the entries handed below it."""
         db, state, live = self.dirty_db_2k_writes()
-        layers = [state.read_pdt, state.write_pdt]
+        layers = [state.read_pdt, *state.write_pdt.layers]
         merges = []
         real = BlockMerger.merge_batches
 
@@ -346,7 +346,8 @@ class TestMemoryUsageIsMaintained:
         assert pdt.depth() >= 3
         pdt.check_invariants()
 
-        clone = pdt.copy()
+        clone = PDT(pdt.schema, fanout=pdt.fanout)
+        clone.bulk_append_entries(pdt.entries())
         assert clone.memory_usage() == walked_memory_usage(clone)
         assert clone.count() == pdt.count()
 
@@ -373,13 +374,15 @@ class TestMemoryUsageIsMaintained:
 
     def test_equals_walk_after_propagate_batch(self):
         db, state, _ = dirty_db()
-        for pdt in (state.read_pdt, state.write_pdt):
+        for pdt in (state.read_pdt, *state.write_pdt.layers):
             assert pdt.memory_usage() == walked_memory_usage(pdt)
-        read, write = state.read_pdt.copy(), state.write_pdt
+        (write,) = state.write_pdt.layers
+        read = PDT(state.schema)
+        read.bulk_append_entries(state.read_pdt.entries())
         propagate_batch(read, write)
         assert read.count() >= 2000
         assert read.memory_usage() == walked_memory_usage(read)
         assert db.delta_bytes("t") == \
             walked_memory_usage(state.read_pdt) + \
-            walked_memory_usage(state.write_pdt)
+            walked_memory_usage(write)
         db.close()

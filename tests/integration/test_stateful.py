@@ -133,8 +133,8 @@ class DatabaseMachine(RuleBasedStateMachine):
     @invariant()
     def pdts_are_structurally_sound(self):
         state = self.db.manager.state_of("t")
-        state.read_pdt.check_invariants()
-        state.write_pdt.check_invariants()
+        for layer in (state.read_pdt, *state.write_pdt.layers):
+            layer.check_invariants()
 
     @invariant()
     def row_count_consistent(self):

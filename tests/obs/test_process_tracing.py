@@ -91,7 +91,7 @@ class TestStitchedTraces:
                     merged += [len(arrays["k"]) for _, arrays in
                                merge_scan_layers(
                                    state.stable,
-                                   [state.read_pdt, state.write_pdt],
+                                   [state.read_pdt, *state.write_pdt.layers],
                                    ["k"])]
                 assert max(merged) >= 2 * block_rows
                 assert cursor.profile.remote_blocks == sum(

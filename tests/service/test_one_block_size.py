@@ -93,7 +93,7 @@ def merged_block_sizes(db, name) -> list:
     """Row counts of the merge's own blocks over a shard's latest state:
     one per non-empty merged stored block, trailing inserts last."""
     state = db.manager.state_of(name)
-    layers = [state.read_pdt, state.write_pdt]
+    layers = [state.read_pdt, *state.write_pdt.layers]
     return [len(arrays["k"]) for _, arrays in
             merge_scan_layers(state.stable, layers, ["k"])]
 

@@ -104,19 +104,21 @@ class TestPinBasics:
         copies_before = db.manager.stats.snapshot_copies
         a = db.pin_snapshot()
         b = db.pin_snapshot()
-        # Pinning loans the master Write-PDT by reference: both pins hold
-        # the same object and no copy is taken at pin time.
+        # Pinning holds the Write layers by reference: both pins hold
+        # the same objects and no copy is taken at pin time.
         assert db.manager.stats.snapshot_copies == copies_before
         shared = [
-            (a.tables[n].write_pdt, b.tables[n].write_pdt)
-            for n in a.tables if a.tables[n].write_pdt is not None
+            (x, y) for n in a.tables
+            for x, y in zip(a.tables[n].write_layers, b.tables[n].write_layers)
         ]
         assert shared and all(x is y for x, y in shared)
-        # A commit on a pinned shard must copy-on-commit, not mutate the
-        # loaned object under the pins.
+        # A commit on a pinned shard stacks a fresh layer instead of
+        # writing the layers the pins hold.
         before = snapshot_bytes(db, "t", pin=a)
+        runs = [x.entries() for x, _ in shared]
         db.modify("t", (10,), "v", 6)
-        assert db.manager.stats.snapshot_copies > copies_before
+        assert db.manager.stats.snapshot_copies == copies_before
+        assert [x.entries() for x, _ in shared] == runs
         assert snapshot_bytes(db, "t", pin=a) == before
         assert snapshot_bytes(db, "t", pin=b) == before
         a.release()

@@ -45,8 +45,8 @@ class TestBulkRefreshStreams:
             assert bulk_db.image_rows(table) == scalar_db.image_rows(table)
             bulk_state = bulk_db.manager.state_of(table)
             scalar_state = scalar_db.manager.state_of(table)
-            assert _entries(bulk_state.write_pdt) == \
-                _entries(scalar_state.write_pdt)
+            assert [_entries(p) for p in bulk_state.write_pdt.layers] == \
+                [_entries(p) for p in scalar_state.write_pdt.layers]
 
     def test_one_wal_record_per_refresh_half(self, env):
         """Each RF1 (and each RF2) is one commit batch -> one WAL record

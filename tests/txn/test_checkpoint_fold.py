@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database, DataType, Schema
+from repro.core.pdt import PDT
 from repro.core.propagate import propagate_batch
 from repro.core.types import KIND_DEL, KIND_INS
 from repro.storage.backend import MemoryBackend
@@ -260,12 +261,12 @@ def test_checkpoint_under_pin_copies_no_pdt():
     db.modify("t", (4,), "a", 40)
     with db.pin_snapshot() as pin:
         pinned = pin.tables["t"]
-        layers = (pinned.read_pdt, pinned.write_pdt)
+        layers = pinned.layers
         runs = [pdt.entries() for pdt in layers]
         copies = db.manager.stats.snapshot_copies
         db.checkpoint("t")
         assert db.manager.stats.snapshot_copies == copies
-        assert (pinned.read_pdt, pinned.write_pdt) == layers
+        assert pinned.layers == layers
         assert [pdt.entries() for pdt in layers] == runs
         assert plain(db.query("t", pin=pin).rows())[3:5] \
             == [(3, 30, "s"), (4, 40, "s")]
@@ -314,11 +315,30 @@ def image_bytes(db, name) -> dict:
 
 
 def committed_run(state) -> list:
-    """The entry run of the Read-PDT with the Write-PDT propagated into
-    (a copy of) it: one run per committed stack, whatever the layering."""
-    read = state.read_pdt.copy()
-    propagate_batch(read, state.write_pdt)
+    """The entry run of the Read-PDT with every Write layer propagated
+    into (a rebuild of) it: one run per committed stack, whatever the
+    layering."""
+    read = PDT(state.schema)
+    read.bulk_append_entries(state.read_pdt.entries())
+    for layer in state.write_pdt.layers:
+        propagate_batch(read, layer)
     return read.entries()
+
+
+def apply_in_layers(db, ops, n_layers: int) -> None:
+    """Apply ``ops`` as up to ``n_layers`` commits, each about half the
+    size of the one before, with a pin held across them all: each commit
+    stacks a Write layer above the pinned ones, so the stack reaches up
+    to ``n_layers`` layers (equal-sized neighbours merge)."""
+    pins = []
+    for i in range(n_layers):
+        take = len(ops) if i == n_layers - 1 else (len(ops) + 1) // 2
+        if take:
+            db.apply_batch("t", ops[:take])
+        ops = ops[take:]
+        pins.append(db.pin_snapshot())
+    for pin in pins:
+        pin.release()
 
 
 def test_range_fold_keeps_a_write_insert_below_its_ghosted_bound():
@@ -348,12 +368,14 @@ def test_range_fold_keeps_a_write_insert_below_its_ghosted_bound():
 @pytest.mark.parametrize("fold", ["full", "range"])
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), keying=st.sampled_from(sorted(KEYINGS)),
-       n_read=st.integers(1, 25), n_write=st.integers(1, 25))
+       n_read=st.integers(1, 25), n_write=st.integers(1, 25),
+       n_layers=st.integers(1, 4))
 def test_fold_matches_propagate_then_fold(fold, shards, reader, seed, keying,
-                                          n_read, n_write):
-    """Both layers non-empty: the one-merge fold publishes the image bytes
-    and survivor run of the Propagate-then-fold oracle, copies no pinned
-    PDT, and leaves a reader's view and its later commit intact."""
+                                          n_read, n_write, n_layers):
+    """Read-PDT and 1-4 Write layers non-empty: the one-merge fold
+    publishes the image bytes and survivor run of the Propagate-then-fold
+    oracle, copies no pinned PDT, and leaves a reader's view and its
+    later commit intact."""
     schema, rekey = KEYINGS[keying]
     n_keys = len(schema.sort_key)
     rng = random.Random(seed)
@@ -367,7 +389,7 @@ def test_fold_matches_propagate_then_fold(fold, shards, reader, seed, keying,
         db.apply_batch("t", read_ops)
         for name in db.manager.physical_names("t"):
             db.manager.propagate_write_to_read(name)
-        db.apply_batch("t", write_ops)
+        apply_in_layers(db, write_ops, n_layers)
     expected = plain(new.image_rows("t"))
 
     readers, views = [], []

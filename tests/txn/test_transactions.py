@@ -1,5 +1,7 @@
 """Snapshot isolation, optimistic concurrency, and Algorithm 9 commit."""
 
+import gc
+
 import pytest
 
 from repro import Database, DataType, Schema, TransactionConflict
@@ -120,31 +122,38 @@ class TestSnapshotIsolation:
         t2 = db.begin()
         t1.image_rows("t")
         t2.image_rows("t")
-        # Snapshots are reference loans of the master Write-PDT: same-epoch
-        # transactions share one object and nothing is copied at start.
-        assert t1.pin.table("t").write_pdt is t2.pin.table("t").write_pdt
-        assert t1.pin.table("t").write_pdt is not None
+        # Snapshots hold the Write layers by reference: same-epoch
+        # transactions share the objects and nothing is copied at start.
+        first, second = (t.pin.table("t").write_layers for t in (t1, t2))
+        assert len(first) == len(second) == 1
+        assert first[0] is second[0]
         assert db.manager.stats.snapshot_copies == 0
-        assert db.manager.stats.snapshot_reuses >= 2
         t1.abort()
         t2.abort()
 
-    def test_commit_copies_master_only_while_loaned(self):
+    def test_commit_stacks_a_layer_only_while_pinned(self):
         db = make_db()
-        db.insert("t", (5, 1, "seed"))  # non-empty write-PDT
+        db.insert("t", (5, 1, "seed"))  # a two-entry Write layer
+        db.insert("t", (15, 1, "seed"))
+        state = db.manager.state_of("t")
         reader = db.begin()
-        loaned = reader.pin.table("t").write_pdt
-        assert loaned is db.manager.state_of("t").write_pdt
-        # A commit while the master is loaned swings it to a copy
-        # (copy-on-commit) instead of mutating the reader's object...
+        held = reader.pin.table("t").write_layers
+        assert held == state.write_pdt.layers and len(held) == 1
+        run = held[0].entries()
+        # A commit while a pin holds the top layer stacks a fresh one
+        # above it instead of writing the reader's object...
         db.insert("t", (6, 1, "later"))
-        assert db.manager.stats.snapshot_copies == 1
-        assert db.manager.state_of("t").write_pdt is not loaned
+        assert state.write_pdt.layers[0] is held[0]
+        assert len(state.write_pdt.layers) == 2
+        assert held[0].entries() == run
         assert (6, 1, "later") not in reader.image_rows("t")
         reader.abort()
-        # ...and with no loans outstanding, commits fold in place.
+        # ...and with no pin left, commits write the top layer in place,
+        # which merges in place into the one below once it is as large.
         db.insert("t", (7, 1, "unshared"))
-        assert db.manager.stats.snapshot_copies == 1
+        assert state.write_pdt.layers == held
+        assert held[0].count() == 4
+        assert db.manager.stats.snapshot_copies == 0
 
 
 class TestConflicts:
@@ -228,6 +237,25 @@ class TestConflicts:
         b.commit()
         assert db.manager.tz_size() == 1
         a.abort()
+        assert db.manager.tz_size() == 0
+
+    def test_dropped_transaction_is_reaped_like_an_abort(self):
+        """The manager holds running transactions weakly: one dropped
+        unfinished releases its pin and its TZ references."""
+        db = make_db()
+        a = db.begin()
+        a.insert("t", (1, 0, "a"))
+        b = db.begin()
+        b.insert("t", (2, 0, "b"))
+        b.commit()  # its TZ record counts a
+        assert db.manager.tz_size() == 1
+        del a
+        gc.collect()
+        assert db.manager.pin_count() == 0
+        assert db.manager.running_count() == 0
+        assert db.manager.tz_size() == 0
+        assert (1, 0, "a") not in db.image_rows("t")
+        db.insert("t", (3, 0, "c"))  # commits no longer count a
         assert db.manager.tz_size() == 0
 
 

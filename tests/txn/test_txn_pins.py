@@ -12,10 +12,11 @@ after its ``begin``, plus its own operations replayed on a dict. ``p`` is
 read and released at once, so nothing but the transaction's own pin
 keeps its version alive. After every step the latest state equals a
 serial oracle (autocommits and successful commits replayed in commit
-order) and every physical table's PDTs pass ``check_invariants()``.
-Fixed scripts pin the loan counters (``snapshot_copies``,
-``snapshot_reuses``): which commits copy the master, which Propagates
-copy a pinned Read-PDT, and how many loans pins take.
+order) and every physical table's PDTs — each Write layer too — pass
+``check_invariants()``. Pins are held across several commits, so Write
+stacks grow several layers deep. Fixed scripts pin the Write stack's
+depth after each commit and ``snapshot_copies``: which Propagates
+rebuild a pinned Read-PDT.
 """
 
 import pytest
@@ -83,8 +84,8 @@ class Run:
         assert as_model(self.db.query("t")) == self.oracle
         for name in self.db.manager.physical_names("t"):
             state = self.db.manager.state_of(name)
-            state.read_pdt.check_invariants()
-            state.write_pdt.check_invariants()
+            for layer in (state.read_pdt, *state.write_pdt.layers):
+                layer.check_invariants()
 
     def check(self, slot: int) -> None:
         txn, base, ops = self.txns[slot]
@@ -141,7 +142,7 @@ class Run:
                 db.apply_batch("t", [op])
                 self.oracle = replay(self.oracle, [op])
         elif action == "pin":
-            if len(self.pins) < 2:
+            if len(self.pins) < 4:
                 self.pins.append(db.pin_snapshot())
             else:
                 self.pins.pop(0).release()
@@ -169,7 +170,8 @@ class Run:
 
 STEPS = st.lists(st.tuples(
     st.sampled_from(["begin", "begin", "op", "op", "op", "op", "commit",
-                     "abort", "auto", "auto", "pin", "propagate",
+                     "abort", "auto", "auto", "auto", "pin", "pin",
+                     "propagate",
                      "checkpoint", "range"]),
     st.integers(0, SLOTS - 1),
     st.sampled_from(["ins", "del", "mod"]),
@@ -192,50 +194,99 @@ def test_transactions_read_their_pin(sharded, steps):
         run.close()
 
 
-# -- loan counters on a fixed script ------------------------------------------
+# -- Write layers on fixed scripts ---------------------------------------------
 
-def loan_script(sharded: bool) -> tuple[int, int]:
-    """``(snapshot_copies, snapshot_reuses)`` after a fixed mix of
-    transactions, pins, autocommits and maintenance."""
+def layer_script(sharded: bool) -> tuple[int, list[int]]:
+    """``(snapshot_copies, depths)`` after a fixed mix of transactions,
+    pins, autocommits and maintenance; ``depths`` holds the deepest Write
+    stack over the physical tables after each commit."""
     db = make_db(sharded)
     names = db.manager.physical_names("t")
-    db.insert("t", (1, 1))
+    depths = []
+
+    def depth():
+        depths.append(max(len(db.manager.state_of(name).write_pdt.layers)
+                          for name in names))
+
+    db.insert("t", (1, 1))           # nothing pinned: one layer
+    depth()
     a, b = db.begin(), db.begin()
     a.modify("t", (2,), "a", 7)
-    db.insert("t", (3, 3))           # loaned to a and b: copy
+    db.insert("t", (3, 3))           # held by a and b: stacks, then the
+    depth()                          # equal pair merges into a fresh one
     pin = db.pin_snapshot()
-    a.commit()                       # loaned to the pin: copy
+    a.commit()                       # held by the pin: stacks
+    depth()
     b.insert("t", (39, 5))
     b.abort()
-    db.delete("t", (4,))             # a's fresh master, unloaned
+    db.delete("t", (4,))             # top unheld: in place; then the
+    depth()                          # equal pair merges into a fresh one
     pin.release()
-    db.modify("t", (6,), "a", 9)     # nothing loaned: in place
+    db.modify("t", (6,), "a", 9)     # nothing held: in place
+    depth()
     for name in names:
         db.manager.propagate_write_to_read(name)
-    c = db.begin()                   # every Write-PDT empty: no loan
+    c = db.begin()                   # every Write stack empty
     db.insert("t", (7, 7))
+    depth()
     d = db.begin()
     c.modify("t", (8,), "a", 1)
-    c.commit()                       # loaned to d: copy
+    c.commit()                       # held by d: stacks, merges fresh
+    depth()
     db.apply_batch("t", [("ins", (37, 1)), ("del", (36,)),
                          ("mod", (10,), "a", 2)])
+    depth()                          # d holds none of it: in place
+    pin = db.pin_snapshot()
+    db.insert("t", (11, 1))          # held by the pin: stacks
+    depth()
     d.abort()
-    db.query("t")                    # a read's pin loans too
-    db.checkpoint("t")
+    db.query("t")                    # a read's pin is released at once
+    db.checkpoint("t")               # under the pin: copies nothing
+    pin.release()
     e = db.begin()
     e.insert("t", (9, 9))
     e.commit()
-    stats = db.manager.stats
+    depth()
+    copies = db.manager.stats.snapshot_copies
     db.close()
-    return stats.snapshot_copies, stats.snapshot_reuses
+    return copies, depths
 
 
-@pytest.mark.parametrize("sharded, counters", [
-    (False, (3, 9)),
-    (True, (3, 10)),
-], ids=["unsharded", "3-shard"])
-def test_loan_counters_of_a_fixed_script(sharded, counters):
-    assert loan_script(sharded) == counters
+@pytest.mark.parametrize("sharded", [False, True],
+                         ids=["unsharded", "3-shard"])
+def test_layer_depths_of_a_fixed_script(sharded):
+    assert layer_script(sharded) == (0, [1, 1, 2, 1, 1, 1, 1, 1, 2, 1])
+
+
+def test_pins_held_across_commits_stack_write_layers():
+    """One-row commits, each under a fresh pin held to the end (a stream
+    of readers): the Write stack grows to depth >= 3, every pin keeps its
+    view, no layer is copied, and every layer passes its invariants."""
+    db = make_db(False)
+    state = db.manager.state_of("t")
+    oracle = as_model(db.query("t"))
+    pins, views, deepest = [], [], 0
+    for i in range(24):
+        op = ("ins", (2 * i + 1, i)) if i % 3 else ("mod", (i,), "a", -i)
+        with db.pin_snapshot() as pin:  # a short read before each commit
+            assert as_model(db.query("t", pin=pin)) == oracle
+        pins.append(db.pin_snapshot())
+        views.append(oracle)
+        db.apply_batch("t", [op])
+        oracle = replay(oracle, [op])
+        deepest = max(deepest, len(state.write_pdt.layers))
+        for layer in state.write_pdt.layers:
+            layer.check_invariants()
+        assert as_model(db.query("t")) == oracle
+        for held, view in zip(pins, views):
+            assert as_model(db.query("t", pin=held)) == view
+    assert deepest >= 3
+    assert db.manager.stats.snapshot_copies == 0
+    for pin in pins:
+        pin.release()
+    db.insert("t", (99, 99))
+    assert as_model(db.query("t")) == replay(oracle, [("ins", (99, 99))])
+    db.close()
 
 
 def test_propagate_counts_the_pinned_read_pdt_copy():
