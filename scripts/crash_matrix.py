@@ -306,9 +306,16 @@ def run_child(root: str, point: str, rows: int) -> None:
 
     commit("inv", [("mod", (15,), "v", 1), ("mod", (int(rows * 0.9),),
                                             "v", 2)])
+    # A pin held across one more inv commit stacks a second Write layer,
+    # so the range fold below has survivors from both Write layers (no
+    # crash point of its own: the matrix keeps its numbering).
+    with db.pin_snapshot():
+        db.apply_batch("inv", [("mod", (int(rows * 0.8),), "v", 3)])
+        _dump_oracle(root, db)
+    assert len(db.manager.state_of("inv").write_pdt.layers) == 2
 
     # Incremental range checkpoint: folds the first half, re-logs the
-    # surviving second-half deltas of both layers as a tagged snapshot.
+    # surviving second-half deltas of every layer as a tagged snapshot.
     if point in ("range-pre-publish", "range-post-publish"):
         crasher.arm(point)
     checkpoint_table_range(db.manager, "inv", 0, rows // 2)
