@@ -83,8 +83,7 @@ def propagate_batch(read_pdt, write_pdt) -> None:
 
 
 def propagated(read_pdt, write_pdt):
-    """``read_pdt`` with ``write_pdt`` folded in, as a fresh PDT built
-    from the merged run; neither input changes (a pin may hold them)."""
+    """A fresh PDT of ``read_pdt`` ∘ ``write_pdt``; neither changes."""
     fresh = type(read_pdt)(read_pdt.schema, fanout=read_pdt.fanout)
     fresh.bulk_append_entries(_merge_fold(read_pdt, write_pdt))
     return fresh

@@ -166,10 +166,8 @@ def merge_scan_layers(
     return _stacked(stable, layers, columns, stream, start, stop, None, cuts)
 
 
-def _narrowed(stable, layers, columns, stream, start, stop, low, high,
-              cuts):
-    """:func:`merge_scan_layers` with key bounds: narrow the window inside
-    its first stored block, then cut the layers."""
+def _narrowed(stable, layers, columns, stream, start, stop, low, high, cuts):
+    """Narrow the window inside its first stored block, then cut."""
     first_sid, arrays = next(stream)
     end = first_sid + len(arrays[columns[0]])
     keys = [arrays[c] for c in
@@ -194,17 +192,14 @@ def _narrowed(stable, layers, columns, stream, start, stop, low, high,
 
 
 def _stacked(stable, layers, columns, stream, start, stop, block, cuts):
-    """Cut every layer at the window ``[start, stop)`` and splice its
-    entries into ``stream``; the returned generator returns the RID just
-    past the window."""
-    open_end = stop >= stable.num_rows
+    """Cut every layer at ``[start, stop)`` before a block is read."""
     lo = _Bound(stable, start, block=block)
-    hi = _Bound(stable, stop, open_end, block=block)
+    hi = _Bound(stable, stop, stop >= stable.num_rows, block=block)
     keyed = False
     for pdt in layers:
         if pdt.is_empty():
             continue  # an identity merge
-        span = (lo.pos, None if open_end else hi.pos + 1)
+        span = (lo.pos, None if hi.open else hi.pos + 1)
         width = hi.pos - lo.pos
         sids, kinds, refs = pdt.entry_lists(*span)
         a = lo.cut(pdt, sids, kinds, refs, keyed)
@@ -244,19 +239,18 @@ def total_delta(layers) -> int:
 
 
 class WriteStack:
-    """A table's committed Write layers, bottom-up; only the top one is
-    ever written. A commit folds into the top layer, or into a fresh one
-    pushed above it when a live pin holds the top. A top grown to the
-    size of the layer below merges into it: in place, or into a fresh
-    layer when a pin holds the lower one, so depth stays logarithmic. A
-    pin captures ``layers``: held layers are a bottom prefix and never
-    change."""
+    """A table's committed Write layers, bottom-up, starting as one empty
+    layer. A pin captures all of ``layers``, so live pins hold a bottom
+    prefix, which never changes. A commit folds into the top layer, or
+    into a fresh one above it when a pin holds the top; a top grown to
+    the size of the layer below merges with it into a fresh layer, so
+    depth stays logarithmic. Layers no pin holds fold in place first."""
 
     __slots__ = ("schema", "layers")
 
-    def __init__(self, schema, layers=()):
+    def __init__(self, schema):
         self.schema = schema
-        self.layers = tuple(layers)
+        self.layers = (PDT(schema),)
 
     def count(self) -> int:
         return sum(layer.count() for layer in self.layers)
@@ -268,14 +262,12 @@ class WriteStack:
         """Fold ``trans``, consecutive to the whole stack, into the top;
         live pins hold the bottom ``held`` layers."""
         layers = self.layers
-        if held >= len(layers):
+        while len(layers) > held + 1:
+            propagate_batch(layers[-2], layers[-1])
+            layers = layers[:-1]
+        if held == len(layers):
             layers += (PDT(self.schema),)
         propagate_batch(layers[-1], trans)
         while len(layers) > 1 and layers[-1].count() >= layers[-2].count():
-            lower, upper = layers[-2:]
-            if held >= len(layers) - 1:
-                lower = propagated(lower, upper)
-            else:
-                propagate_batch(lower, upper)
-            layers = layers[:-2] + (lower,)
+            layers = layers[:-2] + (propagated(*layers[-2:]),)
         self.layers = layers

@@ -78,7 +78,7 @@ class PositionalUpdater:
     """Applies value-addressed updates to the *top* PDT layer of a stack.
 
     ``layers`` is the full bottom-up stack used for reads (e.g.
-    ``[read, write loan, trans]``); updates land in ``layers[-1]``.
+    ``[read, *write layers, trans]``); updates land in ``layers[-1]``.
     """
 
     def __init__(self, stable, layers, sparse_index: SparseIndex | None):

@@ -18,8 +18,8 @@ One read request flows::
 Writes (scalar updates and bulk batches) run on the same pool but are
 serialized by the service's commit lock — the PDT layering makes readers
 never block on them: every live cursor reads pinned layers, and a commit
-on a pinned table swings the master Write-PDT to a copy instead of
-mutating the object pins loan. On durable storage the commit lock is also
+on a pinned table stacks a fresh Write layer instead of writing one a
+pin holds. On durable storage the commit lock is also
 the group-commit coalescing point: each write stages its WAL record under
 the lock but waits for the shared fsync *outside* it, so while one
 writer's group fsync is in flight the next writer is already running its

@@ -87,8 +87,7 @@ class TransactionManager:
         # Only physical_names / route / split_ops read it: they are the
         # one place a name resolves to the physical tables behind it.
         self.sharded_tables: dict = {}
-        # txn_id -> finalizer: transactions are held weakly. One dropped
-        # unfinished queues itself on _dropped for _reap.
+        # txn_id -> finalizer: a dropped transaction queues for _reap.
         self._running: dict[int, weakref.finalize] = {}
         self._dropped: list[tuple] = []
         self._tz: list[_CommitRecord] = []
@@ -207,7 +206,7 @@ class TransactionManager:
         promptly (the scheduler reports the oldest one that blocked it as
         ``oldest_pin_age_s``). Every transaction holds one.
         """
-        self._reap()
+        self._reap(tz=False)
         tables = {
             name: PinnedTable(name, state.stable, state.read_pdt,
                               state.write_pdt.layers, state.sparse_index,
@@ -240,12 +239,10 @@ class TransactionManager:
 
     def is_pinned(self, table: str) -> bool:
         """True while any live pin captured ``table``'s current version."""
-        self._reap()
-        with self._pin_lock:
-            return any(table in pin.tables for pin in self._pins.values())
+        return self.pin_count(table) > 0
 
     def pin_count(self, table: str | None = None) -> int:
-        self._reap()
+        self._reap(tz=False)
         with self._pin_lock:
             if table is None:
                 return len(self._pins)
@@ -271,6 +268,7 @@ class TransactionManager:
         commits never leak into its view (they stack Write layers above
         the ones it holds). The manager holds it weakly: dropped
         unfinished, it is reaped like an abort."""
+        self._reap()
         txn = Transaction(self, self._next_txn_id, self.pin_snapshot())
         self._next_txn_id += 1
         # The finalizer may run while _pin_lock is held: it only queues.
@@ -278,21 +276,20 @@ class TransactionManager:
             txn, self._dropped.append, (txn.txn_id, txn.start_lsn, txn.pin))
         return txn
 
-    def _reap(self) -> None:
-        """Finish each transaction dropped unfinished as an abort would:
-        release its TZ references, then its pin."""
-        while self._dropped:
-            try:
-                txn_id, start_lsn, pin = self._dropped.pop()
-            except IndexError:  # another thread reaped it
-                return
+    def _reap(self, tz: bool = True) -> None:
+        """Release the pins of transactions dropped unfinished; with ``tz``
+        (the commit path, which owns the TZ set) finish each as an abort
+        would: TZ references, then the running list."""
+        for *_, pin in list(self._dropped):
+            pin.release()
+        while tz and self._dropped:
+            txn_id, start_lsn, _ = self._dropped.pop()
             del self._running[txn_id]
             for record in list(self._tz):
                 if record.lsn > start_lsn:
                     record.refcnt -= 1
                     if record.refcnt == 0:
                         self._tz.remove(record)
-            pin.release()
 
     def commit(self, txn: Transaction) -> None:
         """Finish(ok=True): serialize against overlaps, then propagate."""
@@ -416,13 +413,14 @@ class TransactionManager:
                            wal_append=wal_s, durability_wait=wait_s)
 
     def _held(self, name: str, state: TableState) -> int:
-        """How many of ``name``'s Write layers a live pin holds: a bottom
-        prefix, since every pin captures the whole stack."""
+        """How many of ``name``'s Write layers live pins hold, a bottom
+        prefix; newest pins first, as a stream of readers holds the top."""
+        layers = state.write_pdt.layers
         with self._pin_lock:
-            pinned = [pin.tables[name].write_layers
-                      for pin in self._pins.values() if name in pin.tables]
-        return sum(any(layer in held for held in pinned)
-                   for layer in state.write_pdt.layers)
+            pinned = [pin.tables[name].write_layers for pin in
+                      reversed(self._pins.values()) if name in pin.tables]
+        return next((depth for depth in range(len(layers), 0, -1)
+                     if any(layers[depth - 1] in held for held in pinned)), 0)
 
     # -- durability deferral (group-commit write path) -------------------------
 

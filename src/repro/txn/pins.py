@@ -6,19 +6,17 @@ shards can be captured on either side of a commit, so a concurrent writer
 can tear a logical table's image across shards. A :class:`SnapshotPin`
 fixes the whole database at one commit point instead: for every physical
 table it captures the stable image, the Read-PDT and the Write layers
-(all by reference — a commit writes only a top Write layer no pin holds,
-so no captured object changes under the pin), the stale sparse index,
-and the table's last-commit LSN — together a per-table/per-shard LSN
-vector naming exactly one version of the database. For sharded logical tables the shard layout (boundaries +
-shard names) is captured too, so a pinned reader keeps routing against
-the layout it pinned even while the rebalancer restructures the live
-table.
+(all by reference), the stale sparse index, and the table's last-commit
+LSN — together a per-table/per-shard LSN vector naming exactly one
+version of the database. For sharded logical tables the shard layout
+(boundaries + shard names) is captured too, so a pinned reader keeps
+routing against the layout it pinned even while the rebalancer
+restructures the live table.
 
 Pinned state stays valid because every mutation of committed layers
-leaves what a pin holds alone (a commit on a pinned table stacks a fresh
-Write layer above the held ones, and a merge of two Write layers builds
-a fresh one when a pin holds the lower; checkpoints install fresh
-stable/PDT objects) or is made pin-aware:
+leaves what a pin holds alone (commits write only Write layers no pin
+holds and merge a held one only into a fresh one; checkpoints install
+fresh stable/PDT objects) or is made pin-aware:
 
 * ``propagate_write_to_read`` builds a fresh Read-PDT from the merge
   while the table is pinned, so the pinned reference never absorbs the
@@ -50,7 +48,7 @@ class PinnedTable(NamedTuple):
     """One physical table's captured version: the scan inputs at pin time.
 
     ``write_layers`` is the Write stack's tuple of layers, bottom-up
-    (empty between maintenance cycles); ``layers`` yields the whole PDT
+    (one empty layer after a fold); ``layers`` yields the whole PDT
     stack in merge order. Every stable image is published before it is
     registered, so ``stable`` itself names the persisted image the
     layers are relative to. A plain immutable record: every transaction

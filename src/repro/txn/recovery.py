@@ -21,8 +21,6 @@ atomically at every checkpoint). Two recovery paths exist:
 
 from __future__ import annotations
 
-from ..core.pdt import PDT
-from ..core.stack import WriteStack
 from .manager import TransactionManager
 from .wal import WriteAheadLog, replay_into
 
@@ -55,14 +53,11 @@ def recover_manager(manager: TransactionManager, wal: WriteAheadLog,
                 f"must start from clean stable images"
             )
     pdts = {
-        name: PDT(manager.state_of(name).schema)
+        name: manager.state_of(name).write_pdt.layers[-1]
         for name in manager.table_names()
     }
     last_lsn = replay_into(wal, pdts, max_records=max_records,
                            image_lsns=image_lsns)
-    for name, pdt in pdts.items():
-        if not pdt.is_empty():
-            manager.state_of(name).write_pdt = WriteStack(pdt.schema, [pdt])
     manager._lsn = max(manager._lsn, last_lsn)
     if image_lsns:
         # The clock must also clear every published image LSN, or a

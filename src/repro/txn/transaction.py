@@ -6,12 +6,10 @@ A transaction sees (equation (9))::
 
 A running transaction is a snapshot pin (:mod:`repro.txn.pins`) plus
 private layers. ``TransactionManager.begin`` takes one pin and every
-table's stable image, Read-PDT, Write-PDT snapshot and sparse index are
-read through it, never from the live manager state. The Write-PDT
-snapshot is the pin's tuple of Write layers, held by reference (pins
-under the same commit LSN share them; commits never write a layer a pin
-holds — they stack a fresh one above it). The manager holds the
-transaction weakly: one dropped unfinished is reaped like an abort. The
+table's stable image, Read-PDT, Write layers (the paper's Write-PDT
+snapshot; commits never write a layer a pin holds) and sparse index are
+read through it, never from the live manager state. The manager holds
+the transaction weakly: one dropped unfinished is reaped like an abort. The
 Trans-PDT stacks on top of the pinned layers, is private and collects
 this transaction's own updates, so later queries in the transaction see
 its earlier effects. A table registered after ``begin`` lies outside

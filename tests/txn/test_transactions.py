@@ -148,8 +148,8 @@ class TestSnapshotIsolation:
         assert held[0].entries() == run
         assert (6, 1, "later") not in reader.image_rows("t")
         reader.abort()
-        # ...and with no pin left, commits write the top layer in place,
-        # which merges in place into the one below once it is as large.
+        # ...and with no pin left, the next commit folds the layers in
+        # place into the bottom one and writes that.
         db.insert("t", (7, 1, "unshared"))
         assert state.write_pdt.layers == held
         assert held[0].count() == 4

@@ -1,7 +1,8 @@
 """Cost guards for the Write stack and the clean range fold.
 
 A commit under a live pin stacks a fresh Write layer instead of copying
-the layer the pin holds, so it writes only its own entries. A range fold
+the layer the pin holds, so it writes only its own entries; layers no
+pin holds any more fold back in place at the next commit. A range fold
 whose window holds no entry returns before the merge reads a block.
 """
 
@@ -58,4 +59,31 @@ def test_clean_range_fold_reads_no_block():
     reads = db.io.blocks_read
     assert checkpoint_table_range(db.manager, "t", 256, 512) == 0
     assert db.io.blocks_read == reads
+    db.close()
+
+
+def test_layers_no_pin_holds_fold_back_at_the_next_commit():
+    db = Database()
+    db.create_table("t", SCHEMA, [(2 * k, k) for k in range(100)])
+    db.apply_batch("t", [("mod", (2 * k,), "a", -k) for k in range(50, 100)])
+    state = db.manager.state_of("t")
+    (bottom,) = state.write_pdt.layers
+    run = bottom.entries()
+    old = db.pin_snapshot()
+    db.modify("t", (0,), "a", -1)   # pushes a layer above the held one
+    db.modify("t", (2,), "a", -2)   # writes that unheld layer in place
+    new = db.pin_snapshot()
+    db.modify("t", (4,), "a", -3)
+    assert len(state.write_pdt.layers) == 3
+    middle = state.write_pdt.layers[1]
+    new.release()
+    # Only the older pin is left, holding the bottom layer: the commit
+    # folds the top into the middle layer in place and writes that.
+    db.modify("t", (6,), "a", -4)
+    assert state.write_pdt.layers == (bottom, middle)
+    assert middle.count() == 4 and bottom.entries() == run
+    rows = db.image_rows("t")
+    assert [(k, a) for k, a in rows if k < 8] == [(0, -1), (2, -2), (4, -3),
+                                                  (6, -4)]
+    old.release()
     db.close()
