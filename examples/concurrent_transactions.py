@@ -3,7 +3,8 @@
 Demonstrates: snapshot isolation (readers never block or see concurrent
 commits), the Figure 15 three-transaction schedule with Serialize-based
 re-basing, write-write conflict detection (optimistic abort), reconciled
-same-tuple different-column modifies, and Write->Read propagation.
+same-tuple different-column modifies, commits stacking Write layers
+above the ones open transactions hold, and Write->Read propagation.
 
 Run: ``python examples/concurrent_transactions.py``
 """
@@ -70,7 +71,11 @@ def main() -> None:
     print("  three overlapping inserts committed without locks:")
     show(db, "  table")
     stats = db.manager.stats
+    layers = db.manager.state_of("accounts").write_pdt.layers
+    # A commit under a running transaction's pin stacks a fresh Write
+    # layer instead of copying the one the pin holds.
     print(f"  commits={stats.commits}, conflicts={stats.conflicts}, "
+          f"Write layers={len(layers)}, "
           f"snapshot copies={stats.snapshot_copies}")
 
     # --- write-write conflict ------------------------------------------------
@@ -97,10 +102,11 @@ def main() -> None:
     print("  both committed: carol =", *carol)
 
     # --- layer maintenance ----------------------------------------------------
-    print("\n[5] write->read propagation (keeps the Write-PDT snapshot-copy "
-          "cheap)")
+    print("\n[5] write->read propagation (folds every Write layer into "
+          "the Read-PDT)")
     state = db.manager.state_of("accounts")
-    print(f"  write-PDT entries before: {state.write_pdt.count()}")
+    print(f"  write-PDT entries before: {state.write_pdt.count()} "
+          f"(Write layers: {len(state.write_pdt.layers)})")
     db.manager.propagate_write_to_read("accounts")
     print(f"  write-PDT entries after:  {state.write_pdt.count()}, "
           f"read-PDT entries: {state.read_pdt.count()}")

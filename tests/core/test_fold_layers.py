@@ -5,17 +5,20 @@ A stable window merged through every layer (``merge_scan_layers`` with
 plus each layer's survivors (``_survivors``, moved by the window's change
 in that layer and every layer above it) propagated into one PDT, must
 describe the image ``merge_rows_layers`` gives for the whole stack — for
-full and range windows alike.
+full and range windows alike. They must also equal the older two-step
+fold (``tests/oracles/propagate_fold.py``): Propagate every layer into
+one, then merge the window through it and split its entries by SID.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import PDT
-from repro.core.propagate import propagate_batch
+from repro.core.propagate import propagate_batch, propagated
 from repro.core.stack import merge_rows_layers, merge_scan_layers
 from repro.txn.checkpoint import _survivors
 
+from ..oracles.propagate_fold import fold_one_layer
 from .test_entry_run import N_ROWS, build
 
 
@@ -56,3 +59,14 @@ def test_window_and_survivors_rebuild_the_image(seed, n_key_cols, n_layers,
         merge_rows_layers(rows, layers)
     if lo == 0 and hi >= n:
         assert survivor.is_empty()
+
+    collapsed = layers[0]
+    for pdt in layers[1:]:
+        collapsed = propagated(collapsed, pdt)
+    window, run, folded = fold_one_layer(stable, collapsed, lo, hi)
+    if folded:
+        assert merged == [row for i in range(len(window[columns[0]]))
+                          for row in zip(*(window[c][i] for c in columns))]
+    else:
+        assert merged == rows[lo:hi]
+    assert survivor.entries() == run

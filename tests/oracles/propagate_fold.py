@@ -25,36 +25,22 @@ def propagate_then_fold(manager, table: str, sid_lo: int,
     returns the number of Read-PDT entries folded."""
     state = manager.state_of(table)
     manager.propagate_write_to_read(table)
-    read_pdt = state.read_pdt
     old = state.stable
     n_rows = old.num_rows
     sid_lo = max(0, min(sid_lo, n_rows))
-    to_end = sid_hi >= n_rows
     sid_hi = min(sid_hi, n_rows)
-
-    below = read_pdt.entries(0, sid_lo)
-    above = [] if to_end else read_pdt.entries(sid_hi)
-    folded = read_pdt.count() - len(below) - len(above)
+    merged, run, folded = fold_one_layer(old, state.read_pdt, sid_lo, sid_hi)
     if not folded:
         return 0
 
     schema = state.schema
-    columns = list(schema.column_names)
-    merged = {c: [] for c in columns}
-    for _, arrays in merge_scan_layers(old, [read_pdt], columns=columns,
-                                       start=sid_lo, stop=sid_hi):
-        for c in columns:
-            merged[c].append(arrays[c])
-    shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)
     arrays = {
         c: np.concatenate([old.read_rows(c, 0, sid_lo), *merged[c],
                            old.read_rows(c, sid_hi, n_rows)])
-        for c in columns
+        for c in merged
     }
-    survivor = PDT(schema, fanout=read_pdt.fanout)
-    survivor.bulk_append_entries(
-        below + [(sid + shift, kind, payload) for sid, kind, payload in above]
-    )
+    survivor = PDT(schema, fanout=state.read_pdt.fanout)
+    survivor.bulk_append_entries(run)
 
     pool = old.pool
     if manager.is_pinned(table):
@@ -74,3 +60,31 @@ def propagate_then_fold(manager, table: str, sid_lo: int,
     manager.wal.rebase_table(table, survivor, lsn=manager._lsn)
     _truncate_wal_if_clean(manager)
     return folded
+
+
+def fold_one_layer(old, read_pdt, sid_lo: int, sid_hi: int):
+    """Merge the stable window ``[sid_lo, sid_hi)`` (``sid_hi`` past the
+    end: to the end) through ``read_pdt`` alone and split its entries by
+    SID. Returns the merged ``{column: [arrays]}`` (None, with no block
+    read, when the window holds no entry), the survivor run (those above
+    shifted by the window's growth) and the number folded.
+    """
+    n_rows = old.num_rows
+    sid_lo = max(0, min(sid_lo, n_rows))
+    to_end = sid_hi >= n_rows
+    sid_hi = min(sid_hi, n_rows)
+    below = read_pdt.entries(0, sid_lo)
+    above = [] if to_end else read_pdt.entries(sid_hi)
+    folded = read_pdt.count() - len(below) - len(above)
+    if not folded:
+        return None, below + above, 0
+    columns = list(old.schema.column_names)
+    merged = {c: [] for c in columns}
+    for _, arrays in merge_scan_layers(old, [read_pdt], columns=columns,
+                                       start=sid_lo, stop=sid_hi):
+        for c in columns:
+            merged[c].append(arrays[c])
+    shift = sum(len(a) for a in merged[columns[0]]) - (sid_hi - sid_lo)
+    run = below + [(sid + shift, kind, payload)
+                   for sid, kind, payload in above]
+    return merged, run, folded
